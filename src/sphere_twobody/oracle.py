@@ -1,10 +1,11 @@
 """Numerical oracles, independent of every closed form in the package.
 
-Shooting integrates the radial equation from Frobenius starts at both
-endpoints and roots the Wronskian mismatch at a midpoint -- no quantization
-condition, no hypergeometric function enters.  The Coulomb problem is
-marched in the half-angle theta = 2 arctan r so that both endpoints are at
-finite coordinate; the oscillator is marched in r on (0, 1) directly.
+Shooting integrates the radial equation with LSODA from Frobenius starts at
+both endpoints and roots the Wronskian mismatch at a midpoint -- no
+quantization condition, no hypergeometric function enters.  The Coulomb
+problem is marched in the half-angle theta = 2 arctan r so that both
+endpoints are at finite coordinate; the oscillator is marched in r on (0, 1)
+directly.
 
 joint_diagonalize brute-forces the common eigenvectors of a family of
 matrices by intersecting eigenspace candidates with stacked SVDs.  The
@@ -45,7 +46,6 @@ class ShootingConfig:
     atol_scale: float = 1e-12  # atol = atol_scale * |start vector|
     scan_points: int = 8       # bracket subdivisions when hunting a sign change
     xtol: float = 1e-11        # brentq tolerance, times the energy scale
-    method: str = "DOP853"
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,32 @@ class ShootingResult:
     energy: float
     mismatch: float
     bracket: tuple
+    evaluations: int  # distinct mismatch evaluations, scan and Brent together
+    iterations: int   # Brent iterations; 0 when a scan energy was an exact zero
+
+
+# Right-hand-side evaluations allowed per march.  The criteria grids need at
+# most about 1.2e3; at very large energies LSODA can otherwise spin inside a
+# single step forever.
+_MAX_RHS_EVALS = 100_000
 
 
 def _march(rhs, t0, t1, y0, config):
     atol = config.atol_scale * max(abs(y0[0]), abs(y0[1]))
+    evals = 0
+
+    def bounded(t, y):
+        nonlocal evals
+        evals += 1
+        if evals > _MAX_RHS_EVALS:
+            raise ConvergenceError(
+                f"integration from {t0} to {t1} exceeded {_MAX_RHS_EVALS} "
+                "right-hand-side evaluations"
+            )
+        return rhs(t, y)
+
     sol = solve_ivp(
-        rhs, (t0, t1), y0, method=config.method, rtol=config.rtol, atol=atol,
+        bounded, (t0, t1), y0, method="LSODA", rtol=config.rtol, atol=atol,
         dense_output=False, t_eval=[t1],
     )
     if not sol.success:
@@ -146,25 +166,37 @@ def shooting_mismatch(kind, params, coeffs, energy, config=None):
 def shooting_eigenvalue(kind, params, coeffs, e_lo, e_hi, config=None):
     """Locate one eigenvalue inside [e_lo, e_hi] by bisection of the mismatch.
 
-    Scans scan_points subintervals for a sign change, then polishes with
-    brentq.  Raises ConvergenceError when the bracket contains none.
+    Walks scan_points subintervals left to right, stops at the first sign
+    change and polishes it with brentq, so a bracket holding several levels
+    yields the lowest.  Each energy is marched once per call.  Raises
+    ValidationError on a non-finite or empty bracket and ConvergenceError
+    when the bracket contains no sign change.
     """
+    if not (math.isfinite(e_lo) and math.isfinite(e_hi)):
+        raise ValidationError(f"non-finite energy bracket [{e_lo}, {e_hi}]")
     if not e_lo < e_hi:
         raise ValidationError(f"empty energy bracket [{e_lo}, {e_hi}]")
     config = config or ShootingConfig()
+    memo = {}
 
     def w(E):
-        return shooting_mismatch(kind, params, coeffs, E, config)
+        if E not in memo:
+            memo[E] = shooting_mismatch(kind, params, coeffs, E, config)
+        return memo[E]
 
-    grid = np.linspace(e_lo, e_hi, config.scan_points + 1)
-    vals = [w(E) for E in grid]
-    for (Ea, wa), (Eb, wb) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
+    grid = np.linspace(e_lo, e_hi, config.scan_points + 1).tolist()
+    for Ea, Eb in zip(grid, grid[1:]):
+        wa = w(Ea)
         if wa == 0.0:
-            return ShootingResult(float(Ea), 0.0, (float(Ea), float(Eb)))
-        if wa * wb < 0.0:
+            return ShootingResult(Ea, 0.0, (Ea, Eb), len(memo), 0)
+        if wa * w(Eb) < 0.0:
             scale = max(1.0, abs(e_lo), abs(e_hi))
-            root = brentq(w, Ea, Eb, xtol=config.xtol * scale, rtol=1e-15)
-            return ShootingResult(float(root), abs(w(root)), (float(Ea), float(Eb)))
+            root, info = brentq(
+                w, Ea, Eb, xtol=config.xtol * scale, rtol=1e-15, full_output=True
+            )
+            return ShootingResult(
+                float(root), float(abs(w(root))), (Ea, Eb), len(memo), info.iterations
+            )
     raise ConvergenceError(
         f"no {kind} eigenvalue bracketed in [{e_lo}, {e_hi}]: "
         f"mismatch keeps sign over {config.scan_points} subintervals"

@@ -107,10 +107,20 @@ def _ladder_weights(max_rank, max_mk):
 def check_structure_relations(max_rank=6, max_mk=8):
     """All operator relations, exactly, over every ladder module in range."""
     count = 0
+    failures = []
     for alg, w in _ladder_weights(max_rank, max_mk):
         rep = build_ladder_rep(alg, w)
-        verify_structure_relations(rep)  # raises on any nonzero residual
+        try:
+            verify_structure_relations(rep)  # raises on any nonzero residual
+        except VerificationError as exc:
+            failures.append(f"{alg}{w}: {exc}")
         count += 1
+    if failures:
+        return CheckResult(
+            "structure relations (exact)",
+            False,
+            f"{len(failures)} of {count} modules failed; first {failures[0]}",
+        )
     return CheckResult(
         "structure relations (exact)",
         True,
@@ -306,8 +316,9 @@ def check_spectrum_vs_shooting(kind, n_values=(2, 3, 4, 5), k_values=None,
     """Closed-form levels against the shooting oracle over the whole grid."""
     if k_values is None:
         k_values = (1, 2, 3) if kind == KIND_COULOMB else (0, 1, 2)
-    worst = 0.0
+    worst, worst_at = 0.0, None
     count = 0
+    failures = []
     for n in n_values:
         for case_id, mk in _acceptance_cases(n, mk_max):
             coeffs = radial_coefficients(n, case_id, mk)
@@ -319,22 +330,28 @@ def check_spectrum_vs_shooting(kind, n_values=(2, 3, 4, 5), k_values=None,
                     abs(closed_form_energy(kind, params, coeffs, k + 1) - E), 2.0
                 )
                 lo, hi = E - 0.35 * gap, E + 0.35 * gap
+                where = f"n={n} case={case_id} mk={mk} k={k}"
+                count += 1
                 try:
                     got = shooting_eigenvalue(kind, params, coeffs, lo, hi)
                 except ConvergenceError as exc:
-                    return CheckResult(
-                        f"{kind} spectrum vs shooting", False,
-                        f"n={n} case={case_id} mk={mk} k={k}: {exc}",
-                    )
+                    failures.append(f"{where}: {exc}")
+                    continue
                 rel = abs(got.energy - E) / max(1.0, abs(E))
                 if rel > rel_tol:
-                    return CheckResult(
-                        f"{kind} spectrum vs shooting", False,
-                        f"n={n} case={case_id} mk={mk} k={k}: closed {E!r} vs "
-                        f"shooting {got.energy!r} (rel {rel:.2e})",
+                    failures.append(
+                        f"{where}: closed {E!r} vs shooting {got.energy!r} (rel {rel:.2e})"
                     )
-                worst = max(worst, rel)
-                count += 1
+                if worst_at is None or rel > worst:
+                    worst, worst_at = rel, where
+    if failures:
+        detail = f"{len(failures)} of {count} levels failed"
+        if worst_at is not None:
+            detail += f"; worst relative deviation {worst:.2e} at {worst_at}"
+        return CheckResult(
+            f"{kind} spectrum vs shooting", False,
+            f"{detail}; first failure {failures[0]}",
+        )
     return CheckResult(
         f"{kind} spectrum vs shooting", True,
         f"{count} levels, worst relative deviation {worst:.2e}",
@@ -648,6 +665,7 @@ def run_suite(name):
         checks = (
             check_structure_relations(),
             check_classification_bruteforce(),
+            check_classification_bruteforce(include_d3=True),
             check_embedding(),
         )
     elif name == "branching":

@@ -17,7 +17,9 @@ except ModuleNotFoundError:  # Python < 3.11
     tomllib = None
 
 import sphere_twobody
+from sphere_twobody import suites
 from sphere_twobody.cli import main
+from sphere_twobody.errors import VerificationError
 from sphere_twobody.suites import CheckResult, SuiteReport
 
 SPEC_ARGS = [
@@ -228,6 +230,27 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert rc == 3
     assert json.loads(out)["ok"] is False
     assert "FAIL" in err
+
+
+def test_verify_reports_structure_failure(capsys, monkeypatch):
+    def failing_verify(rep):
+        raise VerificationError("[D0,D1] = -2 D3 fails")
+
+    def cheap_pass(**kwargs):
+        return CheckResult("stub", True, "not run")
+
+    monkeypatch.setattr(suites, "verify_structure_relations", failing_verify)
+    monkeypatch.setattr(suites, "check_classification_bruteforce", cheap_pass)
+    monkeypatch.setattr(suites, "check_embedding", cheap_pass)
+    rc, out, err = run_cli(capsys, ["verify", "--suite", "ladder"])
+    assert rc == 3
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    structure = doc["suites"][0]["checks"][0]
+    assert structure["name"] == "structure relations (exact)"
+    assert structure["passed"] is False
+    assert "first B1(0,): [D0,D1] = -2 D3 fails" in structure["detail"]
+    assert "[ladder] FAIL" in err
 
 
 def _in_process_stdout(capsys, argv):

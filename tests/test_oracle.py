@@ -68,6 +68,47 @@ def test_shooting_bracket_errors():
         shooting_eigenvalue("coulomb", UNIT3, co, E2 + 0.3, E3 - 0.3)
 
 
+def test_shooting_rejects_non_finite_bracket():
+    co = radial_coefficients(3, 1, 0)
+    for lo, hi in ((0.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)):
+        with pytest.raises(ValidationError, match="non-finite"):
+            shooting_eigenvalue("coulomb", UNIT3, co, lo, hi)
+
+
+@pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
+@pytest.mark.parametrize("bracket", [(1e9 - 1.0, 1e9 + 1.0), (0.0, 1e300)])
+def test_shooting_work_bound_at_huge_energies(kind, bracket):
+    # the march runs out of right-hand-side evaluations instead of spinning
+    co = radial_coefficients(3, 1, 0)
+    with pytest.raises(ConvergenceError, match="right-hand-side evaluations"):
+        shooting_eigenvalue(kind, UNIT3, co, *bracket)
+
+
+def test_shooting_returns_lowest_level_of_a_wide_bracket():
+    co = radial_coefficients(3, 1, 0)
+    E2 = closed_form_energy("coulomb", UNIT3, co, 2)
+    E3 = closed_form_energy("coulomb", UNIT3, co, 3)
+    lo, hi = E2 - 0.3, E3 + 0.3
+    got = shooting_eigenvalue("coulomb", UNIT3, co, lo, hi)
+    assert got.energy == pytest.approx(E2, rel=1e-8)
+    # the subinterval a full left-to-right scan picks
+    grid = np.linspace(lo, hi, 9)
+    vals = [shooting_mismatch("coulomb", UNIT3, co, E) for E in grid]
+    first = next(i for i in range(8) if vals[i] * vals[i + 1] < 0.0)
+    assert got.bracket == (float(grid[first]), float(grid[first + 1]))
+
+
+def test_shooting_result_statistics():
+    co = radial_coefficients(3, 1, 1)
+    E = closed_form_energy("coulomb", UNIT3, co, 2)
+    got = shooting_eigenvalue("coulomb", UNIT3, co, E - 0.4, E + 0.4)
+    assert got.iterations > 0
+    # the scan stops early and Brent reuses the bracket ends
+    assert got.evaluations < 8 + 1 + got.iterations
+    assert type(got.mismatch) is float
+    assert got.mismatch == abs(shooting_mismatch("coulomb", UNIT3, co, got.energy))
+
+
 def test_ode_residual_helper():
     p = lambda r: 0.0
     q = lambda r: 1.0

@@ -1,0 +1,62 @@
+"""Verification suites: failure reporting and the check set each suite runs."""
+
+from sphere_twobody import suites
+from sphere_twobody.errors import ConvergenceError, VerificationError
+from sphere_twobody.oracle import ShootingResult
+from sphere_twobody.suites import CheckResult
+
+
+def test_spectrum_vs_shooting_reports_the_whole_grid(monkeypatch):
+    calls = []
+
+    def fake_shooting(kind, params, coeffs, lo, hi):
+        calls.append((params.n, lo, hi))
+        E = (lo + hi) / 2.0  # the bracket is centred on the closed-form level
+        if len(calls) == 3:
+            raise ConvergenceError("synthetic miss")
+        if len(calls) in (5, 9):
+            E += 1e-3 * len(calls) * max(1.0, abs(E))
+        return ShootingResult(E, 0.0, (lo, hi), 1, 0)
+
+    monkeypatch.setattr(suites, "shooting_eigenvalue", fake_shooting)
+    chk = suites.check_spectrum_vs_shooting("coulomb")
+    assert not chk.passed
+    assert len(calls) == 45  # no early return at the first miss
+    assert chk.detail.startswith("3 of 45 levels failed")
+    assert "first failure n=2" in chk.detail and "synthetic miss" in chk.detail
+    assert "worst relative deviation 9.00e-03" in chk.detail
+
+
+def test_structure_relations_failure_is_a_result(monkeypatch):
+    def failing_verify(rep):
+        if rep.weight.coeffs == (1, 2):
+            raise VerificationError("[F,D+] = 2 D+ fails")
+
+    monkeypatch.setattr(suites, "verify_structure_relations", failing_verify)
+    chk = suites.check_structure_relations(max_rank=2, max_mk=2)
+    assert not chk.passed
+    assert chk.name == "structure relations (exact)"
+    assert chk.detail.startswith("2 of ")  # B2(1, 2) and D2(1, 2)
+    assert "first B2(1, 2): [F,D+] = 2 D+ fails" in chk.detail
+
+
+def test_ladder_suite_runs_the_criterion_2_check_set(monkeypatch):
+    calls = []
+
+    def recorder(name):
+        def check(**kwargs):
+            calls.append((name, kwargs))
+            return CheckResult(name, True, "")
+        return check
+
+    for name in ("check_structure_relations", "check_classification_bruteforce",
+                 "check_embedding"):
+        monkeypatch.setattr(suites, name, recorder(name))
+    report = suites.run_suite("ladder")
+    assert report.ok
+    assert calls == [
+        ("check_structure_relations", {}),
+        ("check_classification_bruteforce", {}),
+        ("check_classification_bruteforce", {"include_d3": True}),
+        ("check_embedding", {}),
+    ]
