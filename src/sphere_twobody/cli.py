@@ -255,19 +255,6 @@ def cmd_classify(args):
     return 0
 
 
-def _entry_str(mat, i, j):
-    x, y = mat.re[i][j], mat.im[i][j]
-    if not y:
-        return str(x)
-    if not x:
-        return f"({y})i"
-    return f"{x}+({y})i"
-
-
-def _matrix_table(mat):
-    return [[_entry_str(mat, i, j) for j in range(mat.n)] for i in range(mat.n)]
-
-
 def cmd_ladder(args):
     _require(args, "series", "rank", "weights")
     try:
@@ -294,9 +281,9 @@ def cmd_ladder(args):
         "mu": report.mu,
         "q": str(report.q),
         "matrices": {
-            "F": _matrix_table(rep.F),
-            "D+": _matrix_table(rep.Dplus),
-            "D-": _matrix_table(rep.Dminus),
+            "F": rep.F.table(),
+            "D+": rep.Dplus.table(),
+            "D-": rep.Dminus.table(),
         },
         "relations": {name: _jnum(v) for name, v in sorted(report.residual_norms().items())},
         "factorization_residual": str(report.factorization_residual),

@@ -1,17 +1,19 @@
-"""Small square matrices over the Gaussian rationals, optionally with radicals.
+"""Sparse square matrices over the Gaussian rationals, optionally with radicals.
 
-A matrix stores real and imaginary parts separately. Entries are Fractions
-on the fast path; entries of the form q*sqrt(rad) (q, rad rational) are
-carried exactly by the Rad type, which is what the rank-1 ladder matrices
-need (their entries are quarter square roots of integer products, and every
-sum the structure relations produce pairs identical radicands, so addition
-never has to combine unlike surds).
+A matrix stores only its nonzero entries: positions, real parts and
+imaginary parts in parallel tuples.
+Entries are Fractions on the fast path; entries of the form q*sqrt(rad) (q,
+rad rational) are carried exactly by the Rad type, which is what the rank-1
+ladder matrices need (their entries are quarter square roots of integer
+products, and every sum the structure relations produce pairs identical
+radicands, so addition never has to combine unlike surds).
 
-Matrices here are tiny (ladder size nu+1 <= 9), so plain loops with
-zero-skipping are plenty.
+The ladder operators are diagonal or have a single off-diagonal band, so a
+product visits only pairs of nonzero entries.
 """
 
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -19,6 +21,12 @@ __all__ = ["Rad", "GMat"]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# Fractions and index pairs are immutable, so matrices share them: the
+# small integers that fill diagonal matrices, and one (i, j) key per
+# position below 32 (the ladder modules reach 17)
+_SMALL = {i: Fraction(i) for i in range(-64, 65)}
+_SMALL[0], _SMALL[1] = _ZERO, _ONE
+_KEYS = {(i, j): (i, j) for i in range(32) for j in range(32)}
 
 
 def _square_free(n):
@@ -56,8 +64,7 @@ class Rad:
             sd, rd = _square_free(rad.denominator)
             fr *= Fraction(sn, sd)
             rad = Fraction(rn, rd)
-        self.fr = fr
-        self.rad = rad
+        self.fr, self.rad = fr, rad
 
     def __bool__(self):
         return bool(self.fr)
@@ -71,9 +78,7 @@ class Rad:
         return self.rad == 1 and self.fr == other
 
     def __repr__(self):
-        if self.rad == 1:
-            return str(self.fr)
-        return f"{self.fr}*sqrt({self.rad})"
+        return str(self.fr) if self.rad == 1 else f"{self.fr}*sqrt({self.rad})"
 
 
 def _mul(x, y):
@@ -86,7 +91,7 @@ def _mul(x, y):
 
 def _add(x, y):
     if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x + y
+        return x + y if x and y else x or y
     xf, xr = (x.fr, x.rad) if isinstance(x, Rad) else (x, _ONE)
     yf, yr = (y.fr, y.rad) if isinstance(y, Rad) else (y, _ONE)
     if not xf:
@@ -103,19 +108,65 @@ def _neg(x):
     return Rad(-x.fr, x.rad) if isinstance(x, Rad) else -x
 
 
-def _grid(n):
-    return [[_ZERO] * n for _ in range(n)]
+def _cmul(x, y, u, v):
+    """(x + iy)(u + iv), skipping the products with a zero factor."""
+    re = _mul(x, u) if x and u else _ZERO
+    if y and v:
+        re = _add(re, _neg(_mul(y, v)))
+    im = _mul(x, v) if x and v else _ZERO
+    if y and u:
+        im = _add(im, _mul(y, u))
+    return re, im
+
+
+def _accumulate(acc, key, re, im):
+    old = acc.get(key)
+    acc[key] = (re, im) if old is None else (_add(old[0], re), _add(old[1], im))
+
+
+def _scalar(v):
+    """v as a Fraction or Rad; small integers as the shared Fractions."""
+    if isinstance(v, Rad):
+        return v
+    v = v if isinstance(v, Fraction) else Fraction(v)
+    return _SMALL.get(v, v)
 
 
 class GMat:
-    """Square matrix with exact (rational or radical) complex entries."""
+    """Square matrix with exact (rational or radical) complex entries.
 
-    __slots__ = ("n", "re", "im")
+    Only nonzero entries are stored, as parallel tuples of positions (i, j),
+    real parts and imaginary parts (None when all are zero, as in F, D+ and
+    D-); entries() yields them as ((i, j), (re, im)) and nz is the same as
+    a dict.  An entry that cancels to zero is dropped, so the zero matrix
+    has nz == {}.
+    """
 
-    def __init__(self, n, re=None, im=None):
+    __slots__ = ("n", "_keys", "_res", "_ims")
+
+    def __init__(self, n, nz=None):
         self.n = n
-        self.re = re if re is not None else _grid(n)
-        self.im = im if im is not None else _grid(n)
+        kept = {k: v for k, v in nz.items() if v[0] or v[1]} if nz else {}
+        self._keys = tuple(map(_KEYS.get, kept, kept))
+        self._res, ims = zip(*kept.values()) if kept else ((), ())
+        self._ims = ims if any(y is not _ZERO and y for y in ims) else None
+
+    def entries(self):
+        """((i, j), (re, im)) for every stored entry."""
+        return zip(self._keys, zip(self._res, self._ims or repeat(_ZERO)))
+
+    @property
+    def nz(self):
+        return dict(self.entries())
+
+    re = property(lambda self: self._dense(0), doc="Dense real parts, built on each read.")
+    im = property(lambda self: self._dense(1), doc="Dense imaginary parts, built on each read.")
+
+    def _dense(self, part):
+        grid = [[_ZERO] * self.n for _ in range(self.n)]
+        for (i, j), v in self.entries():
+            grid[i][j] = v[part]
+        return grid
 
     @classmethod
     def zeros(cls, n):
@@ -123,40 +174,23 @@ class GMat:
 
     @classmethod
     def eye(cls, n, scale=1):
-        m = cls(n)
-        s = Fraction(scale)
-        for i in range(n):
-            m.re[i][i] = s
-        return m
+        return cls(n, dict.fromkeys([(i, i) for i in range(n)], (_scalar(scale), _ZERO)))
 
     @classmethod
     def diag(cls, values):
-        m = cls(len(values))
-        for i, v in enumerate(values):
-            m.re[i][i] = v if isinstance(v, Rad) else Fraction(v)
-        return m
+        return cls(len(values), {(i, i): (_scalar(v), _ZERO) for i, v in enumerate(values)})
 
     @classmethod
     def build(cls, n, entries):
         """entries: {(i, j): scalar | (re, im)} with scalars Fraction or Rad."""
-        m = cls(n)
-        for (i, j), v in entries.items():
-            if isinstance(v, tuple):
-                re, im = v
-            else:
-                re, im = v, _ZERO
-            m.re[i][j] = re if isinstance(re, Rad) else Fraction(re)
-            m.im[i][j] = im if isinstance(im, Rad) else Fraction(im)
-        return m
+        pairs = (v if isinstance(v, tuple) else (v, _ZERO) for v in entries.values())
+        return cls(n, {k: (_scalar(re), _scalar(im)) for k, (re, im) in zip(entries, pairs)})
 
     def __add__(self, other):
-        n = self.n
-        out = GMat(n)
-        for i in range(n):
-            for j in range(n):
-                out.re[i][j] = _add(self.re[i][j], other.re[i][j])
-                out.im[i][j] = _add(self.im[i][j], other.im[i][j])
-        return out
+        acc = dict(self.entries())
+        for key, (u, v) in other.entries():
+            _accumulate(acc, key, u, v)
+        return GMat(self.n, acc)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -167,33 +201,17 @@ class GMat:
     def scale(self, re, im=0):
         """Multiply by the exact scalar re + i*im."""
         a, b = Fraction(re), Fraction(im)
-        n = self.n
-        out = GMat(n)
-        for i in range(n):
-            for j in range(n):
-                x, y = self.re[i][j], self.im[i][j]
-                out.re[i][j] = _add(_mul(a, x), _neg(_mul(b, y)))
-                out.im[i][j] = _add(_mul(a, y), _mul(b, x))
-        return out
+        return GMat(self.n, {key: _cmul(x, y, a, b) for key, (x, y) in self.entries()})
 
     def __matmul__(self, other):
-        n = self.n
-        out = GMat(n)
-        ore, oim = out.re, out.im
-        for i in range(n):
-            are, aim = self.re[i], self.im[i]
-            for t in range(n):
-                x, y = are[t], aim[t]
-                if not x and not y:
-                    continue
-                bre, bim = other.re[t], other.im[t]
-                ri, ii = ore[i], oim[i]
-                for j in range(n):
-                    u, v = bre[j], bim[j]
-                    if u or v:
-                        ri[j] = _add(ri[j], _add(_mul(x, u), _neg(_mul(y, v))))
-                        ii[j] = _add(ii[j], _add(_mul(x, v), _mul(y, u)))
-        return out
+        rows = {}
+        for (t, j), uv in other.entries():
+            rows.setdefault(t, []).append((j, uv))
+        acc = {}
+        for (i, t), (x, y) in self.entries():
+            for j, (u, v) in rows.get(t, ()):
+                _accumulate(acc, (i, j), *_cmul(x, y, u, v))
+        return GMat(self.n, acc)
 
     def commutator(self, other):
         return self @ other - other @ self
@@ -202,42 +220,32 @@ class GMat:
         return self @ other + other @ self
 
     def is_zero(self):
-        return all(not x for row in self.re for x in row) and all(
-            not x for row in self.im for x in row
-        )
+        return not self._keys
 
     def max_abs(self):
         """Float bound max |re| + |im| over entries; 0.0 iff exactly zero."""
-        best = 0.0
-        for i in range(self.n):
-            for j in range(self.n):
-                v = abs(float(self.re[i][j])) + abs(float(self.im[i][j]))
-                if v > best:
-                    best = v
-        return best
+        return max((abs(float(x)) + abs(float(y)) for _, (x, y) in self.entries()), default=0.0)
 
     def apply(self, vec):
         """Multiply an exact column vector of (re, im) scalar pairs."""
-        n = self.n
-        out = []
-        for i in range(n):
-            sr = si = _ZERO
-            for j in range(n):
-                x, y = self.re[i][j], self.im[i][j]
-                if not x and not y:
-                    continue
-                u, v = vec[j]
-                sr = _add(sr, _add(_mul(x, u), _neg(_mul(y, v))))
-                si = _add(si, _add(_mul(x, v), _mul(y, u)))
-            out.append((sr, si))
-        return out
+        acc = {i: (_ZERO, _ZERO) for i in range(self.n)}
+        for (i, j), (x, y) in self.entries():
+            _accumulate(acc, i, *_cmul(x, y, *vec[j]))
+        return [acc[i] for i in range(self.n)]
 
     def to_numpy(self):
         a = np.zeros((self.n, self.n), dtype=complex)
-        for i in range(self.n):
-            for j in range(self.n):
-                a[i, j] = float(self.re[i][j]) + 1j * float(self.im[i][j])
+        for (i, j), (x, y) in self.entries():
+            a[i, j] = float(x) + 1j * float(y)
         return a
+
+    def table(self):
+        """Rows of entry strings: "x", "(y)i" or "x+(y)i"; zeros print "0"."""
+        def fmt(x, y):
+            return str(x) if not y else f"({y})i" if not x else f"{x}+({y})i"
+
+        re, im = self.re, self.im
+        return [[fmt(re[i][j], im[i][j]) for j in range(self.n)] for i in range(self.n)]
 
     def __eq__(self, other):
         if not isinstance(other, GMat) or other.n != self.n:
@@ -245,13 +253,5 @@ class GMat:
         return (self - other).is_zero()
 
     def __repr__(self):
-        def fmt(i, j):
-            x, y = self.re[i][j], self.im[i][j]
-            if not y:
-                return str(x)
-            if not x:
-                return f"({y})i"
-            return f"{x}+({y})i"
-
-        rows = ["[" + ", ".join(fmt(i, j) for j in range(self.n)) + "]" for i in range(self.n)]
+        rows = ["[" + ", ".join(row) + "]" for row in self.table()]
         return "GMat([" + ",\n      ".join(rows) + "])"

@@ -14,8 +14,6 @@ Nonpositive-integer detection snaps within 1e-9.  Points on the branch cut
 import cmath
 import math
 
-from scipy import special as _sp
-
 from .errors import ConvergenceError, ValidationError
 
 __all__ = [
@@ -35,17 +33,25 @@ _CONNECTION_RADIUS = 0.75
 _MAX_TERMS = 1500
 
 
+# scipy.special is imported on first call: the polynomial 2F1 that every
+# quantized eigenfunction uses needs no gamma function.
 def gamma_complex(z):
-    return complex(_sp.gamma(complex(z)))
+    from scipy.special import gamma
+
+    return complex(gamma(complex(z)))
 
 
 def rgamma_complex(z):
     """1/Gamma, finite at the poles."""
-    return complex(_sp.rgamma(complex(z)))
+    from scipy.special import rgamma
+
+    return complex(rgamma(complex(z)))
 
 
 def digamma_complex(z):
-    return complex(_sp.digamma(complex(z)))
+    from scipy.special import digamma
+
+    return complex(digamma(complex(z)))
 
 
 def pochhammer(a, j):

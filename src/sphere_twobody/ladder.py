@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ValidationError, VerificationError
-from .exactmat import GMat, Rad, _add, _neg
+from .exactmat import GMat, Rad, _add, _neg, _scalar
 from .liealg import AlgebraLabel, HighestWeight, casimir_eigenvalue, invariant_subspace_dim
 
 __all__ = [
@@ -55,7 +55,7 @@ _F0 = Fraction(0)
 _HALF = Fraction(1, 2)
 
 
-@dataclass
+@dataclass(slots=True)
 class LadderRep:
     """F, D+, D- on the invariant subspace; exact entries."""
 
@@ -201,8 +201,9 @@ def _dp_dm_product(rep, eta):
     basis = rep.basis
     if eta not in basis or eta + 2 not in basis:
         return _F0
-    dp = rep.Dplus.re[rep.index(eta + 2)][rep.index(eta)]
-    dm = rep.Dminus.re[rep.index(eta)][rep.index(eta + 2)]
+    i, j = rep.index(eta), rep.index(eta + 2)
+    dp = rep.Dplus.nz.get((j, i), (_F0, _F0))[0]
+    dm = rep.Dminus.nz.get((i, j), (_F0, _F0))[0]
     if isinstance(dp, Rad) or isinstance(dm, Rad):
         pf, pr = (dp.fr, dp.rad) if isinstance(dp, Rad) else (dp, Fraction(1))
         mf, mr = (dm.fr, dm.rad) if isinstance(dm, Rad) else (dm, Fraction(1))
@@ -262,7 +263,7 @@ def verify_structure_relations(rep):
     return report
 
 
-@dataclass
+@dataclass(slots=True)
 class EigenvectorRecord:
     """A classified common eigenvector of {D0^2, D1, D2} (and maybe D3).
 
@@ -349,7 +350,7 @@ def _records_rank1(m, carrier):
         out.append((8, "chi_2 - chi_-2", {2: 1, -2: -1}, -4, -4, -4, None,
                     MASS_EQUAL, {0: (_F0, Rad(-1, 30))}))
     return [
-        EigenvectorRecord(cid, desc, coeffs, Fraction(d0), Fraction(d1), Fraction(d2),
+        EigenvectorRecord(cid, desc, coeffs, _scalar(d0), _scalar(d1), _scalar(d2),
                           d3, mode, carrier, _float_d3(img))
         for cid, desc, coeffs, d0, d1, d2, d3, mode, img in out
     ], {cid: img for cid, _, _, _, _, _, _, _, img in out}
@@ -380,7 +381,7 @@ def _records_rank_ge2(rep):
         out.append((4, "chi_2 - chi_-2", {2: 1, -2: -1}, -4, -qpoly, -qpoly, None,
                     MASS_EQUAL, {0: (_F0, -4 * c)}))
     return [
-        EigenvectorRecord(cid, desc, coeffs, Fraction(d0), Fraction(d1), Fraction(d2),
+        EigenvectorRecord(cid, desc, coeffs, _scalar(d0), _scalar(d1), _scalar(d2),
                           d3, mode, rep.weight, _float_d3(img))
         for cid, desc, coeffs, d0, d1, d2, d3, mode, img in out
     ], {cid: img for cid, _, _, _, _, _, _, _, img in out}

@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlgebraLabel:
     """One of the orthogonal series: B_k = so(2k+1) or D_k = so(2k)."""
 
@@ -76,7 +76,7 @@ def _check_coeffs(series, rank, coeffs):
             raise ValidationError(f"not D-dominant (need m_2 >= |m_1|): {coeffs}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HighestWeight:
     """Dominant integral weight (m_1, ..., m_k) of a B_k or D_k module."""
 

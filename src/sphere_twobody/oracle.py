@@ -7,13 +7,15 @@ problem is marched in the half-angle theta = 2 arctan r so that both
 endpoints are at finite coordinate; the oscillator is marched in r on (0, 1)
 directly.
 
-joint_diagonalize brute-forces the common eigenvectors of a family of
-matrices by intersecting eigenspace candidates with stacked SVDs.  The
-family is NOT assumed commuting: by default a commutator check runs first
-and a failure raises, since common eigenvectors of a noncommuting family
-span only part of the space; pass require_commuting=False to search anyway
-(that partial span is exactly what the invariant-operator classification
-predicts, so the cross-check needs the opt-out).
+joint_diagonalize finds the common eigenvectors of a family of matrices by
+intersecting eigenspace candidates with stacked SVDs, walking the eigenvalue
+combinations depth-first and dropping every combination whose partial stack
+already has no null space.  The family is NOT assumed commuting: by default
+a commutator check runs first and a failure raises, since common
+eigenvectors of a noncommuting family span only part of the space; pass
+require_commuting=False to search anyway (that partial span is exactly what
+the invariant-operator classification predicts, so the cross-check needs
+the opt-out).
 """
 
 import itertools
@@ -21,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, ValidationError, VerificationError
 from .radial import KIND_COULOMB, KIND_OSCILLATOR, _check_compatible, _check_kind, spectral_ode
@@ -55,6 +55,20 @@ class ShootingResult:
     bracket: tuple
     evaluations: int  # distinct mismatch evaluations, scan and Brent together
     iterations: int   # Brent iterations; 0 when a scan energy was an exact zero
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first call."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
+
+
+def brentq(*args, **kwargs):
+    """scipy.optimize.brentq, imported on first call."""
+    from scipy.optimize import brentq as scipy_brentq
+
+    return scipy_brentq(*args, **kwargs)
 
 
 # Right-hand-side evaluations allowed per march.  The criteria grids need at
@@ -152,9 +166,12 @@ def shooting_mismatch(kind, params, coeffs, energy, config=None):
     """Scaled Wronskian of the two half-solutions at the matching point.
 
     Zero exactly at eigenvalues; smooth and sign-changing across them.
+    Raises ValidationError on a non-finite energy.
     """
     _check_kind(kind)
     _check_compatible(params, coeffs)
+    if not math.isfinite(energy):
+        raise ValidationError(f"non-finite energy {energy}")
     config = config or ShootingConfig()
     halves = _coulomb_halves if kind == KIND_COULOMB else _oscillator_halves
     (fi, fpi), (fo, fpo) = halves(params, coeffs, energy, config)
@@ -223,7 +240,7 @@ def gauss_legendre(a, b, nodes):
     return mid + half * x, half * w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JointEigenspace:
     eigenvalues: tuple  # one per input matrix
     basis: np.ndarray   # columns span the joint eigenspace
@@ -244,7 +261,9 @@ def _eigenvalue_clusters(mat, tol):
 def joint_diagonalize(mats, require_commuting=True, tol=1e-10):
     """All joint eigenspaces of a family of square matrices.
 
-    Returns JointEigenspace records sorted by eigenvalue tuple.  With
+    Returns JointEigenspace records sorted by eigenvalue tuple: the same
+    records, bit for bit, as a full SVD of every eigenvalue combination's
+    stack, with the combinations that provably have none pruned early.  With
     require_commuting (the default) a noncommuting family raises
     VerificationError, reporting the worst commutator norm.
     """
@@ -269,14 +288,41 @@ def joint_diagonalize(mats, require_commuting=True, tol=1e-10):
 
     ctol = max(tol, 1e-8) * scale
     clusters = [_eigenvalue_clusters(M, ctol) for M in mats]
+    # Every full stack [M_1 - l_1 I; ...] has sigma_max <= bound (the
+    # Frobenius norm bounds the spectral one), so its null-space threshold
+    # is at most tol * max(1, bound).  Adding rows never lowers sigma_min,
+    # so a partial stack whose sigma_min exceeds twice that (margin for
+    # rounding) has no joint eigenvector below it: the subtree is dropped.
+    bound = math.sqrt(sum(
+        (np.linalg.norm(M) + max(abs(lam) for lam in cl)) ** 2
+        for M, cl in zip(mats, clusters)
+    ))
+    prune_above = 2.0 * tol * max(1.0, bound)
+    eye = np.eye(d)
+    # depth-first over the combinations in cluster order, so the records come
+    # out in the same order as a full product; a plain loop, not a recursive
+    # closure, so no reference cycle keeps the family alive after the call
     out = []
-    for combo in itertools.product(*clusters):
-        stack = np.vstack([M - lam * np.eye(d) for M, lam in zip(mats, combo)])
-        _, sv, vh = np.linalg.svd(stack)
-        null_dim = int(np.sum(sv <= tol * max(1.0, sv[0] if len(sv) else 1.0)))
-        if null_dim == 0:
+    pending = [((), None)]
+    while pending:
+        combo, stack = pending.pop()
+        depth = len(combo)
+        if depth == len(mats):
+            _, sv, vh = np.linalg.svd(stack)
+            null_dim = int(np.sum(sv <= tol * max(1.0, sv[0] if len(sv) else 1.0)))
+            if null_dim:
+                out.append(JointEigenspace(combo, vh[d - null_dim:].T.conj()))
             continue
-        basis = vh.conj().T[:, d - null_dim:]
-        out.append(JointEigenspace(tuple(combo), basis))
+        M = mats[depth]
+        children = []
+        for lam in clusters[depth]:
+            block = M - lam * eye
+            grown = block if stack is None else np.vstack([stack, block])
+            if depth + 1 < len(mats) and (
+                    np.linalg.svd(grown, compute_uv=False)[-1] > prune_above):
+                continue
+            children.append((combo + (lam,), grown))
+        pending.extend(reversed(children))
+
     out.sort(key=lambda js: tuple((round(v.real, 9), round(v.imag, 9)) for v in js.eigenvalues))
     return out

@@ -129,11 +129,16 @@ def check_structure_relations(max_rank=6, max_mk=8):
 
 
 def check_classification_bruteforce(max_rank=4, max_mk=6, include_d3=False, tol=1e-10):
-    """Classified eigenvectors == numeric joint eigenspaces of {D0^2, D1, D2}."""
+    """Classified eigenvectors == numeric joint eigenspaces of {D0^2, D1, D2}.
+
+    Checks every module; a failure reports how many modules failed, the
+    worst deviations and the first failure.
+    """
     worst_eig = 0.0
     worst_span = 0.0
     modules = 0
     vectors = 0
+    failures = []
     for alg, w in _ladder_weights(max_rank, max_mk):
         rep = build_ladder_rep(alg, w)
         ops = operator_matrices(rep)
@@ -144,6 +149,7 @@ def check_classification_bruteforce(max_rank=4, max_mk=6, include_d3=False, tol=
             family.append(ops.D3.to_numpy())
             recs = [r for r in recs if r.delta3 is not None]
         joint = joint_diagonalize(family, require_commuting=False, tol=tol)
+        modules += 1
         expected = []
         for r in recs:
             tup = (float(r.delta0), float(r.delta1), float(r.delta2))
@@ -154,11 +160,10 @@ def check_classification_bruteforce(max_rank=4, max_mk=6, include_d3=False, tol=
                 vec[rep.index(j)] = float(coeff)
             expected.append((tup, vec / np.linalg.norm(vec)))
         if len(joint) != len(expected):
-            return CheckResult(
-                "classification vs joint diagonalization",
-                False,
-                f"{alg}{w}: {len(joint)} joint eigenspaces but {len(expected)} classified",
+            failures.append(
+                f"{alg}{w}: {len(joint)} joint eigenspaces but {len(expected)} classified"
             )
+            continue
         used = set()
         for tup, vec in expected:
             best, best_i = None, None
@@ -169,33 +174,30 @@ def check_classification_bruteforce(max_rank=4, max_mk=6, include_d3=False, tol=
                 if best is None or dev < best:
                     best, best_i = dev, i
             if best is None or best > tol:
-                return CheckResult(
-                    "classification vs joint diagonalization",
-                    False,
-                    f"{alg}{w}: eigenvalues {tup} missing numerically (dev {best})",
-                )
+                worst_eig = max(worst_eig, best or 0.0)
+                failures.append(f"{alg}{w}: eigenvalues {tup} missing numerically (dev {best})")
+                break
             used.add(best_i)
             B = joint[best_i].basis
             proj = B @ (B.conj().T @ vec)
             span_dev = np.linalg.norm(vec - proj)
-            if span_dev > 1e-8:
-                return CheckResult(
-                    "classification vs joint diagonalization",
-                    False,
-                    f"{alg}{w}: classified vector outside numeric eigenspace "
-                    f"({span_dev:.2e})",
-                )
             worst_eig = max(worst_eig, best)
             worst_span = max(worst_span, span_dev)
+            if span_dev > 1e-8:
+                failures.append(
+                    f"{alg}{w}: classified vector outside numeric eigenspace ({span_dev:.2e})"
+                )
+                break
             vectors += 1
-        modules += 1
     ops_name = "{D0^2,D1,D2,D3}" if include_d3 else "{D0^2,D1,D2}"
-    return CheckResult(
-        f"classification vs joint diagonalization {ops_name}",
-        True,
-        f"{vectors} vectors over {modules} modules; worst eigenvalue dev "
-        f"{worst_eig:.2e}, span dev {worst_span:.2e}",
-    )
+    name = f"classification vs joint diagonalization {ops_name}"
+    worst = f"worst eigenvalue dev {worst_eig:.2e}, span dev {worst_span:.2e}"
+    if failures:
+        return CheckResult(
+            name, False,
+            f"{len(failures)} of {modules} modules failed; {worst}; first failure {failures[0]}",
+        )
+    return CheckResult(name, True, f"{vectors} vectors over {modules} modules; {worst}")
 
 
 def check_embedding(max_rank=5, tol=1e-12):

@@ -311,3 +311,43 @@ def test_console_script_on_path(capsys):
         r = subprocess.run([exe] + SPEC_ARGS, capture_output=True, timeout=120)
         assert r.returncode == 0, r.stderr.decode(errors="replace")
         assert r.stdout == expected
+
+
+def test_commands_import_no_scipy(tmp_path):
+    """Importing the package and the closed-form commands load no scipy
+    module; scipy is imported by the oracle on first use only."""
+    script = """
+import contextlib, io, sys
+import sphere_twobody
+from sphere_twobody.cli import main
+from sphere_twobody import PhysicalParams, radial_coefficients, shooting_eigenvalue
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+assert scipy_modules() == [], scipy_modules()
+for argv in (
+    ["spectrum", "--kind", "coulomb", "--n", "3", "--case", "1", "--mk", "0",
+     "--k-max", "4", "--samples", "3"],
+    ["spectrum", "--kind", "oscillator", "--n", "2", "--case", "1", "--k-max", "3",
+     "--format", "csv"],
+    ["classify", "--n", "3", "--mk", "2", "--mk1", "1"],
+    ["ladder", "--series", "B", "--rank", "2", "--weights", "1,2"],
+    ["fuchs", "--kind", "coulomb", "--n", "3", "--case", "1", "--mk", "0", "--k", "2"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    assert scipy_modules() == [], (argv, scipy_modules())
+found = shooting_eigenvalue("coulomb", PhysicalParams(3, 2.0, 2.0, 1.0, 1.0),
+                            radial_coefficients(3, 1, 0), 3.5, 4.5)
+assert abs(found.energy - (4.0 - 1.0 / 18.0)) < 1e-8, found  # (k^2 - 1)/2 - 1/(2k^2), k = 3
+assert "scipy.integrate" in scipy_modules()
+"""
+    env = dict(os.environ)
+    src = str(Path(sphere_twobody.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=120,
+                       env=env, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr.decode(errors="replace")

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphere_twobody.exactmat import GMat, Rad
 
@@ -78,3 +80,118 @@ def test_gmat_to_numpy_and_apply():
 def test_gmat_max_abs_is_zero_iff_zero():
     Z = GMat.zeros(3)
     assert Z.is_zero() and Z.max_abs() == 0.0
+
+
+# ---- sparse GMat against a dense Fraction reference
+
+_F0 = Fraction(0)
+_rationals = st.one_of(st.just(_F0), st.just(_F0),
+                       st.fractions(min_value=-3, max_value=3, max_denominator=4))
+_gaussian = st.tuples(_rationals, _rationals)
+
+
+def _dense(n):
+    return st.lists(st.lists(_gaussian, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@st.composite
+def _pair(draw):
+    n = draw(st.integers(1, 4))
+    return draw(_dense(n)), draw(_dense(n)), draw(_gaussian)
+
+
+def _gmat(rows):
+    return GMat.build(len(rows), {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)})
+
+
+def _ref_mul(p, q):
+    (x, y), (u, v) = p, q
+    return (x * u - y * v, x * v + y * u)
+
+
+def _ref_matmul(A, B):
+    n = len(A)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            re = im = _F0
+            for t in range(n):
+                pr, pi = _ref_mul(A[i][t], B[t][j])
+                re, im = re + pr, im + pi
+            row.append((re, im))
+        out.append(row)
+    return out
+
+
+def _assert_equals_dense(G, ref):
+    assert G.re == [[re for re, _ in row] for row in ref]
+    assert G.im == [[im for _, im in row] for row in ref]
+    assert all(x or y for x, y in G.nz.values())  # no stored zeros
+    assert G.nz == dict(G.entries())
+
+
+def test_matrices_share_positions_and_small_integers():
+    # a stored entry costs no position pair or small-integer Fraction of its own
+    A, B = GMat.diag([1, 2, -3]), GMat.build(3, {(1, 1): Fraction(2), (0, 0): 5})
+    positions = {key: key for key, _ in A.entries()}
+    for key, (re, im) in B.entries():
+        assert key is positions[key]
+        assert re is A.nz[(1, 1)][0] if key == (1, 1) else re == 5
+        assert im is A.nz[(0, 0)][1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_pair())
+def test_gmat_sum_product_scale_match_dense_reference(pair):
+    A, B, (a, b) = pair
+    GA, GB = _gmat(A), _gmat(B)
+    n = len(A)
+    _assert_equals_dense(GA + GB, [[(x + u, y + v) for (x, y), (u, v) in zip(ra, rb)]
+                                   for ra, rb in zip(A, B)])
+    _assert_equals_dense(GA - GB, [[(x - u, y - v) for (x, y), (u, v) in zip(ra, rb)]
+                                   for ra, rb in zip(A, B)])
+    _assert_equals_dense(GA @ GB, _ref_matmul(A, B))
+    _assert_equals_dense(GA.scale(a, b), [[_ref_mul((a, b), e) for e in row] for row in A])
+    _assert_equals_dense(GA.commutator(GB), [
+        [(x - u, y - v) for (x, y), (u, v) in zip(ra, rb)]
+        for ra, rb in zip(_ref_matmul(A, B), _ref_matmul(B, A))])
+    vec = B[0]
+    assert GA.apply(vec) == [
+        tuple(map(sum, zip(*[_ref_mul(A[i][j], vec[j]) for j in range(n)]))) for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pair())
+def test_gmat_cancellation_is_exact_zero(pair):
+    A, B, _ = pair
+    GA, GB = _gmat(A), _gmat(B)
+    for Z in (GA - GA, GA + (-GA), GA.scale(0), GA.commutator(GA),
+              GA @ GB - GA @ GB, (GA + GB) - GB - GA):
+        assert Z.is_zero() and Z.max_abs() == 0.0 and Z.nz == {}
+        assert Z == GMat.zeros(len(A))
+    assert GA.is_zero() == all(not (x or y) for row in A for x, y in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                          st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                          st.integers(1, 40), st.booleans(), st.booleans()),
+                min_size=1, max_size=4))
+def test_gmat_paired_surd_bands_multiply_to_rationals(bands):
+    # A has sqrt(r_i) on its lower band, B on its upper band, each entry real
+    # or imaginary, as in D+, D- and D3: A @ B is diagonal and rational
+    n = len(bands) + 1
+    A = GMat.build(n, {(i + 1, i): (_F0, Rad(a, r)) if ai else Rad(a, r)
+                       for i, (a, _, r, ai, _) in enumerate(bands)})
+    B = GMat.build(n, {(i, i + 1): (_F0, Rad(b, r)) if bi else Rad(b, r)
+                       for i, (_, b, r, _, bi) in enumerate(bands)})
+    P = A @ B
+    ref = [[(_F0, _F0)] * n for _ in range(n)]
+    for i, (a, b, r, ai, bi) in enumerate(bands):
+        value = a * b * r
+        ref[i + 1][i + 1] = {(False, False): (value, _F0), (True, True): (-value, _F0)}.get(
+            (ai, bi), (_F0, value))
+    _assert_equals_dense(P, ref)
+    for x, y in P.nz.values():
+        assert all(not isinstance(s, Rad) or s.rad == 1 for s in (x, y))

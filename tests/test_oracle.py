@@ -76,6 +76,15 @@ def test_shooting_rejects_non_finite_bracket():
 
 
 @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
+@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+def test_shooting_mismatch_rejects_non_finite_energy(kind, energy):
+    # raised before any march: no silent NaN, no slow ConvergenceError
+    co = radial_coefficients(3, 1, 0)
+    with pytest.raises(ValidationError, match="non-finite energy"):
+        shooting_mismatch(kind, UNIT3, co, energy)
+
+
+@pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
 @pytest.mark.parametrize("bracket", [(1e9 - 1.0, 1e9 + 1.0), (0.0, 1e300)])
 def test_shooting_work_bound_at_huge_energies(kind, bracket):
     # the march runs out of right-hand-side evaluations instead of spinning

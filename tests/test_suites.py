@@ -1,8 +1,12 @@
 """Verification suites: failure reporting and the check set each suite runs."""
 
+import re
+
+import numpy as np
+
 from sphere_twobody import suites
 from sphere_twobody.errors import ConvergenceError, VerificationError
-from sphere_twobody.oracle import ShootingResult
+from sphere_twobody.oracle import JointEigenspace, ShootingResult
 from sphere_twobody.suites import CheckResult
 
 
@@ -60,3 +64,42 @@ def test_ladder_suite_runs_the_criterion_2_check_set(monkeypatch):
         ("check_classification_bruteforce", {"include_d3": True}),
         ("check_embedding", {}),
     ]
+
+
+def test_classification_reports_every_module(monkeypatch):
+    real = suites.joint_diagonalize
+    calls = []
+
+    def faulty(family, **kwargs):
+        spaces = real(family, **kwargs)
+        calls.append(len(spaces))
+        if len(calls) == 1:  # B1 (0,): its one eigenspace goes missing
+            return []
+        if len(calls) == 2:  # B1 (1,): an eigenvalue moves by 1e-6
+            first = spaces[0]
+            shifted = tuple(v + 1e-6 for v in first.eigenvalues)
+            return [JointEigenspace(shifted, first.basis)] + spaces[1:]
+        if len(calls) == 4:  # B1 (3,): the basis turns orthogonal to chi_2 - chi_-2
+            (only,) = spaces
+            basis = np.zeros_like(only.basis)
+            basis[0, 0] = basis[-1, 0] = 2 ** -0.5
+            return [JointEigenspace(only.eigenvalues, basis)]
+        return spaces
+
+    monkeypatch.setattr(suites, "joint_diagonalize", faulty)
+    chk = suites.check_classification_bruteforce(max_rank=2, max_mk=3)
+    modules = len(suites._ladder_weights(2, 3))
+    assert len(calls) == modules  # no early return at the first miss
+    assert not chk.passed
+    assert chk.name == "classification vs joint diagonalization {D0^2,D1,D2}"
+    assert chk.detail.startswith(f"3 of {modules} modules failed; worst eigenvalue dev 1.00e-06, "
+                                 "span dev 1.00e+00; ")
+    assert chk.detail.endswith("first failure B1(0,): 0 joint eigenspaces but 1 classified")
+
+
+def test_classification_passing_detail_is_unchanged():
+    chk = suites.check_classification_bruteforce(max_rank=2, max_mk=3)
+    assert chk.passed
+    modules = len(suites._ladder_weights(2, 3))
+    assert re.fullmatch(rf"\d+ vectors over {modules} modules; worst eigenvalue dev "
+                        r"\d\.\d\de[-+]\d\d, span dev \d\.\d\de[-+]\d\d", chk.detail)
