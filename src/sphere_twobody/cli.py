@@ -9,7 +9,6 @@ diagnostics to stderr.  Exit codes: 0 success, 2 validation error,
 import argparse
 import csv
 import json
-import math
 import sys
 
 from . import __version__
@@ -28,16 +27,24 @@ from .fuchsian import (
 )
 from .ladder import build_ladder_rep, classify_common_eigenvectors, verify_structure_relations
 from .liealg import AlgebraLabel, weyl_dim
-from .radial import KIND_COULOMB, KIND_OSCILLATOR, PhysicalParams, radial_coefficients
-from .spectra import closed_form_energy, radial_eigenfunction, spectrum
+from .radial import (
+    KIND_COULOMB,
+    KIND_OSCILLATOR,
+    PhysicalParams,
+    radial_coefficients,
+    sample_radii,
+)
+from .spectra import (
+    BRANCH_TOLERANCE,
+    MATCH_TOLERANCE,
+    closed_form_energy,
+    radial_eigenfunction,
+    spectrum,
+)
 from .suites import SUITE_NAMES, run_suite
 
 _TOOL = "sphere-twobody"
 _KINDS = (KIND_COULOMB, KIND_OSCILLATOR)
-
-# spectrum reports quote the tolerances their "verified" flag was run at
-_BRANCH_TOLERANCE = 1e-10
-_MATCH_TOLERANCE = 1e-10
 
 # config keys and the conversions applied when they substitute for flags
 _CONFIG_TYPES = {
@@ -147,12 +154,6 @@ def _metadata(args, coeffs=None, **extra):
     return md
 
 
-def _sample_points(kind, count):
-    if kind == KIND_COULOMB:
-        return [math.tan(math.pi * (i + 1) / (count + 1) / 2.0) for i in range(count)]
-    return [(i + 1) / (count + 1) for i in range(count)]
-
-
 def cmd_spectrum(args):
     _require(args, "kind", "n", "case")
     params = _params_from_args(args)
@@ -184,10 +185,9 @@ def cmd_spectrum(args):
                              "true" if lv.branch_check else "false"])
         return 0
 
-    body = report.to_dict()
-    levels = body.pop("levels")
+    levels = report.to_dict()["levels"]
     if args.samples:
-        rs = _sample_points(args.kind, args.samples)
+        rs = sample_radii(args.kind, args.samples)
         for entry in levels:
             fn = radial_eigenfunction(args.kind, params, coeffs, entry["k"])
             entry["samples"] = [
@@ -197,10 +197,10 @@ def cmd_spectrum(args):
         "metadata": _metadata(
             args,
             coeffs,
-            numeric_only=body["numeric_only"],
+            numeric_only=report.numeric_only,
             tolerances={
-                "branch_residual": _BRANCH_TOLERANCE,
-                "hypergeometric_match": _MATCH_TOLERANCE,
+                "branch_residual": BRANCH_TOLERANCE,
+                "hypergeometric_match": MATCH_TOLERANCE,
             },
         ),
         "levels": levels,
@@ -213,9 +213,7 @@ def cmd_classify(args):
     _require(args, "n", "mk")
     if args.n < 2:
         raise ValidationError(f"sphere dimension must be >= 2, got {args.n}")
-    alg = AlgebraLabel("B", args.n // 2) if args.n % 2 == 0 else AlgebraLabel(
-        "D", (args.n + 1) // 2
-    )
+    alg = AlgebraLabel.for_sphere(args.n)
     if args.n == 2:
         if args.mk1 is not None:
             raise ValidationError("n=2 weights have a single entry; drop --mk1")
@@ -227,14 +225,9 @@ def cmd_classify(args):
     rep = build_ladder_rep(alg, coeffs)
     records = classify_common_eigenvectors(rep, args.n)
     doc = {
-        "metadata": {
-            "tool": _TOOL,
-            "version": __version__,
-            "n": args.n,
-            "algebra": f"{alg.series}{alg.rank}",
-            "weight": list(coeffs),
-            "invariant_dim": rep.dim,
-        },
+        "metadata": _metadata(
+            args, algebra=str(alg), weight=list(coeffs), invariant_dim=rep.dim
+        ),
         "records": [
             {
                 "case": r.case_id,
@@ -269,12 +262,7 @@ def cmd_ladder(args):
     rep = build_ladder_rep(alg, weight)
     report = verify_structure_relations(rep)  # raises VerificationError on failure
     doc = {
-        "metadata": {
-            "tool": _TOOL,
-            "version": __version__,
-            "algebra": f"{alg.series}{alg.rank}",
-            "weight": list(weight),
-        },
+        "metadata": _metadata(args, algebra=str(alg), weight=list(weight)),
         "dim": rep.dim,
         "basis": list(rep.basis),
         "nu": report.nu,
@@ -377,7 +365,7 @@ def cmd_verify(args):
             failed += 0 if chk.passed else 1
         sys.stderr.write(f"[{rpt.name}] finished in {rpt.seconds:.1f}s\n")
     doc = {
-        "metadata": {"tool": _TOOL, "version": __version__, "suite": args.suite},
+        "metadata": _metadata(args, suite=args.suite),
         "suites": [
             {
                 "name": rpt.name,

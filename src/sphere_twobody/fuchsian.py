@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError, VerificationError
-from .radial import KIND_COULOMB, KIND_OSCILLATOR, _check_compatible, _check_kind
+from .radial import KIND_COULOMB, _check_compatible, _check_kind, endpoint_root, wall_root
 
 __all__ = [
     "INFINITY",
@@ -130,7 +130,7 @@ def _sqrtc(x):
 
 def _endpoint_exponents(n, coeff):
     """Exponent pair (1/2)(2 - n +- sqrt((n-2)^2 + 32 coeff)) used at 0 and oo."""
-    s = _sqrtc((n - 2) ** 2 + 32.0 * coeff)
+    s = complex(endpoint_root(n, coeff))
     return ((2.0 - n + s) / 2.0, (2.0 - n - s) / 2.0)
 
 
@@ -155,11 +155,12 @@ def coulomb_exponents(params, coeffs, energy):
 
 
 def _oscillator_pieces(params, coeffs, energy):
+    _check_compatible(params, coeffs)
     n, m, R, w = params.n, params.reduced_mass, params.radius, params.coupling
     a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
     rho0 = _endpoint_exponents(n, a)
     rhoinf = _endpoint_exponents(n, c)
-    s1 = _sqrtc(1.0 + 4.0 * R ** 4 * m * w * w)
+    s1 = complex(wall_root(params))
     rho1 = ((1.0 + s1) / 2.0, (1.0 - s1) / 2.0)
     si = _sqrtc(
         (n - 1) ** 2 + 8.0 * m * energy * R * R + 4.0 * m * R ** 4 * w * w
@@ -171,7 +172,6 @@ def _oscillator_pieces(params, coeffs, energy):
 
 def oscillator_exponents(params, coeffs, energy):
     """Indicial exponents of the oscillator equation at {0, +-1, +-i, oo}."""
-    _check_compatible(params, coeffs)
     rho0, rho1, rhoi, rhoinf = _oscillator_pieces(params, coeffs, energy)
     return FuchsianEq((
         SingularPoint(0.0, rho0),
@@ -185,7 +185,6 @@ def oscillator_exponents(params, coeffs, energy):
 
 def oscillator_zeta_exponents(params, coeffs, energy):
     """The same equation in zeta = r^2: four singular points."""
-    _check_compatible(params, coeffs)
     rho0, rho1, rhoi, rhoinf = _oscillator_pieces(params, coeffs, energy)
     half = lambda pair: (pair[0] / 2.0, pair[1] / 2.0)
     return FuchsianEq((
@@ -299,8 +298,7 @@ def to_heun(kind, params, coeffs, energy):
     zeta = r^2 and then t = 2 zeta/(zeta + 1).  Both land the singular
     points on {0, 1, 2, oo}.
     """
-    _check_kind(kind)
-    _check_compatible(params, coeffs)
+    _check_kind(kind)  # the exponent tables check params against coeffs
     n, m, R = params.n, params.reduced_mass, params.radius
     a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
     E = energy
@@ -360,7 +358,6 @@ def to_heun(kind, params, coeffs, energy):
         ),
     )
     mR2 = m * R * R
-    R4w2 = R ** 4 * w * w
 
     def A(t):
         return n * (t - 1.0) / (t * (t - 2.0))

@@ -67,14 +67,12 @@ def pochhammer(a, j):
 
 def _as_nonpositive_int(x):
     """The integer j <= 0 with x ~= j, or None."""
-    x = complex(x)
-    j = round(x.real)
-    if j <= 0 and abs(x.real - j) <= _SNAP and abs(x.imag) <= _SNAP:
-        return j
-    return None
+    j = _as_int(x)
+    return j if j is not None and j <= 0 else None
 
 
 def _as_int(x):
+    """The integer j with x ~= j, or None."""
     x = complex(x)
     j = round(x.real)
     if abs(x.real - j) <= _SNAP and abs(x.imag) <= _SNAP:

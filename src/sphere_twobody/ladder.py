@@ -77,17 +77,9 @@ class LadderRep:
         return self.basis.index(j)
 
 
-def _as_weight(algebra, weight):
-    if isinstance(weight, HighestWeight):
-        if weight.algebra != algebra:
-            raise ValidationError(f"weight {weight} does not belong to {algebra}")
-        return weight
-    return HighestWeight(algebra, tuple(weight))
-
-
 def build_ladder_rep(algebra, weight):
     """Construct the ladder matrices for a weight with invariant vectors."""
-    w = _as_weight(algebra, weight)
+    w = HighestWeight.of(algebra, weight)
     k = algebra.rank
     dim = invariant_subspace_dim(algebra, w)
     if dim == 0:

@@ -49,6 +49,11 @@ class AlgebraLabel:
         """n with so(n+1) = this algebra: n = 2k for B_k, n = 2k-1 for D_k."""
         return 2 * self.rank if self.series == "B" else 2 * self.rank - 1
 
+    @classmethod
+    def for_sphere(cls, n):
+        """so(n+1), the symmetry algebra of the n-sphere; inverse of sphere_dim."""
+        return cls("B", n // 2) if n % 2 == 0 else cls("D", (n + 1) // 2)
+
     def __str__(self):
         return f"{self.series}{self.rank}"
 
@@ -90,6 +95,14 @@ class HighestWeight:
     def __str__(self):
         return f"{self.algebra}({','.join(map(str, self.coeffs))})"
 
+    @classmethod
+    def of(cls, alg, weight):
+        """weight (a HighestWeight or a tuple) as a weight of alg."""
+        w = weight if isinstance(weight, cls) else cls(alg, weight)
+        if w.algebra != alg:
+            raise ValidationError(f"weight {w} does not belong to {alg}")
+        return w
+
 
 def _positive_roots(alg):
     """Positive roots in the epsilon-basis, as integer tuples."""
@@ -125,9 +138,7 @@ def _dot(u, v):
 
 def weyl_dim(alg, weight):
     """Dimension of the irreducible module, by the Weyl product formula."""
-    w = weight if isinstance(weight, HighestWeight) else HighestWeight(alg, weight)
-    if w.algebra != alg:
-        raise ValidationError(f"weight {w} does not belong to {alg}")
+    w = HighestWeight.of(alg, weight)
     delta = _delta(alg)
     lam_delta = tuple(m + d for m, d in zip(w.coeffs, delta))
     dim = Fraction(1)
@@ -140,9 +151,7 @@ def weyl_dim(alg, weight):
 
 def casimir_eigenvalue(alg, weight):
     """Casimir scalar <delta+lambda, delta+lambda> - <delta, delta>, exact."""
-    w = weight if isinstance(weight, HighestWeight) else HighestWeight(alg, weight)
-    if w.algebra != alg:
-        raise ValidationError(f"weight {w} does not belong to {alg}")
+    w = HighestWeight.of(alg, weight)
     delta = _delta(alg)
     shifted = tuple(m + d for m, d in zip(w.coeffs, delta))
     return _dot(shifted, shifted) - _dot(delta, delta)
@@ -195,9 +204,7 @@ def invariant_subspace_dim(alg, weight):
     m_k - |m_{k-1}| + 1 (D). For B_1 the whole (2m+1)-dimensional module
     qualifies.
     """
-    w = weight if isinstance(weight, HighestWeight) else HighestWeight(alg, weight)
-    if w.algebra != alg:
-        raise ValidationError(f"weight {w} does not belong to {alg}")
+    w = HighestWeight.of(alg, weight)
     k = alg.rank
     m = w.coeffs
     if alg.series == "B" and k == 1:

@@ -18,6 +18,7 @@ the invariant-operator classification predicts, so the cross-check needs
 the opt-out).
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,7 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError, VerificationError
-from .radial import KIND_COULOMB, KIND_OSCILLATOR, _check_compatible, _check_kind, spectral_ode
+from .radial import (
+    KIND_COULOMB,
+    KIND_OSCILLATOR,
+    _check_compatible,
+    _check_kind,
+    endpoint_root,
+    spectral_ode,
+    wall_root,
+)
 
 __all__ = [
     "ShootingConfig",
@@ -100,9 +109,19 @@ def _march(rhs, t0, t1, y0, config):
     return sol.y[0, -1], sol.y[1, -1]
 
 
+def _coulomb_start(n, coeff, m, R, g, eps):
+    """Frobenius start f ~ x^rho (1 + c1 x) at x = tan(eps/2), as (f, df/dtheta)."""
+    root = endpoint_root(n, coeff)
+    rho = (2.0 - n + root) / 2.0
+    c1 = -4.0 * m * R * g / (1.0 + root)
+    x = math.tan(eps / 2.0)
+    f = x ** rho * (1.0 + c1 * x)
+    fx = x ** (rho - 1.0) * (rho + (rho + 1.0) * c1 * x)
+    return f, fx * (1.0 + x * x) / 2.0
+
+
 def _coulomb_halves(params, coeffs, energy, config):
     n, m, R, g = params.n, params.reduced_mass, params.radius, params.coupling
-    a, c = float(coeffs.a), float(coeffs.c)
     p, q = spectral_ode(KIND_COULOMB, params, coeffs, energy)
 
     def rhs(theta, y):
@@ -112,49 +131,28 @@ def _coulomb_halves(params, coeffs, energy, config):
         Q = q(r) * one * one / 4.0
         return (y[1], -P * y[1] - Q * y[0])
 
-    eps = config.eps
-    # inner Frobenius start: f ~ r^rho0 (1 + c1 r)
-    A0 = math.sqrt((n - 2) ** 2 + 32.0 * a)
-    rho0 = (2.0 - n + A0) / 2.0
-    c1 = -4.0 * m * R * g / (1.0 + A0)
-    r_in = math.tan(eps / 2.0)
-    f_in = r_in ** rho0 * (1.0 + c1 * r_in)
-    fp_in = r_in ** (rho0 - 1.0) * (rho0 + (rho0 + 1.0) * c1 * r_in)
-    y_in = (f_in, fp_in * (1.0 + r_in * r_in) / 2.0)
-    half = math.pi / 2.0
-    gi = _march(rhs, eps, half, y_in, config)
-
-    # outer start via the u = 1/r reflection, which swaps a <-> c and
-    # flips the sign of the coupling
-    Ainf = math.sqrt((n - 2) ** 2 + 32.0 * c)
-    rhoinf = (2.0 - n + Ainf) / 2.0
-    d1 = 4.0 * m * R * g / (1.0 + Ainf)
-    u_out = math.tan(eps / 2.0)
-    g_out = u_out ** rhoinf * (1.0 + d1 * u_out)
-    gp_out = u_out ** (rhoinf - 1.0) * (rhoinf + (rhoinf + 1.0) * d1 * u_out)
-    y_out = (g_out, gp_out * (-(1.0 + u_out * u_out) / 2.0))
-    go = _march(rhs, math.pi - eps, half, y_out, config)
+    eps, half = config.eps, math.pi / 2.0
+    gi = _march(rhs, eps, half, _coulomb_start(n, float(coeffs.a), m, R, g, eps), config)
+    # x = 1/r at infinity swaps a <-> c and flips the signs of g and d/dtheta
+    f_out, ft_out = _coulomb_start(n, float(coeffs.c), m, R, -g, eps)
+    go = _march(rhs, math.pi - eps, half, (f_out, -ft_out), config)
     return gi, go
 
 
 def _oscillator_halves(params, coeffs, energy, config):
     n = params.n
-    m, R, w = params.reduced_mass, params.radius, params.coupling
-    a = float(coeffs.a)
     p, q = spectral_ode(KIND_OSCILLATOR, params, coeffs, energy)
 
     def rhs(r, y):
         return (y[1], -p(r) * y[1] - q(r) * y[0])
 
     eps = config.eps
-    A0 = math.sqrt((n - 2) ** 2 + 32.0 * a)
-    rho0 = (2.0 - n + A0) / 2.0
+    rho0 = (2.0 - n + endpoint_root(n, float(coeffs.a))) / 2.0
     y_in = (eps ** rho0, rho0 * eps ** (rho0 - 1.0))
     mid = 0.5
     gi = _march(rhs, eps, mid, y_in, config)
 
-    W = math.sqrt(1.0 + 4.0 * m * R ** 4 * w * w)
-    sig = (1.0 + W) / 2.0
+    sig = (1.0 + wall_root(params)) / 2.0
     x = eps  # distance from r = 1
     f_out = x ** sig * (1.0 + sig * x / 2.0)
     fp_out = -(sig * x ** (sig - 1.0) * (1.0 + sig * x / 2.0) + x ** sig * sig / 2.0)
@@ -224,18 +222,30 @@ def ode_residual(p, q, jet_fn, rs):
     """Max scaled residual |f'' + p f' + q f| over sample points.
 
     jet_fn(r) must return (f, f', f''); scaling is by the local jet size.
+    A NaN residual at any point is returned as is, never maxed away.
     """
     worst = 0.0
     for r in rs:
         f, df, d2f = jet_fn(float(r))
         scale = max(abs(f), abs(df), abs(d2f), 1.0)
-        worst = max(worst, abs(d2f + p(r) * df + q(r) * f) / scale)
+        res = abs(d2f + p(r) * df + q(r) * f) / scale
+        if math.isnan(res):
+            return res
+        worst = max(worst, res)
     return worst
+
+
+@functools.lru_cache(maxsize=16)
+def _legendre_rule(nodes):
+    """Read-only Gauss-Legendre nodes and weights on (-1, 1), built once."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def gauss_legendre(a, b, nodes):
     """Nodes and weights on (a, b)."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _legendre_rule(nodes)
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     return mid + half * x, half * w
 

@@ -36,6 +36,9 @@ __all__ = [
     "radial_coefficients",
     "coefficients_from_record",
     "valid_cases",
+    "endpoint_root",
+    "wall_root",
+    "sample_radii",
     "potential",
     "spectral_ode",
     "oscillator_zeta_form",
@@ -80,13 +83,6 @@ class PhysicalParams:
     @property
     def equal_masses(self):
         return self.m1 == self.m2
-
-
-def _symmetry_algebra(n):
-    """so(n+1) as a B/D label."""
-    if n % 2 == 0:
-        return AlgebraLabel("B", n // 2)
-    return AlgebraLabel("D", (n + 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -140,7 +136,7 @@ def radial_coefficients(n, case_id, mk=None):
         raise ValidationError(f"sphere dimension must be an integer >= 2, got {n}")
     if case_id not in valid_cases(n):
         raise ValidationError(f"case {case_id} does not exist for n={n}")
-    alg = _symmetry_algebra(n)
+    alg = AlgebraLabel.for_sphere(n)
     k = alg.rank
 
     if n == 2:
@@ -197,6 +193,27 @@ def coefficients_from_record(record):
         record.mass_mode,
         record.carrier,
     )
+
+
+def endpoint_root(n, coeff):
+    """Indicial root at r = 0 (coeff = a) or oo (coeff = c): exponents (2 - n +- root)/2."""
+    disc = (n - 2) ** 2 + 32.0 * coeff
+    if disc < 0.0:
+        raise ValidationError(f"coefficient {coeff} makes the indicial exponents complex")
+    return math.sqrt(disc)
+
+
+def wall_root(params):
+    """The oscillator's indicial root W at r = 1: exponents (1 +- W)/2."""
+    m, R, w = params.reduced_mass, params.radius, params.coupling
+    return math.sqrt(1.0 + 4.0 * m * R ** 4 * w * w)
+
+
+def sample_radii(kind, count):
+    """Interior points: half-angle spaced for Coulomb, uniform on (0, 1) else."""
+    if kind == KIND_COULOMB:
+        return [math.tan(math.pi * (i + 1) / (count + 1) / 2.0) for i in range(count)]
+    return [(i + 1) / (count + 1) for i in range(count)]
 
 
 def potential(kind, params):

@@ -30,15 +30,20 @@ from .errors import ValidationError
 from .hyperfun import gauss_2f1, pochhammer
 from .jets import Jet
 from .liealg import weyl_dim
+from .oracle import gauss_legendre, ode_residual
 from .radial import (
     KIND_COULOMB,
     KIND_OSCILLATOR,
     _check_compatible,
     _check_kind,
+    endpoint_root,
     spectral_ode,
+    wall_root,
 )
 
 __all__ = [
+    "BRANCH_TOLERANCE",
+    "MATCH_TOLERANCE",
     "EnergyLevel",
     "SpectrumReport",
     "coulomb_energy",
@@ -50,7 +55,9 @@ __all__ = [
     "spectrum",
 ]
 
-_BRANCH_TOL = 1e-10
+# a level is "verified" when its branch residuals and its dual evaluation pass
+BRANCH_TOLERANCE = 1e-10
+MATCH_TOLERANCE = 1e-10
 
 
 def _require_symmetric(coeffs):
@@ -74,7 +81,7 @@ def coulomb_energy(params, coeffs, k):
     _check_k(KIND_COULOMB, k)
     n, m, R, g = params.n, params.reduced_mass, params.radius, params.coupling
     a, b = float(coeffs.a), float(coeffs.b)
-    A = math.sqrt((n - 2) ** 2 + 32.0 * a)
+    A = endpoint_root(n, a)
     return (
         0.5 * (k * k - k + 1) - n / 4.0 + 2.0 * a + b + (2 * k - 1) / 4.0 * A
     ) / (m * R * R) - 2.0 * m * g * g / (A + 2 * k - 1) ** 2
@@ -85,10 +92,10 @@ def oscillator_energy(params, coeffs, k):
     _check_compatible(params, coeffs)
     _require_symmetric(coeffs)
     _check_k(KIND_OSCILLATOR, k)
-    n, m, R, w = params.n, params.reduced_mass, params.radius, params.coupling
+    n, m, R = params.n, params.reduced_mass, params.radius
     a, b = float(coeffs.a), float(coeffs.b)
-    A = math.sqrt((n - 2) ** 2 + 32.0 * a)
-    W = math.sqrt(1.0 + 4.0 * m * R ** 4 * w * w)
+    A = endpoint_root(n, a)
+    W = wall_root(params)
     T = 4 * k + 2 + A
     return (T * T - (n - 1) ** 2 - 16.0 * a + 8.0 * b + 1.0) / (8.0 * m * R * R) + (
         T * W / (4.0 * m * R * R)
@@ -102,10 +109,10 @@ def closed_form_energy(kind, params, coeffs, k):
     return oscillator_energy(params, coeffs, k)
 
 
-def _coulomb_data(params, coeffs, k, energy):
+def _coulomb_data(params, coeffs, energy):
     n, m, R, g = params.n, params.reduced_mass, params.radius, params.coupling
     a, b = float(coeffs.a), float(coeffs.b)
-    A = math.sqrt((n - 2) ** 2 + 32.0 * a)
+    A = endpoint_root(n, a)
     u = cmath.sqrt((n - 1) ** 2 + 8.0 * (m * energy * R * R + 1j * m * R * g + 2.0 * a - b))
     gam = 1.0 + A
     # quantized branch: alpha = 1 - k; the principal branch carries the
@@ -117,11 +124,11 @@ def _coulomb_data(params, coeffs, k, energy):
     return A, u, alpha, beta, gam, rho0, rho_i
 
 
-def _oscillator_data(params, coeffs, k, energy):
+def _oscillator_data(params, coeffs, energy):
     n, m, R, w = params.n, params.reduced_mass, params.radius, params.coupling
     a, b = float(coeffs.a), float(coeffs.b)
-    A = math.sqrt((n - 2) ** 2 + 32.0 * a)
-    W = math.sqrt(1.0 + 4.0 * m * R ** 4 * w * w)
+    A = endpoint_root(n, a)
+    W = wall_root(params)
     s = cmath.sqrt(
         (n - 1) ** 2 + 8.0 * m * energy * R * R + 4.0 * m * R ** 4 * w * w
         + 16.0 * a - 8.0 * b
@@ -147,12 +154,12 @@ def branch_residuals(kind, params, coeffs, k, energy=None):
     if energy is None:
         energy = closed_form_energy(kind, params, coeffs, k)
     if kind == KIND_COULOMB:
-        A, u, alpha, beta, gam, _, _ = _coulomb_data(params, coeffs, k, energy)
+        A, u, alpha, beta, gam, _, _ = _coulomb_data(params, coeffs, energy)
         stated = abs(alpha - (1 - k))
         # on the principal branch the condition lands on gamma - alpha
         reflected = abs((gam - ((1.0 + A) / 2.0 + u.real / 2.0)) - (1 - k))
     else:
-        A, W, s, alpha, beta, gam, _, _ = _oscillator_data(params, coeffs, k, energy)
+        A, W, s, alpha, beta, gam, _, _ = _oscillator_data(params, coeffs, energy)
         stated = abs(beta + k)
         # under s -> -s the termination condition lands on alpha instead
         reflected = abs((2.0 + A + W + (-s)) / 4.0 + k)
@@ -179,24 +186,27 @@ class RadialEigenfunction:
     energy: float
     _data: tuple
 
-    def _evaluate(self, r):
+    def _prefactor(self, r):
+        """The elementary factor multiplying the terminating 2F1 sum."""
+        *_, rho0, rho1 = self._data  # rho1 is the exponent at r = i, resp. r = 1
         if self.kind == KIND_COULOMB:
-            A, u, alpha, beta, gam, rho0, rho_i = self._data
-            pre = r ** rho0 * (r - 1j) ** rho_i * (r + 1j) ** (-(2.0 * rho0 + rho_i))
-            s = 0.0
-            for j in range(self.k):
-                cj = (-1) ** j / (math.factorial(j) * math.factorial(self.k - 1 - j))
-                cj *= pochhammer(beta, j) / pochhammer(gam, j)
-                s = s + cj * (4j * r) ** j / (r + 1j) ** (2 * j)
-            return pre * s
-        A, W, s_, alpha, beta, gam, rho0, rho1 = self._data
-        pre = r ** rho0 * (1.0 - r * r) ** rho1 * (r * r + 1.0) ** (-(rho0 + rho1))
+            return r ** rho0 * (r - 1j) ** rho1 * (r + 1j) ** (-(2.0 * rho0 + rho1))
+        return r ** rho0 * (1.0 - r * r) ** rho1 * (r * r + 1.0) ** (-(rho0 + rho1))
+
+    def _evaluate(self, r):
+        # degree-d terminating sum over j of (-1)^j (num)_j / (j! (d-j)! (gam)_j) z^j
+        if self.kind == KIND_COULOMB:
+            d, num, gam = self.k - 1, self._data[3], self._data[4]
+            term = lambda cj, j: cj * (4j * r) ** j / (r + 1j) ** (2 * j)
+        else:
+            d, num, gam = self.k, self._data[3], self._data[5]
+            term = lambda cj, j: cj * 4.0 ** j * r ** (2 * j) / (r * r + 1.0) ** (2 * j)
         s = 0.0
-        for j in range(self.k + 1):
-            cj = (-1) ** j / (math.factorial(j) * math.factorial(self.k - j))
-            cj *= pochhammer(alpha, j) / pochhammer(gam, j)
-            s = s + cj * 4.0 ** j * r ** (2 * j) / (r * r + 1.0) ** (2 * j)
-        return pre * s
+        for j in range(d + 1):
+            cj = (-1) ** j / (math.factorial(j) * math.factorial(d - j))
+            cj *= pochhammer(num, j) / pochhammer(gam, j)
+            s = s + term(cj, j)
+        return self._prefactor(r) * s
 
     def __call__(self, r):
         return self._evaluate(complex(r))
@@ -209,21 +219,19 @@ class RadialEigenfunction:
     def hypergeometric_value(self, r):
         """Independent evaluation routing the sum through gauss_2f1."""
         if self.kind == KIND_COULOMB:
-            A, u, alpha, beta, gam, rho0, rho_i = self._data
-            pre = r ** rho0 * (r - 1j) ** rho_i * (r + 1j) ** (-(2.0 * rho0 + rho_i))
+            alpha, beta, gam = self._data[2:5]
             z = 4j * r / (r + 1j) ** 2
-            return pre * gauss_2f1(alpha, beta, gam, z) / math.factorial(self.k - 1)
-        A, W, s_, alpha, beta, gam, rho0, rho1 = self._data
-        pre = r ** rho0 * (1.0 - r * r) ** rho1 * (r * r + 1.0) ** (-(rho0 + rho1))
-        z = 4.0 * r * r / (r * r + 1.0) ** 2
-        return pre * gauss_2f1(alpha, beta, gam, z) / math.factorial(self.k)
+            norm = math.factorial(self.k - 1)
+        else:
+            alpha, beta, gam = self._data[3:6]
+            z = 4.0 * r * r / (r * r + 1.0) ** 2
+            norm = math.factorial(self.k)
+        return self._prefactor(r) * gauss_2f1(alpha, beta, gam, z) / norm
 
     def ode_residual(self, r):
         """f'' + p f' + q f at real r, scaled by the local solution size."""
         p, q = spectral_ode(self.kind, self.params, self.coeffs, self.energy)
-        f, df, d2f = self.jet(r)
-        scale = max(abs(f), abs(df), abs(d2f), 1.0)
-        return abs(d2f + p(r) * df + q(r) * f) / scale
+        return ode_residual(p, q, self.jet, [r])
 
     def norm_squared(self, nodes=240):
         """integral of |f|^2 against the volume weight r^(n-1)/(1+r^2)^n.
@@ -232,7 +240,7 @@ class RadialEigenfunction:
         r = tan(theta/2) for Coulomb, affine for the oscillator.
         """
         n = self.params.n
-        x, w = np.polynomial.legendre.leggauss(nodes)
+        x, w = gauss_legendre(-1.0, 1.0, nodes)
         if self.kind == KIND_COULOMB:
             theta = (x + 1.0) * (math.pi / 2.0)
             r = np.tan(theta / 2.0)
@@ -254,10 +262,7 @@ def radial_eigenfunction(kind, params, coeffs, k, energy=None):
     _check_k(kind, k)
     if energy is None:
         energy = closed_form_energy(kind, params, coeffs, k)
-    if kind == KIND_COULOMB:
-        data = _coulomb_data(params, coeffs, k, energy)
-    else:
-        data = _oscillator_data(params, coeffs, k, energy)
+    data = (_coulomb_data if kind == KIND_COULOMB else _oscillator_data)(params, coeffs, energy)
     return RadialEigenfunction(kind, params, coeffs, k, energy, data)
 
 
@@ -306,10 +311,6 @@ class SpectrumReport:
         }
 
 
-def _sample_radius(kind):
-    return 0.7 if kind == KIND_COULOMB else 0.45
-
-
 def spectrum(kind, params, coeffs, k_min, k_max):
     """Energy levels k_min..k_max with multiplicities and branch checks.
 
@@ -325,7 +326,7 @@ def spectrum(kind, params, coeffs, k_min, k_max):
         return SpectrumReport(kind, params, coeffs, (), True)
     mult = weyl_dim(coeffs.carrier.algebra, coeffs.carrier)
     levels = []
-    r0 = _sample_radius(kind)
+    r0 = 0.7 if kind == KIND_COULOMB else 0.45
     for k in range(k_min, k_max + 1):
         E = closed_form_energy(kind, params, coeffs, k)
         res = branch_residuals(kind, params, coeffs, k, E)
@@ -333,8 +334,8 @@ def spectrum(kind, params, coeffs, k_min, k_max):
         direct, via_2f1 = fn(r0), fn.hypergeometric_value(r0)
         match = abs(direct - via_2f1) / max(abs(direct), 1e-30)
         ok = (
-            max(res.values()) <= _BRANCH_TOL
-            and match <= _BRANCH_TOL
+            max(res.values()) <= BRANCH_TOLERANCE
+            and match <= MATCH_TOLERANCE
         )
         levels.append(EnergyLevel(k, E, mult, bool(ok)))
     return SpectrumReport(kind, params, coeffs, tuple(levels), False)

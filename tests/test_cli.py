@@ -17,7 +17,7 @@ except ModuleNotFoundError:  # Python < 3.11
     tomllib = None
 
 import sphere_twobody
-from sphere_twobody import suites
+from sphere_twobody import spectra, suites
 from sphere_twobody.cli import main
 from sphere_twobody.errors import VerificationError
 from sphere_twobody.suites import CheckResult, SuiteReport
@@ -42,7 +42,10 @@ def test_spectrum_json_document(capsys):
     assert md["tool"] == "sphere-twobody"
     assert md["kind"] == "oscillator" and md["n"] == 2 and md["case"] == 1
     assert md["mass_mode"] == "arbitrary"
-    assert set(md["tolerances"]) == {"branch_residual", "hypergeometric_match"}
+    assert md["tolerances"] == {
+        "branch_residual": spectra.BRANCH_TOLERANCE,
+        "hypergeometric_match": spectra.MATCH_TOLERANCE,
+    }
     assert [lv["k"] for lv in doc["levels"]] == [0, 1, 2]
     assert doc["levels"][0]["E"] == pytest.approx(0.5 + math.sqrt(5) / 2, abs=1e-14)
     assert all(lv["verified"] is True for lv in doc["levels"])
@@ -251,6 +254,27 @@ def test_verify_reports_structure_failure(capsys, monkeypatch):
     assert structure["passed"] is False
     assert "first B1(0,): [D0,D1] = -2 D3 fails" in structure["detail"]
     assert "[ladder] FAIL" in err
+
+
+def test_verify_reports_embedding_failure(capsys, monkeypatch):
+    def failing_embedding(k, tol):
+        raise VerificationError(f"embedding correspondence failed for k={k}: Psi_12")
+
+    def cheap_pass(**kwargs):
+        return CheckResult("stub", True, "not run")
+
+    monkeypatch.setattr(suites, "verify_embedding", failing_embedding)
+    monkeypatch.setattr(suites, "check_structure_relations", cheap_pass)
+    monkeypatch.setattr(suites, "check_classification_bruteforce", cheap_pass)
+    rc, out, err = run_cli(capsys, ["verify", "--suite", "ladder"])
+    assert rc == 3
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    embedding = doc["suites"][0]["checks"][-1]
+    assert embedding["name"] == "defining-representation embedding"
+    assert embedding["passed"] is False
+    assert embedding["detail"].startswith("4 of 4 ranks failed; first k=2: ")
+    assert "[ladder] FAIL: defining-representation embedding" in err
 
 
 def _in_process_stdout(capsys, argv):

@@ -22,6 +22,13 @@ def test_sphere_dim_mapping():
     assert AlgebraLabel("B", 3).sphere_dim == 6
 
 
+def test_for_sphere_inverts_sphere_dim():
+    for n in range(2, 13):
+        alg = AlgebraLabel.for_sphere(n)
+        assert alg.series == ("B" if n % 2 == 0 else "D")
+        assert alg.sphere_dim == n
+
+
 def test_label_validation():
     with pytest.raises(ValidationError):
         AlgebraLabel("A", 2)

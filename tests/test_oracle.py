@@ -126,6 +126,9 @@ def test_ode_residual_helper():
     rs = (0.3, 0.9, 1.4)
     assert ode_residual(p, q, good, rs) < 1e-15
     assert ode_residual(p, q, bad, rs) > 1e-3
+    # a NaN jet at one point is not maxed away by the finite ones
+    holed = lambda r: (math.nan, 0.0, 0.0) if r == 0.9 else good(r)
+    assert math.isnan(ode_residual(p, q, holed, rs))
 
 
 def test_gauss_legendre_polynomial_exactness():
@@ -134,6 +137,36 @@ def test_gauss_legendre_polynomial_exactness():
     assert (w * x ** 2).sum() == pytest.approx(1.0 / 3.0, abs=1e-14)
     x, w = gauss_legendre(-2.0, 3.0, 12)
     assert (w * x ** 3).sum() == pytest.approx((3.0 ** 4 - 2.0 ** 4) / 4.0, abs=1e-12)
+
+
+def test_legendre_rule_cached_read_only_and_exact(monkeypatch):
+    from sphere_twobody import oracle
+
+    real = np.polynomial.legendre.leggauss
+    calls = []
+
+    def counting(nodes):
+        calls.append(nodes)
+        return real(nodes)
+
+    oracle._legendre_rule.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    try:
+        for _ in range(3):
+            x, w = gauss_legendre(-1.0, 1.0, 17)
+            gauss_legendre(0.0, 2.0, 17)
+            gauss_legendre(-1.0, 1.0, 9)
+        assert calls == [17, 9]
+        rx, rw = real(17)
+        assert x.tobytes() == rx.tobytes() and w.tobytes() == rw.tobytes()
+        cx, cw = oracle._legendre_rule(17)
+        assert cx.tobytes() == rx.tobytes() and cw.tobytes() == rw.tobytes()
+        with pytest.raises(ValueError):
+            cx[0] = 0.0
+        with pytest.raises(ValueError):
+            cw[0] = 0.0
+    finally:
+        oracle._legendre_rule.cache_clear()
 
 
 def test_joint_diagonalize_commuting_family():

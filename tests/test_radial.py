@@ -21,7 +21,7 @@ from sphere_twobody import (
     spectral_ode,
     valid_cases,
 )
-from sphere_twobody.radial import oscillator_zeta_form
+from sphere_twobody.radial import endpoint_root, oscillator_zeta_form, wall_root
 
 
 def test_params_validation():
@@ -173,3 +173,13 @@ def test_spectral_ode_matches_displayed_coefficients():
         )
         assert p(r) == pytest.approx(want_p, rel=1e-14)
         assert q(r) == pytest.approx(want_q, rel=1e-14)
+
+
+def test_indicial_roots():
+    assert endpoint_root(3, 0.25) == 3.0  # sqrt(1 + 8)
+    assert endpoint_root(2, 0.0) == 0.0
+    # reduced mass, radius and frequency 1: W = sqrt(1 + 4)
+    assert wall_root(PhysicalParams(2, 2.0, 2.0, 1.0, 1.0)) == math.sqrt(5.0)
+    # a hand-built triple below the table's range has complex exponents
+    with pytest.raises(ValidationError):
+        endpoint_root(3, -1.0)

@@ -12,7 +12,9 @@ from sphere_twobody import (
     coulomb_energy,
     oscillator_energy,
     radial_coefficients,
+    ode_residual,
     radial_eigenfunction,
+    spectral_ode,
     spectrum,
     weyl_dim,
 )
@@ -88,7 +90,10 @@ def test_eigenfunction_ode_residual(kind, k0):
         co = radial_coefficients(n, 1, mk)
         for k in (k0, k0 + 1, k0 + 2):
             fn = radial_eigenfunction(kind, UNIT[n], co, k)
+            p, q = spectral_ode(kind, UNIT[n], co, fn.energy)
             for r in pts:
+                # the method applies the oracle's scaled-residual rule
+                assert fn.ode_residual(r) == ode_residual(p, q, fn.jet, [r])
                 assert fn.ode_residual(r) < 1e-9
 
 

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 
-from sphere_twobody import suites
+from sphere_twobody import spectra, suites
 from sphere_twobody.errors import ConvergenceError, VerificationError
 from sphere_twobody.oracle import JointEigenspace, ShootingResult
 from sphere_twobody.suites import CheckResult
@@ -103,3 +103,52 @@ def test_classification_passing_detail_is_unchanged():
     modules = len(suites._ladder_weights(2, 3))
     assert re.fullmatch(rf"\d+ vectors over {modules} modules; worst eigenvalue dev "
                         r"\d\.\d\de[-+]\d\d, span dev \d\.\d\de[-+]\d\d", chk.detail)
+
+
+def test_embedding_failure_is_a_result(monkeypatch):
+    real = suites.verify_embedding
+
+    def failing(k, tol):
+        if k in (3, 5):
+            raise VerificationError(f"embedding correspondence failed for k={k}: Psi_12")
+        return real(k, tol=tol)
+
+    monkeypatch.setattr(suites, "verify_embedding", failing)
+    chk = suites.check_embedding()
+    assert not chk.passed
+    assert chk.name == "defining-representation embedding"
+    assert chk.detail == (
+        "2 of 4 ranks failed; first k=3: embedding correspondence failed for k=3: Psi_12"
+    )
+
+
+def test_eigenfunction_residuals_report_every_failure(monkeypatch):
+    chk = suites.check_eigenfunction_residuals("oscillator", n_values=(2, 3), n_points=10)
+    assert chk.passed
+    assert re.fullmatch(r"21 eigenfunctions x 10 points; worst residual \d\.\d\de-\d\d, "
+                        r"worst norm drift \d\.\d\de[-+]\d\d", chk.detail)
+
+    real_residual = suites.ode_residual
+    real_norm = spectra.RadialEigenfunction.norm_squared
+    calls = []
+
+    def faulty_residual(p, q, jet_fn, rs):
+        calls.append(len(rs))
+        res = real_residual(p, q, jet_fn, rs)
+        return 3e-8 * len(calls) if len(calls) in (2, 7) else res
+
+    def faulty_norm(fn, nodes=240):
+        value = real_norm(fn, nodes)
+        last = fn.params.n == 3 and fn.coeffs.case_id == 4 and fn.k == 2
+        return value * (1.0 + 1e-6) if last and nodes == 480 else value
+
+    monkeypatch.setattr(suites, "ode_residual", faulty_residual)
+    monkeypatch.setattr(spectra.RadialEigenfunction, "norm_squared", faulty_norm)
+    chk = suites.check_eigenfunction_residuals("oscillator", n_values=(2, 3), n_points=10)
+    assert len(calls) == 21  # no early return at the first miss
+    assert not chk.passed
+    assert chk.name == "oscillator eigenfunction residuals"
+    assert chk.detail == (
+        "3 of 21 eigenfunctions failed; worst residual 2.10e-07, worst norm drift 1.00e-06; "
+        "first failure n=2 case=1 mk=None k=1: residual 6.00e-08"
+    )
