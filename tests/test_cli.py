@@ -98,6 +98,35 @@ def test_spectrum_samples(capsys):
     assert "error:" in err
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
+@pytest.mark.parametrize("sector", [[], ["--n", "3", "--case", "1", "--mk", "1"]])
+def test_spectrum_high_k_samples_exit_cleanly(tmp_path, sector):
+    """Oscillator k = 160..171 with samples: valid JSON or a typed error.
+
+    1/k! went through math.factorial, whose float conversion overflows from
+    k = 171 on; that, or a bare NaN sample, must never reach the output.
+    Without a sector the command stops at the missing flags (exit 2).
+    """
+    argv = ["spectrum", "--kind", "oscillator", "--k-min", "160", "--k-max", "171",
+            "--samples", "3"] + sector
+    env = dict(os.environ)
+    src = str(Path(sphere_twobody.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    r = subprocess.run([sys.executable, "-m", "sphere_twobody.cli"] + argv,
+                       capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path)
+    assert r.returncode in (0, 2, 3), r.stderr
+    assert "Traceback" not in r.stderr
+    if r.returncode == 0:
+        doc = json.loads(r.stdout, parse_constant=_reject_constant)
+        assert [lv["k"] for lv in doc["levels"]] == list(range(160, 172))
+        assert all(len(lv["samples"]) == 3 for lv in doc["levels"])
+    else:
+        assert r.stderr.startswith(("error:", "verification failure:")), r.stderr
+
+
 def test_config_defaults_and_precedence(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -2,6 +2,8 @@
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from sphere_twobody import (
@@ -73,14 +75,17 @@ def test_branch_residuals_vanish_on_levels(kind, k0):
         co = radial_coefficients(n, 1, mk)
         for k in (k0, k0 + 2):
             res = branch_residuals(kind, UNIT[n], co, k)
+            assert set(res) == {"stated_branch", "imag_energy"}
             assert max(res.values()) < 1e-9, res
 
 
 def test_branch_residuals_detect_off_eigenvalue_energy():
     co = radial_coefficients(3, 1, 1)
-    E = closed_form_energy("oscillator", UNIT[3], co, 1)
-    res = branch_residuals("oscillator", UNIT[3], co, 1, energy=E + 0.05)
-    assert res["stated_branch"] > 1e-3
+    for kind, k in (("oscillator", 1), ("coulomb", 2)):
+        E = closed_form_energy(kind, UNIT[3], co, k)
+        res = branch_residuals(kind, UNIT[3], co, k, energy=E + 0.05)
+        assert set(res) == {"stated_branch", "imag_energy"}
+        assert res["stated_branch"] > 1e-3
 
 
 @pytest.mark.parametrize("kind,k0", [("coulomb", 1), ("oscillator", 0)])
@@ -217,3 +222,110 @@ def test_equal_mass_cases_reject_unequal_masses():
     co = radial_coefficients(3, 4, 2)  # equal-mass-only eigenvector
     with pytest.raises(ValidationError):
         spectrum("oscillator", asym_masses, co, 0, 2)
+
+
+# ------------------------------------------------ the recurrence kernel
+
+REF_DIGITS = 40
+KERNEL_KS = {"coulomb": (1, 5, 20, 40, 80, 150), "oscillator": (0, 5, 20, 40, 80, 150)}
+KERNEL_RADII = {"coulomb": (0.3, 0.7, 2.5), "oscillator": (0.2, 0.45, 0.8)}
+KERNEL_SECTORS = {2: None, 3: 1, 5: 2}  # n -> mk, case 1
+
+
+def _reference(kind, params, coeffs, k, energy):
+    """r -> prefactor(r) 2F1(-d, b; c; z(r)) / d! with mpmath's hyp2f1.
+
+    The 2F1 data are rebuilt in mpmath from the physical parameters and the
+    float energy, so nothing but the energy is shared with the package.
+    """
+    mp = mpmath
+    n, m = params.n, mp.mpf(params.reduced_mass)
+    R, g = mp.mpf(params.radius), mp.mpf(params.coupling)
+    a, b = (mp.mpf(x.numerator) / x.denominator for x in (coeffs.a, coeffs.b))
+    E = mp.mpf(energy)
+    A = mp.sqrt((n - 2) ** 2 + 32 * a)
+    rho0 = (2 - n + A) / 2
+    if kind == "coulomb":
+        u = mp.sqrt((n - 1) ** 2 + 8 * (m * E * R * R + 1j * m * R * g + 2 * a - b))
+        d, bb, c = k - 1, (1 + A) / 2 + 0.5j * mp.im(u), 1 + A
+        rho_i = ((n - 1) - mp.conj(u)) / 2
+
+        def f(r):
+            pre = r ** rho0 * (r - 1j) ** rho_i * (r + 1j) ** (-(2 * rho0 + rho_i))
+            return pre * mp.hyp2f1(-d, bb, c, 4j * r / (r + 1j) ** 2) / mp.factorial(d)
+    else:
+        W = mp.sqrt(1 + 4 * m * R ** 4 * g * g)
+        s = mp.sqrt((n - 1) ** 2 + 8 * m * E * R * R + 4 * m * R ** 4 * g * g + 16 * a - 8 * b)
+        d, bb, c, rho1 = k, (2 + A + W + s) / 4, 1 + A / 2, (1 + W) / 2
+
+        def f(r):
+            pre = r ** rho0 * (1 - r * r) ** rho1 * (r * r + 1) ** (-(rho0 + rho1))
+            return pre * mp.hyp2f1(-d, bb, c, 4 * r * r / (r * r + 1) ** 2) / mp.factorial(d)
+
+    return f
+
+
+def _kernel_cases():
+    for kind, ks in KERNEL_KS.items():
+        for n in KERNEL_SECTORS:
+            for k in ks:
+                yield kind, n, k
+
+
+@pytest.mark.parametrize("kind,n,k", list(_kernel_cases()))
+def test_kernel_matches_mpmath(kind, n, k):
+    """Values, first derivatives and the vectorised path against mpmath.
+
+    Errors are measured against the local amplitude max(|f|, |f'|/(k+1)):
+    near one of the k nodes |f| itself is no scale, since rounding z(r) in
+    its last bit already moves f by about |f'| ulp(r) there (at Coulomb
+    k = 150, n = 5 a node lies within 1e-3 of r = 0.7).
+    """
+    co = radial_coefficients(n, 1, KERNEL_SECTORS[n])
+    fn = radial_eigenfunction(kind, UNIT[n], co, k)
+    rs = KERNEL_RADII[kind]
+    vec = fn._evaluate(np.array(rs))
+    with mpmath.workdps(REF_DIGITS):
+        ref = _reference(kind, UNIT[n], co, k, fn.energy)
+        for r, v in zip(rs, vec):
+            want = complex(ref(mpmath.mpf(r)))
+            dwant = complex(mpmath.diff(ref, mpmath.mpf(r)))
+            amp = max(abs(want), abs(dwant) / (k + 1))
+            got = fn(r)
+            assert abs(got - want) <= 1e-12 * amp, (r, got, want)
+            # the array path takes the same steps with numpy's rounding
+            assert abs(v - got) <= 1e-12 * amp, (r, v, got)
+            df = fn.jet(r)[1]
+            assert abs(df - dwant) <= 1e-12 * (k + 1) * amp, (r, df, dwant)
+
+
+@pytest.mark.parametrize("kind,n,k", [c for c in _kernel_cases() if c[2] <= 40])
+def test_kernel_norm_quadrature_stable(kind, n, k):
+    fn = radial_eigenfunction(kind, UNIT[n], radial_coefficients(n, 1, KERNEL_SECTORS[n]), k)
+    lo, hi = fn.norm_squared(240), fn.norm_squared(480)
+    assert lo > 0.0
+    assert abs(hi - lo) <= 1e-8 * lo
+
+
+@pytest.mark.parametrize("k", [80, 150])
+def test_coulomb_high_k_norm_finite(k):
+    # the outer quadrature nodes reach r ~ 1e5, where (r + i) to a power of order k overflows
+    fn = radial_eigenfunction("coulomb", UNIT[3], radial_coefficients(3, 1, 1), k)
+    with np.errstate(over="raise", invalid="raise"):
+        assert math.isfinite(fn.norm_squared(480))
+    assert math.isfinite(abs(fn(1e5)))
+
+
+def test_coulomb_high_k_verified_only_when_accurate():
+    """k = 34..40 at r0 = 0.7, where |f| is about 1e-48, far below an
+    absolute floor such as 1e-30 that would make the match test absolute."""
+    params = PhysicalParams(3, 1.0, 1.0, 1.0, 1.0)
+    co = radial_coefficients(3, 1, 1)
+    for level in spectrum("coulomb", params, co, 34, 40).levels:
+        if not level.branch_check:
+            continue
+        fn = radial_eigenfunction("coulomb", params, co, level.k)
+        with mpmath.workdps(REF_DIGITS):
+            want = complex(_reference("coulomb", params, co, level.k, fn.energy)(mpmath.mpf(0.7)))
+        for got in (fn(0.7), fn.hypergeometric_value(0.7)):
+            assert abs(got - want) <= 1e-10 * abs(want), (level.k, got, want)
