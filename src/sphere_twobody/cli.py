@@ -8,7 +8,9 @@ diagnostics to stderr.  Exit codes: 0 success, 2 validation error,
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import sys
 
 from . import __version__
@@ -353,6 +355,14 @@ def cmd_fuchs(args):
     return 0
 
 
+def _check_doc(chk):
+    """JSON form of a CheckResult: every field but the timing, non-finite -> null."""
+    doc = dataclasses.asdict(chk)
+    del doc["seconds"]  # timings go to stderr so stdout stays deterministic
+    return {key: None if isinstance(v, float) and not math.isfinite(v) else v
+            for key, v in doc.items()}
+
+
 def cmd_verify(args):
     reports = run_suite(args.suite)
     if not isinstance(reports, list):
@@ -361,7 +371,9 @@ def cmd_verify(args):
     for rpt in reports:
         for chk in rpt.checks:
             tag = "ok" if chk.passed else "FAIL"
-            sys.stderr.write(f"[{rpt.name}] {tag}: {chk.name} -- {chk.detail}\n")
+            sys.stderr.write(
+                f"[{rpt.name}] {tag}: {chk.name} -- {chk.detail} ({chk.seconds:.2f}s)\n"
+            )
             failed += 0 if chk.passed else 1
         sys.stderr.write(f"[{rpt.name}] finished in {rpt.seconds:.1f}s\n")
     doc = {
@@ -370,10 +382,7 @@ def cmd_verify(args):
             {
                 "name": rpt.name,
                 "ok": rpt.ok,
-                "checks": [
-                    {"name": c.name, "passed": c.passed, "detail": c.detail}
-                    for c in rpt.checks
-                ],
+                "checks": [_check_doc(c) for c in rpt.checks],
             }
             for rpt in reports
         ],

@@ -1,16 +1,20 @@
 """Verification suites: every closed form against an independent route.
 
-Each check_* function exercises one verifiable claim over a parameter grid
-and returns a CheckResult with the worst deviation seen; suites bundle them
-for the command-line `verify` subcommand.  The acceptance tests run the
-same functions at their default grid sizes, so CLI verification and
-the test suite cannot drift apart.
+Each check_* function walks its whole parameter grid through one fold,
+`_fold`, into a CheckResult with numeric fields.  A row fails unless
+deviation <= tolerance, so NaN fails; a case that raises fails with the
+exception text, and the fold moves on.  Suites bundle the checks for the
+command-line `verify` subcommand; the acceptance tests run the same
+functions, so CLI verification and the test suite cannot drift apart.
 """
 
+import collections
+import dataclasses
 import itertools
 import math
 import random
 import time
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,9 +79,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CheckResult:
+    """Outcome of one check: `count` cases ran and `failed` failed, the first
+    as `first_failure`.  `worst` and `tol` belong to the row with the largest
+    deviation/tolerance ratio, `margin` is that ratio (0 for an exact match,
+    non-finite for an exact miss or a raised case).  run_suite sets `seconds`."""
+
     name: str
     passed: bool
     detail: str
+    worst: float = 0.0
+    tol: float = 0.0
+    margin: float = 0.0
+    count: int = 0
+    failed: int = 0
+    first_failure: str = None
+    seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -89,6 +105,50 @@ class SuiteReport:
     @property
     def ok(self):
         return all(c.passed for c in self.checks)
+
+
+def _fold(name, noun, cases, summary):
+    """Fold (where, rows) cases into one CheckResult.
+
+    `rows` yields (quantity, deviation, tolerance) and is consumed here, so a
+    ConvergenceError or VerificationError it raises fails only its own case.
+    A pass reads `summary(t)`; t has count, worst and seen (per quantity).
+    """
+    t = types.SimpleNamespace(count=0, worst=collections.defaultdict(float),
+                              seen=collections.Counter())
+    failed, first, pairs = 0, None, []  # pairs: (deviation, tol) of every row
+    for where, rows in cases:
+        t.count += 1
+        miss = None
+        try:
+            for quantity, dev, tol in rows:
+                t.seen[quantity] += 1
+                if math.isnan(dev) or dev > t.worst[quantity]:
+                    t.worst[quantity] = dev
+                pairs.append((float(dev), float(tol)))
+                if miss is None and not dev <= tol:
+                    miss = f"{quantity} {dev:.2e}"
+        except (ConvergenceError, VerificationError) as exc:
+            pairs.append((math.nan, math.nan))
+            miss = miss or str(exc)
+        if miss is not None:
+            failed += 1
+            first = first or f"{where}: {miss}"
+    if failed:
+        worsts = [", ".join(f"worst {q} {w:.2e}" for q, w in t.worst.items())] if t.worst else []
+        detail = "; ".join([f"{failed} of {t.count} {noun} failed", *worsts,
+                            f"first failure {first}"])
+    else:
+        detail = summary(t)
+    worst, tol = max(pairs, key=lambda pair: _rank(*pair), default=(0.0, 0.0))
+    return CheckResult(name, not failed, detail, worst, tol, _rank(worst, tol)[1],
+                       t.count, failed, first)
+
+
+def _rank(dev, tol):
+    """Sort key of deviation/tolerance: NaN outranks every number (max keeps the first tie)."""
+    ratio = dev / tol if tol > 0 else 0.0 if dev == 0 else math.inf
+    return math.isnan(ratio), ratio
 
 
 def _ladder_weights(max_rank, max_mk):
@@ -108,40 +168,21 @@ def _ladder_weights(max_rank, max_mk):
 
 def check_structure_relations(max_rank=6, max_mk=8):
     """All operator relations, exactly, over every ladder module in range."""
-    count = 0
-    failures = []
-    for alg, w in _ladder_weights(max_rank, max_mk):
-        rep = build_ladder_rep(alg, w)
-        try:
-            verify_structure_relations(rep)  # raises on any nonzero residual
-        except VerificationError as exc:
-            failures.append(f"{alg}{w}: {exc}")
-        count += 1
-    if failures:
-        return CheckResult(
-            "structure relations (exact)",
-            False,
-            f"{len(failures)} of {count} modules failed; first {failures[0]}",
-        )
-    return CheckResult(
-        "structure relations (exact)",
-        True,
-        f"{count} modules across B1..B{max_rank}, D2..D{max_rank}, entries <= {max_mk}",
+    def module(alg, w):
+        verify_structure_relations(build_ladder_rep(alg, w))  # raises on any nonzero residual
+        yield from ()
+
+    return _fold(
+        "structure relations (exact)", "modules",
+        ((f"{alg}{w}", module(alg, w)) for alg, w in _ladder_weights(max_rank, max_mk)),
+        lambda t: f"{t.count} modules across B1..B{max_rank}, D2..D{max_rank}, "
+                  f"entries <= {max_mk}",
     )
 
 
 def check_classification_bruteforce(max_rank=4, max_mk=6, include_d3=False, tol=1e-10):
-    """Classified eigenvectors == numeric joint eigenspaces of {D0^2, D1, D2}.
-
-    Checks every module; a failure reports how many modules failed, the
-    worst deviations and the first failure.
-    """
-    worst_eig = 0.0
-    worst_span = 0.0
-    modules = 0
-    vectors = 0
-    failures = []
-    for alg, w in _ladder_weights(max_rank, max_mk):
+    """Classified eigenvectors == numeric joint eigenspaces of {D0^2, D1, D2}."""
+    def module(alg, w):
         rep = build_ladder_rep(alg, w)
         ops = operator_matrices(rep)
         recs = classify_common_eigenvectors(rep, alg.sphere_dim)
@@ -151,8 +192,9 @@ def check_classification_bruteforce(max_rank=4, max_mk=6, include_d3=False, tol=
             family.append(ops.D3.to_numpy())
             recs = [r for r in recs if r.delta3 is not None]
         joint = joint_diagonalize(family, require_commuting=False, tol=tol)
-        modules += 1
-        expected = []
+        if len(joint) != len(recs):
+            raise VerificationError(f"{len(joint)} joint eigenspaces but {len(recs)} classified")
+        free = list(range(len(joint)))
         for r in recs:
             tup = (float(r.delta0), float(r.delta1), float(r.delta2))
             if include_d3:
@@ -160,102 +202,64 @@ def check_classification_bruteforce(max_rank=4, max_mk=6, include_d3=False, tol=
             vec = np.zeros(rep.dim, dtype=complex)
             for j, coeff in r.coeffs.items():
                 vec[rep.index(j)] = float(coeff)
-            expected.append((tup, vec / np.linalg.norm(vec)))
-        if len(joint) != len(expected):
-            failures.append(
-                f"{alg}{w}: {len(joint)} joint eigenspaces but {len(expected)} classified"
-            )
-            continue
-        used = set()
-        for tup, vec in expected:
-            best, best_i = None, None
-            for i, js in enumerate(joint):
-                if i in used:
-                    continue
-                dev = max(abs(complex(a) - b) for a, b in zip(js.eigenvalues, tup))
-                if best is None or dev < best:
-                    best, best_i = dev, i
-            if best is None or best > tol:
-                worst_eig = max(worst_eig, best or 0.0)
-                failures.append(f"{alg}{w}: eigenvalues {tup} missing numerically (dev {best})")
-                break
-            used.add(best_i)
-            B = joint[best_i].basis
-            proj = B @ (B.conj().T @ vec)
-            span_dev = np.linalg.norm(vec - proj)
-            worst_eig = max(worst_eig, best)
-            worst_span = max(worst_span, span_dev)
-            if span_dev > 1e-8:
-                failures.append(
-                    f"{alg}{w}: classified vector outside numeric eigenspace ({span_dev:.2e})"
-                )
-                break
-            vectors += 1
+            vec /= np.linalg.norm(vec)
+            devs = [max(abs(complex(a) - b) for a, b in zip(joint[i].eigenvalues, tup))
+                    for i in free]
+            best = min(range(len(free)), key=devs.__getitem__)
+            yield "eigenvalue dev", devs[best], tol
+            B = joint[free.pop(best)].basis
+            yield "span dev", np.linalg.norm(vec - B @ (B.conj().T @ vec)), 1e-8
+
     ops_name = "{D0^2,D1,D2,D3}" if include_d3 else "{D0^2,D1,D2}"
-    name = f"classification vs joint diagonalization {ops_name}"
-    worst = f"worst eigenvalue dev {worst_eig:.2e}, span dev {worst_span:.2e}"
-    if failures:
-        return CheckResult(
-            name, False,
-            f"{len(failures)} of {modules} modules failed; {worst}; first failure {failures[0]}",
-        )
-    return CheckResult(name, True, f"{vectors} vectors over {modules} modules; {worst}")
+    return _fold(
+        f"classification vs joint diagonalization {ops_name}", "modules",
+        ((f"{alg}{w}", module(alg, w)) for alg, w in _ladder_weights(max_rank, max_mk)),
+        lambda t: f"{t.seen['span dev']} vectors over {t.count} modules; worst eigenvalue "
+                  f"dev {t.worst['eigenvalue dev']:.2e}, span dev {t.worst['span dev']:.2e}",
+    )
 
 
 def check_embedding(max_rank=5, tol=1e-12):
-    """Defining-representation formulas, every rank checked even after a miss."""
-    name = "defining-representation embedding"
-    worst = 0.0
-    failures = []
+    """Defining-representation formulas, rank by rank."""
+    def rank(k):
+        rpt = verify_embedding(k, tol=tol)
+        yield "deviation", max(rpt.max_deviation, rpt.j_identity_deviation), tol
+
+    return _fold(
+        "defining-representation embedding", "ranks",
+        ((f"k={k}", rank(k)) for k in range(2, max_rank + 1)),
+        lambda t: f"k = 2..{max_rank}, worst deviation {t.worst['deviation']:.2e}",
+    )
+
+
+def _dominant_weights(max_rank, max_entry):
+    """Dominant B_k then D_k weights, k = 2..max_rank, entries <= max_entry."""
+    entries = range(max_entry + 1)
     for k in range(2, max_rank + 1):
-        try:
-            rpt = verify_embedding(k, tol=tol)
-        except VerificationError as exc:
-            failures.append(f"k={k}: {exc}")
-            continue
-        worst = max(worst, rpt.max_deviation, rpt.j_identity_deviation)
-    if failures:
-        return CheckResult(
-            name, False, f"{len(failures)} of {max_rank - 1} ranks failed; first {failures[0]}"
-        )
-    return CheckResult(name, True, f"k = 2..{max_rank}, worst deviation {worst:.2e}")
-
-
-def _dominant_B(rank, max_entry):
-    return [
-        tuple(c)
-        for c in itertools.combinations_with_replacement(range(max_entry + 1), rank)
-    ]
-
-
-def _dominant_D(rank, max_entry):
-    out = []
-    for rest in itertools.combinations_with_replacement(range(max_entry + 1), rank - 1):
-        m2 = rest[0]
-        for m1 in range(-m2, m2 + 1):
-            out.append((m1,) + rest)
-    return out
+        B, D = AlgebraLabel("B", k), AlgebraLabel("D", k)
+        for coeffs in itertools.combinations_with_replacement(entries, k):
+            yield HighestWeight(B, coeffs)
+        for rest in itertools.combinations_with_replacement(entries, k - 1):
+            for m1 in range(-rest[0], rest[0] + 1):
+                yield HighestWeight(D, (m1,) + rest)
 
 
 def check_branching_sums(max_rank=4, max_entry=5):
     """Branching multiplicities are dimension-exact in both directions."""
-    count = 0
-    for k in range(2, max_rank + 1):
-        B, D, Bdown = AlgebraLabel("B", k), AlgebraLabel("D", k), AlgebraLabel("B", k - 1)
-        for alg, dominant, branch, sub in ((B, _dominant_B, branch_B_to_D, D),
-                                           (D, _dominant_D, branch_D_to_B, Bdown)):
-            for coeffs in dominant(k, max_entry):
-                w = HighestWeight(alg, coeffs)
-                total = sum(weyl_dim(sub, w2) for w2 in branch(w))
-                if total != weyl_dim(alg, w):
-                    return CheckResult(
-                        "branching dimension sums", False,
-                        f"{alg} {coeffs}: branch total {total} != dim {weyl_dim(alg, w)}",
-                    )
-                count += 1
-    return CheckResult(
-        "branching dimension sums", True,
-        f"{count} weights, B2..B{max_rank} and D2..D{max_rank}, entries <= {max_entry}",
+    def weight(w):
+        alg = w.algebra
+        if alg.series == "B":
+            branch, sub = branch_B_to_D, AlgebraLabel("D", alg.rank)
+        else:
+            branch, sub = branch_D_to_B, AlgebraLabel("B", alg.rank - 1)
+        total = sum(weyl_dim(sub, w2) for w2 in branch(w))
+        yield "dimension gap", abs(total - weyl_dim(alg, w)), 0
+
+    return _fold(
+        "branching dimension sums", "weights",
+        ((f"{w.algebra} {w.coeffs}", weight(w)) for w in _dominant_weights(max_rank, max_entry)),
+        lambda t: f"{t.count} weights, B2..B{max_rank} and D2..D{max_rank}, "
+                  f"entries <= {max_entry}",
     )
 
 
@@ -273,31 +277,15 @@ def _chain_count(alg, w):
 
 def check_invariant_dimension(max_rank=4, max_entry=5):
     """Closed-form invariant-subspace dimension == two-step chain count."""
-    count = 0
-    for k in range(2, max_rank + 1):
-        for series, gen in (("B", _dominant_B), ("D", _dominant_D)):
-            alg = AlgebraLabel(series, k)
-            for coeffs in gen(k, max_entry):
-                w = HighestWeight(alg, coeffs)
-                fast = invariant_subspace_dim(alg, w)
-                slow = _chain_count(alg, w)
-                if fast != slow:
-                    return CheckResult(
-                        "invariant subspace dimension", False,
-                        f"{alg} {coeffs}: closed form {fast} != chain count {slow}",
-                    )
-                count += 1
-    return CheckResult(
-        "invariant subspace dimension", True,
-        f"{count} weights against the two-step chain count",
+    def weight(w):
+        fast = invariant_subspace_dim(w.algebra, w)
+        yield "dimension gap", abs(fast - _chain_count(w.algebra, w)), 0
+
+    return _fold(
+        "invariant subspace dimension", "weights",
+        ((f"{w.algebra} {w.coeffs}", weight(w)) for w in _dominant_weights(max_rank, max_entry)),
+        lambda t: f"{t.count} weights against the two-step chain count",
     )
-
-
-def _acceptance_cases(n, mk_max=2):
-    """The symmetric (a = c) cases exercised by the spectrum checks."""
-    if n == 2:
-        return [(1, None), (2, None), (5, None)]
-    return [(1, mk) for mk in range(mk_max + 1)] + [(4, 2)]
 
 
 def _grid_params(n):
@@ -305,116 +293,74 @@ def _grid_params(n):
     return PhysicalParams(n, 2.0, 2.0, 1.0, 1.0)
 
 
+def _level_cases(kind, n_values, k_values, mk_max, rows):
+    """(where, rows(params, coeffs, k)) over the symmetric (a = c) sectors' levels."""
+    if k_values is None:
+        k_values = (1, 2, 3) if kind == KIND_COULOMB else (0, 1, 2)
+    for n in n_values:
+        params = _grid_params(n)
+        cases = ([(1, None), (2, None), (5, None)] if n == 2
+                 else [(1, mk) for mk in range(mk_max + 1)] + [(4, 2)])
+        for case_id, mk in cases:
+            coeffs = radial_coefficients(n, case_id, mk)
+            for k in k_values:
+                yield f"n={n} case={case_id} mk={mk} k={k}", rows(params, coeffs, k)
+
+
 def check_spectrum_vs_shooting(kind, n_values=(2, 3, 4, 5), k_values=None,
                                mk_max=2, rel_tol=1e-6):
     """Closed-form levels against the shooting oracle over the whole grid."""
-    if k_values is None:
-        k_values = (1, 2, 3) if kind == KIND_COULOMB else (0, 1, 2)
-    worst, worst_at = 0.0, None
-    count = 0
-    failures = []
-    for n in n_values:
-        for case_id, mk in _acceptance_cases(n, mk_max):
-            coeffs = radial_coefficients(n, case_id, mk)
-            params = _grid_params(n)
-            energies = {k: closed_form_energy(kind, params, coeffs, k) for k in k_values}
-            for k in k_values:
-                E = energies[k]
-                gap = min(
-                    abs(closed_form_energy(kind, params, coeffs, k + 1) - E), 2.0
-                )
-                lo, hi = E - 0.35 * gap, E + 0.35 * gap
-                where = f"n={n} case={case_id} mk={mk} k={k}"
-                count += 1
-                try:
-                    got = shooting_eigenvalue(kind, params, coeffs, lo, hi)
-                except ConvergenceError as exc:
-                    failures.append(f"{where}: {exc}")
-                    continue
-                rel = abs(got.energy - E) / max(1.0, abs(E))
-                if rel > rel_tol:
-                    failures.append(
-                        f"{where}: closed {E!r} vs shooting {got.energy!r} (rel {rel:.2e})"
-                    )
-                if worst_at is None or rel > worst:
-                    worst, worst_at = rel, where
-    if failures:
-        detail = f"{len(failures)} of {count} levels failed"
-        if worst_at is not None:
-            detail += f"; worst relative deviation {worst:.2e} at {worst_at}"
-        return CheckResult(
-            f"{kind} spectrum vs shooting", False,
-            f"{detail}; first failure {failures[0]}",
-        )
-    return CheckResult(
-        f"{kind} spectrum vs shooting", True,
-        f"{count} levels, worst relative deviation {worst:.2e}",
+    def level(params, coeffs, k):
+        E = closed_form_energy(kind, params, coeffs, k)
+        gap = min(abs(closed_form_energy(kind, params, coeffs, k + 1) - E), 2.0)
+        got = shooting_eigenvalue(kind, params, coeffs, E - 0.35 * gap, E + 0.35 * gap)
+        yield "relative deviation", abs(got.energy - E) / max(1.0, abs(E)), rel_tol
+
+    return _fold(
+        f"{kind} spectrum vs shooting", "levels",
+        _level_cases(kind, n_values, k_values, mk_max, level),
+        lambda t: f"{t.count} levels, worst relative deviation "
+                  f"{t.worst['relative deviation']:.2e}",
     )
 
 
 def check_pinned_values(kind):
     """Hand-checkable special values of the closed forms."""
     if kind == KIND_COULOMB:
-        params = _grid_params(3)
-        coeffs = radial_coefficients(3, 1, 0)
-        worst = 0.0
-        for k in range(1, 7):
-            E = closed_form_energy(kind, params, coeffs, k)
-            worst = max(worst, abs(E - ((k * k - 1) / 2.0 - 1.0 / (2.0 * k * k))))
-        ok = worst <= 1e-12
-        return CheckResult(
-            "coulomb pinned values (n=3, free case)", ok,
-            f"k=1..6 against (k^2-1)/2 - 1/(2k^2), worst {worst:.2e}",
-        )
-    params = _grid_params(2)
-    coeffs = radial_coefficients(2, 1)
-    E0 = closed_form_energy(kind, params, coeffs, 0)
-    dev = abs(E0 - (0.5 + math.sqrt(5.0) / 2.0))
-    return CheckResult(
-        "oscillator pinned value (n=2, ground)", dev <= 1e-12,
-        f"E_0 = {E0!r} vs 1/2 + sqrt(5)/2 (dev {dev:.2e})",
-    )
+        params, coeffs = _grid_params(3), radial_coefficients(3, 1, 0)
+        pins = {k: (k * k - 1) / 2.0 - 1.0 / (2.0 * k * k) for k in range(1, 7)}
+    else:
+        params, coeffs = _grid_params(2), radial_coefficients(2, 1)
+        pins = {0: 0.5 + math.sqrt(5.0) / 2.0}
+    E = {k: closed_form_energy(kind, params, coeffs, k) for k in pins}
+    cases = ((f"k={k}", [("deviation", abs(E[k] - pin), 1e-12)]) for k, pin in pins.items())
+    if kind == KIND_COULOMB:
+        return _fold("coulomb pinned values (n=3, free case)", "levels", cases, lambda t: (
+            f"k=1..6 against (k^2-1)/2 - 1/(2k^2), worst {t.worst['deviation']:.2e}"))
+    return _fold("oscillator pinned value (n=2, ground)", "levels", cases, lambda t: (
+        f"E_0 = {E[0]!r} vs 1/2 + sqrt(5)/2 (dev {t.worst['deviation']:.2e})"))
 
 
 def check_eigenfunction_residuals(kind, n_values=(2, 3, 4, 5), k_values=None,
                                   mk_max=2, n_points=100, tol=1e-9,
                                   norm_nodes=(240, 480), norm_tol=1e-8):
     """Jet ODE residuals and quadrature-stable norms, on every eigenfunction."""
-    if k_values is None:
-        k_values = (1, 2, 3) if kind == KIND_COULOMB else (0, 1, 2)
     rs = sample_radii(kind, n_points)
-    worst_res, worst_norm = 0.0, 0.0
-    count = 0
-    failures = []
-    for n in n_values:
-        for case_id, mk in _acceptance_cases(n, mk_max):
-            coeffs = radial_coefficients(n, case_id, mk)
-            params = _grid_params(n)
-            for k in k_values:
-                fn = radial_eigenfunction(kind, params, coeffs, k)
-                p, q = spectral_ode(kind, params, coeffs, fn.energy)
-                res = ode_residual(p, q, fn.jet, rs)
-                n1 = fn.norm_squared(norm_nodes[0])
-                n2 = fn.norm_squared(norm_nodes[1])
-                stab = abs(n1 - n2) / max(n1, 1e-300)
-                where = f"n={n} case={case_id} mk={mk} k={k}"
-                if not res <= tol:  # a NaN residual fails too
-                    failures.append(f"{where}: residual {res:.2e}")
-                elif not (n1 > 0.0 and stab <= norm_tol):
-                    failures.append(f"{where}: norm {n1!r} unstable (rel change {stab:.2e})")
-                worst_res = max(worst_res, res)
-                worst_norm = max(worst_norm, stab)
-                count += 1
-    worst = f"worst residual {worst_res:.2e}, worst norm drift {worst_norm:.2e}"
-    if failures:
-        return CheckResult(
-            f"{kind} eigenfunction residuals", False,
-            f"{len(failures)} of {count} eigenfunctions failed; {worst}; "
-            f"first failure {failures[0]}",
-        )
-    return CheckResult(
-        f"{kind} eigenfunction residuals", True,
-        f"{count} eigenfunctions x {n_points} points; {worst}",
+
+    def eigenfunction(params, coeffs, k):
+        fn = radial_eigenfunction(kind, params, coeffs, k)
+        p, q = spectral_ode(kind, params, coeffs, fn.energy)
+        yield "residual", ode_residual(p, q, fn.jet, rs), tol
+        n1, n2 = (fn.norm_squared(nodes) for nodes in norm_nodes)
+        # a norm that is not positive has no drift to speak of
+        drift = abs(n1 - n2) / max(n1, 1e-300) if n1 > 0.0 else math.nan
+        yield "norm drift", drift, norm_tol
+
+    return _fold(
+        f"{kind} eigenfunction residuals", "eigenfunctions",
+        _level_cases(kind, n_values, k_values, mk_max, eigenfunction),
+        lambda t: f"{t.count} eigenfunctions x {n_points} points; worst residual "
+                  f"{t.worst['residual']:.2e}, worst norm drift {t.worst['norm drift']:.2e}",
     )
 
 
@@ -423,113 +369,73 @@ def check_heun_reduction(kind, n_values=(2, 3, 4, 5),
                          probe_tol=1e-6, seed=20260814):
     """Heun parameters: consistency, symmetric degeneration, table placement."""
     rng = random.Random(seed)
-    worst = dict(consistency=0.0, sym_q=0.0, sym_ge=0.0, pull=0.0, probe=0.0,
-                 osc_id=0.0)
-    count_sym = count_asym = 0
-    for n in n_values:
-        for case_id in valid_cases(n):
-            mk = None if n == 2 else 2
-            coeffs = radial_coefficients(n, case_id, mk)
+
+    def parameter_set(params, coeffs, E):
+        red = to_heun(kind, params, coeffs, E)
+        hp = red.heun
+        yield "consistency", abs(hp.consistency_residual()), tol_consistency
+        scale = max(1.0, abs(hp.alpha * hp.beta), abs(hp.q))
+        yield "accessory probe", abs(accessory_parameter_probe(red) - hp.q) / scale, probe_tol
+        if kind == KIND_OSCILLATOR:
+            # sigma holds the halved endpoint exponents; the identity
+            # ab - q = rho1 (rho_inf - rho_0) relates the unhalved ones
+            s0, s1, s2 = red.sigma
+            identity = abs((hp.alpha * hp.beta - hp.q) - s1 * 2.0 * (s2 - s0)) / scale
+            yield "accessory identity", identity, tol_sym
+        match = maier_classify(hp)
+        if coeffs.symmetric:
+            yield "q-ab", abs(hp.q - hp.alpha * hp.beta) / scale, tol_sym
+            yield "g-e", abs(hp.gamma - hp.epsilon), tol_sym
+            if match is None or match.case_id != 1:  # then the pullback is undefined
+                raise VerificationError(f"symmetric equation matched {match}, not case 1")
+            yield "pullback", case1_pullback_residual(hp), tol_pull
+        elif match is not None:
+            raise VerificationError(f"asymmetric equation matched reduction case {match.case_id}")
+
+    def cases():
+        for n in n_values:
             params = _grid_params(n)
-            energies = [rng.uniform(-2.0, 6.0) for _ in range(2)]
-            if coeffs.symmetric:
-                energies.append(closed_form_energy(kind, params, coeffs, 1))
-            for E in energies:
-                red = to_heun(kind, params, coeffs, E)
-                hp = red.heun
-                worst["consistency"] = max(
-                    worst["consistency"], abs(hp.consistency_residual())
-                )
-                if worst["consistency"] > tol_consistency:
-                    return CheckResult(
-                        f"{kind} Heun reduction", False,
-                        f"n={n} case={case_id} E={E}: parameter sum residual "
-                        f"{worst['consistency']:.2e}",
-                    )
-                scale = max(1.0, abs(hp.alpha * hp.beta), abs(hp.q))
-                probe_dev = abs(accessory_parameter_probe(red) - hp.q) / scale
-                worst["probe"] = max(worst["probe"], probe_dev)
-                if probe_dev > probe_tol:
-                    return CheckResult(
-                        f"{kind} Heun reduction", False,
-                        f"n={n} case={case_id} E={E}: accessory parameter "
-                        f"probe off by {probe_dev:.2e}",
-                    )
-                if kind == KIND_OSCILLATOR:
-                    # sigma holds the halved endpoint exponents; the identity
-                    # relates the unhalved ones
-                    s0, s1, s2 = red.sigma
-                    dev = abs(
-                        (hp.alpha * hp.beta - hp.q) - s1 * 2.0 * (s2 - s0)
-                    ) / scale
-                    worst["osc_id"] = max(worst["osc_id"], dev)
-                    if dev > tol_sym:
-                        return CheckResult(
-                            f"{kind} Heun reduction", False,
-                            f"n={n} case={case_id} E={E}: accessory identity "
-                            f"ab-q = rho1*(rho_inf - rho_0) off by {dev:.2e}",
-                        )
-                match = maier_classify(hp)
+            for case_id in valid_cases(n):
+                coeffs = radial_coefficients(n, case_id, None if n == 2 else 2)
+                energies = [rng.uniform(-2.0, 6.0) for _ in range(2)]
                 if coeffs.symmetric:
-                    dq = abs(hp.q - hp.alpha * hp.beta) / scale
-                    dge = abs(hp.gamma - hp.epsilon)
-                    pull = case1_pullback_residual(hp)
-                    worst["sym_q"] = max(worst["sym_q"], dq)
-                    worst["sym_ge"] = max(worst["sym_ge"], dge)
-                    worst["pull"] = max(worst["pull"], pull)
-                    if dq > tol_sym or dge > tol_sym or pull > tol_pull or (
-                        match is None or match.case_id != 1
-                    ):
-                        return CheckResult(
-                            f"{kind} Heun reduction", False,
-                            f"n={n} case={case_id} E={E}: symmetric degeneration "
-                            f"failed (q-ab {dq:.2e}, g-e {dge:.2e}, pullback "
-                            f"{pull:.2e}, match {match})",
-                        )
-                    count_sym += 1
-                else:
-                    if match is not None:
-                        return CheckResult(
-                            f"{kind} Heun reduction", False,
-                            f"n={n} case={case_id} E={E}: asymmetric equation "
-                            f"wrongly matched reduction case {match.case_id}",
-                        )
-                    count_asym += 1
-    return CheckResult(
-        f"{kind} Heun reduction", True,
-        f"{count_sym} symmetric + {count_asym} asymmetric parameter sets; "
-        f"worst consistency {worst['consistency']:.2e}, q-ab {worst['sym_q']:.2e}, "
-        f"pullback {worst['pull']:.2e}, accessory probe {worst['probe']:.2e}",
-    )
+                    energies.append(closed_form_energy(kind, params, coeffs, 1))
+                for E in energies:
+                    yield f"n={n} case={case_id} E={E}", parameter_set(params, coeffs, E)
+
+    def summary(t):
+        w, sym = t.worst, t.seen["q-ab"]
+        return (f"{sym} symmetric + {t.count - sym} asymmetric parameter sets; "
+                f"worst consistency {w['consistency']:.2e}, q-ab {w['q-ab']:.2e}, "
+                f"pullback {w['pullback']:.2e}, accessory probe {w['accessory probe']:.2e}")
+
+    return _fold(f"{kind} Heun reduction", "parameter sets", cases(), summary)
 
 
 def check_fuchs_sums(kind, draws=500, seed=20260814, tol=1e-12):
     """Exponent sums equal (points - 2) for random parameter draws."""
     rng = random.Random(seed + (0 if kind == KIND_COULOMB else 1))
     expected = 2.0 if kind == KIND_COULOMB else 4.0
-    worst = 0.0
-    for _ in range(draws):
-        n = rng.randint(2, 6)
-        case_id = rng.choice(valid_cases(n))
-        mk = None if n == 2 else rng.randint(2, 4)
-        coeffs = radial_coefficients(n, case_id, mk)
-        mass = rng.uniform(0.4, 3.0)
-        params = PhysicalParams(n, mass, mass, rng.uniform(0.3, 2.5),
-                                rng.uniform(-2.0, 2.0))
-        E = rng.uniform(-6.0, 10.0)
-        eq = (coulomb_exponents if kind == KIND_COULOMB else oscillator_exponents)(
-            params, coeffs, E
-        )
-        dev = abs(eq.fuchs_sum() - expected)
-        if dev > tol:
-            return CheckResult(
-                f"{kind} exponent sums", False,
-                f"n={n} case={case_id} E={E}: sum off by {dev:.2e}",
-            )
-        worst = max(worst, dev)
-    return CheckResult(
-        f"{kind} exponent sums", True,
-        f"{draws} draws, sum = {expected:g} within {worst:.2e}",
+    exponents = coulomb_exponents if kind == KIND_COULOMB else oscillator_exponents
+
+    def draw(params, coeffs, E):
+        yield "sum deviation", abs(exponents(params, coeffs, E).fuchs_sum() - expected), tol
+
+    def cases():
+        for _ in range(draws):
+            n = rng.randint(2, 6)
+            case_id = rng.choice(valid_cases(n))
+            mk = None if n == 2 else rng.randint(2, 4)
+            coeffs = radial_coefficients(n, case_id, mk)
+            mass = rng.uniform(0.4, 3.0)
+            params = PhysicalParams(n, mass, mass, rng.uniform(0.3, 2.5),
+                                    rng.uniform(-2.0, 2.0))
+            E = rng.uniform(-6.0, 10.0)
+            yield f"n={n} case={case_id} E={E}", draw(params, coeffs, E)
+
+    return _fold(
+        f"{kind} exponent sums", "draws", cases(),
+        lambda t: f"{t.count} draws, sum = {expected:g} within {t.worst['sum deviation']:.2e}",
     )
 
 
@@ -543,26 +449,26 @@ def _hyperfun_rng_params(rng):
 def check_hyperfun_dual_path(draws=150, seed=20260814, tol=1e-10):
     """Series route == connection route on the overlap ring."""
     rng = random.Random(seed)
-    worst = 0.0
-    done = 0
-    while done < draws:
-        z = rng.uniform(0.30, 0.72) + 1j * rng.uniform(-0.28, 0.28)
-        if abs(z) > 0.75 or abs(1 - z) > 0.75:
-            continue
-        alpha, beta, gamma = _hyperfun_rng_params(rng)
+
+    def agreement(alpha, beta, gamma, z):
         s = gauss_2f1(alpha, beta, gamma, z, method="series")
         c = gauss_2f1(alpha, beta, gamma, z, method="connection")
-        rel = abs(s - c) / max(abs(s), 1.0)
-        if rel > tol:
-            return CheckResult(
-                "2F1 dual-path agreement", False,
-                f"({alpha}, {beta}; {gamma}; {z}): series vs connection differ by {rel:.2e}",
-            )
-        worst = max(worst, rel)
-        done += 1
-    return CheckResult(
-        "2F1 dual-path agreement", True,
-        f"{draws} draws on the overlap ring, worst {worst:.2e}",
+        yield "relative difference", abs(s - c) / max(abs(s), 1.0), tol
+
+    def cases():
+        done = 0
+        while done < draws:
+            z = rng.uniform(0.30, 0.72) + 1j * rng.uniform(-0.28, 0.28)
+            if abs(z) > 0.75 or abs(1 - z) > 0.75:
+                continue
+            alpha, beta, gamma = _hyperfun_rng_params(rng)
+            done += 1
+            yield f"({alpha}, {beta}; {gamma}; {z})", agreement(alpha, beta, gamma, z)
+
+    return _fold(
+        "2F1 dual-path agreement", "draws", cases(),
+        lambda t: f"{t.count} draws on the overlap ring, "
+                  f"worst {t.worst['relative difference']:.2e}",
     )
 
 
@@ -583,7 +489,8 @@ def _richardson_limit(alpha, beta, gamma, gap):
 def check_hyperfun_limit(draws=60, seed=20260814, tol=1e-6):
     """Singular-limit coefficient against Richardson extrapolation near z = 1."""
     rng = random.Random(seed)
-    cases = [(1.0, 1.0, 0.5)]  # limit = pi/2
+    pinned = (1.0, 1.0, 0.5)  # limit = pi/2
+    cases = [pinned]
     while len(cases) < draws:
         alpha = rng.uniform(0.3, 2.0)
         beta = rng.uniform(0.3, 2.0)
@@ -594,96 +501,84 @@ def check_hyperfun_limit(draws=60, seed=20260814, tol=1e-6):
         if abs(gamma - round(gamma)) < 1e-3 and round(gamma) <= 0:
             continue
         cases.append((alpha, beta, gamma))
-    worst = 0.0
-    for alpha, beta, gamma in cases:
-        gap = (alpha + beta - gamma).real if isinstance(alpha, complex) else alpha + beta - gamma
+
+    def coefficient(alpha, beta, gamma):
         C = limit_near_one(alpha, beta, gamma)
-        rel = abs(_richardson_limit(alpha, beta, gamma, gap) - C) / abs(C)
-        if rel > tol:
-            return CheckResult(
-                "2F1 singular limit", False,
-                f"({alpha}, {beta}; {gamma}): coefficient off by {rel:.2e}",
-            )
-        worst = max(worst, rel)
-    dev_pi = abs(limit_near_one(1.0, 1.0, 0.5) - math.pi / 2.0)
-    if dev_pi > 1e-12:
-        return CheckResult(
-            "2F1 singular limit", False,
-            f"pinned value pi/2 off by {dev_pi:.2e}",
-        )
-    return CheckResult(
-        "2F1 singular limit", True,
-        f"{len(cases)} parameter sets, worst relative deviation {worst:.2e}",
+        extrapolated = _richardson_limit(alpha, beta, gamma, alpha + beta - gamma)
+        yield "relative deviation", abs(extrapolated - C) / abs(C), tol
+        if (alpha, beta, gamma) == pinned:
+            yield "pinned pi/2 deviation", abs(C - math.pi / 2.0), 1e-12
+
+    return _fold(
+        "2F1 singular limit", "parameter sets",
+        ((f"({a}, {b}; {g})", coefficient(a, b, g)) for a, b, g in cases),
+        lambda t: f"{t.count} parameter sets, worst relative deviation "
+                  f"{t.worst['relative deviation']:.2e}",
     )
 
 
 def check_hyperfun_ode(draws=120, seed=20260814, tol=1e-9):
     """Residual of the hypergeometric equation at random points."""
     rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(draws):
-        alpha, beta, gamma = _hyperfun_rng_params(rng)
-        if rng.random() < 0.5:
-            z = rng.uniform(-0.6, 0.6) + 1j * rng.uniform(-0.4, 0.4)
-        else:
-            z = rng.uniform(0.4, 0.95) + 1j * rng.uniform(-0.2, 0.2)
-        if abs(z) > 0.75 and abs(1 - z) > 0.75:
-            continue
+
+    def residual(alpha, beta, gamma, z):
         F = gauss_2f1(alpha, beta, gamma, z)
         res = abs(hypergeom_ode_residual(alpha, beta, gamma, z)) / max(abs(F), 1.0)
-        if res > tol:
-            return CheckResult(
-                "2F1 differential equation residual", False,
-                f"({alpha}, {beta}; {gamma}; {z}): residual {res:.2e}",
-            )
-        worst = max(worst, res)
-    return CheckResult(
-        "2F1 differential equation residual", True,
-        f"worst scaled residual {worst:.2e}",
+        yield "scaled residual", res, tol
+
+    def cases():
+        for _ in range(draws):
+            alpha, beta, gamma = _hyperfun_rng_params(rng)
+            if rng.random() < 0.5:
+                z = rng.uniform(-0.6, 0.6) + 1j * rng.uniform(-0.4, 0.4)
+            else:
+                z = rng.uniform(0.4, 0.95) + 1j * rng.uniform(-0.2, 0.2)
+            if abs(z) > 0.75 and abs(1 - z) > 0.75:
+                continue
+            yield f"({alpha}, {beta}; {gamma}; {z})", residual(alpha, beta, gamma, z)
+
+    return _fold(
+        "2F1 differential equation residual", "points", cases(),
+        lambda t: f"worst scaled residual {t.worst['scaled residual']:.2e}",
     )
 
 
-SUITE_NAMES = ("ladder", "branching", "coulomb", "oscillator", "hyperfun")
+_KIND_CHECKS = ("check_pinned_values", "check_spectrum_vs_shooting",
+                "check_eigenfunction_residuals", "check_heun_reduction", "check_fuchs_sums")
+
+# suite name -> (check function name, keyword arguments); the names resolve
+# to module globals when the suite runs
+_SUITES = {
+    "ladder": (
+        ("check_structure_relations", {}),
+        ("check_classification_bruteforce", {}),
+        ("check_classification_bruteforce", {"include_d3": True}),
+        ("check_embedding", {}),
+    ),
+    "branching": (("check_branching_sums", {}), ("check_invariant_dimension", {})),
+    **{kind: tuple((check, {"kind": kind}) for check in _KIND_CHECKS)
+       for kind in (KIND_COULOMB, KIND_OSCILLATOR)},
+    "hyperfun": (
+        ("check_hyperfun_dual_path", {}),
+        ("check_hyperfun_limit", {}),
+        ("check_hyperfun_ode", {}),
+    ),
+}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name):
     """Run one named suite (or 'all') and return SuiteReport(s)."""
     if name == "all":
         return [run_suite(s) for s in SUITE_NAMES]
-    t0 = time.perf_counter()
-    if name == "ladder":
-        checks = (
-            check_structure_relations(),
-            check_classification_bruteforce(),
-            check_classification_bruteforce(include_d3=True),
-            check_embedding(),
-        )
-    elif name == "branching":
-        checks = (check_branching_sums(), check_invariant_dimension())
-    elif name == "coulomb":
-        checks = (
-            check_pinned_values(KIND_COULOMB),
-            check_spectrum_vs_shooting(KIND_COULOMB),
-            check_eigenfunction_residuals(KIND_COULOMB),
-            check_heun_reduction(KIND_COULOMB),
-            check_fuchs_sums(KIND_COULOMB),
-        )
-    elif name == "oscillator":
-        checks = (
-            check_pinned_values(KIND_OSCILLATOR),
-            check_spectrum_vs_shooting(KIND_OSCILLATOR),
-            check_eigenfunction_residuals(KIND_OSCILLATOR),
-            check_heun_reduction(KIND_OSCILLATOR),
-            check_fuchs_sums(KIND_OSCILLATOR),
-        )
-    elif name == "hyperfun":
-        checks = (
-            check_hyperfun_dual_path(),
-            check_hyperfun_limit(),
-            check_hyperfun_ode(),
-        )
-    else:
+    if name not in _SUITES:
         raise ValidationError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)} or all"
         )
-    return SuiteReport(name, checks, time.perf_counter() - t0)
+    t0 = time.perf_counter()
+    checks = []
+    for check, kwargs in _SUITES[name]:
+        t1 = time.perf_counter()
+        result = globals()[check](**kwargs)
+        checks.append(dataclasses.replace(result, seconds=time.perf_counter() - t1))
+    return SuiteReport(name, tuple(checks), time.perf_counter() - t0)

@@ -281,7 +281,7 @@ def test_verify_reports_structure_failure(capsys, monkeypatch):
     structure = doc["suites"][0]["checks"][0]
     assert structure["name"] == "structure relations (exact)"
     assert structure["passed"] is False
-    assert "first B1(0,): [D0,D1] = -2 D3 fails" in structure["detail"]
+    assert "first failure B1(0,): [D0,D1] = -2 D3 fails" in structure["detail"]
     assert "[ladder] FAIL" in err
 
 
@@ -302,8 +302,29 @@ def test_verify_reports_embedding_failure(capsys, monkeypatch):
     embedding = doc["suites"][0]["checks"][-1]
     assert embedding["name"] == "defining-representation embedding"
     assert embedding["passed"] is False
-    assert embedding["detail"].startswith("4 of 4 ranks failed; first k=2: ")
+    assert embedding["detail"].startswith("4 of 4 ranks failed; first failure k=2: ")
     assert "[ladder] FAIL: defining-representation embedding" in err
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_verify_json_stays_strict_when_a_deviation_is_nan(capsys, monkeypatch):
+    monkeypatch.setattr(suites, "limit_near_one", lambda *args: math.nan)
+    rc, out, err = run_cli(capsys, ["verify", "--suite", "hyperfun"])
+    assert rc == 3
+    doc = json.loads(out, parse_constant=_reject_constant)  # no NaN/Infinity tokens
+    checks = {c["name"]: c for c in doc["suites"][0]["checks"]}
+    limit = checks["2F1 singular limit"]
+    assert (limit["passed"], limit["count"], limit["failed"]) == (False, 60, 60)
+    assert limit["worst"] is None and limit["margin"] is None
+    assert limit["tol"] == 1e-6
+    assert limit["first_failure"] == "(1.0, 1.0; 0.5): relative deviation nan"
+    assert checks["2F1 dual-path agreement"]["passed"] is True
+    assert "[hyperfun] FAIL: 2F1 singular limit -- 60 of 60 parameter sets failed" in err
+    rc_again, out_again, _ = run_cli(capsys, ["verify", "--suite", "hyperfun"])
+    assert (rc_again, out_again) == (rc, out)  # timings stay on stderr
 
 
 def _in_process_stdout(capsys, argv):

@@ -7,7 +7,10 @@ refactored to share their indicial data, quadrature rule and residual rule;
 a refactor that changes any printed digit fails here.  The two `--samples`
 files were regenerated once, when eigenfunction values moved from the
 term-by-term sum to the contiguous-relation recurrence: their sample digits
-moved by at most 2.3e-16, every other byte stayed the same.
+moved by at most 2.3e-16, every other byte stayed the same.  The two `verify`
+files were written when check records gained numeric fields (worst, tol,
+margin, count, failed, first_failure); with those keys deleted they are the
+bytes the suites printed before, and every `detail` string is unchanged.
 """
 
 from pathlib import Path
@@ -61,6 +64,10 @@ GOLDEN_CASES = {
         ["fuchs", "--kind", "oscillator", "--n", "2", "--case", "6", "--energy", "1.3"],
     "fuchs_oscillator_degenerate":
         ["fuchs"] + _OSC2 + ["--k", "0"],
+    "verify_hyperfun":
+        ["verify", "--suite", "hyperfun"],
+    "verify_branching":
+        ["verify", "--suite", "branching"],
 }
 
 
