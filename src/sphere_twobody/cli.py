@@ -38,6 +38,7 @@ from .radial import (
 )
 from .spectra import (
     BRANCH_TOLERANCE,
+    K_MIN,
     MATCH_TOLERANCE,
     closed_form_energy,
     radial_eigenfunction,
@@ -47,29 +48,6 @@ from .suites import SUITE_NAMES, run_suite
 
 _TOOL = "sphere-twobody"
 _KINDS = (KIND_COULOMB, KIND_OSCILLATOR)
-
-# config keys and the conversions applied when they substitute for flags
-_CONFIG_TYPES = {
-    "kind": str,
-    "n": int,
-    "case": int,
-    "mk": int,
-    "mk1": int,
-    "m1": float,
-    "m2": float,
-    "radius": float,
-    "coupling": float,
-    "k_min": int,
-    "k_max": int,
-    "format": str,
-    "samples": int,
-    "series": str,
-    "rank": int,
-    "weights": str,
-    "energy": float,
-    "k": int,
-    "suite": str,
-}
 
 
 def _jnum(z):
@@ -84,7 +62,7 @@ def _emit_json(doc):
     sys.stdout.write(json.dumps(doc) + "\n")
 
 
-def _load_config(path):
+def _load_config(path, known):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -99,30 +77,40 @@ def _load_config(path):
             raise ValidationError(f"{path}:{ln}: expected 'key = value', got {raw!r}")
         key, val = line.split("=", 1)
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_TYPES:
+        if key not in known:
             raise ValidationError(f"{path}:{ln}: unknown config key {key!r}")
         data[key] = val.strip()
     return data
 
 
-def _apply_config(args, argv):
-    """Fill in flags from the config file; explicit flags win."""
+def _apply_config(parser, args, argv):
+    """Fill in flags from the config file, converted and checked like the flags; explicit
+    flags win and keys of other subcommands are ignored."""
     if not args.config:
         return
     explicit = set()
     for tok in argv:
         if tok.startswith("--"):
             explicit.add(tok[2:].split("=", 1)[0].replace("-", "_"))
-    for key, raw in _load_config(args.config).items():
-        if key in explicit or not hasattr(args, key):
+    subcommands = next(a for a in parser._actions if a.dest == "command").choices
+    flags = {name: {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
+             for name, sub in subcommands.items()}
+    for key, raw in _load_config(args.config, set().union(*flags.values())).items():
+        action = flags[args.command].get(key)
+        if key in explicit or action is None:
             continue
-        conv = _CONFIG_TYPES[key]
+        conv = action.type or str
         try:
-            setattr(args, key, conv(raw))
+            value = conv(raw)
         except ValueError as exc:
             raise ValidationError(
                 f"config key {key!r}: cannot convert {raw!r} to {conv.__name__}"
             ) from exc
+        if action.choices is not None and value not in action.choices:
+            raise ValidationError(
+                f"config key {key!r}: {raw!r} is not one of {', '.join(action.choices)}"
+            )
+        setattr(args, key, value)
 
 
 def _require(args, *names):
@@ -160,7 +148,7 @@ def cmd_spectrum(args):
     _require(args, "kind", "n", "case")
     params = _params_from_args(args)
     coeffs = radial_coefficients(args.n, args.case, args.mk)
-    k_floor = 1 if args.kind == KIND_COULOMB else 0
+    k_floor = K_MIN[args.kind]
     k_min = args.k_min if args.k_min is not None else k_floor
     k_max = args.k_max if args.k_max is not None else k_min + 4
     if k_min < k_floor:
@@ -258,8 +246,6 @@ def cmd_ladder(args):
         raise ValidationError(
             f"--weights expects comma-separated integers, got {args.weights!r}"
         ) from exc
-    if args.series not in ("B", "D"):
-        raise ValidationError(f"series must be B or D, got {args.series!r}")
     alg = AlgebraLabel(args.series, args.rank)
     rep = build_ladder_rep(alg, weight)
     report = verify_structure_relations(rep)  # raises VerificationError on failure
@@ -455,7 +441,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, argv)
+        _apply_config(parser, args, argv)
         return args.func(args)
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")

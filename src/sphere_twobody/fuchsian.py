@@ -56,6 +56,8 @@ class _Infinity:
 
 INFINITY = _Infinity()
 
+_TOL = 1e-10  # matches cross-ratio classes and reduction-table rows
+
 
 def _fmtc(x, nd=6):
     x = complex(x)
@@ -225,15 +227,15 @@ _HARMONIC = (-1 + 0j, 0.5 + 0j, 2 + 0j)
 _EQUIANHARMONIC = (0.5 + math.sqrt(3) / 2 * 1j, 0.5 - math.sqrt(3) / 2 * 1j)
 
 
-def cross_ratio_classify(s, tol=1e-10):
+def cross_ratio_classify(s):
     """'harmonic', 'equianharmonic', 'degenerate', or 'generic'."""
     s = complex(s)
     for v in (0.0, 1.0):
-        if abs(s - v) <= tol:
+        if abs(s - v) <= _TOL:
             return "degenerate"
-    if any(abs(v - h) <= tol for v in cross_ratio_orbit(s) for h in _HARMONIC):
+    if any(abs(v - h) <= _TOL for v in cross_ratio_orbit(s) for h in _HARMONIC):
         return "harmonic"
-    if any(abs(v - e) <= tol for v in cross_ratio_orbit(s) for e in _EQUIANHARMONIC):
+    if any(abs(v - e) <= _TOL for v in cross_ratio_orbit(s) for e in _EQUIANHARMONIC):
         return "equianharmonic"
     return "generic"
 
@@ -374,13 +376,14 @@ def to_heun(kind, params, coeffs, energy):
     )
 
 
-def accessory_parameter_probe(reduction, t0=1e-6):
+def accessory_parameter_probe(reduction):
     """Recover the accessory parameter from the raw ODE by a residue limit.
 
     Independent of the closed-form q: evaluates the peeled equation's
-    t -> 0 residue numerically with one Richardson step; accurate to about
-    1e-8 for the default t0.
+    t -> 0 residue numerically with one Richardson step from t0 = 1e-6;
+    accurate to about 1e-8.
     """
+    t0 = 1e-6
     A, B = reduction.A, reduction.B
     s0, s1, s2 = reduction.sigma
 
@@ -466,7 +469,7 @@ def _affine_variants(hp):
     return out
 
 
-def maier_classify(hp, tol=1e-10):
+def maier_classify(hp):
     """Locate hp in the hypergeometric-reduction table; None if absent.
 
     Raises VerificationError when both q and alpha*beta vanish, since the
@@ -475,19 +478,19 @@ def maier_classify(hp, tol=1e-10):
     """
     ab = hp.alpha * hp.beta
     scale = max(abs(ab), abs(hp.q), 1.0)
-    if abs(ab) <= tol * scale and abs(hp.q) <= tol * scale:
+    if abs(ab) <= _TOL * scale and abs(hp.q) <= _TOL * scale:
         raise VerificationError(
             "degenerate Heun equation: q and alpha*beta both vanish, "
             "reduction table does not apply"
         )
     for case_id, d0, ratio, constraints in _MAIER_TABLE:
         for (aa, bb), d_new, ga, gb, gc, q_new in _affine_variants(hp):
-            if abs(d_new - d0) > tol:
+            if abs(d_new - d0) > _TOL:
                 continue
             cand = HeunParams(d0, hp.alpha, hp.beta, ga, gb, gc, q_new)
             resid = dict(constraints(cand))
             resid["q = ratio * alpha beta"] = q_new - ratio * ab
-            if all(abs(v) <= tol * scale for v in resid.values()):
+            if all(abs(v) <= _TOL * scale for v in resid.values()):
                 return MaierMatch(case_id, d0, (aa, bb), cand, resid)
     return None
 
@@ -505,7 +508,7 @@ class HypergeomParams:
         return t * (2.0 - t)
 
 
-def reduce_case1(hp, tol=1e-10):
+def reduce_case1(hp):
     """Degenerate a symmetric Heun equation via z = t(2 - t).
 
     Needs d = 2, q = alpha beta, gamma = epsilon; the solution becomes
@@ -518,7 +521,7 @@ def reduce_case1(hp, tol=1e-10):
         "q = alpha beta": abs(hp.q - ab) / scale,
         "gamma = epsilon": abs(hp.gamma - hp.epsilon),
     }
-    bad = {k: v for k, v in checks.items() if v > tol}
+    bad = {k: v for k, v in checks.items() if v > _TOL}
     if bad:
         raise ValidationError(f"not a symmetric (case 1) Heun equation: {bad}")
     return HypergeomParams(hp.alpha / 2.0, hp.beta / 2.0, hp.gamma)

@@ -31,13 +31,13 @@ from .radial import (
     KIND_OSCILLATOR,
     _check_compatible,
     _check_kind,
+    endpoint_exponent,
     endpoint_root,
     spectral_ode,
-    wall_root,
+    wall_exponent,
 )
 
 __all__ = [
-    "ShootingConfig",
     "ShootingResult",
     "shooting_mismatch",
     "shooting_eigenvalue",
@@ -48,13 +48,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ShootingConfig:
-    eps: float = 1e-5          # offset from the singular endpoints
-    rtol: float = 1e-10
-    atol_scale: float = 1e-12  # atol = atol_scale * |start vector|
-    scan_points: int = 8       # bracket subdivisions when hunting a sign change
-    xtol: float = 1e-11        # brentq tolerance, times the energy scale
+_EPS = 1e-5          # offset from the singular endpoints
+_RTOL = 1e-10
+_ATOL_SCALE = 1e-12  # atol = _ATOL_SCALE * |start vector|
+_SCAN_POINTS = 8     # bracket subdivisions when hunting a sign change
+_XTOL = 1e-11        # brentq tolerance, times the energy scale
 
 
 @dataclass(frozen=True)
@@ -86,8 +84,8 @@ def brentq(*args, **kwargs):
 _MAX_RHS_EVALS = 100_000
 
 
-def _march(rhs, t0, t1, y0, config):
-    atol = config.atol_scale * max(abs(y0[0]), abs(y0[1]))
+def _march(rhs, t0, t1, y0):
+    atol = _ATOL_SCALE * max(abs(y0[0]), abs(y0[1]))
     evals = 0
 
     def bounded(t, y):
@@ -101,7 +99,7 @@ def _march(rhs, t0, t1, y0, config):
         return rhs(t, y)
 
     sol = solve_ivp(
-        bounded, (t0, t1), y0, method="LSODA", rtol=config.rtol, atol=atol,
+        bounded, (t0, t1), y0, method="LSODA", rtol=_RTOL, atol=atol,
         dense_output=False, t_eval=[t1],
     )
     if not sol.success:
@@ -109,18 +107,17 @@ def _march(rhs, t0, t1, y0, config):
     return sol.y[0, -1], sol.y[1, -1]
 
 
-def _coulomb_start(n, coeff, m, R, g, eps):
-    """Frobenius start f ~ x^rho (1 + c1 x) at x = tan(eps/2), as (f, df/dtheta)."""
-    root = endpoint_root(n, coeff)
-    rho = (2.0 - n + root) / 2.0
-    c1 = -4.0 * m * R * g / (1.0 + root)
-    x = math.tan(eps / 2.0)
+def _coulomb_start(n, coeff, m, R, g):
+    """Frobenius start f ~ x^rho (1 + c1 x) at x = tan(_EPS/2), as (f, df/dtheta)."""
+    rho = endpoint_exponent(n, coeff)
+    c1 = -4.0 * m * R * g / (1.0 + endpoint_root(n, coeff))
+    x = math.tan(_EPS / 2.0)
     f = x ** rho * (1.0 + c1 * x)
     fx = x ** (rho - 1.0) * (rho + (rho + 1.0) * c1 * x)
     return f, fx * (1.0 + x * x) / 2.0
 
 
-def _coulomb_halves(params, coeffs, energy, config):
+def _coulomb_halves(params, coeffs, energy):
     n, m, R, g = params.n, params.reduced_mass, params.radius, params.coupling
     p, q = spectral_ode(KIND_COULOMB, params, coeffs, energy)
 
@@ -131,36 +128,34 @@ def _coulomb_halves(params, coeffs, energy, config):
         Q = q(r) * one * one / 4.0
         return (y[1], -P * y[1] - Q * y[0])
 
-    eps, half = config.eps, math.pi / 2.0
-    gi = _march(rhs, eps, half, _coulomb_start(n, float(coeffs.a), m, R, g, eps), config)
+    half = math.pi / 2.0
+    gi = _march(rhs, _EPS, half, _coulomb_start(n, float(coeffs.a), m, R, g))
     # x = 1/r at infinity swaps a <-> c and flips the signs of g and d/dtheta
-    f_out, ft_out = _coulomb_start(n, float(coeffs.c), m, R, -g, eps)
-    go = _march(rhs, math.pi - eps, half, (f_out, -ft_out), config)
+    f_out, ft_out = _coulomb_start(n, float(coeffs.c), m, R, -g)
+    go = _march(rhs, math.pi - _EPS, half, (f_out, -ft_out))
     return gi, go
 
 
-def _oscillator_halves(params, coeffs, energy, config):
-    n = params.n
+def _oscillator_halves(params, coeffs, energy):
     p, q = spectral_ode(KIND_OSCILLATOR, params, coeffs, energy)
 
     def rhs(r, y):
         return (y[1], -p(r) * y[1] - q(r) * y[0])
 
-    eps = config.eps
-    rho0 = (2.0 - n + endpoint_root(n, float(coeffs.a))) / 2.0
-    y_in = (eps ** rho0, rho0 * eps ** (rho0 - 1.0))
+    rho0 = endpoint_exponent(params.n, float(coeffs.a))
+    y_in = (_EPS ** rho0, rho0 * _EPS ** (rho0 - 1.0))
     mid = 0.5
-    gi = _march(rhs, eps, mid, y_in, config)
+    gi = _march(rhs, _EPS, mid, y_in)
 
-    sig = (1.0 + wall_root(params)) / 2.0
-    x = eps  # distance from r = 1
+    sig = wall_exponent(params)
+    x = _EPS  # distance from r = 1
     f_out = x ** sig * (1.0 + sig * x / 2.0)
     fp_out = -(sig * x ** (sig - 1.0) * (1.0 + sig * x / 2.0) + x ** sig * sig / 2.0)
-    go = _march(rhs, 1.0 - eps, mid, (f_out, fp_out), config)
+    go = _march(rhs, 1.0 - _EPS, mid, (f_out, fp_out))
     return gi, go
 
 
-def shooting_mismatch(kind, params, coeffs, energy, config=None):
+def shooting_mismatch(kind, params, coeffs, energy):
     """Scaled Wronskian of the two half-solutions at the matching point.
 
     Zero exactly at eigenvalues; smooth and sign-changing across them.
@@ -170,18 +165,17 @@ def shooting_mismatch(kind, params, coeffs, energy, config=None):
     _check_compatible(params, coeffs)
     if not math.isfinite(energy):
         raise ValidationError(f"non-finite energy {energy}")
-    config = config or ShootingConfig()
     halves = _coulomb_halves if kind == KIND_COULOMB else _oscillator_halves
-    (fi, fpi), (fo, fpo) = halves(params, coeffs, energy, config)
+    (fi, fpi), (fo, fpo) = halves(params, coeffs, energy)
     wron = fi * fpo - fpi * fo
     scale = abs(fi * fpo) + abs(fpi * fo) + 1e-300
     return wron / scale
 
 
-def shooting_eigenvalue(kind, params, coeffs, e_lo, e_hi, config=None):
+def shooting_eigenvalue(kind, params, coeffs, e_lo, e_hi):
     """Locate one eigenvalue inside [e_lo, e_hi] by bisection of the mismatch.
 
-    Walks scan_points subintervals left to right, stops at the first sign
+    Walks 8 subintervals left to right, stops at the first sign
     change and polishes it with brentq, so a bracket holding several levels
     yields the lowest.  Each energy is marched once per call.  Raises
     ValidationError on a non-finite or empty bracket and ConvergenceError
@@ -191,15 +185,14 @@ def shooting_eigenvalue(kind, params, coeffs, e_lo, e_hi, config=None):
         raise ValidationError(f"non-finite energy bracket [{e_lo}, {e_hi}]")
     if not e_lo < e_hi:
         raise ValidationError(f"empty energy bracket [{e_lo}, {e_hi}]")
-    config = config or ShootingConfig()
     memo = {}
 
     def w(E):
         if E not in memo:
-            memo[E] = shooting_mismatch(kind, params, coeffs, E, config)
+            memo[E] = shooting_mismatch(kind, params, coeffs, E)
         return memo[E]
 
-    grid = np.linspace(e_lo, e_hi, config.scan_points + 1).tolist()
+    grid = np.linspace(e_lo, e_hi, _SCAN_POINTS + 1).tolist()
     for Ea, Eb in zip(grid, grid[1:]):
         wa = w(Ea)
         if wa == 0.0:
@@ -207,14 +200,14 @@ def shooting_eigenvalue(kind, params, coeffs, e_lo, e_hi, config=None):
         if wa * w(Eb) < 0.0:
             scale = max(1.0, abs(e_lo), abs(e_hi))
             root, info = brentq(
-                w, Ea, Eb, xtol=config.xtol * scale, rtol=1e-15, full_output=True
+                w, Ea, Eb, xtol=_XTOL * scale, rtol=1e-15, full_output=True
             )
             return ShootingResult(
                 float(root), float(abs(w(root))), (Ea, Eb), len(memo), info.iterations
             )
     raise ConvergenceError(
         f"no {kind} eigenvalue bracketed in [{e_lo}, {e_hi}]: "
-        f"mismatch keeps sign over {config.scan_points} subintervals"
+        f"mismatch keeps sign over {_SCAN_POINTS} subintervals"
     )
 
 
@@ -244,7 +237,9 @@ def _legendre_rule(nodes):
 
 
 def gauss_legendre(a, b, nodes):
-    """Nodes and weights on (a, b)."""
+    """Nodes and weights on (a, b); ValidationError unless nodes is a positive int."""
+    if isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 1:
+        raise ValidationError(f"quadrature needs a positive integer node count, got {nodes!r}")
     x, w = _legendre_rule(nodes)
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     return mid + half * x, half * w

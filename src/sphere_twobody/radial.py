@@ -37,7 +37,9 @@ __all__ = [
     "coefficients_from_record",
     "valid_cases",
     "endpoint_root",
+    "endpoint_exponent",
     "wall_root",
+    "wall_exponent",
     "sample_radii",
     "potential",
     "spectral_ode",
@@ -203,10 +205,20 @@ def endpoint_root(n, coeff):
     return math.sqrt(disc)
 
 
+def endpoint_exponent(n, coeff):
+    """The regular exponent rho0 = (2 - n + root)/2 at r = 0 (coeff = a) or oo (coeff = c)."""
+    return (2.0 - n + endpoint_root(n, coeff)) / 2.0
+
+
 def wall_root(params):
     """The oscillator's indicial root W at r = 1: exponents (1 +- W)/2."""
     m, R, w = params.reduced_mass, params.radius, params.coupling
     return math.sqrt(1.0 + 4.0 * m * R ** 4 * w * w)
+
+
+def wall_exponent(params):
+    """The oscillator's regular exponent (1 + W)/2 at r = 1."""
+    return (1.0 + wall_root(params)) / 2.0
 
 
 def sample_radii(kind, count):

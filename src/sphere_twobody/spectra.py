@@ -41,14 +41,17 @@ from .radial import (
     KIND_OSCILLATOR,
     _check_compatible,
     _check_kind,
+    endpoint_exponent,
     endpoint_root,
     spectral_ode,
+    wall_exponent,
     wall_root,
 )
 
 __all__ = [
     "BRANCH_TOLERANCE",
     "MATCH_TOLERANCE",
+    "K_MIN",
     "EnergyLevel",
     "SpectrumReport",
     "coulomb_energy",
@@ -64,6 +67,8 @@ __all__ = [
 BRANCH_TOLERANCE = 1e-10
 MATCH_TOLERANCE = 1e-10
 
+K_MIN = {KIND_COULOMB: 1, KIND_OSCILLATOR: 0}  # each kind's lowest level index
+
 
 def _require_symmetric(coeffs):
     if not coeffs.symmetric:
@@ -74,7 +79,7 @@ def _require_symmetric(coeffs):
 
 
 def _check_k(kind, k):
-    kmin = 1 if kind == KIND_COULOMB else 0
+    kmin = K_MIN[kind]
     if not (isinstance(k, int) and k >= kmin):
         raise ValidationError(f"{kind} levels are indexed by integer k >= {kmin}, got {k}")
 
@@ -124,7 +129,7 @@ def _coulomb_data(params, coeffs, energy):
     # reflection gam - alpha instead
     alpha = (1.0 + A) / 2.0 - u.real / 2.0
     beta = (1.0 + A) / 2.0 + 0.5j * u.imag
-    rho0 = (2.0 - n + A) / 2.0
+    rho0 = endpoint_exponent(n, a)
     rho_i = ((n - 1) - u.conjugate()) / 2.0
     return A, u, alpha, beta, gam, rho0, rho_i
 
@@ -141,8 +146,8 @@ def _oscillator_data(params, coeffs, energy):
     gam = 1.0 + A / 2.0
     alpha = (2.0 + A + W + s) / 4.0
     beta = (2.0 + A + W - s) / 4.0
-    rho0 = (2.0 - n + A) / 2.0
-    rho1 = (1.0 + W) / 2.0
+    rho0 = endpoint_exponent(n, a)
+    rho1 = wall_exponent(params)
     return A, W, s, alpha, beta, gam, rho0, rho1
 
 

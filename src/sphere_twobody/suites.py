@@ -54,7 +54,7 @@ from .radial import (
     spectral_ode,
     valid_cases,
 )
-from .spectra import closed_form_energy, radial_eigenfunction
+from .spectra import K_MIN, closed_form_energy, radial_eigenfunction
 
 __all__ = [
     "CheckResult",
@@ -75,6 +75,13 @@ __all__ = [
     "check_hyperfun_limit",
     "check_hyperfun_ode",
 ]
+
+# fixed values used more than once; a check's JSON reports its tolerance and case count
+_SEED = 20260814          # every random draw
+_N_VALUES = (2, 3, 4, 5)  # sphere dimensions of the level grids
+_JOINT_TOL = 1e-10        # classified vs joint-diagonalization eigenvalues
+_EMBEDDING_TOL = 1e-12
+_HEUN_SYM_TOL = 1e-10     # the a = c degenerations of the Heun parameters
 
 
 @dataclass(frozen=True)
@@ -180,7 +187,7 @@ def check_structure_relations(max_rank=6, max_mk=8):
     )
 
 
-def check_classification_bruteforce(max_rank=4, max_mk=6, include_d3=False, tol=1e-10):
+def check_classification_bruteforce(max_rank=4, max_mk=6, include_d3=False):
     """Classified eigenvectors == numeric joint eigenspaces of {D0^2, D1, D2}."""
     def module(alg, w):
         rep = build_ladder_rep(alg, w)
@@ -191,7 +198,7 @@ def check_classification_bruteforce(max_rank=4, max_mk=6, include_d3=False, tol=
         if include_d3:
             family.append(ops.D3.to_numpy())
             recs = [r for r in recs if r.delta3 is not None]
-        joint = joint_diagonalize(family, require_commuting=False, tol=tol)
+        joint = joint_diagonalize(family, require_commuting=False, tol=_JOINT_TOL)
         if len(joint) != len(recs):
             raise VerificationError(f"{len(joint)} joint eigenspaces but {len(recs)} classified")
         free = list(range(len(joint)))
@@ -206,7 +213,7 @@ def check_classification_bruteforce(max_rank=4, max_mk=6, include_d3=False, tol=
             devs = [max(abs(complex(a) - b) for a, b in zip(joint[i].eigenvalues, tup))
                     for i in free]
             best = min(range(len(free)), key=devs.__getitem__)
-            yield "eigenvalue dev", devs[best], tol
+            yield "eigenvalue dev", devs[best], _JOINT_TOL
             B = joint[free.pop(best)].basis
             yield "span dev", np.linalg.norm(vec - B @ (B.conj().T @ vec)), 1e-8
 
@@ -219,16 +226,16 @@ def check_classification_bruteforce(max_rank=4, max_mk=6, include_d3=False, tol=
     )
 
 
-def check_embedding(max_rank=5, tol=1e-12):
-    """Defining-representation formulas, rank by rank."""
+def check_embedding():
+    """Defining-representation formulas, rank by rank, k = 2..5."""
     def rank(k):
-        rpt = verify_embedding(k, tol=tol)
-        yield "deviation", max(rpt.max_deviation, rpt.j_identity_deviation), tol
+        rpt = verify_embedding(k, tol=_EMBEDDING_TOL)
+        yield "deviation", max(rpt.max_deviation, rpt.j_identity_deviation), _EMBEDDING_TOL
 
     return _fold(
         "defining-representation embedding", "ranks",
-        ((f"k={k}", rank(k)) for k in range(2, max_rank + 1)),
-        lambda t: f"k = 2..{max_rank}, worst deviation {t.worst['deviation']:.2e}",
+        ((f"k={k}", rank(k)) for k in range(2, 6)),
+        lambda t: f"k = 2..5, worst deviation {t.worst['deviation']:.2e}",
     )
 
 
@@ -293,32 +300,29 @@ def _grid_params(n):
     return PhysicalParams(n, 2.0, 2.0, 1.0, 1.0)
 
 
-def _level_cases(kind, n_values, k_values, mk_max, rows):
-    """(where, rows(params, coeffs, k)) over the symmetric (a = c) sectors' levels."""
-    if k_values is None:
-        k_values = (1, 2, 3) if kind == KIND_COULOMB else (0, 1, 2)
+def _level_cases(kind, n_values, rows):
+    """(where, rows(params, coeffs, k)) over the symmetric (a = c) sectors' three lowest levels."""
     for n in n_values:
         params = _grid_params(n)
         cases = ([(1, None), (2, None), (5, None)] if n == 2
-                 else [(1, mk) for mk in range(mk_max + 1)] + [(4, 2)])
+                 else [(1, mk) for mk in range(3)] + [(4, 2)])
         for case_id, mk in cases:
             coeffs = radial_coefficients(n, case_id, mk)
-            for k in k_values:
+            for k in range(K_MIN[kind], K_MIN[kind] + 3):
                 yield f"n={n} case={case_id} mk={mk} k={k}", rows(params, coeffs, k)
 
 
-def check_spectrum_vs_shooting(kind, n_values=(2, 3, 4, 5), k_values=None,
-                               mk_max=2, rel_tol=1e-6):
+def check_spectrum_vs_shooting(kind):
     """Closed-form levels against the shooting oracle over the whole grid."""
     def level(params, coeffs, k):
         E = closed_form_energy(kind, params, coeffs, k)
         gap = min(abs(closed_form_energy(kind, params, coeffs, k + 1) - E), 2.0)
         got = shooting_eigenvalue(kind, params, coeffs, E - 0.35 * gap, E + 0.35 * gap)
-        yield "relative deviation", abs(got.energy - E) / max(1.0, abs(E)), rel_tol
+        yield "relative deviation", abs(got.energy - E) / max(1.0, abs(E)), 1e-6
 
     return _fold(
         f"{kind} spectrum vs shooting", "levels",
-        _level_cases(kind, n_values, k_values, mk_max, level),
+        _level_cases(kind, _N_VALUES, level),
         lambda t: f"{t.count} levels, worst relative deviation "
                   f"{t.worst['relative deviation']:.2e}",
     )
@@ -341,59 +345,55 @@ def check_pinned_values(kind):
         f"E_0 = {E[0]!r} vs 1/2 + sqrt(5)/2 (dev {t.worst['deviation']:.2e})"))
 
 
-def check_eigenfunction_residuals(kind, n_values=(2, 3, 4, 5), k_values=None,
-                                  mk_max=2, n_points=100, tol=1e-9,
-                                  norm_nodes=(240, 480), norm_tol=1e-8):
+def check_eigenfunction_residuals(kind, n_values=_N_VALUES, n_points=100):
     """Jet ODE residuals and quadrature-stable norms, on every eigenfunction."""
     rs = sample_radii(kind, n_points)
 
     def eigenfunction(params, coeffs, k):
         fn = radial_eigenfunction(kind, params, coeffs, k)
         p, q = spectral_ode(kind, params, coeffs, fn.energy)
-        yield "residual", ode_residual(p, q, fn.jet, rs), tol
-        n1, n2 = (fn.norm_squared(nodes) for nodes in norm_nodes)
+        yield "residual", ode_residual(p, q, fn.jet, rs), 1e-9
+        n1, n2 = fn.norm_squared(240), fn.norm_squared(480)
         # a norm that is not positive has no drift to speak of
         drift = abs(n1 - n2) / max(n1, 1e-300) if n1 > 0.0 else math.nan
-        yield "norm drift", drift, norm_tol
+        yield "norm drift", drift, 1e-8
 
     return _fold(
         f"{kind} eigenfunction residuals", "eigenfunctions",
-        _level_cases(kind, n_values, k_values, mk_max, eigenfunction),
+        _level_cases(kind, n_values, eigenfunction),
         lambda t: f"{t.count} eigenfunctions x {n_points} points; worst residual "
                   f"{t.worst['residual']:.2e}, worst norm drift {t.worst['norm drift']:.2e}",
     )
 
 
-def check_heun_reduction(kind, n_values=(2, 3, 4, 5),
-                         tol_consistency=1e-12, tol_sym=1e-10, tol_pull=1e-12,
-                         probe_tol=1e-6, seed=20260814):
+def check_heun_reduction(kind):
     """Heun parameters: consistency, symmetric degeneration, table placement."""
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
 
     def parameter_set(params, coeffs, E):
         red = to_heun(kind, params, coeffs, E)
         hp = red.heun
-        yield "consistency", abs(hp.consistency_residual()), tol_consistency
+        yield "consistency", abs(hp.consistency_residual()), 1e-12
         scale = max(1.0, abs(hp.alpha * hp.beta), abs(hp.q))
-        yield "accessory probe", abs(accessory_parameter_probe(red) - hp.q) / scale, probe_tol
+        yield "accessory probe", abs(accessory_parameter_probe(red) - hp.q) / scale, 1e-6
         if kind == KIND_OSCILLATOR:
             # sigma holds the halved endpoint exponents; the identity
             # ab - q = rho1 (rho_inf - rho_0) relates the unhalved ones
             s0, s1, s2 = red.sigma
             identity = abs((hp.alpha * hp.beta - hp.q) - s1 * 2.0 * (s2 - s0)) / scale
-            yield "accessory identity", identity, tol_sym
+            yield "accessory identity", identity, _HEUN_SYM_TOL
         match = maier_classify(hp)
         if coeffs.symmetric:
-            yield "q-ab", abs(hp.q - hp.alpha * hp.beta) / scale, tol_sym
-            yield "g-e", abs(hp.gamma - hp.epsilon), tol_sym
+            yield "q-ab", abs(hp.q - hp.alpha * hp.beta) / scale, _HEUN_SYM_TOL
+            yield "g-e", abs(hp.gamma - hp.epsilon), _HEUN_SYM_TOL
             if match is None or match.case_id != 1:  # then the pullback is undefined
                 raise VerificationError(f"symmetric equation matched {match}, not case 1")
-            yield "pullback", case1_pullback_residual(hp), tol_pull
+            yield "pullback", case1_pullback_residual(hp), 1e-12
         elif match is not None:
             raise VerificationError(f"asymmetric equation matched reduction case {match.case_id}")
 
     def cases():
-        for n in n_values:
+        for n in _N_VALUES:
             params = _grid_params(n)
             for case_id in valid_cases(n):
                 coeffs = radial_coefficients(n, case_id, None if n == 2 else 2)
@@ -412,14 +412,14 @@ def check_heun_reduction(kind, n_values=(2, 3, 4, 5),
     return _fold(f"{kind} Heun reduction", "parameter sets", cases(), summary)
 
 
-def check_fuchs_sums(kind, draws=500, seed=20260814, tol=1e-12):
+def check_fuchs_sums(kind, draws=500):
     """Exponent sums equal (points - 2) for random parameter draws."""
-    rng = random.Random(seed + (0 if kind == KIND_COULOMB else 1))
+    rng = random.Random(_SEED + (0 if kind == KIND_COULOMB else 1))
     expected = 2.0 if kind == KIND_COULOMB else 4.0
     exponents = coulomb_exponents if kind == KIND_COULOMB else oscillator_exponents
 
     def draw(params, coeffs, E):
-        yield "sum deviation", abs(exponents(params, coeffs, E).fuchs_sum() - expected), tol
+        yield "sum deviation", abs(exponents(params, coeffs, E).fuchs_sum() - expected), 1e-12
 
     def cases():
         for _ in range(draws):
@@ -446,18 +446,18 @@ def _hyperfun_rng_params(rng):
     return alpha, beta, gamma
 
 
-def check_hyperfun_dual_path(draws=150, seed=20260814, tol=1e-10):
-    """Series route == connection route on the overlap ring."""
-    rng = random.Random(seed)
+def check_hyperfun_dual_path():
+    """Series route == connection route at 150 points of the overlap ring."""
+    rng = random.Random(_SEED)
 
     def agreement(alpha, beta, gamma, z):
         s = gauss_2f1(alpha, beta, gamma, z, method="series")
         c = gauss_2f1(alpha, beta, gamma, z, method="connection")
-        yield "relative difference", abs(s - c) / max(abs(s), 1.0), tol
+        yield "relative difference", abs(s - c) / max(abs(s), 1.0), 1e-10
 
     def cases():
         done = 0
-        while done < draws:
+        while done < 150:
             z = rng.uniform(0.30, 0.72) + 1j * rng.uniform(-0.28, 0.28)
             if abs(z) > 0.75 or abs(1 - z) > 0.75:
                 continue
@@ -486,12 +486,12 @@ def _richardson_limit(alpha, beta, gamma, gap):
     return seq[-1]
 
 
-def check_hyperfun_limit(draws=60, seed=20260814, tol=1e-6):
-    """Singular-limit coefficient against Richardson extrapolation near z = 1."""
-    rng = random.Random(seed)
+def check_hyperfun_limit():
+    """Singular limit near z = 1 at 60 parameter sets against Richardson extrapolation."""
+    rng = random.Random(_SEED)
     pinned = (1.0, 1.0, 0.5)  # limit = pi/2
     cases = [pinned]
-    while len(cases) < draws:
+    while len(cases) < 60:
         alpha = rng.uniform(0.3, 2.0)
         beta = rng.uniform(0.3, 2.0)
         gap = rng.uniform(0.6, 2.4)  # alpha + beta - gamma
@@ -505,7 +505,7 @@ def check_hyperfun_limit(draws=60, seed=20260814, tol=1e-6):
     def coefficient(alpha, beta, gamma):
         C = limit_near_one(alpha, beta, gamma)
         extrapolated = _richardson_limit(alpha, beta, gamma, alpha + beta - gamma)
-        yield "relative deviation", abs(extrapolated - C) / abs(C), tol
+        yield "relative deviation", abs(extrapolated - C) / abs(C), 1e-6
         if (alpha, beta, gamma) == pinned:
             yield "pinned pi/2 deviation", abs(C - math.pi / 2.0), 1e-12
 
@@ -517,17 +517,17 @@ def check_hyperfun_limit(draws=60, seed=20260814, tol=1e-6):
     )
 
 
-def check_hyperfun_ode(draws=120, seed=20260814, tol=1e-9):
-    """Residual of the hypergeometric equation at random points."""
-    rng = random.Random(seed)
+def check_hyperfun_ode():
+    """Residual of the hypergeometric equation at up to 120 random points."""
+    rng = random.Random(_SEED)
 
     def residual(alpha, beta, gamma, z):
         F = gauss_2f1(alpha, beta, gamma, z)
         res = abs(hypergeom_ode_residual(alpha, beta, gamma, z)) / max(abs(F), 1.0)
-        yield "scaled residual", res, tol
+        yield "scaled residual", res, 1e-9
 
     def cases():
-        for _ in range(draws):
+        for _ in range(120):
             alpha, beta, gamma = _hyperfun_rng_params(rng)
             if rng.random() < 0.5:
                 z = rng.uniform(-0.6, 0.6) + 1j * rng.uniform(-0.4, 0.4)

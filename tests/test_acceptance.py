@@ -58,6 +58,7 @@ def test_criterion_4_coulomb_levels():
     shoot = check_spectrum_vs_shooting("coulomb")
     elapsed = time.perf_counter() - t0
     _gate("4 coulomb closed-form levels", pinned, shoot)
+    assert (pinned.tol, shoot.tol) == (1e-12, 1e-6)
     assert elapsed < 60.0, f"coulomb level sweep took {elapsed:.1f}s (limit 60s)"
 
 
@@ -67,6 +68,7 @@ def test_criterion_5_oscillator_levels():
     shoot = check_spectrum_vs_shooting("oscillator")
     elapsed = time.perf_counter() - t0
     _gate("5 oscillator closed-form levels", pinned, shoot)
+    assert (pinned.tol, shoot.tol) == (1e-12, 1e-6)
     assert elapsed < 60.0, f"oscillator level sweep took {elapsed:.1f}s (limit 60s)"
 
 
@@ -93,3 +95,4 @@ def test_criterion_9_fuchs_relation_random_draws():
     cou = check_fuchs_sums("coulomb", draws=500)
     osc = check_fuchs_sums("oscillator", draws=500)
     _gate("9 Fuchs exponent sums over 1000 random draws", cou, osc)
+    assert cou.tol == osc.tol == 1e-12

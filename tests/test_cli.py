@@ -159,6 +159,16 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
     assert "flavor" in err
 
 
+@pytest.mark.parametrize("fmt", ["xml", "CSV"])
+def test_config_value_outside_choices_rejected(capsys, tmp_path, fmt):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"kind = oscillator\nn = 2\ncase = 1\nformat = {fmt}\n")
+    rc, out, err = run_cli(capsys, ["--config", str(cfg), "spectrum"])
+    assert rc == 2
+    assert out == ""
+    assert "format" in err
+
+
 def test_validation_exit_codes(capsys):
     cases = [
         ["spectrum", "--kind", "coulomb", "--n", "3", "--case", "1", "--mk",

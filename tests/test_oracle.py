@@ -18,6 +18,7 @@ from sphere_twobody import (
     ode_residual,
     operator_matrices,
     radial_coefficients,
+    radial_eigenfunction,
     shooting_eigenvalue,
     shooting_mismatch,
 )
@@ -137,6 +138,15 @@ def test_gauss_legendre_polynomial_exactness():
     assert (w * x ** 2).sum() == pytest.approx(1.0 / 3.0, abs=1e-14)
     x, w = gauss_legendre(-2.0, 3.0, 12)
     assert (w * x ** 3).sum() == pytest.approx((3.0 ** 4 - 2.0 ** 4) / 4.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("nodes", [0, -3, 2.5, 240.0, True, None, "240"])
+def test_bad_node_count_is_a_validation_error(nodes):
+    fn = radial_eigenfunction("oscillator", UNIT3, radial_coefficients(3, 1, 1), 1)
+    with pytest.raises(ValidationError, match="node count"):
+        gauss_legendre(0.0, 1.0, nodes)
+    with pytest.raises(ValidationError, match="node count"):
+        fn.norm_squared(nodes)
 
 
 def test_legendre_rule_cached_read_only_and_exact(monkeypatch):
