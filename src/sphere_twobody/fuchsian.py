@@ -20,7 +20,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError, VerificationError
-from .radial import KIND_COULOMB, _check_compatible, _check_kind, endpoint_root, wall_root
+from .radial import (
+    KIND_COULOMB,
+    _check_compatible,
+    _check_energy,
+    _check_kind,
+    endpoint_root,
+    wall_root,
+)
 
 __all__ = [
     "INFINITY",
@@ -139,6 +146,7 @@ def _endpoint_exponents(n, coeff):
 def coulomb_exponents(params, coeffs, energy):
     """Indicial exponents of the Coulomb radial equation at {0, i, -i, oo}."""
     _check_compatible(params, coeffs)
+    _check_energy(energy)
     n, m, R, g = params.n, params.reduced_mass, params.radius, params.coupling
     a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
     rho0 = _endpoint_exponents(n, a)
@@ -158,6 +166,7 @@ def coulomb_exponents(params, coeffs, energy):
 
 def _oscillator_pieces(params, coeffs, energy):
     _check_compatible(params, coeffs)
+    _check_energy(energy)
     n, m, R, w = params.n, params.reduced_mass, params.radius, params.coupling
     a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
     rho0 = _endpoint_exponents(n, a)
@@ -300,7 +309,7 @@ def to_heun(kind, params, coeffs, energy):
     zeta = r^2 and then t = 2 zeta/(zeta + 1).  Both land the singular
     points on {0, 1, 2, oo}.
     """
-    _check_kind(kind)  # the exponent tables check params against coeffs
+    _check_kind(kind)  # the exponent tables check params, coeffs and energy
     n, m, R = params.n, params.reduced_mass, params.radius
     a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
     E = energy

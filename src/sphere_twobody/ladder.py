@@ -53,6 +53,7 @@ MASS_EQUAL = "equal"
 
 _F0 = Fraction(0)
 _HALF = Fraction(1, 2)
+EMBEDDING_TOL = 1e-12  # verify_embedding's default deviation tolerance
 
 
 @dataclass(slots=True)
@@ -409,7 +410,7 @@ class EmbeddingReport:
     j_identity_deviation: float
 
 
-def verify_embedding(k, tol=1e-12):
+def verify_embedding(k, tol=EMBEDDING_TOL):
     """Check the so(2k+1) defining-rep formulas for the F-basis, numerically.
 
     Builds the real skew generators Psi_ab in the (2k+1)-dimensional rep,

@@ -5,7 +5,11 @@ both endpoints and roots the Wronskian mismatch at a midpoint -- no
 quantization condition, no hypergeometric function enters.  The Coulomb
 problem is marched in the half-angle theta = 2 arctan r so that both
 endpoints are at finite coordinate; the oscillator is marched in r on (0, 1)
-directly.
+directly.  Each half-march is one compiled scipy.integrate.odeint call, so
+Python runs only the right-hand side.  A march may spend at most
+_MAX_RHS_EVALS right-hand-side evaluations, and LSODA's step limit is set to
+the same number so the evaluation count is the only work bound; a march that
+passes it or that LSODA stops early raises ConvergenceError.
 
 joint_diagonalize finds the common eigenvectors of a family of matrices by
 intersecting eigenspace candidates with stacked SVDs, walking the eigenvalue
@@ -18,9 +22,12 @@ the invariant-operator classification predicts, so the cross-check needs
 the opt-out).
 """
 
+import collections
+import contextvars
 import functools
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +37,7 @@ from .radial import (
     KIND_COULOMB,
     KIND_OSCILLATOR,
     _check_compatible,
+    _check_energy,
     _check_kind,
     endpoint_exponent,
     endpoint_root,
@@ -53,6 +61,14 @@ _RTOL = 1e-10
 _ATOL_SCALE = 1e-12  # atol = _ATOL_SCALE * |start vector|
 _SCAN_POINTS = 8     # bracket subdivisions when hunting a sign change
 _XTOL = 1e-11        # brentq tolerance, times the energy scale
+# Right-hand-side evaluations allowed per march, and so also LSODA's step
+# limit.  The criteria grids need at most about 1.2e3; at very large
+# energies LSODA can otherwise spin inside a single step forever.
+_MAX_RHS_EVALS = 100_000
+# the right-hand-side evaluations of the shooting_eigenvalue call in
+# progress, summed by _march without changing what shooting_mismatch returns
+_RHS_SPENT = contextvars.ContextVar("rhs_spent")
+JOINT_TOL = 1e-10    # joint_diagonalize's default null-space tolerance
 
 
 @dataclass(frozen=True)
@@ -62,13 +78,53 @@ class ShootingResult:
     bracket: tuple
     evaluations: int  # distinct mismatch evaluations, scan and Brent together
     iterations: int   # Brent iterations; 0 when a scan energy was an exact zero
+    rhs_evaluations: int = 0  # right-hand-side evaluations of every march, summed
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on first call."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
+# the end state of one march and the right-hand-side evaluations it spent
+_March = collections.namedtuple("_March", "y nfev")
 
-    return scipy_solve_ivp(*args, **kwargs)
+
+def solve_ivp(rhs, t0, t1, y0, atol):
+    """One LSODA march from t0 to t1 as a single scipy.integrate.odeint call.
+
+    scipy is imported on first call.  The whole march runs in compiled
+    ODEPACK code and Python is entered only for rhs(t, y).  Returns the state
+    at t1 and the right-hand-side evaluations spent.  The name is kept from
+    the solve_ivp this replaced because tracing wrappers patch the march at
+    this import site and read `nfev` from its result.  Raises
+    ConvergenceError past _MAX_RHS_EVALS evaluations or when LSODA stops
+    early.
+    """
+    from scipy.integrate import ODEintWarning, odeint
+
+    nfev = 0
+
+    def bounded(t, y):
+        nonlocal nfev
+        nfev += 1
+        if nfev > _MAX_RHS_EVALS:
+            raise ConvergenceError(
+                f"integration from {t0} to {t1} exceeded {_MAX_RHS_EVALS} "
+                "right-hand-side evaluations"
+            )
+        return rhs(t, y)
+
+    # the step limit is the evaluation bound, so the evaluation count stays
+    # the only work bound; odeint warns even with full_output, and a failed
+    # march raises below instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ODEintWarning)
+        ys, info = odeint(
+            bounded, y0, (t0, t1), rtol=_RTOL, atol=atol, mxstep=_MAX_RHS_EVALS,
+            full_output=True, tfirst=True,
+        )
+    if info["message"] != "Integration successful.":
+        raise ConvergenceError(
+            f"integration from {t0} to {t1} failed after {nfev} "
+            f"right-hand-side evaluations: {info['message']}"
+        )
+    return _March(ys[-1], nfev)
 
 
 def brentq(*args, **kwargs):
@@ -78,33 +134,13 @@ def brentq(*args, **kwargs):
     return scipy_brentq(*args, **kwargs)
 
 
-# Right-hand-side evaluations allowed per march.  The criteria grids need at
-# most about 1.2e3; at very large energies LSODA can otherwise spin inside a
-# single step forever.
-_MAX_RHS_EVALS = 100_000
-
-
 def _march(rhs, t0, t1, y0):
     atol = _ATOL_SCALE * max(abs(y0[0]), abs(y0[1]))
-    evals = 0
-
-    def bounded(t, y):
-        nonlocal evals
-        evals += 1
-        if evals > _MAX_RHS_EVALS:
-            raise ConvergenceError(
-                f"integration from {t0} to {t1} exceeded {_MAX_RHS_EVALS} "
-                "right-hand-side evaluations"
-            )
-        return rhs(t, y)
-
-    sol = solve_ivp(
-        bounded, (t0, t1), y0, method="LSODA", rtol=_RTOL, atol=atol,
-        dense_output=False, t_eval=[t1],
-    )
-    if not sol.success:
-        raise ConvergenceError(f"integration failed: {sol.message}")
-    return sol.y[0, -1], sol.y[1, -1]
+    sol = solve_ivp(rhs, t0, t1, y0, atol)
+    spent = _RHS_SPENT.get(None)
+    if spent is not None:
+        spent[0] += sol.nfev
+    return sol.y[0], sol.y[1]
 
 
 def _coulomb_start(n, coeff, m, R, g):
@@ -163,8 +199,7 @@ def shooting_mismatch(kind, params, coeffs, energy):
     """
     _check_kind(kind)
     _check_compatible(params, coeffs)
-    if not math.isfinite(energy):
-        raise ValidationError(f"non-finite energy {energy}")
+    _check_energy(energy)
     halves = _coulomb_halves if kind == KIND_COULOMB else _oscillator_halves
     (fi, fpi), (fo, fpo) = halves(params, coeffs, energy)
     wron = fi * fpo - fpi * fo
@@ -193,18 +228,24 @@ def shooting_eigenvalue(kind, params, coeffs, e_lo, e_hi):
         return memo[E]
 
     grid = np.linspace(e_lo, e_hi, _SCAN_POINTS + 1).tolist()
-    for Ea, Eb in zip(grid, grid[1:]):
-        wa = w(Ea)
-        if wa == 0.0:
-            return ShootingResult(Ea, 0.0, (Ea, Eb), len(memo), 0)
-        if wa * w(Eb) < 0.0:
-            scale = max(1.0, abs(e_lo), abs(e_hi))
-            root, info = brentq(
-                w, Ea, Eb, xtol=_XTOL * scale, rtol=1e-15, full_output=True
-            )
-            return ShootingResult(
-                float(root), float(abs(w(root))), (Ea, Eb), len(memo), info.iterations
-            )
+    spent = [0]
+    token = _RHS_SPENT.set(spent)
+    try:
+        for Ea, Eb in zip(grid, grid[1:]):
+            wa = w(Ea)
+            if wa == 0.0:
+                return ShootingResult(Ea, 0.0, (Ea, Eb), len(memo), 0, spent[0])
+            if wa * w(Eb) < 0.0:
+                scale = max(1.0, abs(e_lo), abs(e_hi))
+                root, info = brentq(
+                    w, Ea, Eb, xtol=_XTOL * scale, rtol=1e-15, full_output=True
+                )
+                mismatch = float(abs(w(root)))
+                return ShootingResult(
+                    float(root), mismatch, (Ea, Eb), len(memo), info.iterations, spent[0]
+                )
+    finally:
+        _RHS_SPENT.reset(token)
     raise ConvergenceError(
         f"no {kind} eigenvalue bracketed in [{e_lo}, {e_hi}]: "
         f"mismatch keeps sign over {_SCAN_POINTS} subintervals"
@@ -263,7 +304,7 @@ def _eigenvalue_clusters(mat, tol):
     return [complex(np.mean(c)) for c in clusters]
 
 
-def joint_diagonalize(mats, require_commuting=True, tol=1e-10):
+def joint_diagonalize(mats, require_commuting=True, tol=JOINT_TOL):
     """All joint eigenspaces of a family of square matrices.
 
     Returns JointEigenspace records sorted by eigenvalue tuple: the same

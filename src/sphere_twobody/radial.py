@@ -249,6 +249,11 @@ def _check_compatible(params, coeffs):
         )
 
 
+def _check_energy(energy):
+    if not math.isfinite(energy):
+        raise ValidationError(f"non-finite energy {energy}")
+
+
 def spectral_ode(kind, params, coeffs, energy):
     """Coefficient closures (p, q) of f'' + p f' + q f = 0 at fixed energy."""
     _check_kind(kind)

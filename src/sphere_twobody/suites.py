@@ -30,6 +30,7 @@ from .fuchsian import (
 )
 from .hyperfun import gauss_2f1, hypergeom_ode_residual, limit_near_one
 from .ladder import (
+    EMBEDDING_TOL,
     build_ladder_rep,
     classify_common_eigenvectors,
     operator_matrices,
@@ -44,7 +45,7 @@ from .liealg import (
     invariant_subspace_dim,
     weyl_dim,
 )
-from .oracle import joint_diagonalize, ode_residual, shooting_eigenvalue
+from .oracle import JOINT_TOL, joint_diagonalize, ode_residual, shooting_eigenvalue
 from .radial import (
     KIND_COULOMB,
     KIND_OSCILLATOR,
@@ -79,8 +80,6 @@ __all__ = [
 # fixed values used more than once; a check's JSON reports its tolerance and case count
 _SEED = 20260814          # every random draw
 _N_VALUES = (2, 3, 4, 5)  # sphere dimensions of the level grids
-_JOINT_TOL = 1e-10        # classified vs joint-diagonalization eigenvalues
-_EMBEDDING_TOL = 1e-12
 _HEUN_SYM_TOL = 1e-10     # the a = c degenerations of the Heun parameters
 
 
@@ -198,7 +197,7 @@ def check_classification_bruteforce(max_rank=4, max_mk=6, include_d3=False):
         if include_d3:
             family.append(ops.D3.to_numpy())
             recs = [r for r in recs if r.delta3 is not None]
-        joint = joint_diagonalize(family, require_commuting=False, tol=_JOINT_TOL)
+        joint = joint_diagonalize(family, require_commuting=False, tol=JOINT_TOL)
         if len(joint) != len(recs):
             raise VerificationError(f"{len(joint)} joint eigenspaces but {len(recs)} classified")
         free = list(range(len(joint)))
@@ -213,7 +212,7 @@ def check_classification_bruteforce(max_rank=4, max_mk=6, include_d3=False):
             devs = [max(abs(complex(a) - b) for a, b in zip(joint[i].eigenvalues, tup))
                     for i in free]
             best = min(range(len(free)), key=devs.__getitem__)
-            yield "eigenvalue dev", devs[best], _JOINT_TOL
+            yield "eigenvalue dev", devs[best], JOINT_TOL
             B = joint[free.pop(best)].basis
             yield "span dev", np.linalg.norm(vec - B @ (B.conj().T @ vec)), 1e-8
 
@@ -229,8 +228,8 @@ def check_classification_bruteforce(max_rank=4, max_mk=6, include_d3=False):
 def check_embedding():
     """Defining-representation formulas, rank by rank, k = 2..5."""
     def rank(k):
-        rpt = verify_embedding(k, tol=_EMBEDDING_TOL)
-        yield "deviation", max(rpt.max_deviation, rpt.j_identity_deviation), _EMBEDDING_TOL
+        rpt = verify_embedding(k, tol=EMBEDDING_TOL)
+        yield "deviation", max(rpt.max_deviation, rpt.j_identity_deviation), EMBEDDING_TOL
 
     return _fold(
         "defining-representation embedding", "ranks",

@@ -187,6 +187,18 @@ def test_validation_exit_codes(capsys):
         assert err.startswith("error:"), argv
 
 
+@pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
+@pytest.mark.parametrize("energy", ["nan", "inf", "-inf"])
+def test_fuchs_rejects_non_finite_energy(capsys, kind, energy):
+    rc, out, err = run_cli(capsys, [
+        "fuchs", "--kind", kind, "--n", "3", "--case", "1", "--mk", "1",
+        f"--energy={energy}",
+    ])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: non-finite energy")
+
+
 def test_classify_document(capsys):
     rc, out, _ = run_cli(capsys, ["classify", "--n", "3", "--mk", "2", "--mk1", "0"])
     assert rc == 0

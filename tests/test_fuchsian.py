@@ -96,6 +96,16 @@ def test_validation_coincident_points_and_fuchs_violation():
         eq.exponents_at(3.0)
 
 
+@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+def test_non_finite_energy_rejected(energy):
+    for fn in (coulomb_exponents, oscillator_exponents, oscillator_zeta_exponents):
+        with pytest.raises(ValidationError, match="non-finite energy"):
+            fn(P_EQ, SYM, energy)
+    for kind in ("coulomb", "oscillator"):
+        with pytest.raises(ValidationError, match="non-finite energy"):
+            to_heun(kind, P_EQ, SYM, energy)
+
+
 def test_psymbol_layout():
     eq = coulomb_exponents(P_EQ, SYM, energy=1.0)
     s = psymbol(eq)

@@ -1,6 +1,7 @@
 """Shooting and joint-diagonalization oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from sphere_twobody import (
     shooting_eigenvalue,
     shooting_mismatch,
 )
+from sphere_twobody import oracle
 
 UNIT3 = PhysicalParams(3, 2.0, 2.0, 1.0, 1.0)
 
@@ -94,6 +96,26 @@ def test_shooting_work_bound_at_huge_energies(kind, bracket):
         shooting_eigenvalue(kind, UNIT3, co, *bracket)
 
 
+@pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
+@pytest.mark.parametrize("bracket", [(1e9 - 1.0, 1e9 + 1.0), (0.0, 1e300)])
+def test_shooting_failure_at_huge_energies_escapes_no_warning(kind, bracket):
+    co = radial_coefficients(3, 1, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError):
+            shooting_eigenvalue(kind, UNIT3, co, *bracket)
+
+
+def test_shooting_march_past_lsoda_default_step_limit():
+    # one march of this level takes 540 LSODA steps, past the 500 an
+    # integrator with its default step limit allows
+    p = PhysicalParams(4, 1.0, 1.0, 2.0, 1.5)
+    co = radial_coefficients(4, 1, 0)
+    E = closed_form_energy("oscillator", p, co, 2)
+    got = shooting_eigenvalue("oscillator", p, co, E - 0.5, E + 0.5)
+    assert got.energy == pytest.approx(E, rel=1e-8)
+
+
 def test_shooting_returns_lowest_level_of_a_wide_bracket():
     co = radial_coefficients(3, 1, 0)
     E2 = closed_form_energy("coulomb", UNIT3, co, 2)
@@ -117,6 +139,24 @@ def test_shooting_result_statistics():
     assert got.evaluations < 8 + 1 + got.iterations
     assert type(got.mismatch) is float
     assert got.mismatch == abs(shooting_mismatch("coulomb", UNIT3, co, got.energy))
+
+
+def test_shooting_result_counts_rhs_evaluations(monkeypatch):
+    seen = []
+    march = oracle.solve_ivp
+
+    def spy(*args, **kwargs):
+        sol = march(*args, **kwargs)
+        seen.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(oracle, "solve_ivp", spy)
+    co = radial_coefficients(3, 1, 1)
+    E = closed_form_energy("oscillator", UNIT3, co, 1)
+    got = shooting_eigenvalue("oscillator", UNIT3, co, E - 0.4, E + 0.4)
+    assert got.rhs_evaluations > 0
+    assert len(seen) == 2 * got.evaluations
+    assert got.rhs_evaluations == sum(seen)
 
 
 def test_ode_residual_helper():
