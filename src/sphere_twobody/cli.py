@@ -39,7 +39,7 @@ from .radial import (
 from .spectra import (
     BRANCH_TOLERANCE,
     K_MIN,
-    MATCH_TOLERANCE,
+    RESIDUAL_TOLERANCE,
     closed_form_energy,
     radial_eigenfunction,
     spectrum,
@@ -180,18 +180,19 @@ def cmd_spectrum(args):
         rs = sample_radii(args.kind, args.samples)
         for entry in levels:
             fn = radial_eigenfunction(args.kind, params, coeffs, entry["k"])
+            values = [fn(r) for r in rs]
+            if 0.0 in values:
+                raise ConvergenceError(f"{args.kind} level k={entry['k']}: the eigenfunction "
+                                       f"underflows to 0.0 at r={rs[values.index(0.0)]!r}")
             entry["samples"] = [
-                {"r": r, "re": fn(r).real, "im": fn(r).imag} for r in rs
+                {"r": r, "re": value.real, "im": value.imag} for r, value in zip(rs, values)
             ]
     doc = {
         "metadata": _metadata(
             args,
             coeffs,
             numeric_only=report.numeric_only,
-            tolerances={
-                "branch_residual": BRANCH_TOLERANCE,
-                "hypergeometric_match": MATCH_TOLERANCE,
-            },
+            tolerances={"branch_residual": BRANCH_TOLERANCE, "ode_residual": RESIDUAL_TOLERANCE},
         ),
         "levels": levels,
     }

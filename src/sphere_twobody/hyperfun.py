@@ -4,8 +4,9 @@
 the z -> 1-z connection formulas near 1 -- each valid on an explicit disk,
 with the overlap ring used to cross-check one route against the other.
 Polynomial cases (nonpositive integer numerator parameter) short-circuit to
-the finite sum, which is what every quantized eigenfunction hits; the
-analytic routes are exercised by generic parameters.
+the finite term-by-term sum, which loses accuracy at high degree (the
+eigenfunctions use their own recurrence); the analytic routes are
+exercised by generic parameters.
 
 Nonpositive-integer detection snaps within 1e-9.  Points on the branch cut
 [1, oo) are rejected rather than silently picking a side.
@@ -15,6 +16,7 @@ import cmath
 import math
 
 from .errors import ConvergenceError, ValidationError
+from .jets import scaled_residual
 
 __all__ = [
     "gamma_complex",
@@ -233,14 +235,13 @@ def gauss_2f1_deriv(alpha, beta, gamma, z, method="auto"):
 
 
 def hypergeom_ode_residual(alpha, beta, gamma, z, method="auto"):
-    """Residual of z(1-z) F'' + (gamma - (alpha+beta+1) z) F' - alpha beta F."""
+    """|z(1-z) F'' + (gamma - (alpha+beta+1) z) F' - alpha beta F| over its largest term."""
     alpha, beta, gamma, z = complex(alpha), complex(beta), complex(gamma), complex(z)
     F = gauss_2f1(alpha, beta, gamma, z, method=method)
     F1 = gauss_2f1_deriv(alpha, beta, gamma, z, method=method)
-    F2 = (
-        (alpha * (alpha + 1.0) * beta * (beta + 1.0)) / (gamma * (gamma + 1.0))
-    ) * gauss_2f1(alpha + 2.0, beta + 2.0, gamma + 2.0, z, method=method)
-    return z * (1.0 - z) * F2 + (gamma - (alpha + beta + 1.0) * z) * F1 - alpha * beta * F
+    F2 = alpha * beta / gamma * gauss_2f1_deriv(alpha + 1.0, beta + 1.0, gamma + 1.0, z, method)
+    return scaled_residual(z * (1.0 - z) * F2, (gamma - (alpha + beta + 1.0) * z) * F1,
+                           -alpha * beta * F)
 
 
 def limit_near_one(alpha, beta, gamma):

@@ -5,7 +5,9 @@ which is all the radial eigenfunctions need; ODE residuals computed this
 way are exact up to roundoff, with no finite-difference truncation.
 """
 
-__all__ = ["Jet"]
+import math
+
+__all__ = ["Jet", "scaled_residual"]
 
 _SCALARS = (int, float, complex)
 
@@ -92,3 +94,12 @@ class Jet:
         w1 = s * self.f ** (s - 1)
         w2 = s * (s - 1) * self.f ** (s - 2)
         return Jet(w, w1 * self.df, w2 * self.df * self.df + w1 * self.d2f)
+
+
+def scaled_residual(*terms):
+    """|sum of terms| over the largest |term|, no floor: NaN stays NaN, all-zero reads inf."""
+    res = abs(sum(terms))
+    if math.isnan(res):  # max() over the terms alone can drop a NaN
+        return res
+    scale = max(abs(t) for t in terms)
+    return res / scale if scale > 0.0 else math.inf

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError, VerificationError
+from .jets import scaled_residual
 from .radial import (
     KIND_COULOMB,
     KIND_OSCILLATOR,
@@ -49,6 +50,7 @@ __all__ = [
     "ShootingResult",
     "shooting_mismatch",
     "shooting_eigenvalue",
+    "RESIDUAL_TOLERANCE",
     "ode_residual",
     "gauss_legendre",
     "JointEigenspace",
@@ -69,6 +71,7 @@ _MAX_RHS_EVALS = 100_000
 # progress, summed by _march without changing what shooting_mismatch returns
 _RHS_SPENT = contextvars.ContextVar("rhs_spent")
 JOINT_TOL = 1e-10    # joint_diagonalize's default null-space tolerance
+RESIDUAL_TOLERANCE = 1e-9  # every scaled ODE residual: `verified`, criteria 6 and 8
 
 
 @dataclass(frozen=True)
@@ -255,14 +258,13 @@ def shooting_eigenvalue(kind, params, coeffs, e_lo, e_hi):
 def ode_residual(p, q, jet_fn, rs):
     """Max scaled residual |f'' + p f' + q f| over sample points.
 
-    jet_fn(r) must return (f, f', f''); scaling is by the local jet size.
+    jet_fn(r) must return (f, f', f''); each point is scaled by its own terms.
     A NaN residual at any point is returned as is, never maxed away.
     """
     worst = 0.0
     for r in rs:
         f, df, d2f = jet_fn(float(r))
-        scale = max(abs(f), abs(df), abs(d2f), 1.0)
-        res = abs(d2f + p(r) * df + q(r) * f) / scale
+        res = scaled_residual(d2f, p(r) * df, q(r) * f)
         if math.isnan(res):
             return res
         worst = max(worst, res)

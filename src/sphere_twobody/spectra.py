@@ -14,10 +14,12 @@ times 2F1(-d, b; c; z) / d!, terminating at degree d = k - 1 (Coulomb) or
 d = k (oscillator).  `RadialEigenfunction` evaluates it by the three-term
 contiguous relation in the first parameter (DLMF §15.5(ii)) with 1/d!
 folded into each step: O(d) per point, on a complex scalar, a `Jet` or a
-numpy array of radii.  A level's `branch_check` flag records that the
-quantization condition holds on the stated square-root branch, that E is
-real, and that f(r0) matches `gauss_2f1`'s term-by-term sum to a relative
-tolerance with no absolute floor.
+numpy array of radii.  A level's `branch_check` flag (`verified` in the
+CLI) records that the quantization condition holds on the stated
+square-root branch, that E is real, and that the jet at one radius r0
+solves the radial ODE: |f'' + p f' + q f| over its largest term, with no
+floor, is at most RESIDUAL_TOLERANCE, however small f is.  An eigenfunction
+that underflows to zero reads unverified.
 
 Asymmetric triples (a != c) admit no such closed form; `spectrum` then
 returns an empty, `numeric_only` report and the shooting oracle is the way
@@ -25,17 +27,18 @@ to get numbers.
 """
 
 import cmath
+import collections
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-# pochhammer is unused here; perfbench/tracing.py wraps the name spectra.pochhammer
+from .errors import ConvergenceError, ValidationError
+# pochhammer is unused here; the tracer in perfbench/tracing.py wraps both names
 from .hyperfun import gauss_2f1, pochhammer  # noqa: F401
 from .jets import Jet
 from .liealg import weyl_dim
-from .oracle import gauss_legendre, ode_residual
+from .oracle import RESIDUAL_TOLERANCE, gauss_legendre, ode_residual
 from .radial import (
     KIND_COULOMB,
     KIND_OSCILLATOR,
@@ -50,7 +53,7 @@ from .radial import (
 
 __all__ = [
     "BRANCH_TOLERANCE",
-    "MATCH_TOLERANCE",
+    "RESIDUAL_TOLERANCE",
     "K_MIN",
     "EnergyLevel",
     "SpectrumReport",
@@ -63,9 +66,8 @@ __all__ = [
     "spectrum",
 ]
 
-# a level is "verified" when its branch residuals and its dual evaluation pass
 BRANCH_TOLERANCE = 1e-10
-MATCH_TOLERANCE = 1e-10
+_R0 = {KIND_COULOMB: 0.7, KIND_OSCILLATOR: 0.45}  # where `spectrum` checks the ODE residual
 
 K_MIN = {KIND_COULOMB: 1, KIND_OSCILLATOR: 0}  # each kind's lowest level index
 
@@ -119,22 +121,24 @@ def closed_form_energy(kind, params, coeffs, k):
     return oscillator_energy(params, coeffs, k)
 
 
-def _coulomb_data(params, coeffs, energy):
+# One level's 2F1 data: f(r) = prefactor(r) 2F1(a, b; c; z(r)) / d!, with a the
+# parameter the quantization condition sets to -d, and rho0, rho1 the prefactor
+# exponents at r = 0 and at r = i (Coulomb) or r = 1 (oscillator).
+_LevelData = collections.namedtuple("_LevelData", "d a b c rho0 rho1")
+
+
+def _coulomb_data(params, coeffs, k, energy):
     n, m, R, g = params.n, params.reduced_mass, params.radius, params.coupling
     a, b = float(coeffs.a), float(coeffs.b)
     A = endpoint_root(n, a)
     u = cmath.sqrt((n - 1) ** 2 + 8.0 * (m * energy * R * R + 1j * m * R * g + 2.0 * a - b))
-    gam = 1.0 + A
-    # quantized branch: alpha = 1 - k; the principal branch carries the
-    # reflection gam - alpha instead
-    alpha = (1.0 + A) / 2.0 - u.real / 2.0
-    beta = (1.0 + A) / 2.0 + 0.5j * u.imag
-    rho0 = endpoint_exponent(n, a)
-    rho_i = ((n - 1) - u.conjugate()) / 2.0
-    return A, u, alpha, beta, gam, rho0, rho_i
+    # a = 1 - k on the quantized branch; the principal branch carries c - a instead
+    half = (1.0 + A) / 2.0
+    return _LevelData(k - 1, half - u.real / 2.0, half + 0.5j * u.imag, 1.0 + A,
+                      endpoint_exponent(n, a), ((n - 1) - u.conjugate()) / 2.0)
 
 
-def _oscillator_data(params, coeffs, energy):
+def _oscillator_data(params, coeffs, k, energy):
     n, m, R, w = params.n, params.reduced_mass, params.radius, params.coupling
     a, b = float(coeffs.a), float(coeffs.b)
     A = endpoint_root(n, a)
@@ -143,32 +147,13 @@ def _oscillator_data(params, coeffs, energy):
         (n - 1) ** 2 + 8.0 * m * energy * R * R + 4.0 * m * R ** 4 * w * w
         + 16.0 * a - 8.0 * b
     )
-    gam = 1.0 + A / 2.0
-    alpha = (2.0 + A + W + s) / 4.0
-    beta = (2.0 + A + W - s) / 4.0
-    rho0 = endpoint_exponent(n, a)
-    rho1 = wall_exponent(params)
-    return A, W, s, alpha, beta, gam, rho0, rho1
+    return _LevelData(k, (2.0 + A + W - s) / 4.0, (2.0 + A + W + s) / 4.0, 1.0 + A / 2.0,
+                      endpoint_exponent(n, a), wall_exponent(params))
 
 
 def branch_residuals(kind, params, coeffs, k, energy=None):
-    """Quantization residual on the stated square-root branch, plus Im E.
-
-    At a genuine level the 2F1 parameter named by the termination condition
-    is the nonpositive integer -d, and the energy is real; both residuals
-    vanish there.
-    """
-    _check_kind(kind)
-    _require_symmetric(coeffs)
-    if energy is None:
-        energy = closed_form_energy(kind, params, coeffs, k)
-    if kind == KIND_COULOMB:
-        alpha = _coulomb_data(params, coeffs, energy)[2]
-        stated = abs(alpha - (1 - k))
-    else:
-        beta = _oscillator_data(params, coeffs, energy)[4]
-        stated = abs(beta + k)
-    return {"stated_branch": stated, "imag_energy": abs(complex(energy).imag)}
+    """Quantization residual |a + d| on the stated branch, plus |Im E|: both 0 on a level."""
+    return radial_eigenfunction(kind, params, coeffs, k, energy).branch_residuals()
 
 
 @dataclass(frozen=True)
@@ -185,11 +170,11 @@ class RadialEigenfunction:
     coeffs: object
     k: int
     energy: float
-    _data: tuple
+    _data: _LevelData
 
     def _prefactor(self, r):
         """The elementary factor multiplying the terminating 2F1 sum."""
-        *_, rho0, rho1 = self._data  # rho1 is the exponent at r = i, resp. r = 1
+        rho0, rho1 = self._data.rho0, self._data.rho1
         if self.kind == KIND_COULOMB:
             # |(r - i)/(r + i)| = 1 for real r, so large exponents cannot overflow
             return r ** rho0 * ((r - 1j) / (r + 1j)) ** rho1 * (r + 1j) ** (-2.0 * rho0)
@@ -197,9 +182,9 @@ class RadialEigenfunction:
 
     def _hypergeometric(self, r):
         """(d, b, c, z) with f(r) = prefactor(r) 2F1(-d, b; c; z) / d!."""
-        if self.kind == KIND_COULOMB:
-            return self.k - 1, self._data[3], self._data[4], 4j * r / (r + 1j) ** 2
-        return self.k, self._data[3], self._data[5], 4.0 * r * r / (r * r + 1.0) ** 2
+        z = (4j * r / (r + 1j) ** 2 if self.kind == KIND_COULOMB
+             else 4.0 * r * r / (r * r + 1.0) ** 2)
+        return self._data.d, self._data.b, self._data.c, z
 
     def _evaluate(self, r):
         """f at a complex scalar, a Jet or a numpy array of r, in O(d).
@@ -224,15 +209,20 @@ class RadialEigenfunction:
         out = self._evaluate(Jet.variable(r))
         return out.f, out.df, out.d2f
 
+    # no caller in the package; the tracer in perfbench/tracing.py wraps this name
     def hypergeometric_value(self, r):
-        """Independent evaluation routing the sum through gauss_2f1."""
+        """f(r) through gauss_2f1's term-by-term sum, which loses accuracy from k ~ 11."""
         d, b, c, z = self._hypergeometric(r)
-        # the stored quantized parameter (~ -d): gauss_2f1 detects termination itself
-        a = self._data[2] if self.kind == KIND_COULOMB else self._data[4]
-        return self._prefactor(r) * (gauss_2f1(a, b, c, z) * math.exp(-math.lgamma(d + 1)))
+        a = self._data.a  # ~ -d: gauss_2f1 detects the termination itself
+        return self._prefactor(r) * gauss_2f1(a, b, c, z) * math.exp(-math.lgamma(d + 1))
+
+    def branch_residuals(self):
+        """|a + d|, which vanishes on the stated branch of a level, and |Im E|."""
+        return {"stated_branch": abs(self._data.a + self._data.d),
+                "imag_energy": abs(complex(self.energy).imag)}
 
     def ode_residual(self, r):
-        """f'' + p f' + q f at real r, scaled by the local solution size."""
+        """|f'' + p f' + q f| at real r over the largest of its three terms."""
         p, q = spectral_ode(self.kind, self.params, self.coeffs, self.energy)
         return ode_residual(p, q, self.jet, [r])
 
@@ -240,7 +230,8 @@ class RadialEigenfunction:
         """integral of |f|^2 against the volume weight r^(n-1)/(1+r^2)^n.
 
         Gauss-Legendre after mapping the domain: the half-angle substitution
-        r = tan(theta/2) for Coulomb, affine for the oscillator.
+        r = tan(theta/2) for Coulomb, affine for the oscillator.  Raises
+        ConvergenceError unless the sum is positive and finite.
         """
         n = self.params.n
         x, w = gauss_legendre(-1.0, 1.0, nodes)
@@ -252,7 +243,11 @@ class RadialEigenfunction:
             r = (x + 1.0) / 2.0
             jac = 0.5
         f = self._evaluate(r)
-        return float(np.sum(w * jac * np.abs(f) ** 2 * r ** (n - 1) / (1.0 + r * r) ** n))
+        total = float(np.sum(w * jac * np.abs(f) ** 2 * r ** (n - 1) / (1.0 + r * r) ** n))
+        if not 0.0 < total < math.inf:
+            raise ConvergenceError(
+                f"{self.kind} k={self.k}: norm quadrature over {nodes} nodes gave {total!r}")
+        return total
 
 
 def radial_eigenfunction(kind, params, coeffs, k, energy=None):
@@ -262,7 +257,7 @@ def radial_eigenfunction(kind, params, coeffs, k, energy=None):
     _check_k(kind, k)
     if energy is None:
         energy = closed_form_energy(kind, params, coeffs, k)
-    data = (_coulomb_data if kind == KIND_COULOMB else _oscillator_data)(params, coeffs, energy)
+    data = (_coulomb_data if kind == KIND_COULOMB else _oscillator_data)(params, coeffs, k, energy)
     return RadialEigenfunction(kind, params, coeffs, k, energy, data)
 
 
@@ -314,6 +309,8 @@ class SpectrumReport:
 def spectrum(kind, params, coeffs, k_min, k_max):
     """Energy levels k_min..k_max with multiplicities and branch checks.
 
+    branch_check: branch residuals <= BRANCH_TOLERANCE and the scaled ODE
+    residual at r0 (0.7 Coulomb, 0.45 oscillator) <= RESIDUAL_TOLERANCE.
     Returns a numeric_only report with no levels when a != c (closed form
     unavailable); callers wanting numbers there should shoot for them.
     """
@@ -326,18 +323,10 @@ def spectrum(kind, params, coeffs, k_min, k_max):
         return SpectrumReport(kind, params, coeffs, (), True)
     mult = weyl_dim(coeffs.carrier.algebra, coeffs.carrier)
     levels = []
-    r0 = 0.7 if kind == KIND_COULOMB else 0.45
     for k in range(k_min, k_max + 1):
         E = closed_form_energy(kind, params, coeffs, k)
-        res = branch_residuals(kind, params, coeffs, k, E)
         fn = radial_eigenfunction(kind, params, coeffs, k, E)
-        direct, via_2f1 = fn(r0), fn.hypergeometric_value(r0)
-        # relative, with no absolute floor to hide a tiny |f(r0)|
-        scale = max(abs(direct), abs(via_2f1))
-        match = abs(direct - via_2f1) / scale if scale > 0.0 else math.inf
-        ok = (
-            max(res.values()) <= BRANCH_TOLERANCE
-            and match <= MATCH_TOLERANCE
-        )
-        levels.append(EnergyLevel(k, E, mult, bool(ok)))
+        ok = (max(fn.branch_residuals().values()) <= BRANCH_TOLERANCE
+              and fn.ode_residual(_R0[kind]) <= RESIDUAL_TOLERANCE)
+        levels.append(EnergyLevel(k, E, mult, ok))
     return SpectrumReport(kind, params, coeffs, tuple(levels), False)

@@ -55,7 +55,7 @@ from .radial import (
     spectral_ode,
     valid_cases,
 )
-from .spectra import K_MIN, closed_form_energy, radial_eigenfunction
+from .spectra import K_MIN, RESIDUAL_TOLERANCE, closed_form_energy, radial_eigenfunction
 
 __all__ = [
     "CheckResult",
@@ -351,11 +351,9 @@ def check_eigenfunction_residuals(kind, n_values=_N_VALUES, n_points=100):
     def eigenfunction(params, coeffs, k):
         fn = radial_eigenfunction(kind, params, coeffs, k)
         p, q = spectral_ode(kind, params, coeffs, fn.energy)
-        yield "residual", ode_residual(p, q, fn.jet, rs), 1e-9
-        n1, n2 = fn.norm_squared(240), fn.norm_squared(480)
-        # a norm that is not positive has no drift to speak of
-        drift = abs(n1 - n2) / max(n1, 1e-300) if n1 > 0.0 else math.nan
-        yield "norm drift", drift, 1e-8
+        yield "residual", ode_residual(p, q, fn.jet, rs), RESIDUAL_TOLERANCE
+        n1, n2 = fn.norm_squared(240), fn.norm_squared(480)  # each positive and finite
+        yield "norm drift", abs(n1 - n2) / n1, 1e-8
 
     return _fold(
         f"{kind} eigenfunction residuals", "eigenfunctions",
@@ -521,9 +519,7 @@ def check_hyperfun_ode():
     rng = random.Random(_SEED)
 
     def residual(alpha, beta, gamma, z):
-        F = gauss_2f1(alpha, beta, gamma, z)
-        res = abs(hypergeom_ode_residual(alpha, beta, gamma, z)) / max(abs(F), 1.0)
-        yield "scaled residual", res, 1e-9
+        yield "scaled residual", hypergeom_ode_residual(alpha, beta, gamma, z), RESIDUAL_TOLERANCE
 
     def cases():
         for _ in range(120):

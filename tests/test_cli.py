@@ -44,7 +44,7 @@ def test_spectrum_json_document(capsys):
     assert md["mass_mode"] == "arbitrary"
     assert md["tolerances"] == {
         "branch_residual": spectra.BRANCH_TOLERANCE,
-        "hypergeometric_match": spectra.MATCH_TOLERANCE,
+        "ode_residual": spectra.RESIDUAL_TOLERANCE,
     }
     assert [lv["k"] for lv in doc["levels"]] == [0, 1, 2]
     assert doc["levels"][0]["E"] == pytest.approx(0.5 + math.sqrt(5) / 2, abs=1e-14)
@@ -125,6 +125,17 @@ def test_spectrum_high_k_samples_exit_cleanly(tmp_path, sector):
         assert all(len(lv["samples"]) == 3 for lv in doc["levels"])
     else:
         assert r.stderr.startswith(("error:", "verification failure:")), r.stderr
+
+
+def test_spectrum_samples_underflow_is_a_convergence_error(capsys):
+    # at k = 200 the nonzero eigenfunction underflows to 0.0 at every sample radius
+    argv = ["spectrum", "--kind", "oscillator", "--n", "3", "--case", "1", "--mk", "1",
+            "--k-min", "200", "--k-max", "200", "--samples", "3"]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 3
+    assert out == ""
+    assert err == ("verification failure: oscillator level k=200: the eigenfunction "
+                   "underflows to 0.0 at r=0.25\n")
 
 
 def test_config_defaults_and_precedence(capsys, tmp_path):

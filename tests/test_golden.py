@@ -11,6 +11,14 @@ moved by at most 2.3e-16, every other byte stayed the same.  The two `verify`
 files were written when check records gained numeric fields (worst, tol,
 margin, count, failed, first_failure); with those keys deleted they are the
 bytes the suites printed before, and every `detail` string is unchanged.
+
+The four `spectrum` JSON files were regenerated once more when a level's
+`verified` flag moved from the term-by-term 2F1 match to the floor-free ODE
+residual: only the metadata key `tolerances.hypergeometric_match` (1e-10)
+became `tolerances.ode_residual` (1e-9).  `verify_hyperfun.out` was
+regenerated then too, because the 2F1 equation check now scales its
+residual by the equation's own terms: only the `check_hyperfun_ode` entry
+(worst, margin and detail) moved.
 """
 
 from pathlib import Path

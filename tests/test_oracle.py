@@ -172,6 +172,17 @@ def test_ode_residual_helper():
     assert math.isnan(ode_residual(p, q, holed, rs))
 
 
+def test_ode_residual_has_no_floor():
+    # the scale is the largest of f'', p f', q f: a tiny solution is judged
+    # as strictly as a large one, and an all-zero jet cannot pass
+    p = lambda r: 0.0
+    q = lambda r: 1.0
+    tiny_bad = lambda r: (1e-300 * math.sin(r), 1e-300 * math.cos(r), -0.9e-300 * math.sin(r))
+    rs = (0.3, 0.9, 1.4)
+    assert ode_residual(p, q, tiny_bad, rs) > 1e-3
+    assert ode_residual(p, q, lambda r: (0.0, 0.0, 0.0), rs) == math.inf
+
+
 def test_gauss_legendre_polynomial_exactness():
     x, w = gauss_legendre(0.0, 1.0, 8)
     assert w.sum() == pytest.approx(1.0, abs=1e-14)

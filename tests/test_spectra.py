@@ -1,12 +1,17 @@
 """Closed-form levels, eigenfunctions, and spectrum reports."""
 
+import contextlib
+import io
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphere_twobody import (
+    ConvergenceError,
     PhysicalParams,
     ValidationError,
     branch_residuals,
@@ -20,6 +25,9 @@ from sphere_twobody import (
     spectrum,
     weyl_dim,
 )
+from sphere_twobody import spectra
+from sphere_twobody.cli import main
+from sphere_twobody.radial import sample_radii
 
 UNIT = {n: PhysicalParams(n, 2.0, 2.0, 1.0, 1.0) for n in (2, 3, 4, 5)}
 
@@ -128,7 +136,8 @@ def test_coulomb_first_level_prefactor_only():
     # prefactor is the same constant at every radius
     co = radial_coefficients(4, 1, 1)
     fn = radial_eigenfunction("coulomb", UNIT[4], co, 1)
-    A, u, alpha, beta, gam, rho0, rho_i = fn._data
+    assert fn._data.d == 0
+    rho0, rho_i = fn._data.rho0, fn._data.rho1
 
     def pre(r):
         return r ** rho0 * (r - 1j) ** rho_i * (r + 1j) ** (-(2.0 * rho0 + rho_i))
@@ -152,9 +161,8 @@ def test_coulomb_complex_parameters_cancel_on_level():
     # on a level the value is real up to a constant global phase
     co = radial_coefficients(3, 1, 1)
     fn = radial_eigenfunction("coulomb", UNIT[3], co, 2)
-    A, u, alpha, beta, gam, rho0, rho_i = fn._data
-    assert abs(u.imag) > 0.1
-    assert abs(rho_i.imag) > 0.1
+    assert abs(fn._data.b.imag) > 0.05  # half of Im u
+    assert abs(fn._data.rho1.imag) > 0.1
     base = fn(0.9)
     for r in (0.3, 1.3, 3.2):
         ratio = fn(r) / base
@@ -309,16 +317,23 @@ def test_kernel_norm_quadrature_stable(kind, n, k):
 
 @pytest.mark.parametrize("k", [80, 150])
 def test_coulomb_high_k_norm_finite(k):
-    # the outer quadrature nodes reach r ~ 1e5, where (r + i) to a power of order k overflows
+    # the outer quadrature nodes reach r ~ 1e5, where (r + i) to a power of order k overflows;
+    # by k = 150 |f|^2 underflows instead, and norm_squared raises rather than return 0.0
     fn = radial_eigenfunction("coulomb", UNIT[3], radial_coefficients(3, 1, 1), k)
     with np.errstate(over="raise", invalid="raise"):
-        assert math.isfinite(fn.norm_squared(480))
+        if k < 100:
+            assert math.isfinite(fn.norm_squared(480))
+        else:
+            with pytest.raises(ConvergenceError, match="norm quadrature"):
+                fn.norm_squared(480)
     assert math.isfinite(abs(fn(1e5)))
 
 
 def test_coulomb_high_k_verified_only_when_accurate():
     """k = 34..40 at r0 = 0.7, where |f| is about 1e-48, far below an
-    absolute floor such as 1e-30 that would make the match test absolute."""
+    absolute floor such as 1e-30 that would make the residual test absolute.
+    `verified` vouches for the recurrence value, not for the term-by-term
+    sum of `hypergeometric_value`, which is 29 % off at k = 34."""
     params = PhysicalParams(3, 1.0, 1.0, 1.0, 1.0)
     co = radial_coefficients(3, 1, 1)
     for level in spectrum("coulomb", params, co, 34, 40).levels:
@@ -327,5 +342,84 @@ def test_coulomb_high_k_verified_only_when_accurate():
         fn = radial_eigenfunction("coulomb", params, co, level.k)
         with mpmath.workdps(REF_DIGITS):
             want = complex(_reference("coulomb", params, co, level.k, fn.energy)(mpmath.mpf(0.7)))
-        for got in (fn(0.7), fn.hypergeometric_value(0.7)):
-            assert abs(got - want) <= 1e-10 * abs(want), (level.k, got, want)
+        got = fn(0.7)
+        assert abs(got - want) <= 1e-10 * abs(want), (level.k, got, want)
+
+
+# ------------------------------------------------ the verified flag at high k
+
+UNIT_MASSES = PhysicalParams(3, 1.0, 1.0, 1.0, 1.0)  # masses, radius and coupling all 1
+KINDS = ("coulomb", "oscillator")
+
+
+def _mpmath_value(kind, params, coeffs, k, energy, r):
+    """(f(r), f'(r)) from the mpmath reference."""
+    with mpmath.workdps(REF_DIGITS):
+        ref = _reference(kind, params, coeffs, k, energy)
+        return complex(ref(mpmath.mpf(r))), complex(mpmath.diff(ref, mpmath.mpf(r)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_spectrum_verified_through_k150(kind):
+    co = radial_coefficients(3, 1, 1)
+    rep = spectrum(kind, UNIT_MASSES, co, spectra.K_MIN[kind], 150)
+    assert [lv.k for lv in rep.levels if not lv.branch_check] == []
+    r0 = spectra._R0[kind]
+    for k in (11, 20, 60, 150):
+        fn = radial_eigenfunction(kind, UNIT_MASSES, co, k)
+        want, _ = _mpmath_value(kind, UNIT_MASSES, co, k, fn.energy, r0)
+        assert abs(fn(r0) - want) <= 1e-10 * abs(want), (k, fn(r0), want)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_ode_residual_rejects_wrong_energy_at_k20(kind):
+    # |f| is below 1e-19 here, so a residual floored at 1 passed this energy
+    co = radial_coefficients(3, 1, 1)
+    fn = radial_eigenfunction(kind, UNIT_MASSES, co, 20)
+    p, q = spectral_ode(kind, UNIT_MASSES, co, fn.energy + 100.0)
+    assert ode_residual(p, q, fn.jet, sample_radii(kind, 16)) > 1e-9
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_spectrum_k200_unverified(kind):
+    # f(r0) underflows to 0 from about k = 165, and an all-zero jet reads inf
+    co = radial_coefficients(3, 1, 1)
+    (level,) = spectrum(kind, UNIT_MASSES, co, 200, 200).levels
+    assert not level.branch_check
+    fn = radial_eigenfunction(kind, UNIT_MASSES, co, 200)
+    assert fn.ode_residual(spectra._R0[kind]) == math.inf
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_norm_squared_underflow_raises(kind):
+    fn = radial_eigenfunction(kind, UNIT_MASSES, radial_coefficients(3, 1, 1), 120)
+    with pytest.raises(ConvergenceError, match=f"{kind} k=120: norm quadrature over 240 nodes"):
+        fn.norm_squared()
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(2, 5), mk=st.integers(0, 4),
+       m1=st.floats(0.5, 2.5), m2=st.floats(0.5, 2.5), radius=st.floats(0.5, 2.0),
+       coupling=st.floats(0.2, 2.0), k=st.integers(1, 150))
+def test_verified_levels_match_mpmath(kind, n, mk, m1, m2, radius, coupling, k):
+    """Verified implies within 1e-8 of mpmath at r0, and the CLI exits cleanly.
+
+    The error is measured against the local amplitude max(|f|, |f'|/(k+1)),
+    as in the kernel tests, since r0 may sit next to one of the k nodes.
+    """
+    params = PhysicalParams(n, m1, m2, radius, coupling)
+    co = radial_coefficients(n, 1, None if n == 2 else mk)
+    (level,) = spectrum(kind, params, co, k, k).levels
+    if level.branch_check:
+        r0 = spectra._R0[kind]
+        fn = radial_eigenfunction(kind, params, co, k)
+        want, dwant = _mpmath_value(kind, params, co, k, fn.energy, r0)
+        amp = max(abs(want), abs(dwant) / (k + 1))
+        assert abs(fn(r0) - want) <= 1e-8 * amp, (fn(r0), want)
+    argv = ["spectrum", "--kind", kind, "--n", str(n), "--case", "1", "--m1", repr(m1),
+            "--m2", repr(m2), "--radius", repr(radius), "--coupling", repr(coupling),
+            "--k-min", str(k), "--k-max", str(k), "--samples", "3"]
+    if n > 2:
+        argv += ["--mk", str(mk)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 2, 3)
