@@ -5,6 +5,10 @@ eigenfunctions for Coulomb-like and oscillator-like interactions, backed
 by the so(n+1) ladder machinery that produces them and by independent
 numerical oracles (shooting, joint diagonalization, equation residuals)
 that verify every closed form.
+
+numpy and scipy are imported inside the functions that use them, never at
+module level: the exact algebra, the closed-form levels and the Fuchsian
+data run on the standard library, so importing the package loads neither.
 """
 
 from .errors import ConvergenceError, ValidationError, VerificationError

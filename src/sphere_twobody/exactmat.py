@@ -15,8 +15,6 @@ product visits only pairs of nonzero entries.
 from fractions import Fraction
 from itertools import repeat
 
-import numpy as np
-
 __all__ = ["Rad", "GMat"]
 
 _ZERO = Fraction(0)
@@ -234,6 +232,8 @@ class GMat:
         return [acc[i] for i in range(self.n)]
 
     def to_numpy(self):
+        import numpy as np
+
         a = np.zeros((self.n, self.n), dtype=complex)
         for (i, j), (x, y) in self.entries():
             a[i, j] = float(x) + 1j * float(y)

@@ -27,8 +27,6 @@ the factorization identities.
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ValidationError, VerificationError
 from .exactmat import GMat, Rad, _add, _neg, _scalar
 from .liealg import AlgebraLabel, HighestWeight, casimir_eigenvalue, invariant_subspace_dim
@@ -417,6 +415,8 @@ def verify_embedding(k, tol=EMBEDDING_TOL):
     moves basis vector 2 to the last slot, conjugates by J^T, and compares
     with the stated F-combinations entrywise. Returns the max deviation.
     """
+    import numpy as np
+
     if not 2 <= k <= 5:
         raise ValidationError(f"embedding check supports 2 <= k <= 5, got {k}")
     N = 2 * k + 1

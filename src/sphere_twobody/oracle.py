@@ -30,8 +30,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConvergenceError, ValidationError, VerificationError
 from .jets import scaled_residual
 from .radial import (
@@ -219,6 +217,8 @@ def shooting_eigenvalue(kind, params, coeffs, e_lo, e_hi):
     ValidationError on a non-finite or empty bracket and ConvergenceError
     when the bracket contains no sign change.
     """
+    import numpy as np
+
     if not (math.isfinite(e_lo) and math.isfinite(e_hi)):
         raise ValidationError(f"non-finite energy bracket [{e_lo}, {e_hi}]")
     if not e_lo < e_hi:
@@ -274,6 +274,8 @@ def ode_residual(p, q, jet_fn, rs):
 @functools.lru_cache(maxsize=16)
 def _legendre_rule(nodes):
     """Read-only Gauss-Legendre nodes and weights on (-1, 1), built once."""
+    import numpy as np
+
     x, w = np.polynomial.legendre.leggauss(nodes)
     x.flags.writeable = w.flags.writeable = False
     return x, w
@@ -291,10 +293,12 @@ def gauss_legendre(a, b, nodes):
 @dataclass(frozen=True, slots=True)
 class JointEigenspace:
     eigenvalues: tuple  # one per input matrix
-    basis: np.ndarray   # columns span the joint eigenspace
+    basis: "np.ndarray"  # columns span the joint eigenspace
 
 
 def _eigenvalue_clusters(mat, tol):
+    import numpy as np
+
     vals = np.linalg.eigvals(mat)
     order = np.lexsort((vals.imag, vals.real))
     clusters = []
@@ -315,6 +319,8 @@ def joint_diagonalize(mats, require_commuting=True, tol=JOINT_TOL):
     require_commuting (the default) a noncommuting family raises
     VerificationError, reporting the worst commutator norm.
     """
+    import numpy as np
+
     mats = [np.asarray(M, dtype=complex) for M in mats]
     if not mats:
         raise ValidationError("need at least one matrix")

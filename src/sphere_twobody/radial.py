@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ValidationError
 from .ladder import MASS_ARBITRARY, MASS_EQUAL
 from .liealg import AlgebraLabel, HighestWeight
@@ -302,6 +300,8 @@ def hamiltonian_ABC(params, alpha=None):
     B vanishes identically iff m1 == m2 with the canonical split, and
     A + C == (1+r^2)^2 / (4 m R^2 r^2) for every split.
     """
+    import numpy as np
+
     m1, m2, R = params.m1, params.m2, params.radius
     if alpha is None:
         alpha = m2 / (m1 + m2)

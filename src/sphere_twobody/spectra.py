@@ -16,10 +16,12 @@ contiguous relation in the first parameter (DLMF §15.5(ii)) with 1/d!
 folded into each step: O(d) per point, on a complex scalar, a `Jet` or a
 numpy array of radii.  A level's `branch_check` flag (`verified` in the
 CLI) records that the quantization condition holds on the stated
-square-root branch, that E is real, and that the jet at one radius r0
-solves the radial ODE: |f'' + p f' + q f| over its largest term, with no
-floor, is at most RESIDUAL_TOLERANCE, however small f is.  An eigenfunction
-that underflows to zero reads unverified.
+square-root branch and that the jet at one radius r0 solves the radial
+ODE: |f'' + p f' + q f| over its largest term, with no floor, is at most
+RESIDUAL_TOLERANCE, however small f is.  An eigenfunction that underflows
+to zero reads unverified.  `spectrum` passes the closed-form E, a real
+float, so the |Im E| half of `branch_residuals()` is 0.0 there; it only
+bites for a caller that builds an eigenfunction at a complex energy.
 
 Asymmetric triples (a != c) admit no such closed form; `spectrum` then
 returns an empty, `numeric_only` report and the shooting oracle is the way
@@ -29,9 +31,8 @@ to get numbers.
 import cmath
 import collections
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 # pochhammer is unused here; the tracer in perfbench/tracing.py wraps both names
@@ -231,8 +232,11 @@ class RadialEigenfunction:
 
         Gauss-Legendre after mapping the domain: the half-angle substitution
         r = tan(theta/2) for Coulomb, affine for the oscillator.  Raises
-        ConvergenceError unless the sum is positive and finite.
+        ConvergenceError unless the sum is a finite normal float: a subnormal
+        sum has lost its relative precision to underflow.
         """
+        import numpy as np
+
         n = self.params.n
         x, w = gauss_legendre(-1.0, 1.0, nodes)
         if self.kind == KIND_COULOMB:
@@ -244,7 +248,7 @@ class RadialEigenfunction:
             jac = 0.5
         f = self._evaluate(r)
         total = float(np.sum(w * jac * np.abs(f) ** 2 * r ** (n - 1) / (1.0 + r * r) ** n))
-        if not 0.0 < total < math.inf:
+        if not sys.float_info.min <= total < math.inf:
             raise ConvergenceError(
                 f"{self.kind} k={self.k}: norm quadrature over {nodes} nodes gave {total!r}")
         return total

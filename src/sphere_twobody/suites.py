@@ -17,8 +17,6 @@ import time
 import types
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConvergenceError, ValidationError, VerificationError
 from .fuchsian import (
     accessory_parameter_probe,
@@ -189,6 +187,8 @@ def check_structure_relations(max_rank=6, max_mk=8):
 def check_classification_bruteforce(max_rank=4, max_mk=6, include_d3=False):
     """Classified eigenvectors == numeric joint eigenspaces of {D0^2, D1, D2}."""
     def module(alg, w):
+        import numpy as np
+
         rep = build_ladder_rep(alg, w)
         ops = operator_matrices(rep)
         recs = classify_common_eigenvectors(rep, alg.sphere_dim)
@@ -352,7 +352,7 @@ def check_eigenfunction_residuals(kind, n_values=_N_VALUES, n_points=100):
         fn = radial_eigenfunction(kind, params, coeffs, k)
         p, q = spectral_ode(kind, params, coeffs, fn.energy)
         yield "residual", ode_residual(p, q, fn.jet, rs), RESIDUAL_TOLERANCE
-        n1, n2 = fn.norm_squared(240), fn.norm_squared(480)  # each positive and finite
+        n1, n2 = fn.norm_squared(240), fn.norm_squared(480)  # each normal and finite
         yield "norm drift", abs(n1 - n2) / n1, 1e-8
 
     return _fold(

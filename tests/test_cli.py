@@ -421,36 +421,50 @@ def test_console_script_on_path(capsys):
 
 
 def test_commands_import_no_scipy(tmp_path):
-    """Importing the package and the closed-form commands load no scipy
-    module; scipy is imported by the oracle on first use only."""
+    """Importing the package and the closed-form commands load no numpy or
+    scipy module; the functions that use them import them on first call."""
     script = """
-import contextlib, io, sys
+import contextlib, io, math, sys
 import sphere_twobody
 from sphere_twobody.cli import main
-from sphere_twobody import PhysicalParams, radial_coefficients, shooting_eigenvalue
+from sphere_twobody import (PhysicalParams, hamiltonian_ABC, radial_coefficients,
+                            radial_eigenfunction, shooting_eigenvalue, verify_embedding)
 
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def loaded(package):
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 
 
-assert scipy_modules() == [], scipy_modules()
+assert loaded("numpy") == [] and loaded("scipy") == [], (loaded("numpy"), loaded("scipy"))
 for argv in (
     ["spectrum", "--kind", "coulomb", "--n", "3", "--case", "1", "--mk", "0",
      "--k-max", "4", "--samples", "3"],
     ["spectrum", "--kind", "oscillator", "--n", "2", "--case", "1", "--k-max", "3",
      "--format", "csv"],
+    ["spectrum", "--kind", "coulomb", "--n", "3", "--case", "2", "--mk", "1", "--k-max", "3"],
     ["classify", "--n", "3", "--mk", "2", "--mk1", "1"],
+    ["classify", "--n", "2", "--mk", "2"],
     ["ladder", "--series", "B", "--rank", "2", "--weights", "1,2"],
+    ["ladder", "--series", "B", "--rank", "1", "--weights", "3"],
     ["fuchs", "--kind", "coulomb", "--n", "3", "--case", "1", "--mk", "0", "--k", "2"],
+    ["fuchs", "--kind", "oscillator", "--n", "3", "--case", "1", "--mk", "1", "--k", "2"],
 ):
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == 0, argv
-    assert scipy_modules() == [], (argv, scipy_modules())
+    assert loaded("numpy") == [] and loaded("scipy") == [], (argv, loaded("numpy"))
+unit = PhysicalParams(3, 1.0, 1.0, 1.0, 1.0)
+fn = radial_eigenfunction("coulomb", unit, radial_coefficients(3, 1, 1), 2)
+assert math.isclose(fn.norm_squared(), 0.01051245607404121, rel_tol=1e-10)
+assert "numpy" in loaded("numpy")
+assert verify_embedding(2).max_deviation <= 1e-12
+A, B, C = hamiltonian_ABC(unit)
+assert math.isclose(A(0.5) + C(0.5), (1 + 0.25) ** 2 / (4 * 0.5 * 0.25), rel_tol=1e-13)
+assert abs(B(0.5)) <= 1e-14
+assert loaded("scipy") == [], loaded("scipy")
 found = shooting_eigenvalue("coulomb", PhysicalParams(3, 2.0, 2.0, 1.0, 1.0),
                             radial_coefficients(3, 1, 0), 3.5, 4.5)
 assert abs(found.energy - (4.0 - 1.0 / 18.0)) < 1e-8, found  # (k^2 - 1)/2 - 1/(2k^2), k = 3
-assert "scipy.integrate" in scipy_modules()
+assert "scipy.integrate" in loaded("scipy")
 """
     env = dict(os.environ)
     src = str(Path(sphere_twobody.__file__).resolve().parents[1])

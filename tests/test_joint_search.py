@@ -6,7 +6,6 @@ import itertools
 import numpy as np
 import pytest
 
-from sphere_twobody import oracle
 from sphere_twobody.ladder import build_ladder_rep, operator_matrices
 from sphere_twobody.liealg import AlgebraLabel
 from sphere_twobody.oracle import JointEigenspace, _eigenvalue_clusters, joint_diagonalize
@@ -93,7 +92,7 @@ def test_pruned_search_svd_count(monkeypatch):
         return svd(*args, **kwargs)
 
     family = ladder_family(AlgebraLabel("B", 2), (0, 8), with_d3=True)
-    monkeypatch.setattr(oracle.np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg, "svd", counting)
     assert joint_diagonalize(family, require_commuting=False) == []
     assert len(calls) <= 50
 

@@ -315,14 +315,17 @@ def test_kernel_norm_quadrature_stable(kind, n, k):
     assert abs(hi - lo) <= 1e-8 * lo
 
 
-@pytest.mark.parametrize("k", [80, 150])
+@pytest.mark.parametrize("k", [80, 90, 100, 150])
 def test_coulomb_high_k_norm_finite(k):
     # the outer quadrature nodes reach r ~ 1e5, where (r + i) to a power of order k overflows;
-    # by k = 150 |f|^2 underflows instead, and norm_squared raises rather than return 0.0
+    # by k = 100 |f|^2 sums to a subnormal (5e-321, a few significant bits) and by
+    # k = 150 to 0.0, and norm_squared raises rather than return either
     fn = radial_eigenfunction("coulomb", UNIT[3], radial_coefficients(3, 1, 1), k)
     with np.errstate(over="raise", invalid="raise"):
         if k < 100:
-            assert math.isfinite(fn.norm_squared(480))
+            lo, hi = fn.norm_squared(240), fn.norm_squared(480)
+            assert math.isfinite(hi)
+            assert abs(hi - lo) <= 1e-8 * lo
         else:
             with pytest.raises(ConvergenceError, match="norm quadrature"):
                 fn.norm_squared(480)
