@@ -19,6 +19,7 @@ Hamiltonian (B vanishes identically for equal masses).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,6 +76,11 @@ class PhysicalParams:
                 raise ValidationError(f"{name} must be positive and finite, got {v}")
         if not math.isfinite(self.coupling):
             raise ValidationError(f"coupling must be finite, got {self.coupling}")
+        # every level divides by m R^2: 0.0, a subnormal or inf there breaks the closed forms
+        mr2 = self.reduced_mass * self.radius * self.radius
+        if not sys.float_info.min <= mr2 < math.inf:
+            raise ValidationError(
+                f"reduced mass times radius^2 must be a positive normal float, got {mr2}")
 
     @property
     def reduced_mass(self):

@@ -13,8 +13,10 @@ T = 4k + 2 + A.  Each level's eigenfunction is an elementary prefactor
 times 2F1(-d, b; c; z) / d!, terminating at degree d = k - 1 (Coulomb) or
 d = k (oscillator).  `RadialEigenfunction` evaluates it by the three-term
 contiguous relation in the first parameter (DLMF §15.5(ii)) with 1/d!
-folded into each step: O(d) per point, on a complex scalar, a `Jet` or a
-numpy array of radii.  A level's `branch_check` flag (`verified` in the
+folded into each step: O(d) per point, on a complex scalar or a numpy
+array of radii.  `jet` runs the recurrence's derivative on plain complex
+(f, f', f'') components; the generic path on a `Jet` is its test reference,
+equal bit for bit.  A level's `branch_check` flag (`verified` in the
 CLI) records that the quantization condition holds on the stated
 square-root branch and that the jet at one radius r0 solves the radial
 ODE: |f'' + p f' + q f| over its largest term, with no floor, is at most
@@ -44,6 +46,7 @@ from .radial import (
     KIND_COULOMB,
     KIND_OSCILLATOR,
     _check_compatible,
+    _check_energy,
     _check_kind,
     endpoint_exponent,
     endpoint_root,
@@ -116,10 +119,11 @@ def oscillator_energy(params, coeffs, k):
 
 
 def closed_form_energy(kind, params, coeffs, k):
+    """k-th level of either kind; ValidationError if it overflows to a non-finite float."""
     _check_kind(kind)
-    if kind == KIND_COULOMB:
-        return coulomb_energy(params, coeffs, k)
-    return oscillator_energy(params, coeffs, k)
+    energy = (coulomb_energy if kind == KIND_COULOMB else oscillator_energy)(params, coeffs, k)
+    _check_energy(energy)
+    return energy
 
 
 # One level's 2F1 data: f(r) = prefactor(r) 2F1(a, b; c; z(r)) / d!, with a the
@@ -188,7 +192,7 @@ class RadialEigenfunction:
         return self._data.d, self._data.b, self._data.c, z
 
     def _evaluate(self, r):
-        """f at a complex scalar, a Jet or a numpy array of r, in O(d).
+        """f at a complex scalar or a numpy array of r, in O(d); on a Jet, `jet`'s reference.
 
         G_m = 2F1(-m, b; c; z) / m! follows from the contiguous relation
         (c-a) F(a-1) + (2a - c + (b-a) z) F(a) + a (z-1) F(a+1) = 0 at a = -m:
@@ -206,8 +210,35 @@ class RadialEigenfunction:
         return self._evaluate(complex(r))
 
     def jet(self, r):
-        """(f, f', f'') at real r."""
-        out = self._evaluate(Jet.variable(r))
+        """(f, f', f'') at real r.
+
+        `_evaluate`'s recurrence with each G_m carried as the three complex
+        components (g0, g1, g2) of its jet, the product and quotient rules
+        written out.  Every step does the floating-point operations that
+        `Jet` arithmetic does on `_evaluate(Jet.variable(r))`, in the same
+        order, less the products with the exact zero derivatives of the
+        scalar coefficients, so the two agree bit for bit up to the sign of
+        a zero component.
+        """
+        x = Jet.variable(r)
+        d, b, c, z = self._hypergeometric(x)
+        z0, z1, z2 = z.f, z.df, z.d2f
+        w0 = z0 - 1.0  # z - 1
+        p0, p1, p2 = 0j, 0j, 0j  # G_(m-1)
+        g0, g1, g2 = 1 + 0j, 0j, 0j  # G_m
+        for m in range(d):
+            bm = b + m
+            # s = c + 2m - (b + m) z, then t = s G_m + (z - 1) G_(m-1); complex() and
+            # 0j - ... are what Jet's coercion of a scalar does, down to zero signs
+            s0, s1, s2 = complex(c + 2 * m) - z0 * bm, 0j - z1 * bm, 0j - z2 * bm
+            t0 = s0 * g0 + w0 * p0
+            t1 = (s1 * g0 + s0 * g1) + (z1 * p0 + w0 * p1)
+            t2 = ((s2 * g0 + 2.0 * s1 * g1 + s0 * g2)
+                  + (z2 * p0 + 2.0 * z1 * p1 + w0 * p2))
+            den = complex((c + m) * (m + 1))
+            p0, p1, p2 = g0, g1, g2
+            g0, g1, g2 = t0 / den, t1 / den, t2 / den
+        out = self._prefactor(x) * Jet(g0, g1, g2)
         return out.f, out.df, out.d2f
 
     # no caller in the package; the tracer in perfbench/tracing.py wraps this name

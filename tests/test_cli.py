@@ -191,6 +191,14 @@ def test_validation_exit_codes(capsys):
         ["fuchs", "--kind", "coulomb", "--n", "3", "--case", "1", "--mk", "1",
          "--k", "1", "--energy", "0.5"],                 # k and energy exclusive
         ["ladder", "--series", "B", "--rank", "2", "--weights", "2,1"],
+        # m R^2 underflows to 0.0
+        ["spectrum", "--kind", "oscillator", "--n", "3", "--case", "1", "--mk", "1",
+         "--m1", "1e-300", "--m2", "1e-300"],
+        ["spectrum", "--kind", "coulomb", "--n", "3", "--case", "1", "--mk", "1",
+         "--radius", "1e-200"],
+        # the energy overflows to inf
+        ["spectrum", "--kind", "oscillator", "--n", "3", "--case", "1", "--mk", "1",
+         "--k-min", "0", "--k-max", "0", "--coupling", "1e200"],
     ]
     for argv in cases:
         rc, _, err = run_cli(capsys, argv)

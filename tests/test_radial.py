@@ -33,6 +33,11 @@ def test_params_validation():
         PhysicalParams(3, 1.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValidationError):
         PhysicalParams(3, 1.0, 1.0, 1.0, float("nan"))
+    # m R^2 is 0.0, 0.0, subnormal, inf
+    for m1, m2, radius in ((1e-300, 1e-300, 1.0), (1.0, 1.0, 1e-200), (1.0, 1e-310, 1.0),
+                           (1e200, 1e200, 1.0)):
+        with pytest.raises(ValidationError, match="positive normal float"):
+            PhysicalParams(3, m1, m2, radius, 1.0)
     p = PhysicalParams(3, 1.0, 3.0, 1.0, 1.0)
     assert p.reduced_mass == pytest.approx(0.75)
     assert not p.equal_masses

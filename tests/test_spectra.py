@@ -27,6 +27,7 @@ from sphere_twobody import (
 )
 from sphere_twobody import spectra
 from sphere_twobody.cli import main
+from sphere_twobody.jets import Jet
 from sphere_twobody.radial import sample_radii
 
 UNIT = {n: PhysicalParams(n, 2.0, 2.0, 1.0, 1.0) for n in (2, 3, 4, 5)}
@@ -282,7 +283,7 @@ def _kernel_cases():
 
 @pytest.mark.parametrize("kind,n,k", list(_kernel_cases()))
 def test_kernel_matches_mpmath(kind, n, k):
-    """Values, first derivatives and the vectorised path against mpmath.
+    """Values, both derivatives and the vectorised path against mpmath.
 
     Errors are measured against the local amplitude max(|f|, |f'|/(k+1)):
     near one of the k nodes |f| itself is no scale, since rounding z(r) in
@@ -303,8 +304,26 @@ def test_kernel_matches_mpmath(kind, n, k):
             assert abs(got - want) <= 1e-12 * amp, (r, got, want)
             # the array path takes the same steps with numpy's rounding
             assert abs(v - got) <= 1e-12 * amp, (r, v, got)
-            df = fn.jet(r)[1]
+            _, df, d2f = fn.jet(r)
             assert abs(df - dwant) <= 1e-12 * (k + 1) * amp, (r, df, dwant)
+            d2want = complex(mpmath.diff(ref, mpmath.mpf(r), 2))
+            assert abs(d2f - d2want) <= 1e-12 * (k + 1) ** 2 * amp, (r, d2f, d2want)
+
+
+# one non-unit parameter set per kind: unequal masses, n = 3 and n = 5
+KERNEL_NON_UNIT = [("coulomb", 3, 17, PhysicalParams(3, 0.7, 2.3, 1.6, 0.35)),
+                   ("oscillator", 5, 23, PhysicalParams(5, 1.3, 0.6, 0.8, 1.9))]
+
+
+@pytest.mark.parametrize("kind,n,k,params",
+                         [(kind, n, k, UNIT[n]) for kind, n, k in _kernel_cases()]
+                         + KERNEL_NON_UNIT)
+def test_jet_equals_generic_jet_path(kind, n, k, params):
+    """`jet`'s written-out recurrence is `_evaluate` on a Jet, bit for bit."""
+    fn = radial_eigenfunction(kind, params, radial_coefficients(n, 1, KERNEL_SECTORS[n]), k)
+    for r in (*KERNEL_RADII[kind], *sample_radii(kind, 16), spectra._R0[kind]):
+        out = fn._evaluate(Jet.variable(r))
+        assert fn.jet(r) == (out.f, out.df, out.d2f), r
 
 
 @pytest.mark.parametrize("kind,n,k", [c for c in _kernel_cases() if c[2] <= 40])
