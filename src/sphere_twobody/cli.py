@@ -8,7 +8,6 @@ diagnostics to stderr.  Exit codes: 0 success, 2 validation error,
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import sys
@@ -344,7 +343,7 @@ def cmd_fuchs(args):
 
 def _check_doc(chk):
     """JSON form of a CheckResult: every field but the timing, non-finite -> null."""
-    doc = dataclasses.asdict(chk)
+    doc = chk._asdict()
     del doc["seconds"]  # timings go to stderr so stdout stays deterministic
     return {key: None if isinstance(v, float) and not math.isfinite(v) else v
             for key, v in doc.items()}

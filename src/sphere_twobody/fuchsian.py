@@ -17,9 +17,9 @@ table (or reports that none applies).
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ValidationError, VerificationError
+from .errors import ValidationError, VerificationError, _Validated
 from .radial import (
     KIND_COULOMB,
     _check_compatible,
@@ -73,19 +73,21 @@ def _fmtc(x, nd=6):
     return f"{x.real:.{nd}g}{x.imag:+.{nd}g}i"
 
 
-@dataclass(frozen=True)
-class SingularPoint:
+class SingularPoint(NamedTuple):
     location: object  # complex or INFINITY
     exponents: tuple  # (rho_plus, rho_minus)
 
 
-@dataclass(frozen=True)
-class FuchsianEq:
-    """Second-order equation with regular singular points only."""
-
+class _FuchsianEqFields(NamedTuple):
     points: tuple
 
-    def __post_init__(self):
+
+class FuchsianEq(_Validated, _FuchsianEqFields):
+    """Second-order equation with regular singular points only."""
+
+    __slots__ = ()
+
+    def _validate(self):
         finite = [p.location for p in self.points if p.location is not INFINITY]
         for i, z in enumerate(finite):
             for w in finite[i + 1:]:
@@ -249,11 +251,7 @@ def cross_ratio_classify(s):
     return "generic"
 
 
-@dataclass(frozen=True)
-class HeunParams:
-    """Parameters of g'' + (gamma/t + delta/(t-1) + eps/(t-d)) g'
-    + (alpha beta t - q) / (t (t-1) (t-d)) g = 0."""
-
+class _HeunParamsFields(NamedTuple):
     d: complex
     alpha: complex
     beta: complex
@@ -262,7 +260,14 @@ class HeunParams:
     epsilon: complex
     q: complex
 
-    def __post_init__(self):
+
+class HeunParams(_Validated, _HeunParamsFields):
+    """Parameters of g'' + (gamma/t + delta/(t-1) + eps/(t-d)) g'
+    + (alpha beta t - q) / (t (t-1) (t-d)) g = 0."""
+
+    __slots__ = ()
+
+    def _validate(self):
         res = self.consistency_residual()
         if abs(res) > 1e-8:
             raise ValidationError(
@@ -285,8 +290,7 @@ class HeunParams:
         return p, q
 
 
-@dataclass(frozen=True)
-class HeunReduction:
+class HeunReduction(NamedTuple):
     """Heun normal form of a radial equation, plus the raw translated ODE.
 
     A, B are the coefficients of f'' + A f' - B f = 0 in the Mobius variable
@@ -447,8 +451,7 @@ _MAIER_TABLE = (
 )
 
 
-@dataclass(frozen=True)
-class MaierMatch:
+class MaierMatch(NamedTuple):
     """A Heun parameter set landed on a row of the reduction table."""
 
     case_id: int
@@ -504,8 +507,7 @@ def maier_classify(hp):
     return None
 
 
-@dataclass(frozen=True)
-class HypergeomParams:
+class HypergeomParams(NamedTuple):
     """2F1 parameters of the pulled-back equation F(alpha, beta; gamma; z)."""
 
     alpha: complex

@@ -24,8 +24,8 @@ square roots carried exactly by exactmat.Rad; here mu = m - 1, nu = m in
 the factorization identities.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ValidationError, VerificationError
 from .exactmat import GMat, Rad, _add, _neg, _scalar
@@ -54,8 +54,7 @@ _HALF = Fraction(1, 2)
 EMBEDDING_TOL = 1e-12  # verify_embedding's default deviation tolerance
 
 
-@dataclass(slots=True)
-class LadderRep:
+class LadderRep(NamedTuple):
     """F, D+, D- on the invariant subspace; exact entries."""
 
     algebra: AlgebraLabel
@@ -73,6 +72,7 @@ class LadderRep:
         return len(self.basis)
 
     def index(self, j):
+        """Position of the F-eigenvalue j in the basis (shadows tuple.index)."""
         return self.basis.index(j)
 
 
@@ -121,8 +121,7 @@ def build_ladder_rep(algebra, weight):
     return LadderRep(algebra, w, nu, mu, basis, F, GMat.build(n, dp), GMat.build(n, dm), cas)
 
 
-@dataclass
-class OperatorMatrices:
+class OperatorMatrices(NamedTuple):
     """The four invariant operators and the Casimir scalar matrix."""
 
     D0: GMat
@@ -162,8 +161,7 @@ def _series_q(rep):
     ) + (k - 1) * (k - 2)
 
 
-@dataclass
-class StructureReport:
+class StructureReport(NamedTuple):
     """Exact residual matrices of the operator-algebra relations."""
 
     algebra: AlgebraLabel
@@ -254,8 +252,7 @@ def verify_structure_relations(rep):
     return report
 
 
-@dataclass(slots=True)
-class EigenvectorRecord:
+class EigenvectorRecord(NamedTuple):
     """A classified common eigenvector of {D0^2, D1, D2} (and maybe D3).
 
     delta3 is present (always 0) exactly when the vector is also a D3
@@ -399,8 +396,7 @@ def classify_common_eigenvectors(rep, n):
     return sorted(records, key=lambda r: r.case_id)
 
 
-@dataclass
-class EmbeddingReport:
+class EmbeddingReport(NamedTuple):
     """Deviations of the defining-representation correspondence check."""
 
     k: int

@@ -9,11 +9,11 @@ Weights are written in the orthonormal epsilon-basis as integer tuples
 are out of scope and rejected.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
-from .errors import ValidationError
+from .errors import ValidationError, _Validated
 
 __all__ = [
     "AlgebraLabel",
@@ -26,14 +26,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class AlgebraLabel:
-    """One of the orthogonal series: B_k = so(2k+1) or D_k = so(2k)."""
-
+class _AlgebraLabelFields(NamedTuple):
     series: str
     rank: int
 
-    def __post_init__(self):
+
+class AlgebraLabel(_Validated, _AlgebraLabelFields):
+    """One of the orthogonal series: B_k = so(2k+1) or D_k = so(2k)."""
+
+    __slots__ = ()
+
+    def _validate(self):
         if self.series not in ("B", "D"):
             raise ValidationError(f"series must be 'B' or 'D', got {self.series!r}")
         if not isinstance(self.rank, int) or isinstance(self.rank, bool):
@@ -81,15 +84,20 @@ def _check_coeffs(series, rank, coeffs):
             raise ValidationError(f"not D-dominant (need m_2 >= |m_1|): {coeffs}")
 
 
-@dataclass(frozen=True, slots=True)
-class HighestWeight:
-    """Dominant integral weight (m_1, ..., m_k) of a B_k or D_k module."""
-
+class _HighestWeightFields(NamedTuple):
     algebra: AlgebraLabel
     coeffs: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+
+class HighestWeight(_Validated, _HighestWeightFields):
+    """Dominant integral weight (m_1, ..., m_k) of a B_k or D_k module."""
+
+    __slots__ = ()
+
+    def __new__(cls, algebra, coeffs):
+        return super().__new__(cls, algebra, tuple(coeffs))
+
+    def _validate(self):
         _check_coeffs(self.algebra.series, self.algebra.rank, self.coeffs)
 
     def __str__(self):

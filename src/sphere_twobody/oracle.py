@@ -28,7 +28,7 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConvergenceError, ValidationError, VerificationError
 from .jets import scaled_residual
@@ -72,8 +72,7 @@ JOINT_TOL = 1e-10    # joint_diagonalize's default null-space tolerance
 RESIDUAL_TOLERANCE = 1e-9  # every scaled ODE residual: `verified`, criteria 6 and 8
 
 
-@dataclass(frozen=True)
-class ShootingResult:
+class ShootingResult(NamedTuple):
     energy: float
     mismatch: float
     bracket: tuple
@@ -290,8 +289,7 @@ def gauss_legendre(a, b, nodes):
     return mid + half * x, half * w
 
 
-@dataclass(frozen=True, slots=True)
-class JointEigenspace:
+class JointEigenspace(NamedTuple):
     eigenvalues: tuple  # one per input matrix
     basis: "np.ndarray"  # columns span the joint eigenspace
 

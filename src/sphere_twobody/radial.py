@@ -13,17 +13,17 @@ classification case.  The tables here are the closed forms; they coincide
 with -delta2/8, -(delta0 + delta1 + delta2)/8, -delta1/8 applied to the
 classified eigenvector records, which is how the tests pin them down.
 
-Also provides the interaction potentials, the oscillator equation in
-zeta = r^2, and the kinetic coefficient functions A, B, C of the two-body
-Hamiltonian (B vanishes identically for equal masses).
+Also provides the interaction potentials and the kinetic coefficient
+functions A, B, C of the two-body Hamiltonian (B vanishes identically for
+equal masses).
 """
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import ValidationError
+from .errors import ValidationError, _Validated
 from .ladder import MASS_ARBITRARY, MASS_EQUAL
 from .liealg import AlgebraLabel, HighestWeight
 
@@ -42,7 +42,6 @@ __all__ = [
     "sample_radii",
     "potential",
     "spectral_ode",
-    "oscillator_zeta_form",
     "hamiltonian_ABC",
 ]
 
@@ -57,17 +56,20 @@ def _check_kind(kind):
         raise ValidationError(f"unknown potential kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Masses, sphere radius, and coupling (gamma or omega by context)."""
-
+class _PhysicalParamsFields(NamedTuple):
     n: int
     m1: float
     m2: float
     radius: float
     coupling: float
 
-    def __post_init__(self):
+
+class PhysicalParams(_Validated, _PhysicalParamsFields):
+    """Masses, sphere radius, and coupling (gamma or omega by context)."""
+
+    __slots__ = ()
+
+    def _validate(self):
         if not (isinstance(self.n, int) and self.n >= 2):
             raise ValidationError(f"sphere dimension must be an integer >= 2, got {self.n}")
         for name in ("m1", "m2", "radius"):
@@ -91,8 +93,7 @@ class PhysicalParams:
         return self.m1 == self.m2
 
 
-@dataclass(frozen=True)
-class RadialCoefficients:
+class RadialCoefficients(NamedTuple):
     """The (a, b, c) triple of one classification case, with its carrier."""
 
     n: int
@@ -215,9 +216,16 @@ def endpoint_exponent(n, coeff):
 
 
 def wall_root(params):
-    """The oscillator's indicial root W at r = 1: exponents (1 +- W)/2."""
+    """The oscillator's indicial root W at r = 1: exponents (1 +- W)/2.
+
+    ValidationError when R ** 4 leaves the float range, where float `**`
+    raises OverflowError instead of returning inf.
+    """
     m, R, w = params.reduced_mass, params.radius, params.coupling
-    return math.sqrt(1.0 + 4.0 * m * R ** 4 * w * w)
+    try:
+        return math.sqrt(1.0 + 4.0 * m * R ** 4 * w * w)
+    except OverflowError:
+        raise ValidationError(f"radius {R} is too large: R^4 overflows a float") from None
 
 
 def wall_exponent(params):
@@ -274,26 +282,6 @@ def spectral_ode(kind, params, coeffs, energy):
     def q(r):
         r2 = r * r
         return (8.0 / (1 + r2) ** 2) * (mR2 * (energy - V(r)) - a / r2 - b - c * r2)
-
-    return p, q
-
-
-def oscillator_zeta_form(params, coeffs, energy):
-    """The oscillator radial equation in zeta = r^2: closures (p, q)."""
-    _check_compatible(params, coeffs)
-    n = params.n
-    m, R, w = params.reduced_mass, params.radius, params.coupling
-    a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
-    mR2 = m * R * R
-    R4w2 = R ** 4 * w * w
-
-    def p(z):
-        return (n + (4 - n) * z) / (2.0 * z * (z + 1))
-
-    def q(z):
-        return (2.0 / (z * (z + 1) ** 2)) * (
-            mR2 * energy - 2.0 * m * R4w2 * z / (z - 1) ** 2 - a / z - b - c * z
-        )
 
     return p, q
 

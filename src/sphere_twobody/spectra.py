@@ -34,7 +34,7 @@ import cmath
 import collections
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConvergenceError, ValidationError
 # pochhammer is unused here; the tracer in perfbench/tracing.py wraps both names
@@ -91,20 +91,24 @@ def _check_k(kind, k):
 
 
 def coulomb_energy(params, coeffs, k):
-    """k-th Coulomb level, k = 1, 2, ...; requires a = c."""
+    """k-th Coulomb level, k = 1, 2, ...; requires a = c.  ValidationError if
+    it overflows to a non-finite float."""
     _check_compatible(params, coeffs)
     _require_symmetric(coeffs)
     _check_k(KIND_COULOMB, k)
     n, m, R, g = params.n, params.reduced_mass, params.radius, params.coupling
     a, b = float(coeffs.a), float(coeffs.b)
     A = endpoint_root(n, a)
-    return (
+    energy = (
         0.5 * (k * k - k + 1) - n / 4.0 + 2.0 * a + b + (2 * k - 1) / 4.0 * A
     ) / (m * R * R) - 2.0 * m * g * g / (A + 2 * k - 1) ** 2
+    _check_energy(energy)
+    return energy
 
 
 def oscillator_energy(params, coeffs, k):
-    """k-th oscillator level, k = 0, 1, ...; requires a = c."""
+    """k-th oscillator level, k = 0, 1, ...; requires a = c.  ValidationError
+    if it overflows to a non-finite float."""
     _check_compatible(params, coeffs)
     _require_symmetric(coeffs)
     _check_k(KIND_OSCILLATOR, k)
@@ -113,17 +117,17 @@ def oscillator_energy(params, coeffs, k):
     A = endpoint_root(n, a)
     W = wall_root(params)
     T = 4 * k + 2 + A
-    return (T * T - (n - 1) ** 2 - 16.0 * a + 8.0 * b + 1.0) / (8.0 * m * R * R) + (
+    energy = (T * T - (n - 1) ** 2 - 16.0 * a + 8.0 * b + 1.0) / (8.0 * m * R * R) + (
         T * W / (4.0 * m * R * R)
     )
+    _check_energy(energy)
+    return energy
 
 
 def closed_form_energy(kind, params, coeffs, k):
     """k-th level of either kind; ValidationError if it overflows to a non-finite float."""
     _check_kind(kind)
-    energy = (coulomb_energy if kind == KIND_COULOMB else oscillator_energy)(params, coeffs, k)
-    _check_energy(energy)
-    return energy
+    return (coulomb_energy if kind == KIND_COULOMB else oscillator_energy)(params, coeffs, k)
 
 
 # One level's 2F1 data: f(r) = prefactor(r) 2F1(a, b; c; z(r)) / d!, with a the
@@ -161,8 +165,7 @@ def branch_residuals(kind, params, coeffs, k, energy=None):
     return radial_eigenfunction(kind, params, coeffs, k, energy).branch_residuals()
 
 
-@dataclass(frozen=True)
-class RadialEigenfunction:
+class RadialEigenfunction(NamedTuple):
     """Closed-form radial eigenfunction, evaluable with derivatives.
 
     Coulomb lives on r in (0, oo), oscillator on (0, 1).  Values are
@@ -175,11 +178,11 @@ class RadialEigenfunction:
     coeffs: object
     k: int
     energy: float
-    _data: _LevelData
+    data: _LevelData
 
     def _prefactor(self, r):
         """The elementary factor multiplying the terminating 2F1 sum."""
-        rho0, rho1 = self._data.rho0, self._data.rho1
+        rho0, rho1 = self.data.rho0, self.data.rho1
         if self.kind == KIND_COULOMB:
             # |(r - i)/(r + i)| = 1 for real r, so large exponents cannot overflow
             return r ** rho0 * ((r - 1j) / (r + 1j)) ** rho1 * (r + 1j) ** (-2.0 * rho0)
@@ -189,7 +192,7 @@ class RadialEigenfunction:
         """(d, b, c, z) with f(r) = prefactor(r) 2F1(-d, b; c; z) / d!."""
         z = (4j * r / (r + 1j) ** 2 if self.kind == KIND_COULOMB
              else 4.0 * r * r / (r * r + 1.0) ** 2)
-        return self._data.d, self._data.b, self._data.c, z
+        return self.data.d, self.data.b, self.data.c, z
 
     def _evaluate(self, r):
         """f at a complex scalar or a numpy array of r, in O(d); on a Jet, `jet`'s reference.
@@ -245,12 +248,12 @@ class RadialEigenfunction:
     def hypergeometric_value(self, r):
         """f(r) through gauss_2f1's term-by-term sum, which loses accuracy from k ~ 11."""
         d, b, c, z = self._hypergeometric(r)
-        a = self._data.a  # ~ -d: gauss_2f1 detects the termination itself
+        a = self.data.a  # ~ -d: gauss_2f1 detects the termination itself
         return self._prefactor(r) * gauss_2f1(a, b, c, z) * math.exp(-math.lgamma(d + 1))
 
     def branch_residuals(self):
         """|a + d|, which vanishes on the stated branch of a level, and |Im E|."""
-        return {"stated_branch": abs(self._data.a + self._data.d),
+        return {"stated_branch": abs(self.data.a + self.data.d),
                 "imag_energy": abs(complex(self.energy).imag)}
 
     def ode_residual(self, r):
@@ -296,16 +299,14 @@ def radial_eigenfunction(kind, params, coeffs, k, energy=None):
     return RadialEigenfunction(kind, params, coeffs, k, energy, data)
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
+class EnergyLevel(NamedTuple):
     k: int
     energy: float
     multiplicity: int
     branch_check: bool
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     kind: str
     params: object
     coeffs: object

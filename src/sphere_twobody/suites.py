@@ -9,13 +9,12 @@ functions, so CLI verification and the test suite cannot drift apart.
 """
 
 import collections
-import dataclasses
 import itertools
 import math
 import random
 import time
 import types
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConvergenceError, ValidationError, VerificationError
 from .fuchsian import (
@@ -81,8 +80,7 @@ _N_VALUES = (2, 3, 4, 5)  # sphere dimensions of the level grids
 _HEUN_SYM_TOL = 1e-10     # the a = c degenerations of the Heun parameters
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one check: `count` cases ran and `failed` failed, the first
     as `first_failure`.  `worst` and `tol` belong to the row with the largest
     deviation/tolerance ratio, `margin` is that ratio (0 for an exact match,
@@ -100,8 +98,7 @@ class CheckResult:
     seconds: float = 0.0
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     name: str
     checks: tuple
     seconds: float
@@ -575,5 +572,5 @@ def run_suite(name):
     for check, kwargs in _SUITES[name]:
         t1 = time.perf_counter()
         result = globals()[check](**kwargs)
-        checks.append(dataclasses.replace(result, seconds=time.perf_counter() - t1))
+        checks.append(result._replace(seconds=time.perf_counter() - t1))
     return SuiteReport(name, tuple(checks), time.perf_counter() - t0)

@@ -199,6 +199,11 @@ def test_validation_exit_codes(capsys):
         # the energy overflows to inf
         ["spectrum", "--kind", "oscillator", "--n", "3", "--case", "1", "--mk", "1",
          "--k-min", "0", "--k-max", "0", "--coupling", "1e200"],
+        # R^4 overflows a float
+        ["spectrum", "--kind", "oscillator", "--n", "3", "--case", "1", "--mk", "1",
+         "--radius", "1e80"],
+        ["fuchs", "--kind", "oscillator", "--n", "3", "--case", "1", "--mk", "1",
+         "--radius", "1e80", "--energy", "1.0"],
     ]
     for argv in cases:
         rc, _, err = run_cli(capsys, argv)
@@ -430,7 +435,8 @@ def test_console_script_on_path(capsys):
 
 def test_commands_import_no_scipy(tmp_path):
     """Importing the package and the closed-form commands load no numpy or
-    scipy module; the functions that use them import them on first call."""
+    scipy module; the functions that use them import them on first call.
+    Records are NamedTuples, so dataclasses and its inspect import never load."""
     script = """
 import contextlib, io, math, sys
 import sphere_twobody
@@ -443,7 +449,11 @@ def loaded(package):
     return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 
 
-assert loaded("numpy") == [] and loaded("scipy") == [], (loaded("numpy"), loaded("scipy"))
+def stray():
+    return [m for p in ("numpy", "scipy", "dataclasses", "inspect") for m in loaded(p)]
+
+
+assert stray() == [], stray()
 for argv in (
     ["spectrum", "--kind", "coulomb", "--n", "3", "--case", "1", "--mk", "0",
      "--k-max", "4", "--samples", "3"],
@@ -459,7 +469,7 @@ for argv in (
 ):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == 0, argv
-    assert loaded("numpy") == [] and loaded("scipy") == [], (argv, loaded("numpy"))
+    assert stray() == [], (argv, stray())
 unit = PhysicalParams(3, 1.0, 1.0, 1.0, 1.0)
 fn = radial_eigenfunction("coulomb", unit, radial_coefficients(3, 1, 1), 2)
 assert math.isclose(fn.norm_squared(), 0.01051245607404121, rel_tol=1e-10)

@@ -94,6 +94,8 @@ def test_validation_coincident_points_and_fuchs_violation():
     eq = coulomb_exponents(P_EQ, SYM, energy=1.0)
     with pytest.raises(ValidationError):
         eq.exponents_at(3.0)
+    with pytest.raises(ValidationError):  # _replace checks like the constructor
+        eq._replace(points=eq.points + eq.points[:1])
 
 
 @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
@@ -156,9 +158,11 @@ def test_cross_ratio_classify():
 
 
 def test_heun_params_consistency_enforced():
-    HeunParams(2.0, 1.0, 2.0, 1.5, 1.5, 1.0, 0.3)
+    hp = HeunParams(2.0, 1.0, 2.0, 1.5, 1.5, 1.0, 0.3)
     with pytest.raises(ValidationError):
         HeunParams(2.0, 1.0, 2.0, 1.5, 1.5, 1.3, 0.3)
+    with pytest.raises(ValidationError):  # _replace checks like the constructor
+        hp._replace(epsilon=1.3)
 
 
 @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])

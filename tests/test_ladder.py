@@ -1,6 +1,5 @@
 """Ladder matrices, exact relation checks, eigenvector classification."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -57,7 +56,9 @@ def test_structure_relations_exact(series, rank, weight):
 
 def test_structure_relations_catch_corruption():
     rep = build_ladder_rep(AlgebraLabel("B", 2), (1, 2))
-    bad = replace(rep, Dplus=rep.Dplus + GMat.eye(rep.dim, Fraction(1, 7)))
+    with pytest.raises(AttributeError):  # records are immutable: corrupt a copy
+        rep.Dplus = rep.Dminus
+    bad = rep._replace(Dplus=rep.Dplus + GMat.eye(rep.dim, Fraction(1, 7)))
     with pytest.raises(VerificationError):
         verify_structure_relations(bad)
 

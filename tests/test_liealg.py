@@ -36,6 +36,8 @@ def test_label_validation():
         AlgebraLabel("B", 0)
     with pytest.raises(ValidationError):
         AlgebraLabel("D", 1)  # so(2) is abelian; not in scope
+    with pytest.raises(ValidationError):  # _replace checks like the constructor
+        AlgebraLabel("D", 2)._replace(rank=1)
 
 
 @pytest.mark.parametrize(
@@ -65,6 +67,11 @@ def test_weyl_dim_rejects_non_dominant():
     HighestWeight(AlgebraLabel("D", 2), (-2, 2))
     with pytest.raises(ValidationError):
         HighestWeight(AlgebraLabel("D", 2), (-3, 2))
+    # _replace coerces and checks like the constructor
+    w = HighestWeight(AlgebraLabel("B", 2), (1, 2))
+    assert w._replace(coeffs=[0, 1]).coeffs == (0, 1)
+    with pytest.raises(ValidationError):
+        w._replace(coeffs=[2, 1])
 
 
 def test_casimir_vector_reps():

@@ -21,7 +21,7 @@ from sphere_twobody import (
     spectral_ode,
     valid_cases,
 )
-from sphere_twobody.radial import endpoint_root, oscillator_zeta_form, wall_root
+from sphere_twobody.radial import endpoint_root, wall_root
 
 
 def test_params_validation():
@@ -41,6 +41,10 @@ def test_params_validation():
     p = PhysicalParams(3, 1.0, 3.0, 1.0, 1.0)
     assert p.reduced_mass == pytest.approx(0.75)
     assert not p.equal_masses
+    with pytest.raises(ValidationError):  # _replace checks like the constructor
+        p._replace(radius=0.0)
+    with pytest.raises(AttributeError):  # records are immutable
+        p.radius = 2.0
 
 
 def test_known_coefficient_triples():
@@ -146,20 +150,6 @@ def test_spectral_ode_equal_mass_guard():
     # arbitrary-mass case accepts unequal masses
     co1 = radial_coefficients(3, 1, 1)
     spectral_ode(KIND_COULOMB, PhysicalParams(3, 1.0, 2.0, 1.0, 1.0), co1, 0.5)
-
-
-def test_zeta_form_is_the_same_equation():
-    """g(zeta) solves the zeta form iff g(r^2) solves the radial form:
-    4 zeta P(zeta) = 2 + 2 r p(r) and 4 zeta Q(zeta) = q(r)."""
-    params = PhysicalParams(5, 2.0, 2.0, 1.1, 0.9)
-    co = radial_coefficients(5, 4, 2)
-    E = 3.7
-    p, q = spectral_ode(KIND_OSCILLATOR, params, co, E)
-    P, Q = oscillator_zeta_form(params, co, E)
-    for r in np.linspace(0.05, 0.95, 50):
-        z = r * r
-        assert 4 * z * P(z) == pytest.approx(2 + 2 * r * p(r), rel=1e-10)
-        assert 4 * z * Q(z) == pytest.approx(q(r), rel=1e-10)
 
 
 def test_spectral_ode_matches_displayed_coefficients():

@@ -137,8 +137,8 @@ def test_coulomb_first_level_prefactor_only():
     # prefactor is the same constant at every radius
     co = radial_coefficients(4, 1, 1)
     fn = radial_eigenfunction("coulomb", UNIT[4], co, 1)
-    assert fn._data.d == 0
-    rho0, rho_i = fn._data.rho0, fn._data.rho1
+    assert fn.data.d == 0
+    rho0, rho_i = fn.data.rho0, fn.data.rho1
 
     def pre(r):
         return r ** rho0 * (r - 1j) ** rho_i * (r + 1j) ** (-(2.0 * rho0 + rho_i))
@@ -162,8 +162,8 @@ def test_coulomb_complex_parameters_cancel_on_level():
     # on a level the value is real up to a constant global phase
     co = radial_coefficients(3, 1, 1)
     fn = radial_eigenfunction("coulomb", UNIT[3], co, 2)
-    assert abs(fn._data.b.imag) > 0.05  # half of Im u
-    assert abs(fn._data.rho1.imag) > 0.1
+    assert abs(fn.data.b.imag) > 0.05  # half of Im u
+    assert abs(fn.data.rho1.imag) > 0.1
     base = fn(0.9)
     for r in (0.3, 1.3, 3.2):
         ratio = fn(r) / base
@@ -214,6 +214,11 @@ def test_level_index_validation():
         closed_form_energy("coulomb", UNIT[3], co, 1.5)
     with pytest.raises(ValidationError):
         spectrum("coulomb", UNIT[3], co, 3, 1)
+    # the level overflows: -inf for Coulomb, inf for the oscillator
+    strong = PhysicalParams(3, 1.0, 1.0, 1.0, 1e200)
+    for energy in (coulomb_energy, oscillator_energy):
+        with pytest.raises(ValidationError, match="non-finite energy"):
+            energy(strong, radial_coefficients(3, 1, 1), 1)
 
 
 def test_closed_form_requires_symmetric_coefficients():

@@ -1,6 +1,5 @@
 """Verification suites: failure reporting and the check set each suite runs."""
 
-import dataclasses
 import json
 import math
 import re
@@ -232,7 +231,7 @@ def _faulty(monkeypatch, names, corrupt, counted, misses):
 
 def _shift_accessory(red):
     # q moves off alpha*beta: symmetric sets leave reduction case 1 as well
-    return dataclasses.replace(red, heun=dataclasses.replace(red.heun, q=red.heun.q + 1e3))
+    return red._replace(heun=red.heun._replace(q=red.heun.q + 1e3))
 
 
 def _where_2f1(alpha, beta, gamma, z=None):
