@@ -65,7 +65,7 @@ class LadderRep(NamedTuple):
     F: GMat
     Dplus: GMat
     Dminus: GMat
-    casimir: Fraction
+    casimir: int
 
     @property
     def dim(self):
@@ -315,8 +315,8 @@ def _float_d3(d3_image):
     return {j: complex(float(re), float(im)) for j, (re, im) in d3_image.items()}
 
 
-def _records_rank1(m, carrier):
-    """The eight n=2 families, keyed by module label m."""
+def _rows_rank1(m):
+    """The eight n=2 families, keyed by module label m, as raw record rows."""
     half = Fraction(1, 2)
     out = []
     if m == 0:
@@ -337,15 +337,11 @@ def _records_rank1(m, carrier):
     elif m == 3:
         out.append((8, "chi_2 - chi_-2", {2: 1, -2: -1}, -4, -4, -4, None,
                     MASS_EQUAL, {0: (_F0, Rad(-1, 30))}))
-    return [
-        EigenvectorRecord(cid, desc, coeffs, _scalar(d0), _scalar(d1), _scalar(d2),
-                          d3, mode, carrier, _float_d3(img))
-        for cid, desc, coeffs, d0, d1, d2, d3, mode, img in out
-    ], {cid: img for cid, _, _, _, _, _, _, _, img in out}
+    return out
 
 
-def _records_rank_ge2(rep):
-    """The four series for so(2k+1) (n=2k) and so(2k) (n=2k-1)."""
+def _rows_rank_ge2(rep):
+    """The four series for so(2k+1) (n=2k) and so(2k) (n=2k-1), as raw record rows."""
     k = rep.algebra.rank
     mk = rep.weight.coeffs[-1]
     mk1 = abs(rep.weight.coeffs[-2])
@@ -368,32 +364,32 @@ def _records_rank_ge2(rep):
     elif mk1 == mk - 2:
         out.append((4, "chi_2 - chi_-2", {2: 1, -2: -1}, -4, -qpoly, -qpoly, None,
                     MASS_EQUAL, {0: (_F0, -4 * c)}))
-    return [
-        EigenvectorRecord(cid, desc, coeffs, _scalar(d0), _scalar(d1), _scalar(d2),
-                          d3, mode, rep.weight, _float_d3(img))
-        for cid, desc, coeffs, d0, d1, d2, d3, mode, img in out
-    ], {cid: img for cid, _, _, _, _, _, _, _, img in out}
+    return out
 
 
 def classify_common_eigenvectors(rep, n):
     """All common eigenvectors of {D0^2, D1, D2} in this rep, exact-verified.
 
     Records carry the classified eigenvalues (delta0, delta1, delta2), the
-    optional D3 eigenvalue (0 when present), and the mass-mode tag. Weights
-    outside the classified families give an empty list.
+    optional D3 eigenvalue (0 when present), and the mass-mode tag, in case
+    order. Weights outside the classified families give an empty list.
     """
     if n != rep.algebra.sphere_dim:
         raise ValidationError(
             f"n={n} inconsistent with {rep.algebra} (expects n={rep.algebra.sphere_dim})"
         )
     if rep.algebra.series == "B" and rep.algebra.rank == 1:
-        records, exact_images = _records_rank1(rep.weight.coeffs[0], rep.weight)
+        rows = _rows_rank1(rep.weight.coeffs[0])
     else:
-        records, exact_images = _records_rank_ge2(rep)
+        rows = _rows_rank_ge2(rep)
     ops = operator_matrices(rep)
-    for rec in records:
-        _verify_record(rep, ops, rec, exact_images[rec.case_id])
-    return sorted(records, key=lambda r: r.case_id)
+    records = []
+    for cid, desc, coeffs, d0, d1, d2, d3, mode, img in rows:
+        rec = EigenvectorRecord(cid, desc, coeffs, _scalar(d0), _scalar(d1), _scalar(d2),
+                                d3, mode, rep.weight, _float_d3(img))
+        _verify_record(rep, ops, rec, img)
+        records.append(rec)
+    return records
 
 
 class EmbeddingReport(NamedTuple):

@@ -1,6 +1,6 @@
 """Root-system combinatorics for so(2k+1) = B_k and so(2k) = D_k.
 
-Exact rational arithmetic throughout: Weyl dimensions, Casimir eigenvalues,
+Exact integer arithmetic throughout: Weyl dimensions, Casimir eigenvalues,
 restriction (branching) rules between the two series, and the dimension of
 the subspace of vectors annihilated by the so(n-1) subalgebra.
 
@@ -9,8 +9,8 @@ Weights are written in the orthonormal epsilon-basis as integer tuples
 are out of scope and rejected.
 """
 
-from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import NamedTuple
 
 from .errors import ValidationError, _Validated
@@ -112,57 +112,45 @@ class HighestWeight(_Validated, _HighestWeightFields):
         return w
 
 
-def _positive_roots(alg):
-    """Positive roots in the epsilon-basis, as integer tuples."""
-    k = alg.rank
-    roots = []
-    if alg.series == "B":
-        for i in range(k):
-            e = [0] * k
-            e[i] = 1
-            roots.append(tuple(e))
-    for j in range(k):
-        for i in range(j):
-            e = [0] * k
-            e[j], e[i] = 1, 1
-            roots.append(tuple(e))
-            e = [0] * k
-            e[j], e[i] = 1, -1
-            roots.append(tuple(e))
-    return roots
+def _doubled_shift(alg):
+    """2 delta, twice the half-sum of positive roots, in the epsilon-basis.
 
-
-def _delta(alg):
-    """Half-sum of positive roots in the epsilon-basis."""
-    k = alg.rank
-    if alg.series == "B":
-        return tuple(Fraction(2 * (i + 1) - 1, 2) for i in range(k))
-    return tuple(Fraction(i, 1) for i in range(k))
-
-
-def _dot(u, v):
-    return sum(Fraction(a) * Fraction(b) for a, b in zip(u, v))
+    (1, 3, ..., 2k-1) for B_k and (0, 2, ..., 2k-2) for D_k: integers, so
+    the formulas below need no fractions.
+    """
+    return range(1 if alg.series == "B" else 0, 2 * alg.rank, 2)
 
 
 def weyl_dim(alg, weight):
-    """Dimension of the irreducible module, by the Weyl product formula."""
+    """Dimension of the irreducible module, by the Weyl product formula.
+
+    With l = lambda + delta the product over the positive roots e_j +- e_i
+    (i < j) is prod (l_j^2 - l_i^2) / (delta_j^2 - delta_i^2), times
+    prod l_i / delta_i over the short roots e_i of B_k (Fulton & Harris,
+    Representation Theory, section 24.2).  Doubling l and delta leaves every
+    ratio as it is and makes every factor an integer.
+    """
     w = HighestWeight.of(alg, weight)
-    delta = _delta(alg)
-    lam_delta = tuple(m + d for m, d in zip(w.coeffs, delta))
-    dim = Fraction(1)
-    for root in _positive_roots(alg):
-        dim *= _dot(lam_delta, root) / _dot(delta, root)
-    if dim.denominator != 1 or dim <= 0:
-        raise ValidationError(f"Weyl product is not a positive integer for {w}: {dim}")
-    return int(dim)
+    d2 = _doubled_shift(alg)
+    l2 = [2 * m + d for m, d in zip(w.coeffs, d2)]
+    num = den = 1
+    for j in range(alg.rank):
+        for i in range(j):
+            num *= l2[j] ** 2 - l2[i] ** 2
+            den *= d2[j] ** 2 - d2[i] ** 2
+    if alg.series == "B":
+        num *= prod(l2)
+        den *= prod(d2)
+    dim, rest = divmod(num, den)
+    if rest or dim <= 0:
+        raise ValidationError(f"Weyl product is not a positive integer for {w}: {num}/{den}")
+    return dim
 
 
 def casimir_eigenvalue(alg, weight):
-    """Casimir scalar <delta+lambda, delta+lambda> - <delta, delta>, exact."""
+    """Casimir scalar <lambda+delta, lambda+delta> - <delta, delta> = sum m_i (m_i + 2 delta_i)."""
     w = HighestWeight.of(alg, weight)
-    delta = _delta(alg)
-    shifted = tuple(m + d for m, d in zip(w.coeffs, delta))
-    return _dot(shifted, shifted) - _dot(delta, delta)
+    return sum(m * (m + d) for m, d in zip(w.coeffs, _doubled_shift(alg)))
 
 
 def branch_B_to_D(weight):
@@ -181,9 +169,7 @@ def branch_B_to_D(weight):
         raise ValidationError("D_1 is not in scope; B_1 weights do not restrict here")
     ranges = [range(-m[0], m[0] + 1)]
     ranges += [range(m[i - 1], m[i] + 1) for i in range(1, k)]
-    out = [HighestWeight(dalg, c) for c in product(*ranges)]
-    out.sort(key=lambda w: w.coeffs)
-    return out
+    return [HighestWeight(dalg, c) for c in product(*ranges)]
 
 
 def branch_D_to_B(weight):
@@ -200,9 +186,7 @@ def branch_D_to_B(weight):
     balg = AlgebraLabel("B", k - 1)
     ranges = [range(abs(m[0]), m[1] + 1)]
     ranges += [range(m[i], m[i + 1] + 1) for i in range(1, k - 1)]
-    out = [HighestWeight(balg, c) for c in product(*ranges)]
-    out.sort(key=lambda w: w.coeffs)
-    return out
+    return [HighestWeight(balg, c) for c in product(*ranges)]
 
 
 def invariant_subspace_dim(alg, weight):

@@ -127,13 +127,6 @@ def solve_ivp(rhs, t0, t1, y0, atol):
     return _March(ys[-1], nfev)
 
 
-def brentq(*args, **kwargs):
-    """scipy.optimize.brentq, imported on first call."""
-    from scipy.optimize import brentq as scipy_brentq
-
-    return scipy_brentq(*args, **kwargs)
-
-
 def _march(rhs, t0, t1, y0):
     atol = _ATOL_SCALE * max(abs(y0[0]), abs(y0[1]))
     sol = solve_ivp(rhs, t0, t1, y0, atol)
@@ -238,6 +231,8 @@ def shooting_eigenvalue(kind, params, coeffs, e_lo, e_hi):
             if wa == 0.0:
                 return ShootingResult(Ea, 0.0, (Ea, Eb), len(memo), 0, spent[0])
             if wa * w(Eb) < 0.0:
+                from scipy.optimize import brentq
+
                 scale = max(1.0, abs(e_lo), abs(e_hi))
                 root, info = brentq(
                     w, Ea, Eb, xtol=_XTOL * scale, rtol=1e-15, full_output=True

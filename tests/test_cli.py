@@ -138,6 +138,21 @@ def test_spectrum_samples_underflow_is_a_convergence_error(capsys):
                    "underflows to 0.0 at r=0.25\n")
 
 
+def test_coulomb_prefactor_overflow_is_a_convergence_error(capsys):
+    # |((r - i)/(r + i)) ** rho1| = exp(Im rho1 (pi - arg)) and Im rho1 grows like R
+    argv = ["spectrum", "--kind", "coulomb", "--n", "3", "--case", "1", "--mk", "1",
+            "--radius"]
+    rc, out, _ = run_cli(capsys, argv + ["1200"])
+    assert rc == 0 and json.loads(out)["levels"]
+    for radius in ("1500", "5000", "1e6"):
+        rc, out, err = run_cli(capsys, argv + [radius])
+        assert rc == 3, radius
+        assert out == ""
+        assert err.startswith("verification failure: coulomb level k=1: the "
+                              "eigenfunction prefactor"), err
+        assert "Traceback" not in err
+
+
 def test_config_defaults_and_precedence(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -40,6 +40,16 @@ def test_label_validation():
         AlgebraLabel("D", 2)._replace(rank=1)
 
 
+def _so_n_modules():
+    """so(N), N = 5..13: vector N, adjoint N(N-1)/2, symmetric traceless N(N+1)/2 - 1."""
+    for N in range(5, 14):
+        alg = AlgebraLabel.for_sphere(N - 1)
+        zeros = (0,) * (alg.rank - 2)
+        yield alg.series, alg.rank, zeros + (0, 1), N
+        yield alg.series, alg.rank, zeros + (1, 1), N * (N - 1) // 2
+        yield alg.series, alg.rank, zeros + (0, 2), N * (N + 1) // 2 - 1
+
+
 @pytest.mark.parametrize(
     "series,rank,coeffs,dim",
     [
@@ -52,6 +62,7 @@ def test_label_validation():
         ("D", 2, (1, 1), 3),  # self-dual half
         ("D", 3, (0, 0, 1), 6),  # vector rep of so(6)
         ("B", 3, (0, 0, 1), 7),  # vector rep of so(7)
+        *_so_n_modules(),
     ],
 )
 def test_weyl_dim_known_modules(series, rank, coeffs, dim):
@@ -79,16 +90,29 @@ def test_casimir_vector_reps():
     assert casimir_eigenvalue(AlgebraLabel("B", 2), (0, 1)) == 4
     assert casimir_eigenvalue(AlgebraLabel("D", 3), (0, 0, 1)) == 5
     assert casimir_eigenvalue(AlgebraLabel("B", 1), (1,)) == 2
+    # so(N), N = 5..13: vector N - 1, adjoint 2(N - 2), symmetric traceless 2N
+    for N in range(5, 14):
+        alg = AlgebraLabel.for_sphere(N - 1)
+        zeros = (0,) * (alg.rank - 2)
+        assert casimir_eigenvalue(alg, zeros + (0, 1)) == N - 1
+        assert casimir_eigenvalue(alg, zeros + (1, 1)) == 2 * (N - 2)
+        assert casimir_eigenvalue(alg, zeros + (0, 2)) == 2 * N
 
 
 def test_branch_interlacing_small():
     # |m1'| <= m1 <= m2' <= m2 pins the B2 (0, 2) restriction completely
-    got = {w.coeffs for w in branch_B_to_D(HighestWeight(AlgebraLabel("B", 2), (0, 2)))}
-    assert got == {(0, 0), (0, 1), (0, 2)}
+    got = [w.coeffs for w in branch_B_to_D(HighestWeight(AlgebraLabel("B", 2), (0, 2)))]
+    assert got == [(0, 0), (0, 1), (0, 2)]
 
     # D2 (1, 2) -> B1: m1 <= |m1'| is not required; rule is m1' between |m1| and m2
-    got = {w.coeffs for w in branch_D_to_B(HighestWeight(AlgebraLabel("D", 2), (1, 2)))}
-    assert got == {(1,), (2,)}
+    got = [w.coeffs for w in branch_D_to_B(HighestWeight(AlgebraLabel("D", 2), (1, 2)))]
+    assert got == [(1,), (2,)]
+
+    # both come out in lexicographic order, signed first entries included
+    for branch, w in [(branch_B_to_D, HighestWeight(AlgebraLabel("B", 3), (1, 2, 4))),
+                      (branch_D_to_B, HighestWeight(AlgebraLabel("D", 4), (-1, 2, 2, 5)))]:
+        got = [x.coeffs for x in branch(w)]
+        assert got == sorted(got) and len(got) > 1
 
 
 def test_branch_dimension_sums():

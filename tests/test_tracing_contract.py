@@ -9,7 +9,7 @@
 import importlib.util
 from pathlib import Path
 
-from sphere_twobody import hyperfun, oracle, spectra
+from sphere_twobody import hyperfun, ladder, liealg, oracle, spectra
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -19,7 +19,8 @@ def test_tracer_installs_and_restores():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     originals = (spectra.spectrum, spectra.gauss_2f1, oracle.solve_ivp,
-                 spectra.RadialEigenfunction.__dict__["hypergeometric_value"])
+                 spectra.RadialEigenfunction.__dict__["hypergeometric_value"],
+                 ladder.casimir_eigenvalue, spectra.weyl_dim)
     tracer = tracing.Tracer()
     try:
         tracer.install(with_cli=True)
@@ -27,5 +28,8 @@ def test_tracer_installs_and_restores():
     finally:
         tracer.restore()
     assert (spectra.spectrum, spectra.gauss_2f1, oracle.solve_ivp,
-            spectra.RadialEigenfunction.__dict__["hypergeometric_value"]) == originals
+            spectra.RadialEigenfunction.__dict__["hypergeometric_value"],
+            ladder.casimir_eigenvalue, spectra.weyl_dim) == originals
     assert spectra.gauss_2f1 is hyperfun.gauss_2f1
+    assert ladder.casimir_eigenvalue is liealg.casimir_eigenvalue
+    assert spectra.weyl_dim is liealg.weyl_dim
