@@ -58,7 +58,12 @@ def _jnum(z):
 
 
 def _emit_json(doc):
-    sys.stdout.write(json.dumps(doc) + "\n")
+    """Write doc as strict JSON; a NaN or infinity in it is a ConvergenceError."""
+    try:
+        text = json.dumps(doc, allow_nan=False)
+    except ValueError as exc:
+        raise ConvergenceError(f"a result left the float range: {exc}") from None
+    sys.stdout.write(text + "\n")
 
 
 def _load_config(path, known):
@@ -180,9 +185,11 @@ def cmd_spectrum(args):
         for entry in levels:
             fn = radial_eigenfunction(args.kind, params, coeffs, entry["k"])
             values = [fn(r) for r in rs]
-            if 0.0 in values:
-                raise ConvergenceError(f"{args.kind} level k={entry['k']}: the eigenfunction "
-                                       f"underflows to 0.0 at r={rs[values.index(0.0)]!r}")
+            for r, value in zip(rs, values):
+                if value == 0.0 or not (math.isfinite(value.real) and math.isfinite(value.imag)):
+                    what = "underflows to 0.0" if value == 0.0 else f"is {value}"
+                    raise ConvergenceError(f"{args.kind} level k={entry['k']}: the "
+                                           f"eigenfunction {what} at r={r!r}")
             entry["samples"] = [
                 {"r": r, "re": value.real, "im": value.imag} for r, value in zip(rs, values)
             ]
@@ -342,9 +349,12 @@ def cmd_fuchs(args):
 
 
 def _check_doc(chk):
-    """JSON form of a CheckResult: every field but the timing, non-finite -> null."""
+    """JSON form of a CheckResult: every field but the timing and an absent
+    `solver`, non-finite -> null."""
     doc = chk._asdict()
     del doc["seconds"]  # timings go to stderr so stdout stays deterministic
+    if doc["solver"] is None:
+        del doc["solver"]
     return {key: None if isinstance(v, float) and not math.isfinite(v) else v
             for key, v in doc.items()}
 

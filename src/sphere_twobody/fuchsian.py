@@ -94,6 +94,8 @@ class FuchsianEq(_Validated, _FuchsianEqFields):
                 if abs(complex(z) - complex(w)) < 1e-12:
                     raise ValidationError(f"coincident singular points at {z}")
         res = self.fuchs_residual()
+        if not math.isfinite(abs(res)):
+            raise ValidationError(f"an indicial exponent left the float range (sum {res})")
         if abs(res) > 1e-8:
             raise ValidationError(
                 f"exponent sums violate the Fuchs relation by {abs(res):.3e}"

@@ -5,11 +5,14 @@ both endpoints and roots the Wronskian mismatch at a midpoint -- no
 quantization condition, no hypergeometric function enters.  The Coulomb
 problem is marched in the half-angle theta = 2 arctan r so that both
 endpoints are at finite coordinate; the oscillator is marched in r on (0, 1)
-directly.  Each half-march is one compiled scipy.integrate.odeint call, so
-Python runs only the right-hand side.  A march may spend at most
-_MAX_RHS_EVALS right-hand-side evaluations, and LSODA's step limit is set to
-the same number so the evaluation count is the only work bound; a march that
-passes it or that LSODA stops early raises ConvergenceError.
+directly.  Measured from its own endpoint, each half covers the same
+interval, so both are marched together: one energy is one compiled
+scipy.integrate.odeint call on the stacked state (f_in, f_in', f_out,
+f_out'), each half with its own absolute tolerance, and Python runs only the
+right-hand side.  A march may spend at most _MAX_RHS_EVALS right-hand-side
+evaluations, and LSODA's step limit is set to the same number so the
+evaluation count is the only work bound; a march that passes it or that
+LSODA stops early raises ConvergenceError.
 
 joint_diagonalize finds the common eigenvectors of a family of matrices by
 intersecting eigenspace candidates with stacked SVDs, walking the eigenvalue
@@ -61,8 +64,8 @@ _RTOL = 1e-10
 _ATOL_SCALE = 1e-12  # atol = _ATOL_SCALE * |start vector|
 _SCAN_POINTS = 8     # bracket subdivisions when hunting a sign change
 _XTOL = 1e-11        # brentq tolerance, times the energy scale
-# Right-hand-side evaluations allowed per march, and so also LSODA's step
-# limit.  The criteria grids need at most about 1.2e3; at very large
+# Right-hand-side evaluations allowed per (stacked) march, and so also LSODA's
+# step limit.  The criteria grids need at most about 1.2e3; at very large
 # energies LSODA can otherwise spin inside a single step forever.
 _MAX_RHS_EVALS = 100_000
 # the right-hand-side evaluations of the shooting_eigenvalue call in
@@ -127,13 +130,20 @@ def solve_ivp(rhs, t0, t1, y0, atol):
     return _March(ys[-1], nfev)
 
 
-def _march(rhs, t0, t1, y0):
-    atol = _ATOL_SCALE * max(abs(y0[0]), abs(y0[1]))
-    sol = solve_ivp(rhs, t0, t1, y0, atol)
+def _march(rhs, t0, t1, y_in, y_out):
+    """March both halves as one stacked state (f_in, f_in', f_out, f_out').
+
+    Each half keeps its own absolute tolerance, scaled by its start vector.
+    Returns the two half-states at t1.
+    """
+    atol_in = _ATOL_SCALE * max(abs(y_in[0]), abs(y_in[1]))
+    atol_out = _ATOL_SCALE * max(abs(y_out[0]), abs(y_out[1]))
+    sol = solve_ivp(rhs, t0, t1, (*y_in, *y_out), (atol_in, atol_in, atol_out, atol_out))
     spent = _RHS_SPENT.get(None)
     if spent is not None:
         spent[0] += sol.nfev
-    return sol.y[0], sol.y[1]
+    y = sol.y
+    return (y[0], y[1]), (y[2], y[3])
 
 
 def _coulomb_start(n, coeff, m, R, g):
@@ -147,41 +157,53 @@ def _coulomb_start(n, coeff, m, R, g):
 
 
 def _coulomb_halves(params, coeffs, energy):
+    """Both halves in phi from _EPS to pi/2: theta = phi inside, pi - phi outside.
+
+    Every derivative is d/dtheta, so the outer half's right-hand side is
+    the inner one's with the sign flipped, at r = 1/tan(phi/2).
+    """
     n, m, R, g = params.n, params.reduced_mass, params.radius, params.coupling
     p, q = spectral_ode(KIND_COULOMB, params, coeffs, energy)
 
-    def rhs(theta, y):
-        r = math.tan(theta / 2.0)
+    def rhs(phi, y):
+        f_in, d_in, f_out, d_out = y.tolist()  # plain floats: numpy scalars are slower
+        r = math.tan(phi / 2.0)
         one = 1.0 + r * r
-        P = p(r) * one / 2.0 - r
-        Q = q(r) * one * one / 4.0
-        return (y[1], -P * y[1] - Q * y[0])
+        P_in = p(r) * one / 2.0 - r
+        Q_in = q(r) * one * one / 4.0
+        r = 1.0 / r
+        one = 1.0 + r * r
+        P_out = p(r) * one / 2.0 - r
+        Q_out = q(r) * one * one / 4.0
+        return (d_in, -P_in * d_in - Q_in * f_in, -d_out, P_out * d_out + Q_out * f_out)
 
-    half = math.pi / 2.0
-    gi = _march(rhs, _EPS, half, _coulomb_start(n, float(coeffs.a), m, R, g))
+    y_in = _coulomb_start(n, float(coeffs.a), m, R, g)
     # x = 1/r at infinity swaps a <-> c and flips the signs of g and d/dtheta
     f_out, ft_out = _coulomb_start(n, float(coeffs.c), m, R, -g)
-    go = _march(rhs, math.pi - _EPS, half, (f_out, -ft_out))
-    return gi, go
+    return _march(rhs, _EPS, math.pi / 2.0, y_in, (f_out, -ft_out))
 
 
 def _oscillator_halves(params, coeffs, energy):
+    """Both halves in s from _EPS to 1/2: r = s inside, 1 - s outside.
+
+    Every derivative is d/dr, so the outer half's right-hand side is the
+    inner one's with the sign flipped, at r = 1 - s.
+    """
     p, q = spectral_ode(KIND_OSCILLATOR, params, coeffs, energy)
 
-    def rhs(r, y):
-        return (y[1], -p(r) * y[1] - q(r) * y[0])
+    def rhs(s, y):
+        f_in, d_in, f_out, d_out = y.tolist()
+        r = 1.0 - s
+        return (d_in, -p(s) * d_in - q(s) * f_in, -d_out, p(r) * d_out + q(r) * f_out)
 
     rho0 = endpoint_exponent(params.n, float(coeffs.a))
     y_in = (_EPS ** rho0, rho0 * _EPS ** (rho0 - 1.0))
-    mid = 0.5
-    gi = _march(rhs, _EPS, mid, y_in)
 
     sig = wall_exponent(params)
     x = _EPS  # distance from r = 1
     f_out = x ** sig * (1.0 + sig * x / 2.0)
     fp_out = -(sig * x ** (sig - 1.0) * (1.0 + sig * x / 2.0) + x ** sig * sig / 2.0)
-    go = _march(rhs, 1.0 - _EPS, mid, (f_out, fp_out))
-    return gi, go
+    return _march(rhs, _EPS, 0.5, y_in, (f_out, fp_out))
 
 
 def shooting_mismatch(kind, params, coeffs, energy):

@@ -86,7 +86,13 @@ class PhysicalParams(_Validated, _PhysicalParamsFields):
 
     @property
     def reduced_mass(self):
-        return self.m1 * self.m2 / (self.m1 + self.m2)
+        m1, m2 = self.m1, self.m2
+        product = m1 * m2
+        if sys.float_info.min <= product < math.inf:
+            return product / (m1 + m2)
+        # the product overflows or underflows: lo / (1 + lo/hi) cannot
+        lo, hi = min(m1, m2), max(m1, m2)
+        return lo / (1.0 + lo / hi)
 
     @property
     def equal_masses(self):
@@ -273,15 +279,28 @@ def spectral_ode(kind, params, coeffs, energy):
     n = params.n
     m, R = params.reduced_mass, params.radius
     a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
-    V = potential(kind, params)
     mR2 = m * R * R
 
     def p(r):
         return (n - 1 + (3 - n) * r * r) / ((1 + r * r) * r)
 
-    def q(r):
-        r2 = r * r
-        return (8.0 / (1 + r2) ** 2) * (mR2 * (energy - V(r)) - a / r2 - b - c * r2)
+    # `potential` inlined, its constant factor taken out in the same order of
+    # operations, so q has the same bits without a call per point
+    g = params.coupling
+    if kind == KIND_COULOMB:
+        gc = g / (2.0 * R)
+
+        def q(r):
+            r2 = r * r
+            return (8.0 / (1 + r2) ** 2) * (mR2 * (energy - gc * (r - 1.0 / r))
+                                            - a / r2 - b - c * r2)
+    else:
+        w2 = 2.0 * R * R * g * g
+
+        def q(r):
+            r2 = r * r
+            return (8.0 / (1 + r2) ** 2) * (mR2 * (energy - w2 * r * r / (1.0 - r * r) ** 2)
+                                            - a / r2 - b - c * r2)
 
     return p, q
 

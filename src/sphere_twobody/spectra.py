@@ -185,14 +185,23 @@ class RadialEigenfunction(NamedTuple):
         rho0, rho1 = self.data.rho0, self.data.rho1
         if self.kind == KIND_COULOMB:
             # |(r - i)/(r + i)| = 1 for real r, but the power's modulus is
-            # exp(Im rho1 (pi - arg)), and Im rho1 grows like the radius R
+            # exp(Im rho1 (pi - arg)), and Im rho1 grows like the radius R;
+            # float `**` raises OverflowError there, and numpy is made to raise
+            phase = (r - 1j) / (r + 1j)
             try:
-                return r ** rho0 * ((r - 1j) / (r + 1j)) ** rho1 * (r + 1j) ** (-2.0 * rho0)
-            except OverflowError:
+                if hasattr(phase, "dtype"):
+                    import numpy as np
+
+                    with np.errstate(over="raise", invalid="raise"):
+                        power = phase ** rho1
+                else:
+                    power = phase ** rho1
+            except (OverflowError, FloatingPointError):
                 raise ConvergenceError(
                     f"{self.kind} level k={self.k}: the eigenfunction prefactor "
                     f"((r - i)/(r + i)) ** rho1 overflows, rho1 = {rho1}"
                 ) from None
+            return r ** rho0 * power * (r + 1j) ** (-2.0 * rho0)
         return r ** rho0 * (1.0 - r * r) ** rho1 * (r * r + 1.0) ** (-(rho0 + rho1))
 
     def _hypergeometric(self, r):

@@ -84,7 +84,8 @@ class CheckResult(NamedTuple):
     """Outcome of one check: `count` cases ran and `failed` failed, the first
     as `first_failure`.  `worst` and `tol` belong to the row with the largest
     deviation/tolerance ratio, `margin` is that ratio (0 for an exact match,
-    non-finite for an exact miss or a raised case).  run_suite sets `seconds`."""
+    non-finite for an exact miss or a raised case).  run_suite sets `seconds`.
+    `solver` holds an oracle's summed statistics, or None where no oracle ran."""
 
     name: str
     passed: bool
@@ -96,6 +97,7 @@ class CheckResult(NamedTuple):
     failed: int = 0
     first_failure: str = None
     seconds: float = 0.0
+    solver: dict = None
 
 
 class SuiteReport(NamedTuple):
@@ -309,11 +311,19 @@ def _level_cases(kind, n_values, rows):
 
 
 def check_spectrum_vs_shooting(kind):
-    """Closed-form levels against the shooting oracle over the whole grid."""
+    """Closed-form levels against the shooting oracle over the whole grid.
+
+    `solver` sums the oracle's evaluations, iterations and rhs_evaluations
+    over the levels it located.
+    """
+    totals = dict.fromkeys(("evaluations", "iterations", "rhs_evaluations"), 0)
+
     def level(params, coeffs, k):
         E = closed_form_energy(kind, params, coeffs, k)
         gap = min(abs(closed_form_energy(kind, params, coeffs, k + 1) - E), 2.0)
         got = shooting_eigenvalue(kind, params, coeffs, E - 0.35 * gap, E + 0.35 * gap)
+        for key in totals:
+            totals[key] += getattr(got, key)
         yield "relative deviation", abs(got.energy - E) / max(1.0, abs(E)), 1e-6
 
     return _fold(
@@ -321,7 +331,7 @@ def check_spectrum_vs_shooting(kind):
         _level_cases(kind, _N_VALUES, level),
         lambda t: f"{t.count} levels, worst relative deviation "
                   f"{t.worst['relative deviation']:.2e}",
-    )
+    )._replace(solver=totals)
 
 
 def check_pinned_values(kind):

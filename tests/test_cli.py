@@ -102,6 +102,14 @@ def _reject_constant(token):
     raise ValueError(f"{token} is not RFC 8259 JSON")
 
 
+def _run_subprocess(tmp_path, argv):
+    env = dict(os.environ)
+    src = str(Path(sphere_twobody.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "sphere_twobody.cli"] + argv,
+                          capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path)
+
+
 @pytest.mark.parametrize("sector", [[], ["--n", "3", "--case", "1", "--mk", "1"]])
 def test_spectrum_high_k_samples_exit_cleanly(tmp_path, sector):
     """Oscillator k = 160..171 with samples: valid JSON or a typed error.
@@ -112,11 +120,7 @@ def test_spectrum_high_k_samples_exit_cleanly(tmp_path, sector):
     """
     argv = ["spectrum", "--kind", "oscillator", "--k-min", "160", "--k-max", "171",
             "--samples", "3"] + sector
-    env = dict(os.environ)
-    src = str(Path(sphere_twobody.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    r = subprocess.run([sys.executable, "-m", "sphere_twobody.cli"] + argv,
-                       capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path)
+    r = _run_subprocess(tmp_path, argv)
     assert r.returncode in (0, 2, 3), r.stderr
     assert "Traceback" not in r.stderr
     if r.returncode == 0:
@@ -125,6 +129,36 @@ def test_spectrum_high_k_samples_exit_cleanly(tmp_path, sector):
         assert all(len(lv["samples"]) == 3 for lv in doc["levels"])
     else:
         assert r.stderr.startswith(("error:", "verification failure:")), r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    # the wall exponent overflows: [Infinity, NaN] exponents
+    ["fuchs", "--kind", "oscillator", "--n", "2", "--case", "3", "--coupling", "1e300",
+     "--energy", "1e100"],
+    # the pole exponents overflow
+    ["fuchs", "--kind", "coulomb", "--n", "2", "--case", "3", "--energy", "1e308"],
+    # finite exponents, but a NaN accessory probe: caught as the JSON is written
+    ["fuchs", "--kind", "oscillator", "--n", "5", "--case", "1", "--mk", "2", "--m1", "9e-184",
+     "--radius", "3e-45", "--coupling", "9e231", "--energy", "-9"],
+    # NaN eigenfunction samples
+    ["spectrum", "--kind", "oscillator", "--n", "4", "--case", "1", "--mk", "1", "--m1",
+     "1e-50", "--coupling", "1e100", "--k-min", "170", "--k-max", "172", "--samples", "3"],
+])
+def test_out_of_range_results_exit_typed_with_no_output(tmp_path, argv):
+    r = _run_subprocess(tmp_path, argv)
+    assert r.returncode in (2, 3), r.stdout[:200]
+    assert r.stdout == ""
+    assert r.stderr.startswith(("error:", "verification failure:")), r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_reduced_mass_of_huge_masses_gives_strict_json(tmp_path):
+    # m1 m2 overflows, but m = 5e199 and m R^2 are normal floats
+    r = _run_subprocess(tmp_path, ["spectrum", "--kind", "coulomb", "--n", "3", "--case", "1",
+                                   "--mk", "1", "--m1", "1e200", "--m2", "1e200"])
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout, parse_constant=_reject_constant)
+    assert doc["levels"][0]["E"] == pytest.approx(-5e199 / 8.0, rel=1e-12)
 
 
 def test_spectrum_samples_underflow_is_a_convergence_error(capsys):
@@ -206,9 +240,9 @@ def test_validation_exit_codes(capsys):
         ["fuchs", "--kind", "coulomb", "--n", "3", "--case", "1", "--mk", "1",
          "--k", "1", "--energy", "0.5"],                 # k and energy exclusive
         ["ladder", "--series", "B", "--rank", "2", "--weights", "2,1"],
-        # m R^2 underflows to 0.0
+        # m R^2 underflows: subnormal, then 0.0
         ["spectrum", "--kind", "oscillator", "--n", "3", "--case", "1", "--mk", "1",
-         "--m1", "1e-300", "--m2", "1e-300"],
+         "--m1", "1e-300", "--m2", "1e-300", "--radius", "1e-10"],
         ["spectrum", "--kind", "coulomb", "--n", "3", "--case", "1", "--mk", "1",
          "--radius", "1e-200"],
         # the energy overflows to inf

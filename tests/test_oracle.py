@@ -22,8 +22,10 @@ from sphere_twobody import (
     radial_eigenfunction,
     shooting_eigenvalue,
     shooting_mismatch,
+    spectral_ode,
 )
 from sphere_twobody import oracle
+from sphere_twobody.radial import endpoint_exponent, wall_exponent
 
 UNIT3 = PhysicalParams(3, 2.0, 2.0, 1.0, 1.0)
 
@@ -155,8 +157,63 @@ def test_shooting_result_counts_rhs_evaluations(monkeypatch):
     E = closed_form_energy("oscillator", UNIT3, co, 1)
     got = shooting_eigenvalue("oscillator", UNIT3, co, E - 0.4, E + 0.4)
     assert got.rhs_evaluations > 0
-    assert len(seen) == 2 * got.evaluations
+    assert len(seen) == got.evaluations  # one stacked march per energy
     assert got.rhs_evaluations == sum(seen)
+
+
+def _two_march_mismatch(kind, params, coeffs, energy):
+    """Reference: each half marched on its own, from its endpoint to the
+    matching point, with its own absolute tolerance."""
+    p, q = spectral_ode(kind, params, coeffs, energy)
+
+    def march(rhs, t0, t1, y0):
+        atol = oracle._ATOL_SCALE * max(abs(y0[0]), abs(y0[1]))
+        return oracle.solve_ivp(rhs, t0, t1, y0, atol).y
+
+    eps = oracle._EPS
+    if kind == "coulomb":
+        def rhs(theta, y):
+            r = math.tan(theta / 2.0)
+            one = 1.0 + r * r
+            return (y[1], -(p(r) * one / 2.0 - r) * y[1] - q(r) * one * one / 4.0 * y[0])
+
+        n, m, R, g = params.n, params.reduced_mass, params.radius, params.coupling
+        fi, fpi = march(rhs, eps, math.pi / 2.0,
+                        oracle._coulomb_start(n, float(coeffs.a), m, R, g))
+        f_out, ft_out = oracle._coulomb_start(n, float(coeffs.c), m, R, -g)
+        fo, fpo = march(rhs, math.pi - eps, math.pi / 2.0, (f_out, -ft_out))
+    else:
+        def rhs(r, y):
+            return (y[1], -p(r) * y[1] - q(r) * y[0])
+
+        rho0 = endpoint_exponent(params.n, float(coeffs.a))
+        fi, fpi = march(rhs, eps, 0.5, (eps ** rho0, rho0 * eps ** (rho0 - 1.0)))
+        sig = wall_exponent(params)
+        f_out = eps ** sig * (1.0 + sig * eps / 2.0)
+        fp_out = -(sig * eps ** (sig - 1.0) * (1.0 + sig * eps / 2.0) + eps ** sig * sig / 2.0)
+        fo, fpo = march(rhs, 1.0 - eps, 0.5, (f_out, fp_out))
+    return (fi * fpo - fpi * fo) / (abs(fi * fpo) + abs(fpi * fo) + 1e-300)
+
+
+@pytest.mark.parametrize("kind, params, sector, energies", [
+    ("coulomb", UNIT3, (3, 1, 1), np.linspace(-1.0, 3.0, 12)),
+    ("coulomb", UNIT3, (3, 2, 1), np.linspace(0.5, 1.6, 12)),       # a != c
+    ("coulomb", PhysicalParams(4, 1.5, 1.5, 0.8, 1.3), (4, 3, 2), np.linspace(5.0, 12.0, 12)),
+    ("oscillator", UNIT3, (3, 2, 1), np.linspace(3.0, 20.0, 12)),   # a != c
+    ("oscillator", PhysicalParams(2, 1.0, 3.0, 1.0, 1.0), (2, 1, None), (3.0, 9.0, 20.0)),
+    ("oscillator", PhysicalParams(4, 1.0, 1.0, 1.3, 0.7), (4, 3, 2), (3.0, 9.0, 20.0)),
+])
+def test_stacked_march_matches_two_half_marches(kind, params, sector, energies):
+    # the scaled Wronskian lies in [-1, 1] and crosses 0 at each level, where
+    # 1e-9 of its full scale stands in for the relative 1e-8
+    co = radial_coefficients(*sector)
+    unsaturated = 0
+    for E in energies:
+        E = float(E)
+        ref = _two_march_mismatch(kind, params, co, E)
+        assert shooting_mismatch(kind, params, co, E) == pytest.approx(ref, rel=1e-8, abs=1e-9)
+        unsaturated += abs(ref) < 0.99
+    assert unsaturated  # the scaled Wronskian is not +-1 at every energy tried
 
 
 def test_ode_residual_helper():

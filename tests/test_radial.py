@@ -33,9 +33,9 @@ def test_params_validation():
         PhysicalParams(3, 1.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValidationError):
         PhysicalParams(3, 1.0, 1.0, 1.0, float("nan"))
-    # m R^2 is 0.0, 0.0, subnormal, inf
-    for m1, m2, radius in ((1e-300, 1e-300, 1.0), (1.0, 1.0, 1e-200), (1.0, 1e-310, 1.0),
-                           (1e200, 1e200, 1.0)):
+    # m R^2 is subnormal, 0.0, subnormal, inf
+    for m1, m2, radius in ((1e-300, 1e-300, 1e-10), (1.0, 1.0, 1e-200), (1.0, 1e-310, 1.0),
+                           (1e200, 1e200, 1e100)):
         with pytest.raises(ValidationError, match="positive normal float"):
             PhysicalParams(3, m1, m2, radius, 1.0)
     p = PhysicalParams(3, 1.0, 3.0, 1.0, 1.0)
@@ -168,6 +168,43 @@ def test_spectral_ode_matches_displayed_coefficients():
         )
         assert p(r) == pytest.approx(want_p, rel=1e-14)
         assert q(r) == pytest.approx(want_q, rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", [KIND_COULOMB, KIND_OSCILLATOR])
+@pytest.mark.parametrize("params, sector", [
+    (PhysicalParams(3, 2.0, 2.0, 1.0, 1.0), (3, 1, 1)),
+    (PhysicalParams(4, 1.3, 1.3, 0.7, 2.9), (4, 3, 2)),
+    (PhysicalParams(2, 0.3, 5.0, 3.1, 0.45), (2, 1, None)),
+])
+def test_spectral_ode_q_is_bit_identical_to_the_potential_form(kind, params, sector):
+    # q inlines `potential`; it must keep the bits of the form that calls it
+    co = radial_coefficients(*sector)
+    m, R = params.reduced_mass, params.radius
+    a, b, c = float(co.a), float(co.b), float(co.c)
+    V = potential(kind, params)
+    for E in (-3.7, 0.0, 1.25, 41.0):
+        _, q = spectral_ode(kind, params, co, E)
+        for r in (1e-5, 0.013, 0.3, 0.5, 0.71, 0.999, 1.0 - 1e-5, 1.7, 40.0):
+            if kind == KIND_OSCILLATOR and r >= 1.0:
+                continue
+            want = (8.0 / (1 + r * r) ** 2) * (m * R * R * (E - V(r)) - a / (r * r) - b - c * r * r)
+            assert q(r) == want, (E, r)
+
+
+def test_reduced_mass_matches_mpmath_where_the_product_overflows_or_underflows():
+    mpmath = pytest.importorskip("mpmath")
+    for m1, m2 in ((1e200, 1e200), (1e300, 3e250), (1.7e308, 1.0e308), (1e-300, 1e-300),
+                   (3e-200, 7e-170), (1e-300, 1e-10), (2.5e-160, 4e-160), (1.0, 3.0), (2.0, 2.0), (0.3, 5.0)):
+        for x, y in ((m1, m2), (m2, m1)):
+            got = PhysicalParams(3, x, y, 1.0, 1.0).reduced_mass
+            want = mpmath.mpf(x) * mpmath.mpf(y) / (mpmath.mpf(x) + mpmath.mpf(y))
+            assert math.isfinite(got) and got > 0.0
+            assert abs(got - want) <= 1e-15 * want, (x, y)
+    # where the direct formula gives a normal float, it is used bit for bit
+    for m1, m2 in ((1.0, 3.0), (0.3, 5.0), (1e150, 1e150), (1e-150, 3e-100), (7.0, 1e-300)):
+        assert PhysicalParams(3, m1, m2, 1.0, 1.0).reduced_mass == m1 * m2 / (m1 + m2)
+    # m R^2 = 5e199 is a normal float: the spectrum exists
+    assert PhysicalParams(3, 1e200, 1e200, 1.0, 1.0).reduced_mass == 5e199
 
 
 def test_indicial_roots():

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -422,6 +423,19 @@ def test_norm_squared_underflow_raises(kind):
     fn = radial_eigenfunction(kind, UNIT_MASSES, radial_coefficients(3, 1, 1), 120)
     with pytest.raises(ConvergenceError, match=f"{kind} k=120: norm quadrature over 240 nodes"):
         fn.norm_squared()
+
+
+@pytest.mark.parametrize("radius", [1000.0, 1500.0, 1e6])
+def test_coulomb_norm_squared_prefactor_overflow_raises_without_warning(radius):
+    # on the quadrature's numpy nodes the complex power overflows to inf/NaN
+    # where float `**` raises; the scalar path's error comes out, no warning
+    params = PhysicalParams(3, 1.0, 1.0, radius, 1.0)
+    fn = radial_eigenfunction("coulomb", params, radial_coefficients(3, 1, 1), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError,
+                           match="coulomb level k=1: the eigenfunction prefactor"):
+            fn.norm_squared()
 
 
 @settings(max_examples=40, deadline=None)

@@ -36,6 +36,31 @@ def test_spectrum_vs_shooting_reports_the_whole_grid(monkeypatch):
     assert "worst relative deviation 9.00e-03" in chk.detail
 
 
+def test_spectrum_vs_shooting_reports_solver_totals(monkeypatch, capsys):
+    calls = []
+
+    def fake_shooting(kind, params, coeffs, lo, hi):
+        calls.append(kind)
+        if len(calls) == 4:
+            raise ConvergenceError("synthetic miss")  # counts nothing
+        return ShootingResult((lo + hi) / 2.0, 0.0, (lo, hi), 9, 4, 1000 + len(calls))
+
+    monkeypatch.setattr(suites, "shooting_eigenvalue", fake_shooting)
+    for other, _ in suites._SUITES["oscillator"]:
+        if other != "check_spectrum_vs_shooting":
+            monkeypatch.setattr(suites, other, _cheap_pass)
+    assert main(["verify", "--suite", "oscillator"]) == 3
+    (report,) = json.loads(capsys.readouterr().out)["suites"]
+    located = [i for i in range(1, 46) if i != 4]
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["oscillator spectrum vs shooting"]["solver"] == {
+        "evaluations": 9 * 44, "iterations": 4 * 44,
+        "rhs_evaluations": sum(1000 + i for i in located)}
+    assert by_name["oscillator spectrum vs shooting"]["detail"].startswith("1 of 45 levels failed")
+    # checks without an oracle carry no solver entry, so their JSON is unchanged
+    assert "solver" not in by_name["stub"]
+
+
 def test_structure_relations_failure_is_a_result(monkeypatch):
     def failing_verify(rep):
         if rep.weight.coeffs == (1, 2):
