@@ -17,9 +17,10 @@ table (or reports that none applies).
 
 import cmath
 import math
+import sys
 from typing import NamedTuple
 
-from .errors import ValidationError, VerificationError, _Validated
+from .errors import ConvergenceError, ValidationError, VerificationError, _Validated
 from .radial import (
     KIND_COULOMB,
     _check_compatible,
@@ -66,6 +67,18 @@ INFINITY = _Infinity()
 _TOL = 1e-10  # matches cross-ratio classes and reduction-table rows
 
 
+def _sum_tolerance(terms):
+    """How far a sum of these terms may miss an exact identity: 1e-8, or
+    3 eps sum|term| where that is larger.
+
+    Each term of size t carries about eps |t| of rounding, which exceeds
+    1e-8 once the exponents are near 1e8 (|E| m R^2 ~ 1e16).  Both sums
+    checked here have at most 12 terms, so the allowance stays under 1e-8,
+    and the check as it was, while every exponent is at most 1e6.
+    """
+    return max(1e-8, 3.0 * sys.float_info.epsilon * sum(abs(complex(t)) for t in terms))
+
+
 def _fmtc(x, nd=6):
     x = complex(x)
     if abs(x.imag) <= 1e-12 * max(1.0, abs(x.real)):
@@ -96,7 +109,7 @@ class FuchsianEq(_Validated, _FuchsianEqFields):
         res = self.fuchs_residual()
         if not math.isfinite(abs(res)):
             raise ValidationError(f"an indicial exponent left the float range (sum {res})")
-        if abs(res) > 1e-8:
+        if abs(res) > _sum_tolerance(e for p in self.points for e in p.exponents):
             raise ValidationError(
                 f"exponent sums violate the Fuchs relation by {abs(res):.3e}"
             )
@@ -271,7 +284,8 @@ class HeunParams(_Validated, _HeunParamsFields):
 
     def _validate(self):
         res = self.consistency_residual()
-        if abs(res) > 1e-8:
+        terms = (self.alpha, self.beta, 1.0, self.gamma, self.delta, self.epsilon)
+        if abs(res) > _sum_tolerance(terms):
             raise ValidationError(
                 f"Heun parameters violate alpha+beta+1 = gamma+delta+epsilon by {abs(res):.3e}"
             )
@@ -396,7 +410,7 @@ def accessory_parameter_probe(reduction):
 
     Independent of the closed-form q: evaluates the peeled equation's
     t -> 0 residue numerically with one Richardson step from t0 = 1e-6;
-    accurate to about 1e-8.
+    accurate to about 1e-8.  ConvergenceError if the limit is not finite.
     """
     t0 = 1e-6
     A, B = reduction.A, reduction.B
@@ -410,7 +424,11 @@ def accessory_parameter_probe(reduction):
         )
         return t * bracket
 
-    return -2.0 * (2.0 * g(t0 / 2.0) - g(t0))
+    probe = -2.0 * (2.0 * g(t0 / 2.0) - g(t0))
+    if not cmath.isfinite(probe):
+        raise ConvergenceError(
+            f"accessory_probe: the residue limit at t = 0 gave {probe!r}, not a finite number")
+    return probe
 
 
 # Quadratic and higher reductions of Heun to hypergeometric exist only for

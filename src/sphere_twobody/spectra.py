@@ -14,10 +14,11 @@ times 2F1(-d, b; c; z) / d!, terminating at degree d = k - 1 (Coulomb) or
 d = k (oscillator).  `RadialEigenfunction` evaluates it by the three-term
 contiguous relation in the first parameter (DLMF §15.5(ii)) with 1/d!
 folded into each step: O(d) per point, on a complex scalar or a numpy
-array of radii.  `jet` runs the recurrence's derivative on plain complex
-(f, f', f'') components; the generic path on a `Jet` is its test reference,
-equal bit for bit.  A level's `branch_check` flag (`verified` in the
-CLI) records that the quantization condition holds on the stated
+array of radii.  `jet` returns (f, f', f'') on plain complex scalars: the
+same recurrence also carries the z-derivatives of each G_m, and the
+prefactor enters through its logarithmic derivatives in closed form, with
+f itself bit for bit `fn(r)`.  A level's `branch_check` flag (`verified` in
+the CLI) records that the quantization condition holds on the stated
 square-root branch and that the jet at one radius r0 solves the radial
 ODE: |f'' + p f' + q f| over its largest term, with no floor, is at most
 RESIDUAL_TOLERANCE, however small f is.  An eigenfunction that underflows
@@ -39,7 +40,6 @@ from typing import NamedTuple
 from .errors import ConvergenceError, ValidationError
 # pochhammer is unused here; the tracer in perfbench/tracing.py wraps both names
 from .hyperfun import gauss_2f1, pochhammer  # noqa: F401
-from .jets import Jet
 from .liealg import weyl_dim
 from .oracle import RESIDUAL_TOLERANCE, gauss_legendre, ode_residual
 from .radial import (
@@ -211,7 +211,9 @@ class RadialEigenfunction(NamedTuple):
         return self.data.d, self.data.b, self.data.c, z
 
     def _evaluate(self, r):
-        """f at a complex scalar or a numpy array of r, in O(d); on a Jet, `jet`'s reference.
+        """f at a complex scalar or a numpy array of r, in O(d).
+
+        Duck-typed: the tests also run it on a jet of r as `jet`'s reference.
 
         G_m = 2F1(-m, b; c; z) / m! follows from the contiguous relation
         (c-a) F(a-1) + (2a - c + (b-a) z) F(a) + a (z-1) F(a+1) = 0 at a = -m:
@@ -229,36 +231,54 @@ class RadialEigenfunction(NamedTuple):
         return self._evaluate(complex(r))
 
     def jet(self, r):
-        """(f, f', f'') at real r.
+        """(f, f', f'') at real r > 0.
 
-        `_evaluate`'s recurrence with each G_m carried as the three complex
-        components (g0, g1, g2) of its jet, the product and quotient rules
-        written out.  Every step does the floating-point operations that
-        `Jet` arithmetic does on `_evaluate(Jet.variable(r))`, in the same
-        order, less the products with the exact zero derivatives of the
-        scalar coefficients, so the two agree bit for bit up to the sign of
-        a zero component.
+        f is `fn(r)` bit for bit: the same recurrence and prefactor, in the
+        same order.  The recurrence also carries dG_m/dz and d2G_m/dz2, from
+        differentiating it in z (never from the 2F1 equation, which would
+        make the ODE residual check circular):
+        (c+m) (m+1) G'_(m+1) = s G'_m - (b+m) G_m + (z-1) G'_(m-1) + G_(m-1),
+        (c+m) (m+1) G''_(m+1) = s G''_m - 2 (b+m) G'_m + (z-1) G''_(m-1) + 2 G'_(m-1),
+        with s = c + 2m - (b+m) z.  z', z'' and the prefactor's log-derivatives
+        L' = P'/P, L'' = (log P)'' are closed forms in r, so f' = P (G' z' + L' G)
+        and f'' = P (G'' z'^2 + G' z'' + 2 L' G' z' + (L'' + L'^2) G).
         """
-        x = Jet.variable(r)
+        x = complex(r)
         d, b, c, z = self._hypergeometric(x)
-        z0, z1, z2 = z.f, z.df, z.d2f
-        w0 = z0 - 1.0  # z - 1
-        p0, p1, p2 = 0j, 0j, 0j  # G_(m-1)
-        g0, g1, g2 = 1 + 0j, 0j, 0j  # G_m
+        w = z - 1.0
+        prev, cur = 0.0, 1.0  # G_(m-1), G_m: `_evaluate`'s recurrence
+        dprev, dcur, d2prev, d2cur = 0.0, 0.0, 0.0, 0.0  # their z-derivatives
         for m in range(d):
             bm = b + m
-            # s = c + 2m - (b + m) z, then t = s G_m + (z - 1) G_(m-1); complex() and
-            # 0j - ... are what Jet's coercion of a scalar does, down to zero signs
-            s0, s1, s2 = complex(c + 2 * m) - z0 * bm, 0j - z1 * bm, 0j - z2 * bm
-            t0 = s0 * g0 + w0 * p0
-            t1 = (s1 * g0 + s0 * g1) + (z1 * p0 + w0 * p1)
-            t2 = ((s2 * g0 + 2.0 * s1 * g1 + s0 * g2)
-                  + (z2 * p0 + 2.0 * z1 * p1 + w0 * p2))
-            den = complex((c + m) * (m + 1))
-            p0, p1, p2 = g0, g1, g2
-            g0, g1, g2 = t0 / den, t1 / den, t2 / den
-        out = self._prefactor(x) * Jet(g0, g1, g2)
-        return out.f, out.df, out.d2f
+            s = c + 2 * m - bm * z
+            den = (c + m) * (m + 1)
+            prev, cur, dprev, dcur, d2prev, d2cur = (
+                cur, (s * cur + w * prev) / den,
+                dcur, (s * dcur - bm * cur + w * dprev + prev) / den,
+                d2cur, (s * d2cur - 2.0 * bm * dcur + w * d2prev + 2.0 * dprev) / den)
+        rho0, rho1 = self.data.rho0, self.data.rho1
+        if self.kind == KIND_COULOMB:
+            # z = 4i r/(r + i)^2; ((r - i)/(r + i))^rho1 contributes
+            # rho1 (1/(r - i) - 1/(r + i)) = 2i rho1/(r^2 + 1) to L'
+            ri = r + 1j
+            u = r * r + 1.0
+            dz = -4j * (r - 1j) / ri ** 3
+            d2z = 8j * (r - 2j) / ri ** 4
+            dL = rho0 / r + 2j * rho1 / u - 2.0 * rho0 / ri
+            d2L = -rho0 / (r * r) - 4j * rho1 * r / (u * u) + 2.0 * rho0 / (ri * ri)
+        else:
+            # z = 4r^2/(r^2 + 1)^2, P = r^rho0 (1 - r^2)^rho1 (1 + r^2)^-(rho0 + rho1)
+            u, v = r * r + 1.0, 1.0 - r * r
+            dz = 8.0 * r * v / u ** 3
+            d2z = 8.0 * ((3.0 * r * r - 8.0) * r * r + 1.0) / u ** 4
+            dL = rho0 / r - 2.0 * rho1 * r / v - 2.0 * (rho0 + rho1) * r / u
+            d2L = (-rho0 / (r * r) - 2.0 * rho1 * u / (v * v)
+                   - 2.0 * (rho0 + rho1) * v / (u * u))
+        pre = self._prefactor(x)
+        return (pre * cur,
+                pre * (dcur * dz + dL * cur),
+                pre * (d2cur * dz * dz + dcur * d2z + 2.0 * dL * dcur * dz
+                       + (d2L + dL * dL) * cur))
 
     # no caller in the package; the tracer in perfbench/tracing.py wraps this name
     def hypergeometric_value(self, r):

@@ -17,7 +17,7 @@ except ModuleNotFoundError:  # Python < 3.11
     tomllib = None
 
 import sphere_twobody
-from sphere_twobody import spectra, suites
+from sphere_twobody import fuchsian, spectra, suites
 from sphere_twobody.cli import main
 from sphere_twobody.errors import VerificationError
 from sphere_twobody.suites import CheckResult, SuiteReport
@@ -137,7 +137,7 @@ def test_spectrum_high_k_samples_exit_cleanly(tmp_path, sector):
      "--energy", "1e100"],
     # the pole exponents overflow
     ["fuchs", "--kind", "coulomb", "--n", "2", "--case", "3", "--energy", "1e308"],
-    # finite exponents, but a NaN accessory probe: caught as the JSON is written
+    # finite exponents, but a NaN accessory probe
     ["fuchs", "--kind", "oscillator", "--n", "5", "--case", "1", "--mk", "2", "--m1", "9e-184",
      "--radius", "3e-45", "--coupling", "9e231", "--energy", "-9"],
     # NaN eigenfunction samples
@@ -270,6 +270,41 @@ def test_fuchs_rejects_non_finite_energy(capsys, kind, energy):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: non-finite energy")
+
+
+def _fuchs_argv(kind, energy):
+    return ["fuchs", "--kind", kind, "--n", "3", "--case", "1", "--mk", "1", "--energy", energy]
+
+
+@pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
+@pytest.mark.parametrize("energy", ["1e32", "1e40"])
+def test_fuchs_huge_energy_within_rounding(capsys, kind, energy):
+    # exponents near 1e16 and 1e20: their sum loses n - 1 = 2 to rounding, which is
+    # no violation of the Fuchs relation
+    rc, out, err = run_cli(capsys, _fuchs_argv(kind, energy))
+    assert rc == 0, err
+    json.loads(out, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("energy, shift", [("1.3", 1e-6), ("1e32", 1e3)])
+def test_fuchs_relation_violation_exits_2(capsys, monkeypatch, energy, shift):
+    # shift both exponents at r = 0 and at infinity: the sum misses by 4 shift
+    real = fuchsian._endpoint_exponents
+    monkeypatch.setattr(fuchsian, "_endpoint_exponents",
+                        lambda n, a: tuple(e + shift for e in real(n, a)))
+    rc, out, err = run_cli(capsys, _fuchs_argv("coulomb", energy))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: exponent sums violate the Fuchs relation"), err
+
+
+def test_fuchs_nan_accessory_probe_named(tmp_path):
+    r = _run_subprocess(tmp_path, [
+        "fuchs", "--kind", "oscillator", "--n", "5", "--case", "1", "--mk", "2",
+        "--m1", "9e-184", "--radius", "3e-45", "--coupling", "9e231", "--energy", "-9"])
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.startswith("verification failure: accessory_probe:"), r.stderr
 
 
 def test_classify_document(capsys):

@@ -28,7 +28,6 @@ from sphere_twobody import (
 )
 from sphere_twobody import spectra
 from sphere_twobody.cli import main
-from sphere_twobody.jets import Jet
 from sphere_twobody.radial import sample_radii
 
 UNIT = {n: PhysicalParams(n, 2.0, 2.0, 1.0, 1.0) for n in (2, 3, 4, 5)}
@@ -241,6 +240,96 @@ def test_equal_mass_cases_reject_unequal_masses():
 
 # ------------------------------------------------ the recurrence kernel
 
+_SCALARS = (int, float, complex)
+
+
+class Jet:
+    """(f, f', f'') over the complex numbers, carried through arithmetic and
+    principal-branch powers: `_evaluate(Jet.variable(r))` is `jet`'s reference."""
+
+    __slots__ = ("f", "df", "d2f")
+
+    def __init__(self, f, df=0.0, d2f=0.0):
+        self.f = complex(f)
+        self.df = complex(df)
+        self.d2f = complex(d2f)
+
+    @staticmethod
+    def variable(x):
+        return Jet(x, 1.0, 0.0)
+
+    def __repr__(self):
+        return f"Jet({self.f!r}, {self.df!r}, {self.d2f!r})"
+
+    def _coerce(self, other):
+        if isinstance(other, Jet):
+            return other
+        if isinstance(other, _SCALARS):
+            return Jet(other)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return Jet(self.f + o.f, self.df + o.df, self.d2f + o.d2f)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet(-self.f, -self.df, -self.d2f)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return Jet(self.f - o.f, self.df - o.df, self.d2f - o.d2f)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return Jet(o.f - self.f, o.df - self.df, o.d2f - self.d2f)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return Jet(
+            self.f * o.f,
+            self.df * o.f + self.f * o.df,
+            self.d2f * o.f + 2.0 * self.df * o.df + self.f * o.d2f,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        h = self.f / o.f
+        dh = (self.df - h * o.df) / o.f
+        d2h = (self.d2f - 2.0 * dh * o.df - h * o.d2f) / o.f
+        return Jet(h, dh, d2h)
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o.__truediv__(self)
+
+    def __pow__(self, s):
+        if not isinstance(s, _SCALARS):
+            return NotImplemented
+        s = complex(s)
+        if s == 0:
+            return Jet(1.0)
+        w = self.f ** s
+        w1 = s * self.f ** (s - 1)
+        w2 = s * (s - 1) * self.f ** (s - 2)
+        return Jet(w, w1 * self.df, w2 * self.df * self.df + w1 * self.d2f)
+
+
 REF_DIGITS = 40
 KERNEL_KS = {"coulomb": (1, 5, 20, 40, 80, 150), "oscillator": (0, 5, 20, 40, 80, 150)}
 KERNEL_RADII = {"coulomb": (0.3, 0.7, 2.5), "oscillator": (0.2, 0.45, 0.8)}
@@ -325,11 +414,28 @@ KERNEL_NON_UNIT = [("coulomb", 3, 17, PhysicalParams(3, 0.7, 2.3, 1.6, 0.35)),
                          [(kind, n, k, UNIT[n]) for kind, n, k in _kernel_cases()]
                          + KERNEL_NON_UNIT)
 def test_jet_equals_generic_jet_path(kind, n, k, params):
-    """`jet`'s written-out recurrence is `_evaluate` on a Jet, bit for bit."""
-    fn = radial_eigenfunction(kind, params, radial_coefficients(n, 1, KERNEL_SECTORS[n]), k)
-    for r in (*KERNEL_RADII[kind], *sample_radii(kind, 16), spectra._R0[kind]):
-        out = fn._evaluate(Jet.variable(r))
-        assert fn.jet(r) == (out.f, out.df, out.d2f), r
+    """`jet` against `_evaluate` on a Jet and against mpmath.
+
+    f is `fn(r)` and the Jet path's value bit for bit.  f' and f'' come from
+    other arithmetic, and must match both mpmath's and the Jet path's within
+    test_kernel_matches_mpmath's bounds.
+    """
+    co = radial_coefficients(n, 1, KERNEL_SECTORS[n])
+    fn = radial_eigenfunction(kind, params, co, k)
+    with mpmath.workdps(REF_DIGITS):
+        ref = _reference(kind, params, co, k, fn.energy)
+        for r in (*KERNEL_RADII[kind], *sample_radii(kind, 16), spectra._R0[kind]):
+            f, df, d2f = fn.jet(r)
+            out = fn._evaluate(Jet.variable(r))
+            assert f == out.f == fn(r), r
+            x = mpmath.mpf(r)
+            want, dwant, d2want = (complex(mpmath.diff(ref, x, i)) for i in range(3))
+            amp = max(abs(want), abs(dwant) / (k + 1))
+            tol1, tol2 = 1e-12 * (k + 1) * amp, 1e-12 * (k + 1) ** 2 * amp
+            assert abs(df - dwant) <= tol1, (r, df, dwant)
+            assert abs(d2f - d2want) <= tol2, (r, d2f, d2want)
+            assert abs(df - out.df) <= tol1, (r, df, out.df)
+            assert abs(d2f - out.d2f) <= tol2, (r, d2f, out.d2f)
 
 
 @pytest.mark.parametrize("kind,n,k", [c for c in _kernel_cases() if c[2] <= 40])
