@@ -1,15 +1,12 @@
 """Sparse square matrices over the Gaussian rationals, optionally with radicals.
 
-A matrix stores only its nonzero entries: positions, real parts and
-imaginary parts in parallel tuples.
-Entries are Fractions on the fast path; entries of the form q*sqrt(rad) (q,
-rad rational) are carried exactly by the Rad type, which is what the rank-1
-ladder matrices need (their entries are quarter square roots of integer
-products, and every sum the structure relations produce pairs identical
-radicands, so addition never has to combine unlike surds).
-
-The ladder operators are diagonal or have a single off-diagonal band, so a
-product visits only pairs of nonzero entries.
+A GMat stores only its nonzero entries, as positions, real parts and
+imaginary parts in parallel tuples.  Entries are Fractions, or q*sqrt(rad)
+carried exactly by Rad: the unitary B1 ladder entries are quarter square
+roots of integers, and the sums the ladder code forms pair equal radicands.
+The ladder module stores its operators as integer bands and checks their
+relations in integer arithmetic; GMats are the exact views it builds for
+printing, classification and float conversion.
 """
 
 from fractions import Fraction

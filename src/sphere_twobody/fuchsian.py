@@ -567,7 +567,7 @@ def case1_pullback_residual(hp, ts=(0.3, 0.85, 1.4 + 0.2j, 0.6 - 0.3j)):
     worst = 0.0
     for t in ts:
         t = complex(t)
-        z = t * (2.0 - t)
+        z = HypergeomParams.z_of_t(t)
         dphi = 2.0 * (1.0 - t)
         if min(abs(z), abs(1.0 - z), abs(dphi)) < 1e-6:
             raise ValidationError(f"sample point t={t} sits on a pullback singularity")

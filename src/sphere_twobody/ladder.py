@@ -1,30 +1,33 @@
 """Ladder operators on the invariant subspace of an so(2k+1)/so(2k) module.
 
-Materializes F, D+, D- (hence D0..D3) as exact matrices on the subspace
-annihilated by the so(n-1) subalgebra, verifies all structure relations in
-exact arithmetic, classifies the common eigenvectors of {D0^2, D1, D2}
-(optionally D3), and checks the defining-representation embedding formulas
-numerically.
+A module is stored as its F-basis plus two integer bands.  The structure
+relations are verified on those integers, the common eigenvectors of
+{D0^2, D1, D2} (optionally D3) are classified exactly, and the
+defining-representation embedding formulas are checked numerically.
 
-Conventions. For rank k >= 2 the basis chi_j, j in L_nu = (-nu, -nu+2, ..,
-nu), carries
+For rank k >= 2 the basis chi_j, j in L_nu = (-nu, -nu+2, .., nu), carries
 
-    F  chi_j = j chi_j,
-    D+ chi_j = (1/4)(j - mu)(j - nu) chi_{j+2},
+    F chi_j = j chi_j,  D+ chi_j = (1/4)(j - mu)(j - nu) chi_{j+2},
     D- chi_j = (1/4)(j + mu)(j + nu) chi_{j-2},
 
-with nu = m_k - m_{k-1}, mu = m_k + m_{k-1} + 2k - 3 for so(2k+1) and
-nu = m_k - |m_{k-1}|, mu = m_k + |m_{k-1}| + 2k - 4 for so(2k).  For k = 1
-(so(3), module of highest weight m) the basis is the full weight basis
-j = -m..m with the unitary normalization
+with nu = m_k - |m_{k-1}| and mu = m_k + |m_{k-1}| + 2k - 3 for so(2k+1),
+2k - 4 for so(2k); the bands hold the integers 4 D+ and 4 D-.  For k = 1
+(so(3), highest weight m) the basis is j = -m..m, normalized unitarily:
+D+ chi_j = (1/4) sqrt(r_j) chi_{j+2}, r_j = (m-j)(m+j+1)(m-j-1)(m+j+2), and
+the bands hold the radicands r_j; mu = m - 1 and nu = m.  The F, Dplus and
+Dminus views build exact GMats on each read, with Rad surds for k = 1.
 
-    D+ chi_j = (1/4) sqrt((m-j)(m+j+1)(m-j-1)(m+j+2)) chi_{j+2},
-
-square roots carried exactly by exactmat.Rad; here mu = m - 1, nu = m in
-the factorization identities.
+The relation check substitutes D0 = -iF and D3 = i(D+ - D-), so each
+relation is a power of i times a real one; times 16 it is an identity
+between integer matrices in F, 4 D+ and 4 D-.  For k = 1 the diagonal
+similarity S_{j+2}/S_j = sqrt(r_j) first maps 4 D+ to r_j and 4 D- to 1;
+a polynomial identity holds in one basis if and only if in the other.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import ValidationError, VerificationError
@@ -50,75 +53,70 @@ MASS_ARBITRARY = "arbitrary"
 MASS_EQUAL = "equal"
 
 _F0 = Fraction(0)
-_HALF = Fraction(1, 2)
+_QUARTER = Fraction(1, 4)
 EMBEDDING_TOL = 1e-12  # verify_embedding's default deviation tolerance
 
 
 class LadderRep(NamedTuple):
-    """F, D+, D- on the invariant subspace; exact entries."""
+    """A module on the invariant subspace: its F-basis and two integer bands.
+
+    up[p] and down[p] belong to the pair chi_j, chi_{j+2} with j = basis[p]:
+    4 d+(j) and 4 d-(j+2) for rank >= 2, and for B1 the radicands 16 d+(j)^2
+    and 16 d-(j+2)^2 of the unitary entries.
+    """
 
     algebra: AlgebraLabel
     weight: HighestWeight
     nu: int
     mu: int
     basis: tuple  # F-eigenvalues j, ascending
-    F: GMat
-    Dplus: GMat
-    Dminus: GMat
+    up: tuple
+    down: tuple
     casimir: int
 
-    @property
-    def dim(self):
-        return len(self.basis)
+    dim = property(lambda self: len(self.basis))
+
+    step = property(lambda self: 2 if self.algebra.rank == 1 else 1,
+                    doc="Positions from chi_j to chi_{j+2}: 2 in the B1 weight basis, else 1.")
 
     def index(self, j):
         """Position of the F-eigenvalue j in the basis (shadows tuple.index)."""
         return self.basis.index(j)
 
+    F = property(lambda self: GMat.diag(self.basis), doc="F as an exact GMat, built on each read.")
+    Dplus = property(lambda self: GMat.build(self.dim, self._entries(self.up, self.step, 0)),
+                     doc="D+ as an exact GMat, built on each read.")
+    Dminus = property(lambda self: GMat.build(self.dim, self._entries(self.down, 0, self.step)),
+                      doc="D- as an exact GMat, built on each read.")
+
+    def _entries(self, band, di, dj, sign=1):
+        """{(p + di, p + dj): sign * d} over a band's exact entries d."""
+        if self.step == 2:
+            return {(p + di, p + dj): Rad(sign * _QUARTER, r) for p, r in enumerate(band)}
+        return {(p + di, p + dj): Fraction(sign * x, 4) for p, x in enumerate(band)}
+
+
+@lru_cache(maxsize=256)
+def _bands(nu, mu, step):
+    """(basis, up, down) of the module with these nu, mu; equal modules share them."""
+    if step == 2:  # B1, m = nu
+        basis = tuple(range(-nu, nu + 1))
+        rad = tuple((nu - j) * (nu + j + 1) * (nu - j - 1) * (nu + j + 2) for j in basis[:-2])
+        return basis, rad, rad
+    basis = tuple(range(-nu, nu + 1, 2))
+    return (basis, tuple((j - mu) * (j - nu) for j in basis[:-1]),
+            tuple((j + mu) * (j + nu) for j in basis[1:]))
+
 
 def build_ladder_rep(algebra, weight):
-    """Construct the ladder matrices for a weight with invariant vectors."""
-    w = HighestWeight.of(algebra, weight)
-    k = algebra.rank
-    dim = invariant_subspace_dim(algebra, w)
-    if dim == 0:
-        raise ValidationError(
-            f"{w} has no invariant vectors: needs m_j = 0 for j <= k-2"
-        )
-    cas = casimir_eigenvalue(algebra, w)
-
-    if algebra.series == "B" and k == 1:
-        m = w.coeffs[0]
-        basis = tuple(range(-m, m + 1))
-        n = len(basis)
-        F = GMat.diag(basis)
-        dp, dm = {}, {}
-        for p, j in enumerate(basis):
-            if j + 2 <= m:
-                rad = (m - j) * (m + j + 1) * (m - j - 1) * (m + j + 2)
-                dp[(p + 2, p)] = Rad(Fraction(1, 4), rad)
-            if j - 2 >= -m:
-                rad = (m + j) * (m - j + 1) * (m + j - 1) * (m - j + 2)
-                dm[(p - 2, p)] = Rad(Fraction(1, 4), rad)
-        return LadderRep(
-            algebra, w, m, m - 1, basis, F, GMat.build(n, dp), GMat.build(n, dm), cas
-        )
-
-    mk, mk1 = w.coeffs[-1], abs(w.coeffs[-2])
-    if algebra.series == "B":
-        nu, mu = mk - mk1, mk + mk1 + 2 * k - 3
-    else:
-        nu, mu = mk - mk1, mk + mk1 + 2 * k - 4
-    basis = tuple(range(-nu, nu + 1, 2))
-    n = len(basis)
-    F = GMat.diag(basis)
-    dp, dm = {}, {}
-    for p, j in enumerate(basis):
-        if j + 2 <= nu:
-            dp[(p + 1, p)] = Fraction((j - mu) * (j - nu), 4)
-        if j - 2 >= -nu:
-            dm[(p - 1, p)] = Fraction((j + mu) * (j + nu), 4)
-    return LadderRep(algebra, w, nu, mu, basis, F, GMat.build(n, dp), GMat.build(n, dm), cas)
+    """Construct the ladder bands for a weight with invariant vectors."""
+    w, k = HighestWeight.of(algebra, weight), algebra.rank
+    if invariant_subspace_dim(algebra, w) == 0:
+        raise ValidationError(f"{w} has no invariant vectors: needs m_j = 0 for j <= k-2")
+    mk, mk1 = (w.coeffs[0], 0) if k == 1 else (w.coeffs[-1], abs(w.coeffs[-2]))
+    nu, mu = mk - mk1, mk + mk1 + 2 * k - (3 if algebra.series == "B" else 4)  # B1: m, m - 1
+    return LadderRep(algebra, w, nu, mu, *_bands(nu, mu, 2 if k == 1 else 1),
+                     casimir_eigenvalue(algebra, w))
 
 
 class OperatorMatrices(NamedTuple):
@@ -132,121 +130,132 @@ class OperatorMatrices(NamedTuple):
 
 
 def operator_matrices(rep):
-    """Assemble D0 = -iF, D1/D2 = +-(D+ + D-) + (F^2 - Ctilde)/2, D3 = i(D+ - D-)."""
-    F, Dp, Dm = rep.F, rep.Dplus, rep.Dminus
-    G = (F @ F - GMat.eye(rep.dim, rep.casimir)).scale(_HALF)
-    P = Dp + Dm
+    """D0 = -iF, D1/D2 = (F^2 - Ctilde)/2 +- (D+ + D-), D3 = i(D+ - D-), from the bands."""
+    n, s, up, down = rep.dim, rep.step, rep.up, rep.down
+    G = {(p, p): Fraction(j * j - rep.casimir, 2) for p, j in enumerate(rep.basis)}
+    Dp, Dm, mDm = rep._entries(up, s, 0), rep._entries(down, 0, s), rep._entries(down, 0, s, -1)
     return OperatorMatrices(
-        D0=F.scale(0, -1),
-        D1=P + G,
-        D2=G - P,
-        D3=(Dp - Dm).scale(0, 1),
-        Ctilde=GMat.eye(rep.dim, rep.casimir),
+        D0=GMat.build(n, {(p, p): (_F0, -j) for p, j in enumerate(rep.basis)}),
+        D1=GMat.build(n, {**G, **Dp, **Dm}),
+        D2=GMat.build(n, {**G, **rep._entries(up, s, 0, -1), **mDm}),
+        D3=GMat.build(n, {key: (_F0, d) for key, d in {**Dp, **mDm}.items()}),
+        Ctilde=GMat.eye(n, rep.casimir),
     )
 
 
-def _series_q(rep):
-    """The scalar q in [D+, D-] = -F^3/2 + q F."""
-    k = rep.algebra.rank
-    if rep.algebra.series == "B" and k == 1:
-        mk, mk1 = rep.weight.coeffs[0], 0
-    else:
-        mk, mk1 = rep.weight.coeffs[-1], abs(rep.weight.coeffs[-2])
-    if rep.algebra.series == "B":
-        return Fraction(mk * mk + mk1 * mk1 + (2 * k - 1) * mk + (2 * k - 3) * mk1, 2) + Fraction(
-            (2 * k - 1) * (2 * k - 3), 4
-        )
-    return Fraction(
-        mk * mk + mk1 * mk1 + 2 * (k - 1) * mk + 2 * (k - 2) * mk1, 2
-    ) + (k - 1) * (k - 2)
+def _series_q4(rep):
+    """4q, for the scalar q in [D+, D-] = -F^3/2 + q F."""
+    c, n = rep.weight.coeffs, rep.algebra.sphere_dim
+    mk, mk1 = (c[0], 0) if rep.algebra.rank == 1 else (c[-1], abs(c[-2]))
+    return 2 * (mk * mk + mk1 * mk1 + (n - 1) * mk + (n - 3) * mk1) + (n - 1) * (n - 3)
 
 
 class StructureReport(NamedTuple):
-    """Exact residual matrices of the operator-algebra relations."""
+    """Exact residuals of the operator-algebra relations."""
 
     algebra: AlgebraLabel
     weight: HighestWeight
     nu: int
     mu: int
     q: Fraction
-    relation_residuals: dict  # relation name -> exact residual GMat
+    relation_residuals: dict  # relation name -> largest entry modulus of its residual, exact
     factorization_residual: Fraction
     mu_root_residual: Fraction
 
     @property
     def ok(self):
-        return (
-            all(mat.is_zero() for mat in self.relation_residuals.values())
-            and self.factorization_residual == 0
-            and self.mu_root_residual == 0
-        )
+        return not (any(self.relation_residuals.values()) or self.factorization_residual
+                    or self.mu_root_residual)
 
     def residual_norms(self):
-        return {name: mat.max_abs() for name, mat in self.relation_residuals.items()}
+        return {name: float(r) for name, r in self.relation_residuals.items()}
 
 
-def _dp_dm_product(rep, eta):
-    """Exact d+(eta) * d-(eta+2); rational even for k=1 (paired surds)."""
-    basis = rep.basis
-    if eta not in basis or eta + 2 not in basis:
-        return _F0
-    i, j = rep.index(eta), rep.index(eta + 2)
-    dp = rep.Dplus.nz.get((j, i), (_F0, _F0))[0]
-    dm = rep.Dminus.nz.get((i, j), (_F0, _F0))[0]
-    if isinstance(dp, Rad) or isinstance(dm, Rad):
-        pf, pr = (dp.fr, dp.rad) if isinstance(dp, Rad) else (dp, Fraction(1))
-        mf, mr = (dm.fr, dm.rad) if isinstance(dm, Rad) else (dm, Fraction(1))
-        if pr != mr:
-            raise VerificationError("unpaired surds in ladder product")
-        return pf * mf * pr
-    return dp * dm
+def _iprod(x, y):
+    """Product of sparse integer matrices {(i, j): int}."""
+    rows = {}
+    for (t, j), v in y.items():
+        rows.setdefault(t, []).append((j, v))
+    acc = {}
+    for (i, t), u in x.items():
+        for j, v in rows.get(t, ()):
+            acc[i, j] = acc.get((i, j), 0) + u * v
+    return acc
+
+
+def _isum(*terms):
+    """The sparse integer matrix sum of c * M over (c, M); zeros dropped."""
+    acc = {}
+    for c, mat in terms:
+        for key, v in mat.items():
+            acc[key] = acc.get(key, 0) + c * v
+    return {key: v for key, v in acc.items() if v}
+
+
+def _bracket(x, y, sign=-1):
+    """[x, y], or {x, y} for sign = 1."""
+    return _isum((1, _iprod(x, y)), (sign, _iprod(y, x)))
 
 
 def verify_structure_relations(rep):
     """Check all commutation relations and the ladder factorization, exactly.
 
+    Every check runs on the integer bands (see the module docstring).
     Returns a StructureReport with all residuals zero; raises
     VerificationError naming the failed relation otherwise.
     """
-    ops = operator_matrices(rep)
-    D0, D1, D2, D3 = ops.D0, ops.D1, ops.D2, ops.D3
-    F, Dp, Dm = rep.F, rep.Dplus, rep.Dminus
-    n_sphere = rep.algebra.sphere_dim
-    cc = Fraction((n_sphere - 1) * (n_sphere - 3), 2)
-    q = _series_q(rep)
-    F3 = (F @ F) @ F
+    s, basis, mu, nu, n = rep.step, rep.basis, rep.mu, rep.nu, rep.algebra.sphere_dim
+    up, down = tuple(map(int, rep.up)), tuple(map(int, rep.down))
+    if up != tuple(rep.up) or down != tuple(rep.down):  # compared exactly: no truncation
+        raise VerificationError(f"a ladder band of {rep.weight} has a non-integer entry")
+    if s == 1:
+        a, b = up, down
+        prods = [u * d for u, d in zip(up, down)]
+    else:  # the similarity S_{j+2}/S_j = sqrt(down): 4D+ -> sqrt(up down), 4D- -> 1
+        a = prods = [isqrt(max(u, 0) * max(d, 0)) for u, d in zip(up, down)]
+        if any(r * r != u * d for r, u, d in zip(a, up, down)):
+            raise VerificationError(f"unpaired surds in the ladder products of {rep.weight}")
+        b = [1] * len(a)
+    # 16 d+(eta) d-(eta+2) = (eta-mu)(eta-nu)(eta+mu+2)(eta+nu+2), zero at the top
+    fact16 = sum(abs(p - (eta - mu) * (eta - nu) * (eta + mu + 2) * (eta + nu + 2))
+                 for eta, p in zip(basis, prods + [0] * s))
+    q4 = _series_q4(rep)
 
-    residual_mats = {
-        "[D0,D1] = -2 D3": D0.commutator(D1) + D3.scale(2),
-        "[D0,D2] = 2 D3": D0.commutator(D2) - D3.scale(2),
-        "[D0,D3] = D1 - D2": D0.commutator(D3) - D1 + D2,
-        "[D1,D2] = -2 {D0,D3}": D1.commutator(D2) + D0.anticommutator(D3).scale(2),
-        "[D1,D3] = -{D0,D1} + (n-1)(n-3)/2 D0": D1.commutator(D3)
-        + D0.anticommutator(D1)
-        - D0.scale(cc),
-        "[D2,D3] = {D0,D2} - (n-1)(n-3)/2 D0": D2.commutator(D3)
-        - D0.anticommutator(D2)
-        + D0.scale(cc),
-        "[F,D+] = 2 D+": F.commutator(Dp) - Dp.scale(2),
-        "[F,D-] = -2 D-": F.commutator(Dm) + Dm.scale(2),
-        "[D+,D-] = -F^3/2 + q F": Dp.commutator(Dm) + F3.scale(_HALF) - F.scale(q),
+    # H = F, A = 4D+, B = 4D-, U = 4D1, V = 4D2, Y = -4i D3; D0 = -iH
+    H = {(p, p): j for p, j in enumerate(basis)}
+    H3 = {(p, p): j ** 3 for p, j in enumerate(basis)}
+    G4 = {(p, p): 2 * (j * j - rep.casimir) for p, j in enumerate(basis)}
+    A = {(p + s, p): x for p, x in enumerate(a)}
+    B = {(p, p + s): x for p, x in enumerate(b)}
+    U, V = _isum((1, A), (1, B), (1, G4)), _isum((1, G4), (-1, A), (-1, B))
+    Y = _isum((1, A), (-1, B))
+    cc16 = 8 * (n - 1) * (n - 3)  # 16 (n-1)(n-3)/2
+    # each residual is a unit times R/16
+    scaled = {
+        "[D0,D1] = -2 D3": _isum((4, _bracket(H, U)), (-8, Y)),
+        "[D0,D2] = 2 D3": _isum((4, _bracket(H, V)), (8, Y)),
+        "[D0,D3] = D1 - D2": _isum((4, _bracket(H, Y)), (-4, U), (4, V)),
+        "[D1,D2] = -2 {D0,D3}": _isum((1, _bracket(U, V)), (8, _bracket(H, Y, 1))),
+        "[D1,D3] = -{D0,D1} + (n-1)(n-3)/2 D0":
+            _isum((1, _bracket(U, Y)), (-4, _bracket(H, U, 1)), (cc16, H)),
+        "[D2,D3] = {D0,D2} - (n-1)(n-3)/2 D0":
+            _isum((1, _bracket(V, Y)), (4, _bracket(H, V, 1)), (-cc16, H)),
+        "[F,D+] = 2 D+": _isum((4, _bracket(H, A)), (-8, A)),
+        "[F,D-] = -2 D-": _isum((4, _bracket(H, B)), (8, B)),
+        "[D+,D-] = -F^3/2 + q F": _isum((1, _bracket(A, B)), (8, H3), (-4 * q4, H)),
     }
-    # d+(eta) d-(eta+2) = (1/16)(eta-mu)(eta-nu)(eta+mu+2)(eta+nu+2)
-    mu, nu = rep.mu, rep.nu
-    fact_res = _F0
-    for eta in rep.basis:
-        expected = Fraction((eta - mu) * (eta - nu) * (eta + mu + 2) * (eta + nu + 2), 16)
-        fact_res += abs(_dp_dm_product(rep, eta) - expected)
-    mu_res = Fraction(mu * mu + 2 * mu + nu * nu + 2 * nu) - 4 * q
+    residuals = {name: Fraction(max(map(abs, R.values()), default=0), 16)
+                 for name, R in scaled.items()}
+    fact_res = Fraction(fact16, 16)
+    mu_res = Fraction(mu * mu + 2 * mu + nu * nu + 2 * nu - q4)
 
-    report = StructureReport(
-        rep.algebra, rep.weight, nu, mu, q, residual_mats, fact_res, mu_res
-    )
+    report = StructureReport(rep.algebra, rep.weight, nu, mu, Fraction(q4, 4), residuals,
+                             fact_res, mu_res)
     if not report.ok:
-        bad = [name for name, mat in residual_mats.items() if not mat.is_zero()]
-        if fact_res != 0:
+        bad = [name for name, r in residuals.items() if r]
+        if fact_res:
             bad.append("ladder factorization")
-        if mu_res != 0:
+        if mu_res:
             bad.append("mu root equation")
         raise VerificationError(f"structure relations failed for {rep.weight}: {'; '.join(bad)}")
     return report
@@ -262,18 +271,19 @@ class EigenvectorRecord(NamedTuple):
 
     case_id: int
     description: str
-    coeffs: dict
+    coeffs: MappingProxyType  # j -> coefficient, read-only, shared between records
     delta0: Fraction
     delta1: Fraction
     delta2: Fraction
     delta3: object  # Fraction(0) or None
     mass_mode: str
     carrier: HighestWeight
-    d3_image: dict
 
-
-def _exact_vec(rep, coeffs):
-    return [(Fraction(coeffs.get(j, 0)), _F0) for j in rep.basis]
+    @property
+    def d3_image(self):
+        """D3 v as floats keyed by j, built on each read; empty for a D3 eigenvector."""
+        img = next(row[-1] for row in _rows(self.carrier) if row[0] == self.case_id)
+        return {j: complex(float(x), float(y)) for j, (x, y) in img.items()}
 
 
 def _differs(x, y):
@@ -284,68 +294,64 @@ def _differs(x, y):
         return True  # unlike surds cannot cancel
 
 
-def _check_eigen(mat, vec, scalar, what, weight):
+def _check_image(mat, vec, want, what):
+    """mat v, after checking it equals want exactly; VerificationError(what) if not."""
     image = mat.apply(vec)
-    s = Fraction(scalar)
-    for (ir, ii), (vr, vi) in zip(image, vec):
-        if _differs(ir, s * vr) or _differs(ii, s * vi):
-            raise VerificationError(f"classified vector fails {what} for {weight}")
+    if any(_differs(ir, wr) or _differs(ii, wi) for (ir, ii), (wr, wi) in zip(image, want)):
+        raise VerificationError(what)
+    return image
 
 
-def _verify_record(rep, ops, rec, exact_image):
-    vec = _exact_vec(rep, rec.coeffs)
+def _verify_record(rep, F2, ops, rec, exact_image):
+    vec = [(Fraction(rec.coeffs.get(j, 0)), _F0) for j in rep.basis]
     # D0^2 = -F^2, so F^2 v = -delta0 v
-    _check_eigen(rep.F @ rep.F, vec, -rec.delta0, "D0^2 eigenvalue", rep.weight)
-    _check_eigen(ops.D1, vec, rec.delta1, "D1 eigenvalue", rep.weight)
-    _check_eigen(ops.D2, vec, rec.delta2, "D2 eigenvalue", rep.weight)
-    image = ops.D3.apply(vec)
-    for (ir, ii), j in zip(image, rep.basis):
-        er, ei = exact_image.get(j, (_F0, _F0))
-        if _differs(ir, er) or _differs(ii, ei):
-            raise VerificationError(
-                f"classified D3 action wrong for {rep.weight} case {rec.case_id}"
-            )
+    for mat, val, name in ((F2, -rec.delta0, "D0^2"), (ops.D1, rec.delta1, "D1"),
+                           (ops.D2, rec.delta2, "D2")):
+        s = Fraction(val)
+        _check_image(mat, vec, [(s * x, s * y) for x, y in vec],
+                     f"classified vector fails {name} eigenvalue for {rep.weight}")
+    image = _check_image(ops.D3, vec, [exact_image.get(j, (_F0, _F0)) for j in rep.basis],
+                         f"classified D3 action wrong for {rep.weight} case {rec.case_id}")
     if rec.delta3 is not None and any(r or i for r, i in image):
-        raise VerificationError(
-            f"vector claimed D3-eigen is not, {rep.weight} case {rec.case_id}"
-        )
+        raise VerificationError(f"vector claimed D3-eigen is not, {rep.weight} case {rec.case_id}")
 
 
-def _float_d3(d3_image):
-    return {j: complex(float(re), float(im)) for j, (re, im) in d3_image.items()}
+# the classified vectors, shared read-only by every record that holds one
+_CHI_0, _CHI_1P, _CHI_1M, _CHI_2M = map(MappingProxyType, (
+    {0: 1}, {1: 1, -1: 1}, {1: 1, -1: -1}, {2: 1, -2: -1}))
 
 
 def _rows_rank1(m):
     """The eight n=2 families, keyed by module label m, as raw record rows."""
     half = Fraction(1, 2)
-    out = []
     if m == 0:
-        out.append((1, "chi_0", {0: 1}, 0, 0, 0, _F0, MASS_ARBITRARY, {}))
-    elif m == 1:
-        out.append((2, "chi_0", {0: 1}, 0, -1, -1, _F0, MASS_ARBITRARY, {}))
-        out.append((3, "chi_1 + chi_-1", {1: 1, -1: 1}, -1, 0, -1, None,
-                    MASS_EQUAL, {1: (_F0, half), -1: (_F0, -half)}))
-        out.append((4, "chi_1 - chi_-1", {1: 1, -1: -1}, -1, -1, 0, None,
-                    MASS_EQUAL, {1: (_F0, -half), -1: (_F0, -half)}))
-    elif m == 2:
-        out.append((5, "chi_2 - chi_-2", {2: 1, -2: -1}, -4, -1, -1, None,
-                    MASS_EQUAL, {0: (_F0, Rad(-1, 6))}))
-        out.append((6, "chi_1 + chi_-1", {1: 1, -1: 1}, -1, -1, -4, None,
-                    MASS_EQUAL, {1: (_F0, Fraction(3, 2)), -1: (_F0, Fraction(-3, 2))}))
-        out.append((7, "chi_1 - chi_-1", {1: 1, -1: -1}, -1, -4, -1, None,
-                    MASS_EQUAL, {1: (_F0, Fraction(-3, 2)), -1: (_F0, Fraction(-3, 2))}))
-    elif m == 3:
-        out.append((8, "chi_2 - chi_-2", {2: 1, -2: -1}, -4, -4, -4, None,
-                    MASS_EQUAL, {0: (_F0, Rad(-1, 30))}))
-    return out
+        return [(1, "chi_0", _CHI_0, 0, 0, 0, _F0, MASS_ARBITRARY, {})]
+    if m == 1:
+        return [(2, "chi_0", _CHI_0, 0, -1, -1, _F0, MASS_ARBITRARY, {}),
+                (3, "chi_1 + chi_-1", _CHI_1P, -1, 0, -1, None,
+                 MASS_EQUAL, {1: (_F0, half), -1: (_F0, -half)}),
+                (4, "chi_1 - chi_-1", _CHI_1M, -1, -1, 0, None,
+                 MASS_EQUAL, {1: (_F0, -half), -1: (_F0, -half)})]
+    if m == 2:
+        return [(5, "chi_2 - chi_-2", _CHI_2M, -4, -1, -1, None,
+                 MASS_EQUAL, {0: (_F0, Rad(-1, 6))}),
+                (6, "chi_1 + chi_-1", _CHI_1P, -1, -1, -4, None,
+                 MASS_EQUAL, {1: (_F0, Fraction(3, 2)), -1: (_F0, Fraction(-3, 2))}),
+                (7, "chi_1 - chi_-1", _CHI_1M, -1, -4, -1, None,
+                 MASS_EQUAL, {1: (_F0, Fraction(-3, 2)), -1: (_F0, Fraction(-3, 2))})]
+    if m == 3:
+        return [(8, "chi_2 - chi_-2", _CHI_2M, -4, -4, -4, None,
+                 MASS_EQUAL, {0: (_F0, Rad(-1, 30))})]
+    return []
 
 
-def _rows_rank_ge2(rep):
-    """The four series for so(2k+1) (n=2k) and so(2k) (n=2k-1), as raw record rows."""
-    k = rep.algebra.rank
-    mk = rep.weight.coeffs[-1]
-    mk1 = abs(rep.weight.coeffs[-2])
-    if rep.algebra.series == "B":
+def _rows(w):
+    """Raw record rows: B1's from _rows_rank1, else the four series for so(2k+1)
+    (n=2k) and so(2k) (n=2k-1)."""
+    if w.algebra.rank == 1:
+        return _rows_rank1(w.coeffs[0])
+    k, mk, mk1 = w.algebra.rank, w.coeffs[-1], abs(w.coeffs[-2])
+    if w.algebra.series == "B":
         poly = mk * (mk + 2 * k - 2)
         qpoly = mk * mk + 2 * (k - 2) * mk - 2 * k + 3
         c = Fraction(2 * mk + 2 * k - 3, 2)  # m_k + k - 3/2
@@ -353,18 +359,17 @@ def _rows_rank_ge2(rep):
         poly = mk * (mk + 2 * k - 3)
         qpoly = mk * mk + (2 * k - 5) * mk - 2 * k + 4
         c = Fraction(mk + k - 2)
-    out = []
     if mk1 == mk:
-        out.append((1, "chi_0", {0: 1}, 0, -poly, -poly, _F0, MASS_ARBITRARY, {}))
-    elif mk1 == mk - 1:
-        out.append((2, "chi_1 + chi_-1", {1: 1, -1: 1}, -1, -qpoly, -poly, None,
-                    MASS_EQUAL, {1: (_F0, c), -1: (_F0, -c)}))
-        out.append((3, "chi_1 - chi_-1", {1: 1, -1: -1}, -1, -poly, -qpoly, None,
-                    MASS_EQUAL, {1: (_F0, -c), -1: (_F0, -c)}))
-    elif mk1 == mk - 2:
-        out.append((4, "chi_2 - chi_-2", {2: 1, -2: -1}, -4, -qpoly, -qpoly, None,
-                    MASS_EQUAL, {0: (_F0, -4 * c)}))
-    return out
+        return [(1, "chi_0", _CHI_0, 0, -poly, -poly, _F0, MASS_ARBITRARY, {})]
+    if mk1 == mk - 1:
+        return [(2, "chi_1 + chi_-1", _CHI_1P, -1, -qpoly, -poly, None,
+                 MASS_EQUAL, {1: (_F0, c), -1: (_F0, -c)}),
+                (3, "chi_1 - chi_-1", _CHI_1M, -1, -poly, -qpoly, None,
+                 MASS_EQUAL, {1: (_F0, -c), -1: (_F0, -c)})]
+    if mk1 == mk - 2:
+        return [(4, "chi_2 - chi_-2", _CHI_2M, -4, -qpoly, -qpoly, None,
+                 MASS_EQUAL, {0: (_F0, -4 * c)})]
+    return []
 
 
 def classify_common_eigenvectors(rep, n):
@@ -375,20 +380,16 @@ def classify_common_eigenvectors(rep, n):
     order. Weights outside the classified families give an empty list.
     """
     if n != rep.algebra.sphere_dim:
-        raise ValidationError(
-            f"n={n} inconsistent with {rep.algebra} (expects n={rep.algebra.sphere_dim})"
-        )
-    if rep.algebra.series == "B" and rep.algebra.rank == 1:
-        rows = _rows_rank1(rep.weight.coeffs[0])
-    else:
-        rows = _rows_rank_ge2(rep)
-    ops = operator_matrices(rep)
-    records = []
-    for cid, desc, coeffs, d0, d1, d2, d3, mode, img in rows:
-        rec = EigenvectorRecord(cid, desc, coeffs, _scalar(d0), _scalar(d1), _scalar(d2),
-                                d3, mode, rep.weight, _float_d3(img))
-        _verify_record(rep, ops, rec, img)
-        records.append(rec)
+        raise ValidationError(f"n={n} inconsistent with {rep.algebra} "
+                              f"(expects n={rep.algebra.sphere_dim})")
+    rows = _rows(rep.weight)
+    if not rows:
+        return []
+    ops, F2 = operator_matrices(rep), GMat.diag([j * j for j in rep.basis])
+    records = [EigenvectorRecord(*row[:3], *map(_scalar, row[3:6]), *row[6:8], rep.weight)
+               for row in rows]
+    for rec, row in zip(records, rows):
+        _verify_record(rep, F2, ops, rec, row[-1])
     return records
 
 

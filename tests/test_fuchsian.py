@@ -275,6 +275,15 @@ def test_pullback_rejects_singular_sample():
         case1_pullback_residual(red.heun, ts=(2.0,))
 
 
+def test_pullback_residual_pinned_bit_for_bit():
+    # z = t(2 - t) has one home, HypergeomParams.z_of_t; the residual on the
+    # default sample points stays the same to the bit
+    match = maier_classify(to_heun("coulomb", P_EQ, SYM, energy=0.9).heun)
+    assert case1_pullback_residual(match.normalized).hex() == "0x1.227f02338f5eep-42"
+    red = to_heun("oscillator", P_EQ, SYM, energy=2.0)
+    assert case1_pullback_residual(red.heun).hex() == "0x1.a000000000000p-44"
+
+
 def test_z_of_t_is_symmetric_about_one():
     for t in (0.3, 0.8, 1.2 + 0.4j):
         assert HypergeomParams.z_of_t(t) == pytest.approx(

@@ -16,6 +16,7 @@ from sphere_twobody import (
     verify_structure_relations,
 )
 from sphere_twobody.exactmat import GMat, Rad
+from sphere_twobody.suites import _ladder_weights
 
 
 def test_ladder_action_B2():
@@ -24,6 +25,8 @@ def test_ladder_action_B2():
     assert (rep.nu, rep.mu) == (2, 3)
     # D+ chi_-2 = (1/4)(j - mu)(j - nu) chi_0 = (1/4)(-5)(-4) chi_0
     assert rep.Dplus.re[rep.index(0)][rep.index(-2)] == Fraction(5)
+    # the bands hold 4 D+ from and 4 D- into chi_-2, chi_0
+    assert (rep.up, rep.down) == ((20, 6), (6, 20))
 
 
 def test_ladder_action_D2():
@@ -37,6 +40,7 @@ def test_rank1_surd_entries():
     rep = build_ladder_rep(AlgebraLabel("B", 1), (2,))
     assert rep.basis == (-2, -1, 0, 1, 2)
     assert rep.Dplus.re[rep.index(0)][rep.index(-2)] == Rad(Fraction(1, 2), 6)
+    assert rep.up == rep.down == (24, 36, 24)  # the radicands 16 d+^2
     verify_structure_relations(rep)  # surds must cancel exactly
 
 
@@ -57,10 +61,92 @@ def test_structure_relations_exact(series, rank, weight):
 def test_structure_relations_catch_corruption():
     rep = build_ladder_rep(AlgebraLabel("B", 2), (1, 2))
     with pytest.raises(AttributeError):  # records are immutable: corrupt a copy
-        rep.Dplus = rep.Dminus
-    bad = rep._replace(Dplus=rep.Dplus + GMat.eye(rep.dim, Fraction(1, 7)))
+        rep.up = rep.down
+    bad = rep._replace(up=(rep.up[0] + Fraction(1, 7),) + rep.up[1:])
     with pytest.raises(VerificationError):
         verify_structure_relations(bad)
+
+
+def _reference_q(rep):
+    """q in [D+, D-] = -F^3/2 + q F, in Fractions."""
+    k, c = rep.algebra.rank, rep.weight.coeffs
+    mk, mk1 = (c[0], 0) if k == 1 else (c[-1], abs(c[-2]))
+    if rep.algebra.series == "B":
+        return Fraction(mk * mk + mk1 * mk1 + (2 * k - 1) * mk + (2 * k - 3) * mk1, 2) + Fraction(
+            (2 * k - 1) * (2 * k - 3), 4)
+    return Fraction(mk * mk + mk1 * mk1 + 2 * (k - 1) * mk + 2 * (k - 2) * mk1, 2) + (
+        (k - 1) * (k - 2))
+
+
+def _reference_accepts(rep):
+    """The relations and the factorization as identities between GMat views.
+
+    The check the integer bands replaced, kept as their reference: complex
+    Fraction/Rad products of D0..D3 built from F, D+ and D-.
+    """
+    F, Dp, Dm = rep.F, rep.Dplus, rep.Dminus
+    G = (F @ F - GMat.eye(rep.dim, rep.casimir)).scale(Fraction(1, 2))
+    D0, D1, D2, D3 = F.scale(0, -1), Dp + Dm + G, G - Dp - Dm, (Dp - Dm).scale(0, 1)
+    n = rep.algebra.sphere_dim
+    cc, q = Fraction((n - 1) * (n - 3), 2), _reference_q(rep)
+    try:
+        residuals = [
+            D0.commutator(D1) + D3.scale(2),
+            D0.commutator(D2) - D3.scale(2),
+            D0.commutator(D3) - D1 + D2,
+            D1.commutator(D2) + D0.anticommutator(D3).scale(2),
+            D1.commutator(D3) + D0.anticommutator(D1) - D0.scale(cc),
+            D2.commutator(D3) - D0.anticommutator(D2) + D0.scale(cc),
+            F.commutator(Dp) - Dp.scale(2),
+            F.commutator(Dm) + Dm.scale(2),
+            Dp.commutator(Dm) + (F @ F @ F).scale(Fraction(1, 2)) - F.scale(q),
+        ]
+    except ArithmeticError:  # unlike surds: a residual that cannot cancel
+        return False
+    dp, dm = Dp.nz, Dm.nz
+    mu, nu = rep.mu, rep.nu
+    for eta in rep.basis:
+        want = Fraction((eta - mu) * (eta - nu) * (eta + mu + 2) * (eta + nu + 2), 16)
+        if eta + 2 not in rep.basis:
+            got = Fraction(0)
+        else:
+            x = dp.get((rep.index(eta + 2), rep.index(eta)), (Fraction(0),))[0]
+            y = dm.get((rep.index(eta), rep.index(eta + 2)), (Fraction(0),))[0]
+            x, y = (v if isinstance(v, Rad) else Rad(v) for v in (x, y))
+            if x and y and x.rad != y.rad:
+                return False  # unpaired surds
+            got = x.fr * y.fr * x.rad
+        if got != want:
+            return False
+    return (all(r.is_zero() for r in residuals)
+            and mu * mu + 2 * mu + nu * nu + 2 * nu == 4 * q)
+
+
+def test_integer_check_and_gmat_reference_accept_the_criterion_1_grid():
+    grid = _ladder_weights(6, 8)  # suites.check_structure_relations' defaults
+    assert len(grid) == 495
+    for alg, weight in grid:
+        rep = build_ladder_rep(alg, weight)
+        assert verify_structure_relations(rep).ok, weight
+        assert _reference_accepts(rep), weight
+
+
+@pytest.mark.parametrize("delta", [1, Fraction(1, 7)], ids=["off_by_one", "plus_one_seventh"])
+@pytest.mark.parametrize("band", ["up", "down"])
+@pytest.mark.parametrize(
+    "series,rank,weight",
+    [("B", 3, (0, 1, 4)),  # rank >= 2
+     ("D", 2, (-1, 4)),    # m_{k-1} < 0
+     ("B", 1, (8,))],      # radicand bands
+)
+def test_one_corrupted_band_entry_fails_both_checks(series, rank, weight, band, delta):
+    rep = build_ladder_rep(AlgebraLabel(series, rank), weight)
+    entries = list(getattr(rep, band))
+    entries[len(entries) // 2] += delta
+    bad = rep._replace(**{band: tuple(entries)})
+    with pytest.raises(VerificationError):
+        verify_structure_relations(bad)
+    assert not _reference_accepts(bad)
 
 
 def test_classification_B2_adjoint():
