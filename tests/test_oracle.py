@@ -1,10 +1,14 @@
 """Shooting and joint-diagonalization oracles."""
 
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphere_twobody import (
     AlgebraLabel,
@@ -25,7 +29,8 @@ from sphere_twobody import (
     spectral_ode,
 )
 from sphere_twobody import oracle
-from sphere_twobody.radial import endpoint_exponent, wall_exponent
+from sphere_twobody.radial import MASS_EQUAL, endpoint_exponent, endpoint_root, wall_exponent
+from sphere_twobody.spectra import K_MIN
 
 UNIT3 = PhysicalParams(3, 2.0, 2.0, 1.0, 1.0)
 
@@ -214,6 +219,159 @@ def test_stacked_march_matches_two_half_marches(kind, params, sector, energies):
         assert shooting_mismatch(kind, params, co, E) == pytest.approx(ref, rel=1e-8, abs=1e-9)
         unsaturated += abs(ref) < 0.99
     assert unsaturated  # the scaled Wronskian is not +-1 at every energy tried
+
+
+def _captured_rhs(monkeypatch, kind, params, coeffs, energy):
+    """The stacked right-hand side of one mismatch evaluation, unmarched."""
+    seen = []
+
+    def capture(rhs, t0, t1, y0, atol):
+        seen.append((rhs, t0, t1))
+        return oracle._March(np.ones(4), 0)
+
+    monkeypatch.setattr(oracle, "solve_ivp", capture)
+    shooting_mismatch(kind, params, coeffs, energy)
+    ((rhs, t0, t1),) = seen
+    return rhs, t0, t1
+
+
+def _half_coefficients(rhs, t):
+    """(P_in, Q_in, P_out, Q_out) of y'' + P y' + Q y = 0, read off the unit states.
+
+    The outer half runs backwards in its own coordinate, so its rows carry
+    the opposite sign; every coupling between the halves must be zero.
+    """
+    cols = [list(rhs(t, e)) for e in np.eye(4)]
+    assert [c[0] for c in cols] == [0.0, 1.0, 0.0, 0.0]
+    assert [c[2] for c in cols] == [0.0, 0.0, 0.0, -1.0]
+    assert cols[2][1] == cols[3][1] == cols[0][3] == cols[1][3] == 0.0
+    return -cols[1][1], -cols[0][1], cols[3][3], cols[2][3]
+
+
+def _reference_coefficients(kind, params, coeffs, energy, r):
+    """P, Q from spectral_ode at r, and the largest term each is made of."""
+    p, q = spectral_ode(kind, params, coeffs, energy)
+    m, R, g = params.reduced_mass, params.radius, params.coupling
+    a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
+    one = 1.0 + r * r
+    bracket = [m * R * R * abs(energy), a / (r * r), b, c * r * r]
+    if kind == "coulomb":
+        # in theta = 2 arctan r: P = p (1 + r^2)/2 - r and Q = q (1 + r^2)^2/4
+        bracket.append(m * R * g * (r + 1.0 / r) / 2.0)
+        return (p(r) * one / 2.0 - r, max(abs(p(r)) * one / 2.0, r),
+                q(r) * one * one / 4.0, 2.0 * max(bracket))
+    n = params.n
+    bracket.append(m * R ** 4 * 2.0 * g * g * r * r / (1.0 - r * r) ** 2)
+    return (p(r), max(n - 1.0, abs(3.0 - n) * r * r) / (one * r),
+            q(r), 8.0 / (one * one) * max(bracket))
+
+
+@pytest.mark.parametrize("kind, params, sector, energy", [
+    ("coulomb", UNIT3, (3, 1, 1), 1.3),
+    ("coulomb", UNIT3, (3, 2, 1), 0.9),                                # a != c
+    ("coulomb", PhysicalParams(4, 1.5, 1.5, 0.8, 1.3), (4, 3, 2), -7.0),  # a != c
+    ("coulomb", PhysicalParams(2, 1.0, 3.0, 1.7, 0.4), (2, 1, None), -2.5),
+    ("oscillator", UNIT3, (3, 2, 1), 9.0),                             # a != c
+    ("oscillator", PhysicalParams(2, 1.0, 3.0, 1.0, 1.0), (2, 1, None), 20.0),
+    ("oscillator", PhysicalParams(4, 1.0, 1.0, 1.3, 0.7), (4, 3, 2), 3.0),   # a != c
+    ("oscillator", PhysicalParams(6, 0.6, 2.2, 1.9, 1.8), (6, 1, 4), -4.0),
+])
+def test_reduced_rhs_matches_spectral_ode(monkeypatch, kind, params, sector, energy):
+    # each half's P and Q against radial.spectral_ode's p and q at 50 points,
+    # within 1e-13 of the largest term of the coefficient
+    co = radial_coefficients(*sector)
+    rhs, t0, t1 = _captured_rhs(monkeypatch, kind, params, co, energy)
+    assert (t0, t1) == (oracle._EPS, math.pi / 2.0 if kind == "coulomb" else 0.5)
+    for t in np.linspace(t0, t1, 50).tolist():
+        if kind == "coulomb":
+            r_in = math.tan(t / 2.0)
+            r_out = 1.0 / r_in
+        else:
+            r_in, r_out = t, 1.0 - t
+        got = _half_coefficients(rhs, t)
+        want = (_reference_coefficients(kind, params, co, energy, r_in)
+                + _reference_coefficients(kind, params, co, energy, r_out))
+        for value, (ref, scale) in zip(got, zip(want[::2], want[1::2])):
+            assert abs(value - ref) <= 1e-13 * scale, (t, value, ref, scale)
+
+
+@pytest.mark.parametrize("radius", [1000.0, 1200.0])
+def test_shooting_at_large_coulomb_radius_without_overflow(radius):
+    # both half-states end near 1e149..1e206, so their product overflowed;
+    # each half is normalized by a power of two before the Wronskian is formed
+    params = PhysicalParams(3, 1.0, 1.0, radius, 1.0)
+    co = radial_coefficients(3, 1, 1)
+    E = closed_form_energy("coulomb", params, co, 1)
+    gap = abs(closed_form_energy("coulomb", params, co, 2) - E)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = shooting_eigenvalue("coulomb", params, co, E - 0.35 * gap, E + 0.35 * gap)
+    assert got.energy == pytest.approx(E, rel=1e-9)
+
+
+def test_binary_normalization_keeps_the_mantissas():
+    for f, df in ((3.0, -1e-3), (-2.5e200, 7.0e205), (0.0, 0.0), (1e-310, -3e-309)):
+        nf, ndf = oracle._binary_normalized(f, df)
+        assert max(abs(nf), abs(ndf)) < 1.0
+        assert math.frexp(nf)[0] == math.frexp(f)[0]
+        assert math.frexp(ndf)[0] == math.frexp(df)[0]
+        if f or df:
+            assert max(abs(nf), abs(ndf)) >= 0.5
+    # the mismatch is the same number wherever the plain products stay finite
+    for kind, E in (("coulomb", 0.7), ("oscillator", 6.0)):
+        (fi, fpi), (fo, fpo) = (oracle._coulomb_halves if kind == "coulomb"
+                                else oracle._oscillator_halves)(UNIT3, radial_coefficients(3, 2, 1), E)
+        plain = (fi * fpo - fpi * fo) / (abs(fi * fpo) + abs(fpi * fo) + 1e-300)
+        assert shooting_mismatch(kind, UNIT3, radial_coefficients(3, 2, 1), E) == plain
+
+
+@st.composite
+def _symmetric_levels(draw):
+    """A closed-form level in the benchmark's ranges: a = c sector, k <= 2."""
+    kind = draw(st.sampled_from(("coulomb", "oscillator")))
+    n = draw(st.integers(2, 6))
+    if n == 2:
+        case, mk = draw(st.sampled_from((1, 2, 5, 8))), None
+    else:
+        case = draw(st.sampled_from((1, 4)))
+        mk = draw(st.integers(2 if case == 4 else 0, 4))
+    co = radial_coefficients(n, case, mk)
+    assert co.a == co.c
+    m1 = draw(st.floats(0.5, 2.5))
+    m2 = m1 if co.mass_mode == MASS_EQUAL else draw(st.floats(0.5, 2.5))
+    params = PhysicalParams(n, m1, m2, draw(st.floats(0.5, 2.0)), draw(st.floats(0.2, 2.0)))
+    return kind, params, co, draw(st.integers(K_MIN[kind], 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_symmetric_levels())
+def test_shooting_agrees_with_the_closed_form(level):
+    kind, params, co, k = level
+    E = closed_form_energy(kind, params, co, k)
+    gap = min(abs(closed_form_energy(kind, params, co, k + 1) - E), 2.0)
+    got = shooting_eigenvalue(kind, params, co, E - 0.35 * gap, E + 0.35 * gap)
+    # on the energy scale of Brent's xtol; where the indicial root at r = 0 is
+    # double (n = 2, a = 0) the two-term Frobenius start at _EPS is off by
+    # O(_EPS^2) and the level by up to about 4e-8 of that scale
+    tol = 1e-7 if endpoint_root(params.n, float(co.a)) == 0.0 else 1e-8
+    assert abs(got.energy - E) <= tol * max(1.0, abs(E))
+
+
+def test_oracle_imports_no_closed_form_module():
+    # the oracle may share the equation with the closed forms, never their
+    # quantization condition
+    closed = {"spectra", "hyperfun", "fuchsian"}
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+            imported += [alias.name for alias in node.names]
+    assert imported
+    for name in imported:
+        assert not closed & set(name.split(".")), name
 
 
 def test_ode_residual_helper():
