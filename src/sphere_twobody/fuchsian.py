@@ -23,9 +23,11 @@ from typing import NamedTuple
 from .errors import ConvergenceError, ValidationError, VerificationError, _Validated
 from .radial import (
     KIND_COULOMB,
+    KIND_OSCILLATOR,
     _check_compatible,
     _check_energy,
     _check_kind,
+    _pole_root,
     endpoint_root,
     wall_root,
 )
@@ -150,10 +152,6 @@ def psymbol(eq):
     return "P {\n  " + "\n  ".join(rows) + "\n}"
 
 
-def _sqrtc(x):
-    return cmath.sqrt(complex(x))
-
-
 def _endpoint_exponents(n, coeff):
     """Exponent pair (1/2)(2 - n +- sqrt((n-2)^2 + 32 coeff)) used at 0 and oo."""
     s = complex(endpoint_root(n, coeff))
@@ -164,13 +162,12 @@ def coulomb_exponents(params, coeffs, energy):
     """Indicial exponents of the Coulomb radial equation at {0, i, -i, oo}."""
     _check_compatible(params, coeffs)
     _check_energy(energy)
-    n, m, R, g = params.n, params.reduced_mass, params.radius, params.coupling
-    a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
-    rho0 = _endpoint_exponents(n, a)
-    rhoinf = _endpoint_exponents(n, c)
+    n = params.n
+    rho0 = _endpoint_exponents(n, float(coeffs.a))
+    rhoinf = _endpoint_exponents(n, float(coeffs.c))
 
     def at_pole(sign):
-        s = _sqrtc((n - 1) ** 2 + 8.0 * (m * energy * R * R - sign * 1j * m * R * g + a - b + c))
+        s = _pole_root(KIND_COULOMB, params, coeffs, energy, sign)
         return ((n - 1 + s) / 2.0, (n - 1 - s) / 2.0)
 
     return FuchsianEq((
@@ -184,16 +181,12 @@ def coulomb_exponents(params, coeffs, energy):
 def _oscillator_pieces(params, coeffs, energy):
     _check_compatible(params, coeffs)
     _check_energy(energy)
-    n, m, R, w = params.n, params.reduced_mass, params.radius, params.coupling
-    a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
-    rho0 = _endpoint_exponents(n, a)
-    rhoinf = _endpoint_exponents(n, c)
+    n = params.n
+    rho0 = _endpoint_exponents(n, float(coeffs.a))
+    rhoinf = _endpoint_exponents(n, float(coeffs.c))
     s1 = complex(wall_root(params))
     rho1 = ((1.0 + s1) / 2.0, (1.0 - s1) / 2.0)
-    si = _sqrtc(
-        (n - 1) ** 2 + 8.0 * m * energy * R * R + 4.0 * m * R ** 4 * w * w
-        + 8.0 * (a - b + c)
-    )
+    si = _pole_root(KIND_OSCILLATOR, params, coeffs, energy)
     rhoi = ((n - 1 + si) / 2.0, (n - 1 - si) / 2.0)
     return rho0, rho1, rhoi, rhoinf
 

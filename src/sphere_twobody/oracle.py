@@ -83,6 +83,16 @@ RESIDUAL_TOLERANCE = 1e-9  # every scaled ODE residual: `verified`, criteria 6 a
 
 
 class ShootingResult(NamedTuple):
+    """One located level, with the scan subinterval that bracketed it.
+
+    `mismatch` is |shooting_mismatch| at the returned energy, at most 1.
+    It does not measure the root's quality where the scaled Wronskian turns
+    steeply: for Coulomb at R = 1000 and 1200 (n = 3, case 1, m_k = 1, unit
+    masses and coupling) it jumps from -1 to +1 within Brent's xtol, so the
+    k = 1 level, 9.1e-11 off, reads mismatch 1.0.  There `bracket`, inside
+    which the mismatch changes sign, and the closed form judge a root.
+    """
+
     energy: float
     mismatch: float
     bracket: tuple

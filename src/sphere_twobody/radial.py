@@ -9,22 +9,30 @@ rho the geodesic distance:
     q = (8 / (1 + r^2)^2) (m R^2 (E - V) - a/r^2 - b - c r^2),
 
 with m the reduced mass and (a, b, c) rational constants fixed by the
-classification case.  The tables here are the closed forms; they coincide
-with -delta2/8, -(delta0 + delta1 + delta2)/8, -delta1/8 applied to the
-classified eigenvector records, which is how the tests pin them down.
+classification case: a = -delta2/8, b = -(delta0 + delta1 + delta2)/8 and
+c = -delta1/8, from the case's invariant-operator eigenvalues.  Those are
+read from the classification rows in `ladder`, which
+`classify_common_eigenvectors` checks exactly against the operator
+matrices.
+
+The equation's indicial roots are computed here and only here:
+`endpoint_root` at r = 0 and oo, `wall_root` at the oscillator's wall r = 1,
+and `_pole_root` at the complex poles r = +-i, which both the closed forms
+(`spectra`) and the Fuchsian data (`fuchsian`) read.
 
 Also provides the interaction potentials and the kinetic coefficient
 functions A, B, C of the two-body Hamiltonian (B vanishes identically for
 equal masses).
 """
 
+import cmath
 import math
 import sys
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ValidationError, _Validated
-from .ladder import MASS_ARBITRARY, MASS_EQUAL
+from .ladder import MASS_EQUAL, _rows
 from .liealg import AlgebraLabel, HighestWeight
 
 __all__ = [
@@ -47,8 +55,6 @@ __all__ = [
 
 KIND_COULOMB = "coulomb"
 KIND_OSCILLATOR = "oscillator"
-
-_F0 = Fraction(0)
 
 
 def _check_kind(kind):
@@ -116,21 +122,6 @@ class RadialCoefficients(NamedTuple):
         return self.a == self.c
 
 
-# n = 2 admits finitely many cases; case -> (m, a, b, c, mass mode).
-_N2_TABLE = {
-    1: (0, _F0, _F0, _F0, MASS_ARBITRARY),
-    2: (1, Fraction(1, 8), Fraction(1, 4), Fraction(1, 8), MASS_ARBITRARY),
-    3: (1, Fraction(1, 8), Fraction(1, 4), _F0, MASS_EQUAL),
-    4: (1, _F0, Fraction(1, 4), Fraction(1, 8), MASS_EQUAL),
-    5: (2, Fraction(1, 8), Fraction(3, 4), Fraction(1, 8), MASS_EQUAL),
-    6: (2, Fraction(1, 2), Fraction(3, 4), Fraction(1, 8), MASS_EQUAL),
-    7: (2, Fraction(1, 8), Fraction(3, 4), Fraction(1, 2), MASS_EQUAL),
-    8: (3, Fraction(1, 2), Fraction(3, 2), Fraction(1, 2), MASS_EQUAL),
-}
-
-_CASE_MIN_MK = {1: 0, 2: 1, 3: 1, 4: 2}
-
-
 def valid_cases(n):
     """Case ids available in dimension n."""
     if n == 2:
@@ -138,71 +129,51 @@ def valid_cases(n):
     return (1, 2, 3, 4)
 
 
-def radial_coefficients(n, case_id, mk=None):
-    """Closed-form (a, b, c) for a classification case in dimension n.
+def _from_deltas(delta0, delta1, delta2):
+    """(a, b, c) = (-delta2/8, -(delta0 + delta1 + delta2)/8, -delta1/8)."""
+    return (Fraction(-delta2, 8), Fraction(-(delta0 + delta1 + delta2), 8),
+            Fraction(-delta1, 8))
 
-    For n = 2 the case determines the weight, so mk is optional (checked if
-    supplied).  For n >= 3, mk is the last weight entry and must satisfy the
-    case minimum (1 for cases 2-3, 2 for case 4).
+
+def radial_coefficients(n, case_id, mk=None):
+    """The (a, b, c) triple of a classification case in dimension n.
+
+    The triple is the case's classified eigenvalue row (`ladder._rows`)
+    under the same delta map as `coefficients_from_record`, on the carrier
+    weight (m,) for n = 2 and (0, ..., 0, mk - drop, mk) for n >= 3, with
+    drop = 0, 1, 1, 2 for cases 1-4.  For n = 2 the case determines m, so mk
+    is optional (checked if supplied).  For n >= 3, mk is required and must
+    be at least the case's drop.
     """
     if not (isinstance(n, int) and n >= 2):
         raise ValidationError(f"sphere dimension must be an integer >= 2, got {n}")
     if case_id not in valid_cases(n):
         raise ValidationError(f"case {case_id} does not exist for n={n}")
     alg = AlgebraLabel.for_sphere(n)
-    k = alg.rank
 
     if n == 2:
-        m, a, b, c, mode = _N2_TABLE[case_id]
+        m = (case_id + 1) // 3  # cases 1 | 2-4 | 5-7 | 8 carry m = 0 | 1 | 2 | 3
         if mk is not None and mk != m:
             raise ValidationError(f"n=2 case {case_id} carries m={m}, got mk={mk}")
-        return RadialCoefficients(2, case_id, a, b, c, mode, HighestWeight(alg, (m,)))
-
-    if mk is None:
-        raise ValidationError("mk is required for n >= 3")
-    if not (isinstance(mk, int) and mk >= _CASE_MIN_MK[case_id]):
-        raise ValidationError(
-            f"case {case_id} needs integer mk >= {_CASE_MIN_MK[case_id]}, got {mk}"
-        )
-    if alg.series == "B":
-        poly = Fraction(mk * (mk + 2 * k - 2))
-        qpoly = Fraction(mk * mk + 2 * (k - 2) * mk - 2 * k + 3)
+        carrier = HighestWeight(alg, (m,))
     else:
-        poly = Fraction(mk * (mk + 2 * k - 3))
-        qpoly = Fraction(mk * mk + (2 * k - 5) * mk - 2 * k + 4)
-
-    if case_id == 1:
-        a = c = poly / 8
-        b = poly / 4
-        mode, mk1 = MASS_ARBITRARY, mk
-    elif case_id == 2:
-        a, c = poly / 8, qpoly / 8
-        b = (1 + poly + qpoly) / 8
-        mode, mk1 = MASS_EQUAL, mk - 1
-    elif case_id == 3:
-        a, c = qpoly / 8, poly / 8
-        b = (1 + poly + qpoly) / 8
-        mode, mk1 = MASS_EQUAL, mk - 1
-    else:
-        a = c = qpoly / 8
-        b = (4 + 2 * qpoly) / 8
-        mode, mk1 = MASS_EQUAL, mk - 2
-    carrier = HighestWeight(alg, (0,) * (k - 2) + (mk1, mk))
-    return RadialCoefficients(n, case_id, a, b, c, mode, carrier)
+        if mk is None:
+            raise ValidationError("mk is required for n >= 3")
+        drop = case_id // 2
+        if not (isinstance(mk, int) and mk >= drop):
+            raise ValidationError(f"case {case_id} needs integer mk >= {drop}, got {mk}")
+        carrier = HighestWeight(alg, (0,) * (alg.rank - 2) + (mk - drop, mk))
+    # a row is (case, description, coeffs, delta0, delta1, delta2, delta3, mass mode, D3 image)
+    row = next(row for row in _rows(carrier) if row[0] == case_id)
+    return RadialCoefficients(n, case_id, *_from_deltas(*row[3:6]), row[7], carrier)
 
 
 def coefficients_from_record(record):
-    """Map a classified eigenvector record to its (a, b, c) triple.
-
-    a = -delta2/8, b = -(delta0 + delta1 + delta2)/8, c = -delta1/8.
-    """
-    n = record.carrier.algebra.sphere_dim
+    """Map a classified eigenvector record to its (a, b, c) triple (see `_from_deltas`)."""
     return RadialCoefficients(
-        n,
+        record.carrier.algebra.sphere_dim,
         record.case_id,
-        -record.delta2 / 8,
-        -(record.delta0 + record.delta1 + record.delta2) / 8,
-        -record.delta1 / 8,
+        *_from_deltas(record.delta0, record.delta1, record.delta2),
         record.mass_mode,
         record.carrier,
     )
@@ -221,22 +192,39 @@ def endpoint_exponent(n, coeff):
     return (2.0 - n + endpoint_root(n, coeff)) / 2.0
 
 
-def wall_root(params):
-    """The oscillator's indicial root W at r = 1: exponents (1 +- W)/2.
-
-    ValidationError when R ** 4 leaves the float range, where float `**`
-    raises OverflowError instead of returning inf.
-    """
-    m, R, w = params.reduced_mass, params.radius, params.coupling
+def _fourth_power(R):
+    """R ** 4; ValidationError where float `**` raises OverflowError instead of returning inf."""
     try:
-        return math.sqrt(1.0 + 4.0 * m * R ** 4 * w * w)
+        return R ** 4
     except OverflowError:
         raise ValidationError(f"radius {R} is too large: R^4 overflows a float") from None
+
+
+def wall_root(params):
+    """The oscillator's indicial root W at r = 1: exponents (1 +- W)/2."""
+    m, R, w = params.reduced_mass, params.radius, params.coupling
+    return math.sqrt(1.0 + 4.0 * m * _fourth_power(R) * w * w)
 
 
 def wall_exponent(params):
     """The oscillator's regular exponent (1 + W)/2 at r = 1."""
     return (1.0 + wall_root(params)) / 2.0
+
+
+def _pole_root(kind, params, coeffs, energy, sign=1):
+    """Principal root s at the pole r = sign i: exponents (n - 1 +- s)/2 at energy E.
+
+    Coulomb: s^2 = (n-1)^2 + 8 (m R^2 E - sign i m R g + a + c - b).
+    Oscillator: s^2 = (n-1)^2 + 8 m R^2 E + 4 m R^4 w^2 + 8 (a + c) - 8 b,
+    the same at both poles.
+    """
+    n, m, R, g = params.n, params.reduced_mass, params.radius, params.coupling
+    a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
+    if kind == KIND_COULOMB:
+        imag = -sign * 1j * m * R * g
+        return cmath.sqrt((n - 1) ** 2 + 8.0 * (m * energy * R * R + imag + (a + c) - b))
+    w2 = 4.0 * m * _fourth_power(R) * g * g  # W^2 - 1
+    return cmath.sqrt((n - 1) ** 2 + 8.0 * m * energy * R * R + w2 + 8.0 * (a + c) - 8.0 * b)
 
 
 def sample_radii(kind, count):

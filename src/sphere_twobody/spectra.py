@@ -31,7 +31,6 @@ returns an empty, `numeric_only` report and the shooting oracle is the way
 to get numbers.
 """
 
-import cmath
 import collections
 import math
 import sys
@@ -48,6 +47,7 @@ from .radial import (
     _check_compatible,
     _check_energy,
     _check_kind,
+    _pole_root,
     endpoint_exponent,
     endpoint_root,
     spectral_ode,
@@ -137,10 +137,9 @@ _LevelData = collections.namedtuple("_LevelData", "d a b c rho0 rho1")
 
 
 def _coulomb_data(params, coeffs, k, energy):
-    n, m, R, g = params.n, params.reduced_mass, params.radius, params.coupling
-    a, b = float(coeffs.a), float(coeffs.b)
+    n, a = params.n, float(coeffs.a)
     A = endpoint_root(n, a)
-    u = cmath.sqrt((n - 1) ** 2 + 8.0 * (m * energy * R * R + 1j * m * R * g + 2.0 * a - b))
+    u = _pole_root(KIND_COULOMB, params, coeffs, energy, -1)  # the root at r = -i
     # a = 1 - k on the quantized branch; the principal branch carries c - a instead
     half = (1.0 + A) / 2.0
     return _LevelData(k - 1, half - u.real / 2.0, half + 0.5j * u.imag, 1.0 + A,
@@ -148,14 +147,10 @@ def _coulomb_data(params, coeffs, k, energy):
 
 
 def _oscillator_data(params, coeffs, k, energy):
-    n, m, R, w = params.n, params.reduced_mass, params.radius, params.coupling
-    a, b = float(coeffs.a), float(coeffs.b)
+    n, a = params.n, float(coeffs.a)
     A = endpoint_root(n, a)
     W = wall_root(params)
-    s = cmath.sqrt(
-        (n - 1) ** 2 + 8.0 * m * energy * R * R + 4.0 * m * R ** 4 * w * w
-        + 16.0 * a - 8.0 * b
-    )
+    s = _pole_root(KIND_OSCILLATOR, params, coeffs, energy)
     return _LevelData(k, (2.0 + A + W - s) / 4.0, (2.0 + A + W + s) / 4.0, 1.0 + A / 2.0,
                       endpoint_exponent(n, a), wall_exponent(params))
 

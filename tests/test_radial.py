@@ -1,6 +1,8 @@
 """Coefficient tables, radial Hamiltonian pieces, and the spectral equation."""
 
+import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -15,13 +17,17 @@ from sphere_twobody import (
     build_ladder_rep,
     classify_common_eigenvectors,
     coefficients_from_record,
+    coulomb_exponents,
     hamiltonian_ABC,
+    oscillator_exponents,
     potential,
     radial_coefficients,
     spectral_ode,
     valid_cases,
 )
-from sphere_twobody.radial import endpoint_root, wall_root
+from sphere_twobody.radial import _pole_root, endpoint_root, wall_root
+from sphere_twobody.spectra import closed_form_energy
+from sphere_twobody.suites import _N_VALUES, _level_cases
 
 
 def test_params_validation():
@@ -78,9 +84,161 @@ def test_symmetry_flags():
     assert not radial_coefficients(2, 6).symmetric
 
 
+# Reference for `radial_coefficients`, kept independent of `ladder._rows`:
+# n = 2 case -> (m, a, b, c, mass mode), and for n >= 3 the eigenvalue
+# polynomials of the last weight entry mk.
+_F = Fraction
+_N2_REFERENCE = {
+    1: (0, _F(0), _F(0), _F(0), "arbitrary"),
+    2: (1, _F(1, 8), _F(1, 4), _F(1, 8), "arbitrary"),
+    3: (1, _F(1, 8), _F(1, 4), _F(0), "equal"),
+    4: (1, _F(0), _F(1, 4), _F(1, 8), "equal"),
+    5: (2, _F(1, 8), _F(3, 4), _F(1, 8), "equal"),
+    6: (2, _F(1, 2), _F(3, 4), _F(1, 8), "equal"),
+    7: (2, _F(1, 8), _F(3, 4), _F(1, 2), "equal"),
+    8: (3, _F(1, 2), _F(3, 2), _F(1, 2), "equal"),
+}
+
+
+def _reference_triple(n, case_id, mk):
+    """(a, b, c, mass mode, next-to-last carrier entry) for n >= 3."""
+    k = (n + 1) // 2  # the rank of so(n+1)
+    if n % 2 == 0:  # so(2k+1)
+        poly = _F(mk * (mk + 2 * k - 2))
+        qpoly = _F(mk * mk + 2 * (k - 2) * mk - 2 * k + 3)
+    else:  # so(2k)
+        poly = _F(mk * (mk + 2 * k - 3))
+        qpoly = _F(mk * mk + (2 * k - 5) * mk - 2 * k + 4)
+    if case_id == 1:
+        return poly / 8, poly / 4, poly / 8, "arbitrary", mk
+    if case_id == 2:
+        return poly / 8, (1 + poly + qpoly) / 8, qpoly / 8, "equal", mk - 1
+    if case_id == 3:
+        return qpoly / 8, (1 + poly + qpoly) / 8, poly / 8, "equal", mk - 1
+    return qpoly / 8, (4 + 2 * qpoly) / 8, qpoly / 8, "equal", mk - 2
+
+
+def test_radial_coefficients_match_the_reference_table():
+    for case_id, (m, a, b, c, mode) in _N2_REFERENCE.items():
+        for mk in (None, m):
+            co = radial_coefficients(2, case_id, mk)
+            assert (co.a, co.b, co.c, co.mass_mode, co.carrier.coeffs) == (a, b, c, mode, (m,))
+            assert all(type(x) is Fraction for x in (co.a, co.b, co.c))
+        with pytest.raises(ValidationError, match=f"carries m={m}, got mk={m + 1}"):
+            radial_coefficients(2, case_id, m + 1)
+    checked = 0
+    for n in range(3, 9):
+        for case_id in (1, 2, 3, 4):
+            least = (0, 1, 1, 2)[case_id - 1]
+            with pytest.raises(ValidationError, match=f"needs integer mk >= {least}"):
+                radial_coefficients(n, case_id, least - 1)
+            for mk in range(least, 7):
+                co = radial_coefficients(n, case_id, mk)
+                a, b, c, mode, mk1 = _reference_triple(n, case_id, mk)
+                assert (co.a, co.b, co.c, co.mass_mode) == (a, b, c, mode), (n, case_id, mk)
+                assert all(type(x) is Fraction for x in (co.a, co.b, co.c))
+                assert co.carrier.coeffs == (0,) * (co.carrier.algebra.rank - 2) + (mk1, mk)
+                checked += 1
+    assert checked == 6 * (7 + 6 + 6 + 5)
+
+
+def _sector_list(symmetric):
+    sectors = [(2, case_id, None) for case_id in range(1, 9)]
+    sectors += [(n, case_id, mk) for n in range(3, 7) for case_id in (1, 2, 3, 4)
+                for mk in range(case_id // 2, 4)]
+    return [s for s in sectors if radial_coefficients(*s).symmetric == symmetric]
+
+
+def _draws(symmetric, count, seed):
+    """Seeded (kind, params, coeffs, energy) over the benchmark's ranges and beyond."""
+    rng = random.Random(seed)
+    sectors = _sector_list(symmetric)
+    for _ in range(count):
+        kind = rng.choice([KIND_COULOMB, KIND_OSCILLATOR])
+        coeffs = radial_coefficients(*rng.choice(sectors))
+        m1 = rng.uniform(0.2, 5.0)
+        m2 = m1 if coeffs.mass_mode == "equal" or rng.random() < 0.3 else rng.uniform(0.2, 5.0)
+        coupling = rng.choice([0.0, -1.0, rng.uniform(-3.0, 3.0), rng.uniform(0.1, 5.0)])
+        params = PhysicalParams(coeffs.n, m1, m2, 10 ** rng.uniform(-3.0, 2.5), coupling)
+        yield kind, params, coeffs, rng.uniform(-20.0, 50.0)
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_pole_root_keeps_the_closed_form_bits_where_a_equals_c():
+    """On a = c the pole root has the bits of the a = c forms 2a - b and 16a - 8b."""
+    def levels(kind):
+        for _, (params, coeffs, k) in _level_cases(kind, _N_VALUES, lambda *row: row):
+            yield kind, params, coeffs, closed_form_energy(kind, params, coeffs, k)
+
+    cases = [*levels(KIND_COULOMB), *levels(KIND_OSCILLATOR), *_draws(True, 2000, 2404)]
+    for kind, params, coeffs, E in cases:
+        n, m, R, g = params.n, params.reduced_mass, params.radius, params.coupling
+        a, b = float(coeffs.a), float(coeffs.b)
+        if kind == KIND_COULOMB:
+            want = cmath.sqrt((n - 1) ** 2 + 8.0 * (m * E * R * R + 1j * m * R * g + 2.0 * a - b))
+        else:
+            want = cmath.sqrt((n - 1) ** 2 + 8.0 * m * E * R * R + 4.0 * m * R ** 4 * g * g
+                              + 16.0 * a - 8.0 * b)
+        got = _pole_root(kind, params, coeffs, E, -1)
+        assert _bits(got) == _bits(want), (kind, params, E)
+        if kind == KIND_OSCILLATOR:  # the same root at both poles
+            assert _bits(_pole_root(kind, params, coeffs, E, 1)) == _bits(got)
+    assert len(cases) == 2 * 45 + 2000  # 45 grid levels per kind, then the draws
+
+
+def _old_pole_exponents(kind, params, coeffs, E, sign):
+    """The exponent pair at r = sign i in the `a - b + c` form, with the terms' magnitude."""
+    n, m, R, g = params.n, params.reduced_mass, params.radius, params.coupling
+    a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
+    if kind == KIND_COULOMB:
+        disc = (n - 1) ** 2 + 8.0 * (m * E * R * R - sign * 1j * m * R * g + a - b + c)
+        terms = (n - 1) ** 2 + 8.0 * (abs(m * E * R * R) + abs(m * R * g) + a + b + c)
+    else:
+        disc = (n - 1) ** 2 + 8.0 * m * E * R * R + 4.0 * m * R ** 4 * g * g + 8.0 * (a - b + c)
+        terms = ((n - 1) ** 2 + 8.0 * abs(m * E * R * R) + 4.0 * m * R ** 4 * g * g
+                 + 8.0 * (a + b + c))
+    s = cmath.sqrt(complex(disc))
+    return ((n - 1 + s) / 2.0, (n - 1 - s) / 2.0), s, terms
+
+
+def test_pole_exponents_of_asymmetric_sectors_move_only_by_rounding():
+    """a != c: the exponents at +-i stay within 4 ulp of s of the `a - b + c` form,
+    or within 4 ulp of the largest term of s^2 carried through the root,
+    ulp(term) / (2 |s|) per ulp, where that is larger: the discriminant
+    nearly cancels there, and the two forms round it at different terms.
+    """
+    # from a CLI sweep: R = 1e-3 leaves s^2 = (n-1)^2 + 8 (a + c - b) + O(1e-5)
+    near_zero = [(KIND_OSCILLATOR, PhysicalParams(2, 1.7, 1.7, 1e-3, 1.0), (2, 3, None), 25.008),
+                 (KIND_OSCILLATOR, PhysicalParams(2, 0.3, 0.3, 1e-3, 0.25), (2, 6, None),
+                  -4.487419214543795)]
+    cases = [(kind, params, radial_coefficients(*sector), E)
+             for kind, params, sector, E in near_zero]
+    cases += list(_draws(False, 2000, 2405))
+    for kind, params, coeffs, E in cases:
+        exponents = coulomb_exponents if kind == KIND_COULOMB else oscillator_exponents
+        at = {p.location: p.exponents for p in exponents(params, coeffs, E).points}
+        for sign in (1, -1):
+            want, s, terms = _old_pole_exponents(kind, params, coeffs, E, sign)
+            s_tol = 4.0 * max(math.ulp(abs(s)), math.ulp(terms) / (2.0 * abs(s)))
+            for got_e, want_e in zip(at[sign * 1j], want):
+                tol = s_tol / 2.0 + math.ulp(abs(want_e))
+                assert abs(got_e - want_e) <= tol, (kind, params, coeffs.case_id, E, sign)
+
+
+def test_oscillator_pole_root_raises_where_r4_overflows():
+    co = radial_coefficients(3, 2, 1)
+    params = PhysicalParams(3, 1.0, 1.0, 1e80, 1.0)
+    with pytest.raises(ValidationError, match="R\\^4 overflows"):
+        _pole_root(KIND_OSCILLATOR, params, co, 1.0)
+    assert _pole_root(KIND_COULOMB, params, co, 1.0) != 0.0  # no R^4 on the Coulomb side
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_tables_match_eigenvalue_map(n):
-    """(a, b, c) from the classified deltas equals the closed-form table."""
+    """Every classified record maps to its case's `radial_coefficients`, carrier included."""
     alg = AlgebraLabel("B", n // 2) if n % 2 == 0 else AlgebraLabel("D", (n + 1) // 2)
     k = alg.rank
     signed = alg.series == "D" and k == 2  # only so(4) carries signed weights
