@@ -16,7 +16,19 @@ one energy is one compiled scipy.integrate.odeint call on the stacked state
 (f_in, f_in', f_out, f_out'), each half with its own absolute tolerance, and
 Python runs only the right-hand side.  That right-hand side evaluates each
 equation in reduced closed form, with every energy-dependent constant taken
-out of it, and the two Coulomb halves share one tan(phi/2).  A march may
+out of it, and the two Coulomb halves share one tan(phi/2).
+
+Each half starts from the full Frobenius series x^rho sum c_j x^j of the
+regular solution at its singular end (DLMF 2.7(i)), in the end's own
+variable x (r and 1/r for Coulomb, r and 1 - r for the oscillator).  The
+series comes from the indicial form x^2 f'' + x P f' + (Q0 + E Q1) f = 0,
+with P, Q0 and Q1 as Taylor series of ratios of polynomials and rho from
+radial.endpoint_exponent / wall_exponent: the equation and its exponents,
+no closed-form level.  Both halves start at the offset _OFFSET, halved
+until both series meet _SERIES_TOL within _TERMS terms, so the start is
+exact to rounding and LSODA marches only the regular part.  Where a series
+never converges (energies near 1e300) the halving stops at _EPS, and the
+series' leading terms start the march there.  A march may
 spend at most _MAX_RHS_EVALS right-hand-side evaluations, and LSODA's step
 limit is set to the same number so the evaluation count is the only work
 bound; a march that passes it or that LSODA stops early raises
@@ -38,6 +50,8 @@ import contextvars
 import functools
 import itertools
 import math
+import operator
+import types
 import warnings
 from typing import NamedTuple
 
@@ -49,7 +63,6 @@ from .radial import (
     _check_energy,
     _check_kind,
     endpoint_exponent,
-    endpoint_root,
     spectral_ode,  # noqa: F401 -- not called; the benchmark tracer wraps oracle.spectral_ode
     wall_exponent,
 )
@@ -66,18 +79,23 @@ __all__ = [
 ]
 
 
-_EPS = 1e-5          # offset from the singular endpoints
+_OFFSET = 0.05       # first offset of a march's start from the singular endpoints
+_EPS = 1e-5          # last offset, where a series that never converges is cut
+_TERMS = 22          # Frobenius series terms at most
+_SERIES_TOL = 1e-18  # the last two terms, relative to the series' sum
 _RTOL = 1e-10
 _ATOL_SCALE = 1e-12  # atol = _ATOL_SCALE * |start vector|
 _SCAN_POINTS = 8     # bracket subdivisions when hunting a sign change
 _XTOL = 1e-11        # brentq tolerance, times the energy scale
 # Right-hand-side evaluations allowed per (stacked) march, and so also LSODA's
-# step limit.  A march on the criteria grids needs at most about 1.0e3 (993);
+# step limit.  A march on the criteria grids needs at most 390 (993 from a
+# two-term start at _EPS);
 # at very large energies LSODA can otherwise spin inside a single step forever.
 _MAX_RHS_EVALS = 100_000
-# the right-hand-side evaluations of the shooting_eigenvalue call in
-# progress, summed by _march without changing what shooting_mismatch returns
-_RHS_SPENT = contextvars.ContextVar("rhs_spent")
+# the shooting_eigenvalue call in progress: its endpoint series, built once,
+# and the right-hand-side evaluations its marches spent, summed by _march
+# without changing what shooting_mismatch returns
+_CALL = contextvars.ContextVar("shooting_call")
 JOINT_TOL = 1e-10    # joint_diagonalize's default null-space tolerance
 RESIDUAL_TOLERANCE = 1e-9  # every scaled ODE residual: `verified`, criteria 6 and 8
 
@@ -109,7 +127,9 @@ def solve_ivp(rhs, t0, t1, y0, atol):
     """One LSODA march from t0 to t1 as a single scipy.integrate.odeint call.
 
     scipy is imported on first call.  The whole march runs in compiled
-    ODEPACK code and Python is entered only for rhs(t, y).  Returns the state
+    ODEPACK code and Python is entered only for rhs(t, y).  t0 is the start
+    offset that _start chose, where the Frobenius series is already exact,
+    so the march never creeps away from a singular end.  Returns the state
     at t1 and the right-hand-side evaluations spent.  The name is kept from
     the solve_ivp this replaced because tracing wrappers patch the march at
     this import site and read `nfev` from its result.  Raises
@@ -147,34 +167,168 @@ def solve_ivp(rhs, t0, t1, y0, atol):
     return _March(ys[-1], nfev)
 
 
-def _march(rhs, t0, t1, y_in, y_out):
+def _march(rhs, t1, ends, energy):
     """March both halves as one stacked state (f_in, f_in', f_out, f_out').
 
-    Each half keeps its own absolute tolerance, scaled by its start vector.
-    Returns the two half-states at t1.
+    Both start at _start's offset t0 from their endpoints.  Each half keeps
+    its own absolute tolerance, scaled by its start vector.  Returns the two
+    half-states at t1.
     """
+    t0, y_in, y_out = _start(ends, energy)
     atol_in = _ATOL_SCALE * max(abs(y_in[0]), abs(y_in[1]))
     atol_out = _ATOL_SCALE * max(abs(y_out[0]), abs(y_out[1]))
     sol = solve_ivp(rhs, t0, t1, (*y_in, *y_out), (atol_in, atol_in, atol_out, atol_out))
-    spent = _RHS_SPENT.get(None)
-    if spent is not None:
-        spent[0] += sol.nfev
+    call = _CALL.get(None)
+    if call is not None:
+        call.rhs_spent += sol.nfev
     y = sol.y
     return (y[0], y[1]), (y[2], y[3])
 
 
-def _coulomb_start(n, coeff, m, R, g):
-    """Frobenius start f ~ x^rho (1 + c1 x) at x = tan(_EPS/2), as (f, df/dtheta)."""
-    rho = endpoint_exponent(n, coeff)
-    c1 = -4.0 * m * R * g / (1.0 + endpoint_root(n, coeff))
-    x = math.tan(_EPS / 2.0)
-    f = x ** rho * (1.0 + c1 * x)
-    fx = x ** (rho - 1.0) * (rho + (rho + 1.0) * c1 * x)
-    return f, fx * (1.0 + x * x) / 2.0
+class _End(NamedTuple):
+    """One singular end of x^2 f'' + x P(x) f' + (Q0(x) + E Q1(x)) f = 0.
+
+    P, Q0 and Q1 are Taylor coefficient lists in the end's own variable x,
+    and rho is the regular indicial exponent there.
+    """
+
+    P: list
+    Q0: list
+    Q1: list
+    rho: float
 
 
-def _coulomb_halves(params, coeffs, energy):
-    """Both halves in phi from _EPS to pi/2: theta = phi inside, pi - phi outside.
+class _Ends(NamedTuple):
+    inner: _End
+    outer: _End
+    angle: bool  # x = tan(t/2) and d/dtheta (Coulomb), else x = t and d/dr
+
+
+def _taylor(*fractions):
+    """Taylor coefficients 0.._TERMS at x = 0 of a sum of fractions.
+
+    Each fraction is (num, den_1, den_2, ...), polynomials as ascending
+    coefficient lists, for num(x) / (den_1(x) den_2(x) ...).
+    """
+    out = [0.0] * (_TERMS + 1)
+    for num, *dens in fractions:
+        series = num + [0.0] * (_TERMS + 1 - len(num))
+        for den in dens:
+            quotient, head, tail = [], den[0], den[1:]
+            for j in range(_TERMS + 1):
+                # quotient[j-1], quotient[j-2], ... against den[1], den[2], ...
+                rest = sum(map(operator.mul, tail, quotient[:-len(den):-1]))
+                quotient.append((series[j] - rest) / head)
+            series = quotient
+        out = [u + v for u, v in zip(out, series)]
+    return out
+
+
+def _series_ends(kind, params, coeffs):
+    """Both ends of the radial equation in indicial form, as Taylor series.
+
+    Coulomb in r = tan(theta/2): P = (n-1 + (3-n) x^2)/(1 + x^2) and
+    Q = 8 [(m R^2 E - b) x^2 + (m R g/2)(x - x^3) - a - c x^4]/(1 + x^2)^2 at
+    x = r; at x = 1/r the same with a <-> c and g -> -g.  The oscillator at
+    x = r has the same P and Q = 8 [(m R^2 E - b) x^2 - a - c x^4]/(1 + x^2)^2
+    - 8 w x^4/((1 + x^2)(1 - x^2))^2 with w = 2 m R^4 g^2, and at x = 1 - r
+    P = -x p(r), Q = x^2 q(r) for the p, q of _oscillator_halves.
+    """
+    n, m, R, g = params.n, params.reduced_mass, params.radius, params.coupling
+    a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
+    mR2 = m * R * R
+    one = [1.0, 0.0, 1.0]  # 1 + x^2
+    P = _taylor(([n - 1.0, 0.0, 3.0 - n], one))
+    Q1 = _taylor(([0.0, 0.0, 8.0 * mR2], one, one))
+    if kind == KIND_COULOMB:
+        h = 4.0 * m * R * g
+        return _Ends(
+            _End(P, _taylor(([-8.0 * a, h, -8.0 * b, -h, -8.0 * c], one, one)), Q1,
+                 endpoint_exponent(n, a)),
+            _End(P, _taylor(([-8.0 * c, -h, -8.0 * b, h, -8.0 * a], one, one)), Q1,
+                 endpoint_exponent(n, c)),
+            True,
+        )
+    w8 = 16.0 * mR2 * R * R * g * g  # 8 w
+    wall = [1.0, 0.0, -1.0]  # 1 - x^2
+    inner = _End(P, _taylor(([-8.0 * a, 0.0, -8.0 * b, 0.0, -8.0 * c], one, one),
+                            ([0.0, 0.0, 0.0, 0.0, -w8], one, one, wall, wall)),
+                 Q1, endpoint_exponent(n, a))
+    # r = 1 - x, so 1 + r^2 = 2 - 2x + x^2 and 1 - r^2 = x (2 - x)
+    r, one_r, two = [1.0, -1.0], [2.0, -2.0, 1.0], [2.0, -1.0]
+    outer = _End(
+        _taylor(([0.0, -2.0, 2.0 * (3.0 - n), n - 3.0], one_r, r)),
+        _taylor(([0.0, 0.0, -8.0 * (b + c), 16.0 * c, -8.0 * c], one_r, one_r),
+                ([0.0, 0.0, -8.0 * a], r, r, one_r, one_r),
+                ([-w8, 2.0 * w8, -w8], two, two, one_r, one_r)),
+        _taylor(([0.0, 0.0, 8.0 * mR2], one_r, one_r)),
+        wall_exponent(params),
+    )
+    return _Ends(inner, outer, False)
+
+
+def _frobenius(end, energy):
+    """Coefficients c_j and (rho + j) c_j, j <= _TERMS, of f = x^rho sum c_j x^j.
+
+    The recurrence is c_j F(rho + j) = -sum_i c_{j-i} [P_i (rho + j - i) + Q_i]
+    with c_0 = 1, and F(rho + j) = j (j + 2 rho - 1 + P_0) since F(rho) = 0.
+    Plain floats: past the float range a coefficient turns inf or NaN
+    silently, and _series_state rejects it.
+    """
+    P, rho = end.P, end.rho
+    Q = [u + energy * v for u, v in zip(end.Q0, end.Q1)]
+    gap = 2.0 * rho - 1.0 + P[0]
+    c, d = [1.0], [rho]
+    for j in range(1, _TERMS + 1):
+        s = sum(map(operator.mul, d, P[j:0:-1])) + sum(map(operator.mul, c, Q[j:0:-1]))
+        c.append(-s / (j * (j + gap)))
+        d.append((rho + j) * c[j])
+    return c, d
+
+
+def _series_state(c, d, x, last):
+    """(f, df/dx) / x^rho at x from _frobenius's sums.
+
+    None unless the last two terms of both sums lie within _SERIES_TOL of
+    the larger sum; at the last offset the leading terms c_0 + c_1 x stand
+    in then.
+    """
+    sf = sd = 0.0
+    for cj, dj in zip(reversed(c), reversed(d)):
+        sf = sf * x + cj
+        sd = sd * x + dj
+    tail = (max(abs(c[-2]), abs(d[-2])) + max(abs(c[-1]), abs(d[-1])) * x) * x ** (_TERMS - 1)
+    if math.isfinite(sf) and math.isfinite(sd) and tail <= _SERIES_TOL * max(abs(sf), abs(sd)):
+        return sf, sd / x
+    if last:
+        return 1.0 + c[1] * x, (d[0] + d[1] * x) / x
+    return None
+
+
+def _start(ends, energy):
+    """Offset t0 and both halves' start states (f, df/dt) / x^rho at t0.
+
+    t0 is _OFFSET, halved down to _EPS until both Frobenius series converge
+    there.  Dividing a half by x^rho > 0 changes neither the mismatch nor
+    the march, whose tolerance scales with the start vector, and keeps
+    x^rho from underflowing.  The outer half's derivative is d/dtheta or
+    d/dr, the negative of d/dt.
+    """
+    series = [_frobenius(end, energy) for end in ends[:2]]
+    t = _OFFSET
+    while True:
+        x = math.tan(t / 2.0) if ends.angle else t
+        states = [_series_state(c, d, x, t == _EPS) for c, d in series]
+        if None not in states:
+            break
+        t = max(t / 2.0, _EPS)
+    dxdt = (1.0 + x * x) / 2.0 if ends.angle else 1.0
+    (f_in, d_in), (f_out, d_out) = states
+    return t, (f_in, d_in * dxdt), (f_out, -d_out * dxdt)
+
+
+def _coulomb_halves(params, coeffs, energy, ends):
+    """Both halves in phi from t0 to pi/2: theta = phi inside, pi - phi outside.
 
     The equation is the module docstring's f'' + P f' + Q f = 0 in theta.
     Every derivative is d/dtheta, so the outer half's right-hand side is the
@@ -199,14 +353,11 @@ def _coulomb_halves(params, coeffs, energy):
         Q_out = 2.0 * (e - h * cot - a * t2 - c * u2)
         return (d_in, -P * d_in - Q_in * f_in, -d_out, -P * d_out + Q_out * f_out)
 
-    y_in = _coulomb_start(n, a, m, R, g)
-    # x = 1/r at infinity swaps a <-> c and flips the signs of g and d/dtheta
-    f_out, ft_out = _coulomb_start(n, c, m, R, -g)
-    return _march(rhs, _EPS, math.pi / 2.0, y_in, (f_out, -ft_out))
+    return _march(rhs, math.pi / 2.0, ends, energy)
 
 
-def _oscillator_halves(params, coeffs, energy):
-    """Both halves in s from _EPS to 1/2: r = s inside, 1 - s outside.
+def _oscillator_halves(params, coeffs, energy, ends):
+    """Both halves in s from t0 to 1/2: r = s inside, 1 - s outside.
 
     In r the equation is f'' + p f' + q f = 0 with
     p = (n - 1 + (3 - n) r^2) / ((1 + r^2) r) and
@@ -233,14 +384,7 @@ def _oscillator_halves(params, coeffs, energy):
         q_out = 8.0 * (e - a / r2 - c * r2 - w * r2 / (wall_r * wall_r)) / (one_r * one_r)
         return (d_in, -p_in * d_in - q_in * f_in, -d_out, p_out * d_out + q_out * f_out)
 
-    rho0 = endpoint_exponent(params.n, float(coeffs.a))
-    y_in = (_EPS ** rho0, rho0 * _EPS ** (rho0 - 1.0))
-
-    sig = wall_exponent(params)
-    x = _EPS  # distance from r = 1
-    f_out = x ** sig * (1.0 + sig * x / 2.0)
-    fp_out = -(sig * x ** (sig - 1.0) * (1.0 + sig * x / 2.0) + x ** sig * sig / 2.0)
-    return _march(rhs, _EPS, 0.5, y_in, (f_out, fp_out))
+    return _march(rhs, 0.5, ends, energy)
 
 
 def _binary_normalized(f, df):
@@ -264,8 +408,10 @@ def shooting_mismatch(kind, params, coeffs, energy):
     _check_kind(kind)
     _check_compatible(params, coeffs)
     _check_energy(energy)
+    call = _CALL.get(None)
+    ends = _series_ends(kind, params, coeffs) if call is None else call.ends
     halves = _coulomb_halves if kind == KIND_COULOMB else _oscillator_halves
-    y_in, y_out = halves(params, coeffs, energy)
+    y_in, y_out = halves(params, coeffs, energy, ends)
     fi, fpi = _binary_normalized(*y_in)
     fo, fpo = _binary_normalized(*y_out)
     wron = fi * fpo - fpi * fo
@@ -278,7 +424,9 @@ def shooting_eigenvalue(kind, params, coeffs, e_lo, e_hi):
 
     Walks 8 subintervals left to right, stops at the first sign
     change and polishes it with brentq, so a bracket holding several levels
-    yields the lowest.  Each energy is marched once per call.  Raises
+    yields the lowest.  Each energy is marched once per call, and the
+    endpoint Taylor series of P, Q0 and Q1 are built once per call, so an
+    energy costs only the Frobenius recurrence before its march.  Raises
     ValidationError on a non-finite or empty bracket and ConvergenceError
     when the bracket contains no sign change.
     """
@@ -296,13 +444,15 @@ def shooting_eigenvalue(kind, params, coeffs, e_lo, e_hi):
         return memo[E]
 
     grid = np.linspace(e_lo, e_hi, _SCAN_POINTS + 1).tolist()
-    spent = [0]
-    token = _RHS_SPENT.set(spent)
+    _check_kind(kind)
+    _check_compatible(params, coeffs)
+    call = types.SimpleNamespace(ends=_series_ends(kind, params, coeffs), rhs_spent=0)
+    token = _CALL.set(call)
     try:
         for Ea, Eb in zip(grid, grid[1:]):
             wa = w(Ea)
             if wa == 0.0:
-                return ShootingResult(Ea, 0.0, (Ea, Eb), len(memo), 0, spent[0])
+                return ShootingResult(Ea, 0.0, (Ea, Eb), len(memo), 0, call.rhs_spent)
             if wa * w(Eb) < 0.0:
                 from scipy.optimize import brentq
 
@@ -312,10 +462,11 @@ def shooting_eigenvalue(kind, params, coeffs, e_lo, e_hi):
                 )
                 mismatch = float(abs(w(root)))
                 return ShootingResult(
-                    float(root), mismatch, (Ea, Eb), len(memo), info.iterations, spent[0]
+                    float(root), mismatch, (Ea, Eb), len(memo), info.iterations,
+                    call.rhs_spent,
                 )
     finally:
-        _RHS_SPENT.reset(token)
+        _CALL.reset(token)
     raise ConvergenceError(
         f"no {kind} eigenvalue bracketed in [{e_lo}, {e_hi}]: "
         f"mismatch keeps sign over {_SCAN_POINTS} subintervals"

@@ -5,6 +5,7 @@ import math
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,7 @@ from sphere_twobody import (
     spectral_ode,
 )
 from sphere_twobody import oracle
-from sphere_twobody.radial import MASS_EQUAL, endpoint_exponent, endpoint_root, wall_exponent
+from sphere_twobody.radial import MASS_EQUAL
 from sphere_twobody.spectra import K_MIN
 
 UNIT3 = PhysicalParams(3, 2.0, 2.0, 1.0, 1.0)
@@ -113,13 +114,26 @@ def test_shooting_failure_at_huge_energies_escapes_no_warning(kind, bracket):
             shooting_eigenvalue(kind, UNIT3, co, *bracket)
 
 
-def test_shooting_march_past_lsoda_default_step_limit():
-    # one march of this level takes 540 LSODA steps, past the 500 an
-    # integrator with its default step limit allows
-    p = PhysicalParams(4, 1.0, 1.0, 2.0, 1.5)
+def test_shooting_march_past_lsoda_default_step_limit(monkeypatch):
+    # a march of this level takes more LSODA steps than the 500 an
+    # integrator with its default step limit allows; the spy on the
+    # integrator call inside solve_ivp reads LSODA's own step count
+    import scipy.integrate
+
+    odeint = scipy.integrate.odeint
+    steps = []
+
+    def spy(*args, **kwargs):
+        ys, info = odeint(*args, **kwargs)
+        steps.append(int(info["nst"][-1]))
+        return ys, info
+
+    monkeypatch.setattr(scipy.integrate, "odeint", spy)
+    p = PhysicalParams(4, 1.0, 1.0, 5.0, 2.0)
     co = radial_coefficients(4, 1, 0)
     E = closed_form_energy("oscillator", p, co, 2)
     got = shooting_eigenvalue("oscillator", p, co, E - 0.5, E + 0.5)
+    assert max(steps) > 500
     assert got.energy == pytest.approx(E, rel=1e-8)
 
 
@@ -167,36 +181,29 @@ def test_shooting_result_counts_rhs_evaluations(monkeypatch):
 
 
 def _two_march_mismatch(kind, params, coeffs, energy):
-    """Reference: each half marched on its own, from its endpoint to the
-    matching point, with its own absolute tolerance."""
+    """Reference: each half marched on its own, from the oracle's start
+    states to the matching point, with its own absolute tolerance."""
     p, q = spectral_ode(kind, params, coeffs, energy)
 
     def march(rhs, t0, t1, y0):
         atol = oracle._ATOL_SCALE * max(abs(y0[0]), abs(y0[1]))
         return oracle.solve_ivp(rhs, t0, t1, y0, atol).y
 
-    eps = oracle._EPS
+    t0, y_in, y_out = oracle._start(oracle._series_ends(kind, params, coeffs), energy)
     if kind == "coulomb":
         def rhs(theta, y):
             r = math.tan(theta / 2.0)
             one = 1.0 + r * r
             return (y[1], -(p(r) * one / 2.0 - r) * y[1] - q(r) * one * one / 4.0 * y[0])
 
-        n, m, R, g = params.n, params.reduced_mass, params.radius, params.coupling
-        fi, fpi = march(rhs, eps, math.pi / 2.0,
-                        oracle._coulomb_start(n, float(coeffs.a), m, R, g))
-        f_out, ft_out = oracle._coulomb_start(n, float(coeffs.c), m, R, -g)
-        fo, fpo = march(rhs, math.pi - eps, math.pi / 2.0, (f_out, -ft_out))
+        fi, fpi = march(rhs, t0, math.pi / 2.0, y_in)
+        fo, fpo = march(rhs, math.pi - t0, math.pi / 2.0, y_out)
     else:
         def rhs(r, y):
             return (y[1], -p(r) * y[1] - q(r) * y[0])
 
-        rho0 = endpoint_exponent(params.n, float(coeffs.a))
-        fi, fpi = march(rhs, eps, 0.5, (eps ** rho0, rho0 * eps ** (rho0 - 1.0)))
-        sig = wall_exponent(params)
-        f_out = eps ** sig * (1.0 + sig * eps / 2.0)
-        fp_out = -(sig * eps ** (sig - 1.0) * (1.0 + sig * eps / 2.0) + eps ** sig * sig / 2.0)
-        fo, fpo = march(rhs, 1.0 - eps, 0.5, (f_out, fp_out))
+        fi, fpi = march(rhs, t0, 0.5, y_in)
+        fo, fpo = march(rhs, 1.0 - t0, 0.5, y_out)
     return (fi * fpo - fpi * fo) / (abs(fi * fpo) + abs(fpi * fo) + 1e-300)
 
 
@@ -281,7 +288,9 @@ def test_reduced_rhs_matches_spectral_ode(monkeypatch, kind, params, sector, ene
     # within 1e-13 of the largest term of the coefficient
     co = radial_coefficients(*sector)
     rhs, t0, t1 = _captured_rhs(monkeypatch, kind, params, co, energy)
-    assert (t0, t1) == (oracle._EPS, math.pi / 2.0 if kind == "coulomb" else 0.5)
+    start = oracle._start(oracle._series_ends(kind, params, co), energy)[0]
+    assert (t0, t1) == (start, math.pi / 2.0 if kind == "coulomb" else 0.5)
+    assert oracle._EPS <= t0 <= oracle._OFFSET
     for t in np.linspace(t0, t1, 50).tolist():
         if kind == "coulomb":
             r_in = math.tan(t / 2.0)
@@ -318,11 +327,130 @@ def test_binary_normalization_keeps_the_mantissas():
         if f or df:
             assert max(abs(nf), abs(ndf)) >= 0.5
     # the mismatch is the same number wherever the plain products stay finite
+    co = radial_coefficients(3, 2, 1)
     for kind, E in (("coulomb", 0.7), ("oscillator", 6.0)):
-        (fi, fpi), (fo, fpo) = (oracle._coulomb_halves if kind == "coulomb"
-                                else oracle._oscillator_halves)(UNIT3, radial_coefficients(3, 2, 1), E)
+        halves = oracle._coulomb_halves if kind == "coulomb" else oracle._oscillator_halves
+        (fi, fpi), (fo, fpo) = halves(UNIT3, co, E, oracle._series_ends(kind, UNIT3, co))
         plain = (fi * fpo - fpi * fo) / (abs(fi * fpo) + abs(fpi * fo) + 1e-300)
-        assert shooting_mismatch(kind, UNIT3, radial_coefficients(3, 2, 1), E) == plain
+        assert shooting_mismatch(kind, UNIT3, co, E) == plain
+
+
+def _mpmath_start(kind, params, coeffs, energy, t, terms=40, points=80):
+    """Both halves' (f, df/dt) / x^rho at offset t, from an mpmath Frobenius series.
+
+    P and Q come from the radial equation in r written here in mpmath, taken
+    to each end's variable x (r, 1/r, 1 - r); their Taylor coefficients are
+    trapezoidal contour integrals on |x| = 1/3, and rho is the larger root
+    of the indicial equation they give.
+    """
+    with mpmath.workdps(60):
+        n = params.n
+        m, R, g = (mpmath.mpf(v) for v in (params.reduced_mass, params.radius, params.coupling))
+        a, b, c = (mpmath.mpf(float(v)) for v in (coeffs.a, coeffs.b, coeffs.c))
+        E = mpmath.mpf(energy)
+
+        def p(r):
+            return (n - 1 + (3 - n) * r * r) / ((1 + r * r) * r)
+
+        def q(r):
+            if kind == "coulomb":
+                v = g / (2 * R) * (r - 1 / r)
+            else:
+                v = 2 * R * R * g * g * r * r / (1 - r * r) ** 2
+            return 8 / (1 + r * r) ** 2 * (m * R * R * (E - v) - a / r ** 2 - b - c * r * r)
+
+        inner = (lambda x: x * p(x), lambda x: x * x * q(x))
+        if kind == "coulomb":
+            # f_xx + (2/x - p(1/x)/x^2) f_x + q(1/x)/x^4 f = 0 at x = 1/r
+            outer = (lambda x: 2 - p(1 / x) / x, lambda x: q(1 / x) / x ** 2)
+            x = mpmath.tan(mpmath.mpf(t) / 2)
+            dxdt = (1 + x * x) / 2  # r = tan(theta/2)
+        else:
+            outer = (lambda x: -x * p(1 - x), lambda x: x * x * q(1 - x))
+            x, dxdt = mpmath.mpf(t), 1
+        zs = [mpmath.expjpi(2 * mpmath.mpf(k) / points) / 3 for k in range(points)]
+        states = []
+        for sign, (P, Q) in zip((1, -1), (inner, outer)):
+            Pv, Qv, powers = [P(z) for z in zs], [Q(z) for z in zs], [1] * points
+            Pc, Qc = [], []
+            for _ in range(terms + 1):
+                Pc.append(mpmath.re(mpmath.fsum(u * w for u, w in zip(Pv, powers))) / points)
+                Qc.append(mpmath.re(mpmath.fsum(u * w for u, w in zip(Qv, powers))) / points)
+                powers = [w / z for w, z in zip(powers, zs)]
+            rho = (1 - Pc[0] + mpmath.sqrt(max(0, (1 - Pc[0]) ** 2 - 4 * Qc[0]))) / 2
+            cs = [mpmath.mpf(1)]
+            for j in range(1, terms + 1):
+                s = mpmath.fsum(cs[j - i] * (Pc[i] * (rho + j - i) + Qc[i]) for i in range(1, j + 1))
+                cs.append(-s / ((rho + j) * (rho + j - 1) + Pc[0] * (rho + j) + Qc[0]))
+            assert abs(cs[-1]) * x ** terms < mpmath.mpf(10) ** -30  # the reference converged
+            f = mpmath.fsum(cj * x ** j for j, cj in enumerate(cs))
+            fx = mpmath.fsum((rho + j) * cj * x ** (j - 1) for j, cj in enumerate(cs))
+            states.append((f, sign * fx * dxdt))
+        return states
+
+
+@pytest.mark.parametrize("kind, params, sector, energy, shrinks", [
+    ("coulomb", PhysicalParams(2, 2.5, 2.5, 2.0, 2.0), (2, 1, None), -10.0, False),  # double root
+    ("oscillator", PhysicalParams(2, 2.5, 2.5, 2.0, 2.0), (2, 1, None), 10.0, True),   # double root
+    ("coulomb", PhysicalParams(4, 1.5, 1.5, 0.8, 1.3), (4, 3, 2), 7.0, False),        # a != c
+    ("oscillator", PhysicalParams(4, 1.0, 1.0, 1.3, 0.7), (4, 3, 2), 9.0, False),     # a != c
+    ("coulomb", PhysicalParams(5, 0.7, 1.9, 1.6, 0.45), (5, 1, 3), 2.5, False),
+    ("oscillator", PhysicalParams(6, 0.6, 2.2, 1.9, 1.8), (6, 1, 4), 30.0, False),
+    ("coulomb", PhysicalParams(3, 1.0, 1.0, 1000.0, 1.0), (3, 1, 1), -0.0625, True),
+    ("oscillator", UNIT3, (3, 1, 1), 2000.0, True),
+])
+def test_series_start_matches_mpmath(kind, params, sector, energy, shrinks):
+    co = radial_coefficients(*sector)
+    t0, *halves = oracle._start(oracle._series_ends(kind, params, co), energy)
+    assert (t0 < oracle._OFFSET) == shrinks
+    assert t0 > oracle._EPS
+    for got, want in zip(halves, _mpmath_start(kind, params, co, energy, t0)):
+        for value, ref in zip(got, want):
+            assert abs(value - ref) <= 1e-13 * abs(ref), (value, ref)
+
+
+@pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
+@pytest.mark.parametrize("energy", [1e300, -1e300, 1e9, -1e9])
+def test_series_start_at_extreme_energies_stays_finite(kind, energy):
+    # past the float range the series is cut to its leading terms at _EPS,
+    # the two-term start, silently: no OverflowError, no RuntimeWarning
+    ends = oracle._series_ends(kind, UNIT3, radial_coefficients(3, 1, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t0, y_in, y_out = oracle._start(ends, energy)
+    assert oracle._EPS <= t0 < oracle._OFFSET
+    assert all(math.isfinite(v) for v in y_in + y_out)
+    if abs(energy) == 1e300:
+        assert t0 == oracle._EPS
+        x = math.tan(t0 / 2.0) if kind == "coulomb" else t0
+        c1 = oracle._frobenius(ends.inner, energy)[0][1]
+        assert y_in[0] == 1.0 + c1 * x
+
+
+@pytest.mark.parametrize("radius", [1000.0, 1200.0])
+def test_series_start_at_large_coulomb_radius(radius):
+    params = PhysicalParams(3, 1.0, 1.0, radius, 1.0)
+    co = radial_coefficients(3, 1, 1)
+    E = closed_form_energy("coulomb", params, co, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t0, y_in, y_out = oracle._start(oracle._series_ends("coulomb", params, co), E)
+    assert oracle._EPS < t0 < oracle._OFFSET  # converged after some halvings
+    assert all(math.isfinite(v) for v in y_in + y_out)
+
+
+@pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
+@pytest.mark.parametrize("params", [PhysicalParams(2, 2.5, 2.5, 2.0, 2.0),
+                                    PhysicalParams(2, 1.92, 1.36, 1.93, 1.90)])
+def test_shooting_in_the_double_root_sector(kind, params):
+    # n = 2, case 1: a = 0 makes the indicial root at r = 0 double; a
+    # two-term start at 1e-5 left Coulomb k = 1 here 4.0e-8 and 1.4e-8 off
+    co = radial_coefficients(2, 1, None)
+    for k in range(K_MIN[kind], K_MIN[kind] + 3):
+        E = closed_form_energy(kind, params, co, k)
+        gap = min(abs(closed_form_energy(kind, params, co, k + 1) - E), 2.0)
+        got = shooting_eigenvalue(kind, params, co, E - 0.35 * gap, E + 0.35 * gap)
+        assert abs(got.energy - E) <= 1e-8 * max(1.0, abs(E))
 
 
 @st.composite
@@ -350,11 +478,9 @@ def test_shooting_agrees_with_the_closed_form(level):
     E = closed_form_energy(kind, params, co, k)
     gap = min(abs(closed_form_energy(kind, params, co, k + 1) - E), 2.0)
     got = shooting_eigenvalue(kind, params, co, E - 0.35 * gap, E + 0.35 * gap)
-    # on the energy scale of Brent's xtol; where the indicial root at r = 0 is
-    # double (n = 2, a = 0) the two-term Frobenius start at _EPS is off by
-    # O(_EPS^2) and the level by up to about 4e-8 of that scale
-    tol = 1e-7 if endpoint_root(params.n, float(co.a)) == 0.0 else 1e-8
-    assert abs(got.energy - E) <= tol * max(1.0, abs(E))
+    # on the energy scale of Brent's xtol, in every sector, the double
+    # indicial root at r = 0 (n = 2, case 1) included
+    assert abs(got.energy - E) <= 1e-8 * max(1.0, abs(E))
 
 
 def test_oracle_imports_no_closed_form_module():
