@@ -4,9 +4,9 @@ A GMat stores only its nonzero entries, as positions, real parts and
 imaginary parts in parallel tuples.  Entries are Fractions, or q*sqrt(rad)
 carried exactly by Rad: the unitary B1 ladder entries are quarter square
 roots of integers, and the sums the ladder code forms pair equal radicands.
-The ladder module stores its operators as integer bands and checks their
-relations in integer arithmetic; GMats are the exact views it builds for
-printing, classification and float conversion.
+The ladder module stores its operators as integer bands and checks both
+their relations and its classified vectors on them; GMats are the exact
+views it builds for printing (`table`) and float conversion (`to_numpy`).
 """
 
 from fractions import Fraction
@@ -94,7 +94,7 @@ def _add(x, y):
     if not yf:
         return x
     if xr != yr:
-        # never reached by the ladder algebra: radicands always pair up
+        # radicands pair up in a valid ladder module; a corrupted band meets this
         raise ArithmeticError(f"cannot add unlike radicals sqrt({xr}), sqrt({yr})")
     return Rad(xf + yf, xr) if xr != 1 else xf + yf
 
@@ -247,7 +247,7 @@ class GMat:
     def __eq__(self, other):
         if not isinstance(other, GMat) or other.n != self.n:
             return NotImplemented
-        return (self - other).is_zero()
+        return self.nz == other.nz  # canonical entries: equal values compare equal
 
     def __repr__(self):
         rows = ["[" + ", ".join(row) + "]" for row in self.table()]

@@ -22,6 +22,9 @@ relation is a power of i times a real one; times 16 it is an identity
 between integer matrices in F, 4 D+ and 4 D-.  For k = 1 the diagonal
 similarity S_{j+2}/S_j = sqrt(r_j) first maps 4 D+ to r_j and 4 D- to 1;
 a polynomial identity holds in one basis if and only if in the other.
+
+Classification builds no matrix either: a classified vector lives on rows
+j in {0, +-1, +-2}, so its exact check reads the bands at those rows only.
 """
 
 from fractions import Fraction
@@ -54,7 +57,7 @@ MASS_EQUAL = "equal"
 
 _F0 = Fraction(0)
 _QUARTER = Fraction(1, 4)
-EMBEDDING_TOL = 1e-12  # verify_embedding's default deviation tolerance
+EMBEDDING_TOL = 1e-12  # verify_embedding's deviation tolerance
 
 
 class LadderRep(NamedTuple):
@@ -89,11 +92,13 @@ class LadderRep(NamedTuple):
     Dminus = property(lambda self: GMat.build(self.dim, self._entries(self.down, 0, self.step)),
                       doc="D- as an exact GMat, built on each read.")
 
+    def _entry(self, band, p, sign=1):
+        """sign times the exact entry of band[p]: a quarter root for B1, else a quarter."""
+        return Rad(sign * _QUARTER, band[p]) if self.step == 2 else Fraction(sign * band[p], 4)
+
     def _entries(self, band, di, dj, sign=1):
         """{(p + di, p + dj): sign * d} over a band's exact entries d."""
-        if self.step == 2:
-            return {(p + di, p + dj): Rad(sign * _QUARTER, r) for p, r in enumerate(band)}
-        return {(p + di, p + dj): Fraction(sign * x, 4) for p, x in enumerate(band)}
+        return {(p + di, p + dj): self._entry(band, p, sign) for p in range(len(band))}
 
 
 @lru_cache(maxsize=256)
@@ -120,17 +125,16 @@ def build_ladder_rep(algebra, weight):
 
 
 class OperatorMatrices(NamedTuple):
-    """The four invariant operators and the Casimir scalar matrix."""
+    """The four invariant operators as exact GMats."""
 
     D0: GMat
     D1: GMat
     D2: GMat
     D3: GMat
-    Ctilde: GMat
 
 
 def operator_matrices(rep):
-    """D0 = -iF, D1/D2 = (F^2 - Ctilde)/2 +- (D+ + D-), D3 = i(D+ - D-), from the bands."""
+    """D0 = -iF, D1/D2 = G +- (D+ + D-), D3 = i(D+ - D-), G = (F^2 - casimir)/2."""
     n, s, up, down = rep.dim, rep.step, rep.up, rep.down
     G = {(p, p): Fraction(j * j - rep.casimir, 2) for p, j in enumerate(rep.basis)}
     Dp, Dm, mDm = rep._entries(up, s, 0), rep._entries(down, 0, s), rep._entries(down, 0, s, -1)
@@ -139,7 +143,6 @@ def operator_matrices(rep):
         D1=GMat.build(n, {**G, **Dp, **Dm}),
         D2=GMat.build(n, {**G, **rep._entries(up, s, 0, -1), **mDm}),
         D3=GMat.build(n, {key: (_F0, d) for key, d in {**Dp, **mDm}.items()}),
-        Ctilde=GMat.eye(n, rep.casimir),
     )
 
 
@@ -286,34 +289,33 @@ class EigenvectorRecord(NamedTuple):
         return {j: complex(float(x), float(y)) for j, (x, y) in img.items()}
 
 
-def _differs(x, y):
-    """Exact x != y across Fraction/Rad scalars."""
+def _verify_record(rep, rec, d3_image):
+    """Check one record exactly on its rows j and the rows j +- 2 that D+/- v reach.
+
+    D1/D2 v = G v +- (D+ + D-) v with G = (F^2 - casimir)/2, and D3 v =
+    i(D+ - D-) v must be d3_image, {j: (re, im)}.  Unlike surds cannot cancel.
+    """
+    s, plus, minus = rep.step, {}, {}
+    for j, c in rec.coeffs.items():
+        p = rep.index(j)
+        if p < len(rep.up):
+            plus[j + 2] = rep._entry(rep.up, p, c)
+        if p >= s:
+            minus[j - 2] = rep._entry(rep.down, p - s, c)
+    case = f"{rep.weight} case {rec.case_id}"
     try:
-        return bool(_add(x, _neg(y)))
+        for r in {*rec.coeffs, *plus, *minus}:
+            c, dp, dm = rec.coeffs.get(r, 0), plus.get(r, _F0), minus.get(r, _F0)
+            g, both, d3 = Fraction((r * r - rep.casimir) * c, 2), _add(dp, dm), _add(dp, _neg(dm))
+            images = {"D0^2": (r * r * c, -rec.delta0),  # D0^2 = -F^2
+                      "D1": (_add(g, both), rec.delta1), "D2": (_add(g, _neg(both)), rec.delta2)}
+            for name, (got, val) in images.items():
+                if got != val * c:
+                    raise VerificationError(f"classified vector fails {name} eigenvalue for {case}")
+            if (_F0, d3) != d3_image.get(r, (_F0, _F0)) or rec.delta3 is not None and d3:
+                raise VerificationError(f"classified D3 action wrong for {case}")
     except ArithmeticError:
-        return True  # unlike surds cannot cancel
-
-
-def _check_image(mat, vec, want, what):
-    """mat v, after checking it equals want exactly; VerificationError(what) if not."""
-    image = mat.apply(vec)
-    if any(_differs(ir, wr) or _differs(ii, wi) for (ir, ii), (wr, wi) in zip(image, want)):
-        raise VerificationError(what)
-    return image
-
-
-def _verify_record(rep, F2, ops, rec, exact_image):
-    vec = [(Fraction(rec.coeffs.get(j, 0)), _F0) for j in rep.basis]
-    # D0^2 = -F^2, so F^2 v = -delta0 v
-    for mat, val, name in ((F2, -rec.delta0, "D0^2"), (ops.D1, rec.delta1, "D1"),
-                           (ops.D2, rec.delta2, "D2")):
-        s = Fraction(val)
-        _check_image(mat, vec, [(s * x, s * y) for x, y in vec],
-                     f"classified vector fails {name} eigenvalue for {rep.weight}")
-    image = _check_image(ops.D3, vec, [exact_image.get(j, (_F0, _F0)) for j in rep.basis],
-                         f"classified D3 action wrong for {rep.weight} case {rec.case_id}")
-    if rec.delta3 is not None and any(r or i for r, i in image):
-        raise VerificationError(f"vector claimed D3-eigen is not, {rep.weight} case {rec.case_id}")
+        raise VerificationError(f"unpaired surds in the ladder images of {case}") from None
 
 
 # the classified vectors, shared read-only by every record that holds one
@@ -385,11 +387,10 @@ def classify_common_eigenvectors(rep, n):
     rows = _rows(rep.weight)
     if not rows:
         return []
-    ops, F2 = operator_matrices(rep), GMat.diag([j * j for j in rep.basis])
     records = [EigenvectorRecord(*row[:3], *map(_scalar, row[3:6]), *row[6:8], rep.weight)
                for row in rows]
     for rec, row in zip(records, rows):
-        _verify_record(rep, F2, ops, rec, row[-1])
+        _verify_record(rep, rec, row[-1])
     return records
 
 
@@ -401,12 +402,12 @@ class EmbeddingReport(NamedTuple):
     j_identity_deviation: float
 
 
-def verify_embedding(k, tol=EMBEDDING_TOL):
+def verify_embedding(k):
     """Check the so(2k+1) defining-rep formulas for the F-basis, numerically.
 
     Builds the real skew generators Psi_ab in the (2k+1)-dimensional rep,
     moves basis vector 2 to the last slot, conjugates by J^T, and compares
-    with the stated F-combinations entrywise. Returns the max deviation.
+    with the stated F-combinations entrywise; raises past EMBEDDING_TOL.
     """
     import numpy as np
 
@@ -469,8 +470,8 @@ def verify_embedding(k, tol=EMBEDDING_TOL):
             hat(psi(2, i)), 0.5 * (f(k, j) - f(k, -j) + f(-k, -j) - f(-k, j)))))
 
     worst = max(d for _, d in checks)
-    if worst > tol or j_dev > tol:
-        bad = [name for name, d in checks if d > tol]
+    if worst > EMBEDDING_TOL or j_dev > EMBEDDING_TOL:
+        bad = [name for name, d in checks if d > EMBEDDING_TOL]
         raise VerificationError(
             f"embedding correspondence failed for k={k}: {', '.join(bad) or 'J identity'}"
         )

@@ -12,8 +12,7 @@ with m the reduced mass and (a, b, c) rational constants fixed by the
 classification case: a = -delta2/8, b = -(delta0 + delta1 + delta2)/8 and
 c = -delta1/8, from the case's invariant-operator eigenvalues.  Those are
 read from the classification rows in `ladder`, which
-`classify_common_eigenvectors` checks exactly against the operator
-matrices.
+`classify_common_eigenvectors` checks exactly on the ladder bands.
 
 The equation's indicial roots are computed here and only here:
 `endpoint_root` at r = 0 and oo, `wall_root` at the oscillator's wall r = 1,

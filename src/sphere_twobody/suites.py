@@ -78,6 +78,8 @@ __all__ = [
 _SEED = 20260814          # every random draw
 _N_VALUES = (2, 3, 4, 5)  # sphere dimensions of the level grids
 _HEUN_SYM_TOL = 1e-10     # the a = c degenerations of the Heun parameters
+_BRANCH_RANK, _BRANCH_ENTRY = 4, 5  # the dominant-weight grid of the branching checks
+_FUCHS_DRAWS = 500        # random parameter draws per exponent-sum check
 
 
 class CheckResult(NamedTuple):
@@ -227,7 +229,7 @@ def check_classification_bruteforce(max_rank=4, max_mk=6, include_d3=False):
 def check_embedding():
     """Defining-representation formulas, rank by rank, k = 2..5."""
     def rank(k):
-        rpt = verify_embedding(k, tol=EMBEDDING_TOL)
+        rpt = verify_embedding(k)
         yield "deviation", max(rpt.max_deviation, rpt.j_identity_deviation), EMBEDDING_TOL
 
     return _fold(
@@ -237,10 +239,10 @@ def check_embedding():
     )
 
 
-def _dominant_weights(max_rank, max_entry):
-    """Dominant B_k then D_k weights, k = 2..max_rank, entries <= max_entry."""
-    entries = range(max_entry + 1)
-    for k in range(2, max_rank + 1):
+def _dominant_weights():
+    """Dominant B_k then D_k weights, k = 2.._BRANCH_RANK, entries <= _BRANCH_ENTRY."""
+    entries = range(_BRANCH_ENTRY + 1)
+    for k in range(2, _BRANCH_RANK + 1):
         B, D = AlgebraLabel("B", k), AlgebraLabel("D", k)
         for coeffs in itertools.combinations_with_replacement(entries, k):
             yield HighestWeight(B, coeffs)
@@ -249,7 +251,7 @@ def _dominant_weights(max_rank, max_entry):
                 yield HighestWeight(D, (m1,) + rest)
 
 
-def check_branching_sums(max_rank=4, max_entry=5):
+def check_branching_sums():
     """Branching multiplicities are dimension-exact in both directions."""
     def weight(w):
         alg = w.algebra
@@ -262,9 +264,9 @@ def check_branching_sums(max_rank=4, max_entry=5):
 
     return _fold(
         "branching dimension sums", "weights",
-        ((f"{w.algebra} {w.coeffs}", weight(w)) for w in _dominant_weights(max_rank, max_entry)),
-        lambda t: f"{t.count} weights, B2..B{max_rank} and D2..D{max_rank}, "
-                  f"entries <= {max_entry}",
+        ((f"{w.algebra} {w.coeffs}", weight(w)) for w in _dominant_weights()),
+        lambda t: f"{t.count} weights, B2..B{_BRANCH_RANK} and D2..D{_BRANCH_RANK}, "
+                  f"entries <= {_BRANCH_ENTRY}",
     )
 
 
@@ -280,7 +282,7 @@ def _chain_count(alg, w):
     return sum(1 for w2 in first(w) if zero in {x.coeffs for x in second(w2)})
 
 
-def check_invariant_dimension(max_rank=4, max_entry=5):
+def check_invariant_dimension():
     """Closed-form invariant-subspace dimension == two-step chain count."""
     def weight(w):
         fast = invariant_subspace_dim(w.algebra, w)
@@ -288,7 +290,7 @@ def check_invariant_dimension(max_rank=4, max_entry=5):
 
     return _fold(
         "invariant subspace dimension", "weights",
-        ((f"{w.algebra} {w.coeffs}", weight(w)) for w in _dominant_weights(max_rank, max_entry)),
+        ((f"{w.algebra} {w.coeffs}", weight(w)) for w in _dominant_weights()),
         lambda t: f"{t.count} weights against the two-step chain count",
     )
 
@@ -416,7 +418,7 @@ def check_heun_reduction(kind):
     return _fold(f"{kind} Heun reduction", "parameter sets", cases(), summary)
 
 
-def check_fuchs_sums(kind, draws=500):
+def check_fuchs_sums(kind):
     """Exponent sums equal (points - 2) for random parameter draws."""
     rng = random.Random(_SEED + (0 if kind == KIND_COULOMB else 1))
     expected = 2.0 if kind == KIND_COULOMB else 4.0
@@ -426,7 +428,7 @@ def check_fuchs_sums(kind, draws=500):
         yield "sum deviation", abs(exponents(params, coeffs, E).fuchs_sum() - expected), 1e-12
 
     def cases():
-        for _ in range(draws):
+        for _ in range(_FUCHS_DRAWS):
             n = rng.randint(2, 6)
             case_id = rng.choice(valid_cases(n))
             mk = None if n == 2 else rng.randint(2, 4)

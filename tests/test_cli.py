@@ -416,7 +416,7 @@ def test_verify_reports_structure_failure(capsys, monkeypatch):
 
 
 def test_verify_reports_embedding_failure(capsys, monkeypatch):
-    def failing_embedding(k, tol):
+    def failing_embedding(k):
         raise VerificationError(f"embedding correspondence failed for k={k}: Psi_12")
 
     def cheap_pass(**kwargs):

@@ -66,6 +66,14 @@ def test_gmat_surd_product_returns_rational():
     assert P == GMat.eye(2, Fraction(2))
 
 
+def test_gmat_equality_compares_canonical_entries():
+    def one(x):
+        return GMat.build(1, {(0, 0): x})
+
+    assert one(Rad(1, 2)) != one(Rad(1, 3))  # unlike surds: unequal, not an error
+    assert one(Rad(2, 1)) == one(Fraction(2))
+
+
 def test_gmat_to_numpy_and_apply():
     A = GMat.build(2, {(0, 0): (Rad(1, 2), Fraction(0)), (1, 0): (Fraction(1), Fraction(1))})
     M = A.to_numpy()

@@ -19,6 +19,11 @@ became `tolerances.ode_residual` (1e-9).  `verify_hyperfun.out` was
 regenerated then too, because the 2F1 equation check now scales its
 residual by the equation's own terms: only the `check_hyperfun_ode` entry
 (worst, margin and detail) moved.
+
+`verify_ladder.out` was written before eigenvector classification moved
+from exact matrix products onto the ladder bands; it covers the structure
+relations, both classification-versus-joint-diagonalization checks and the
+embedding check.
 """
 
 from pathlib import Path
@@ -76,6 +81,8 @@ GOLDEN_CASES = {
         ["verify", "--suite", "hyperfun"],
     "verify_branching":
         ["verify", "--suite", "branching"],
+    "verify_ladder":
+        ["verify", "--suite", "ladder"],
 }
 
 

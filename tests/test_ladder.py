@@ -15,7 +15,9 @@ from sphere_twobody import (
     verify_embedding,
     verify_structure_relations,
 )
+from sphere_twobody import ladder
 from sphere_twobody.exactmat import GMat, Rad
+from sphere_twobody.ladder import EigenvectorRecord
 from sphere_twobody.suites import _ladder_weights
 
 
@@ -147,6 +149,92 @@ def test_one_corrupted_band_entry_fails_both_checks(series, rank, weight, band, 
     with pytest.raises(VerificationError):
         verify_structure_relations(bad)
     assert not _reference_accepts(bad)
+
+
+def _reference_classify(rep):
+    """The records, checked as before the band route; None where a check fails.
+
+    GMat.apply of F^2 and of the operator matrices to each classified vector,
+    compared exactly with the classified eigenvalues and D3 image; unlike
+    surds that cannot cancel reject the module.
+    """
+    ops, F2 = operator_matrices(rep), GMat.diag([j * j for j in rep.basis])
+    records = []
+    for row in ladder._rows(rep.weight):
+        case_id, text, coeffs, d0, d1, d2, d3, mode, image = row
+        vec = [(Fraction(coeffs.get(j, 0)), Fraction(0)) for j in rep.basis]
+        try:
+            for mat, val in ((F2, -d0), (ops.D1, d1), (ops.D2, d2)):
+                if mat.apply(vec) != [(val * x, y) for x, y in vec]:
+                    return None
+            d3v = ops.D3.apply(vec)
+        except ArithmeticError:
+            return None
+        if d3v != [image.get(j, (0, 0)) for j in rep.basis] or (d3 is not None and any(
+                x or y for x, y in d3v)):
+            return None
+        records.append(EigenvectorRecord(case_id, text, coeffs, *map(Fraction, (d0, d1, d2)),
+                                         d3, mode, rep.weight))
+    return records
+
+
+def _classified_reps():
+    """Every module of the criterion-1 grid that has classified vectors."""
+    reps = (build_ladder_rep(alg, weight) for alg, weight in _ladder_weights(6, 8))
+    return [rep for rep in reps if ladder._rows(rep.weight)]
+
+
+def test_classification_builds_no_matrix(monkeypatch):
+    reps = _classified_reps()
+    want = [_reference_classify(rep) for rep in reps]
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("classification built or applied a GMat")
+
+    for name in ("build", "diag", "eye", "apply"):
+        monkeypatch.setattr(GMat, name, no_matrix)
+    got = [classify_common_eigenvectors(rep, rep.algebra.sphere_dim) for rep in reps]
+    assert sum(map(len, got)) == 356
+    assert got == want
+    for recs, refs in zip(got, want):
+        for rec, ref in zip(recs, refs):
+            assert list(map(type, rec)) == list(map(type, ref))
+            assert rec.coeffs is ref.coeffs  # the shared read-only mappings
+
+
+def test_band_and_reference_checks_agree_on_every_plus_one_mutation():
+    tried, rejected = 0, 0
+    for rep in _classified_reps():
+        for band in ("up", "down"):
+            entries = getattr(rep, band)
+            for p in range(len(entries)):
+                bad = rep._replace(**{band: entries[:p] + (entries[p] + 1,) + entries[p + 1:]})
+                tried += 1
+                try:  # any other exception fails the test
+                    classify_common_eigenvectors(bad, rep.algebra.sphere_dim)
+                    accepted = True
+                except VerificationError:
+                    accepted, rejected = False, rejected + 1
+                assert accepted == (_reference_classify(bad) is not None), (rep.weight, band, p)
+    # an entry no classified vector touches leaves the records valid
+    assert (tried, rejected) == (496, 334)
+
+
+@pytest.mark.parametrize("wrong", [
+    {"delta0": Fraction(-1)}, {"delta1": Fraction(-4)}, {"delta2": Fraction(-4)},
+    {"delta3": Fraction(0)}, {"image": {0: (Fraction(0), Rad(1, 6))}}])
+def test_record_check_rejects_a_wrong_classified_value(wrong):
+    rep = build_ladder_rep(AlgebraLabel("B", 1), (2,))
+    rec = classify_common_eigenvectors(rep, 2)[0]  # case 5, chi_2 - chi_-2: surd D3 image
+    image = wrong.pop("image", ladder._rows(rep.weight)[0][-1])
+    with pytest.raises(VerificationError):
+        ladder._verify_record(rep, rec._replace(**wrong), image)
+
+
+def test_unpaired_surds_are_a_verification_error():
+    bad = build_ladder_rep(AlgebraLabel("B", 1), (2,))._replace(up=(25, 36, 24))
+    with pytest.raises(VerificationError, match="unpaired surds"):
+        classify_common_eigenvectors(bad, 2)
 
 
 def test_classification_B2_adjoint():

@@ -8,7 +8,7 @@ import types
 import numpy as np
 import pytest
 
-from sphere_twobody import spectra, suites
+from sphere_twobody import AlgebraLabel, ladder, spectra, suites
 from sphere_twobody.cli import main
 from sphere_twobody.errors import ConvergenceError, ValidationError, VerificationError
 from sphere_twobody.oracle import JointEigenspace, ShootingResult
@@ -127,6 +127,24 @@ def test_classification_reports_every_module(monkeypatch):
     assert chk.detail.endswith("first failure B1(0,): 0 joint eigenspaces but 1 classified")
 
 
+def test_criterion_2_catches_a_corrupted_band_without_the_exact_check(monkeypatch):
+    # the oracle builds its matrices from the bands, so it needs no help from the
+    # exact record check to see one wrong entry
+    monkeypatch.setattr(ladder, "_verify_record", lambda *args: None)
+    real = suites.build_ladder_rep
+
+    def corrupted(alg, weight):
+        rep = real(alg, weight)
+        if (alg, weight) != (AlgebraLabel("B", 2), (1, 2)):
+            return rep
+        return rep._replace(up=(rep.up[0] + 1,))
+
+    monkeypatch.setattr(suites, "build_ladder_rep", corrupted)
+    chk = suites.check_classification_bruteforce(max_rank=2, max_mk=3)
+    assert not chk.passed and chk.failed == 1
+    assert chk.first_failure.startswith("B2(1, 2): eigenvalue dev ")
+
+
 def test_classification_passing_detail_is_unchanged():
     chk = suites.check_classification_bruteforce(max_rank=2, max_mk=3)
     assert chk.passed
@@ -138,10 +156,10 @@ def test_classification_passing_detail_is_unchanged():
 def test_embedding_failure_is_a_result(monkeypatch):
     real = suites.verify_embedding
 
-    def failing(k, tol):
+    def failing(k):
         if k in (3, 5):
             raise VerificationError(f"embedding correspondence failed for k={k}: Psi_12")
-        return real(k, tol=tol)
+        return real(k)
 
     monkeypatch.setattr(suites, "verify_embedding", failing)
     chk = suites.check_embedding()
