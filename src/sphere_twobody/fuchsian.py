@@ -152,48 +152,38 @@ def psymbol(eq):
     return "P {\n  " + "\n  ".join(rows) + "\n}"
 
 
-def _endpoint_exponents(n, coeff):
-    """Exponent pair (1/2)(2 - n +- sqrt((n-2)^2 + 32 coeff)) used at 0 and oo."""
-    s = complex(endpoint_root(n, coeff))
-    return ((2.0 - n + s) / 2.0, (2.0 - n - s) / 2.0)
+def _pair(center, root):
+    """Exponents (center +- root)/2: centre 2 - n at 0 and oo, n - 1 at +-i, 1 at the walls +-1."""
+    return ((center + root) / 2.0, (center - root) / 2.0)
 
 
-def coulomb_exponents(params, coeffs, energy):
-    """Indicial exponents of the Coulomb radial equation at {0, i, -i, oo}."""
+def _endpoint_pairs(params, coeffs, energy):
+    """The exponent pairs at r = 0 and oo, after checking the arguments."""
     _check_compatible(params, coeffs)
     _check_energy(energy)
     n = params.n
-    rho0 = _endpoint_exponents(n, float(coeffs.a))
-    rhoinf = _endpoint_exponents(n, float(coeffs.c))
+    return tuple(_pair(2.0 - n, complex(endpoint_root(n, float(x))))
+                 for x in (coeffs.a, coeffs.c))
 
-    def at_pole(sign):
-        s = _pole_root(KIND_COULOMB, params, coeffs, energy, sign)
-        return ((n - 1 + s) / 2.0, (n - 1 - s) / 2.0)
 
+def coulomb_exponents(params, coeffs, energy):
+    """Indicial exponents of the Coulomb radial equation, in the point order 0, i, -i, oo."""
+    rho0, rhoinf = _endpoint_pairs(params, coeffs, energy)
+    rhoi, rhoj = (_pair(params.n - 1, _pole_root(KIND_COULOMB, params, coeffs, energy, sign))
+                  for sign in (+1, -1))
     return FuchsianEq((
         SingularPoint(0.0, rho0),
-        SingularPoint(1j, at_pole(+1)),
-        SingularPoint(-1j, at_pole(-1)),
+        SingularPoint(1j, rhoi),
+        SingularPoint(-1j, rhoj),
         SingularPoint(INFINITY, rhoinf),
     ))
 
 
-def _oscillator_pieces(params, coeffs, energy):
-    _check_compatible(params, coeffs)
-    _check_energy(energy)
-    n = params.n
-    rho0 = _endpoint_exponents(n, float(coeffs.a))
-    rhoinf = _endpoint_exponents(n, float(coeffs.c))
-    s1 = complex(wall_root(params))
-    rho1 = ((1.0 + s1) / 2.0, (1.0 - s1) / 2.0)
-    si = _pole_root(KIND_OSCILLATOR, params, coeffs, energy)
-    rhoi = ((n - 1 + si) / 2.0, (n - 1 - si) / 2.0)
-    return rho0, rho1, rhoi, rhoinf
-
-
 def oscillator_exponents(params, coeffs, energy):
-    """Indicial exponents of the oscillator equation at {0, +-1, +-i, oo}."""
-    rho0, rho1, rhoi, rhoinf = _oscillator_pieces(params, coeffs, energy)
+    """Indicial exponents of the oscillator equation, in the point order 0, 1, -1, i, -i, oo."""
+    rho0, rhoinf = _endpoint_pairs(params, coeffs, energy)
+    rho1 = _pair(1.0, complex(wall_root(params)))
+    rhoi = _pair(params.n - 1, _pole_root(KIND_OSCILLATOR, params, coeffs, energy))
     return FuchsianEq((
         SingularPoint(0.0, rho0),
         SingularPoint(1.0, rho1),
@@ -204,9 +194,12 @@ def oscillator_exponents(params, coeffs, energy):
     ))
 
 
-def oscillator_zeta_exponents(params, coeffs, energy):
-    """The same equation in zeta = r^2: four singular points."""
-    rho0, rho1, rhoi, rhoinf = _oscillator_pieces(params, coeffs, energy)
+def _zeta_form(eq):
+    """The oscillator's table folded into zeta = r^2, in the point order 0, 1, -1, oo.
+
+    +-1 map to 1 and +-i to -1; the exponents at 0 and oo are halved.
+    """
+    rho0, rho1, _, rhoi, _, rhoinf = (p.exponents for p in eq.points)
     half = lambda pair: (pair[0] / 2.0, pair[1] / 2.0)
     return FuchsianEq((
         SingularPoint(0.0, half(rho0)),
@@ -214,6 +207,11 @@ def oscillator_zeta_exponents(params, coeffs, energy):
         SingularPoint(-1.0, rhoi),
         SingularPoint(INFINITY, half(rhoinf)),
     ))
+
+
+def oscillator_zeta_exponents(params, coeffs, energy):
+    """The same equation in zeta = r^2: four singular points."""
+    return _zeta_form(oscillator_exponents(params, coeffs, energy))
 
 
 def cross_ratio(z1, z2, z3, z4):
@@ -330,10 +328,7 @@ def to_heun(kind, params, coeffs, energy):
     if kind == KIND_COULOMB:
         g = params.coupling
         eq = coulomb_exponents(params, coeffs, energy)
-        r0p, r0m = eq.exponents_at(0.0)
-        rip, rim = eq.exponents_at(1j)
-        rjp, rjm = eq.exponents_at(-1j)
-        rfp, rfm = eq.exponents_at(INFINITY)
+        (r0p, r0m), (rip, rim), (rjp, rjm), (rfp, rfm) = (p.exponents for p in eq.points)
         hp = HeunParams(
             d=2.0 + 0j,
             alpha=r0p + rip + rfp + rjp,
@@ -364,11 +359,8 @@ def to_heun(kind, params, coeffs, energy):
 
     w = params.coupling
     eq = oscillator_exponents(params, coeffs, energy)
-    zeq = oscillator_zeta_exponents(params, coeffs, energy)
-    r0p, r0m = eq.exponents_at(0.0)
-    r1p, r1m = eq.exponents_at(1.0)
-    rip, rim = eq.exponents_at(1j)
-    rfp, rfm = eq.exponents_at(INFINITY)
+    zeq = _zeta_form(eq)
+    (r0p, r0m), (r1p, r1m), _, (rip, rim), _, (rfp, rfm) = (p.exponents for p in eq.points)
     hp = HeunParams(
         d=2.0 + 0j,
         alpha=0.5 * r0p + r1p + 0.5 * rfp + rip,

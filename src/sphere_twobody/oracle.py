@@ -241,14 +241,12 @@ def _series_ends(kind, params, coeffs):
     P = _taylor(([n - 1.0, 0.0, 3.0 - n], one))
     Q1 = _taylor(([0.0, 0.0, 8.0 * mR2], one, one))
     if kind == KIND_COULOMB:
+        def end(a, c, h):
+            return _End(P, _taylor(([-8.0 * a, h, -8.0 * b, -h, -8.0 * c], one, one)), Q1,
+                        endpoint_exponent(n, a))
+
         h = 4.0 * m * R * g
-        return _Ends(
-            _End(P, _taylor(([-8.0 * a, h, -8.0 * b, -h, -8.0 * c], one, one)), Q1,
-                 endpoint_exponent(n, a)),
-            _End(P, _taylor(([-8.0 * c, -h, -8.0 * b, h, -8.0 * a], one, one)), Q1,
-                 endpoint_exponent(n, c)),
-            True,
-        )
+        return _Ends(end(a, c, h), end(c, a, -h), True)
     w8 = 16.0 * mR2 * R * R * g * g  # 8 w
     wall = [1.0, 0.0, -1.0]  # 1 - x^2
     inner = _End(P, _taylor(([-8.0 * a, 0.0, -8.0 * b, 0.0, -8.0 * c], one, one),

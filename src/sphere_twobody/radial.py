@@ -271,23 +271,11 @@ def spectral_ode(kind, params, coeffs, energy):
     def p(r):
         return (n - 1 + (3 - n) * r * r) / ((1 + r * r) * r)
 
-    # `potential` inlined, its constant factor taken out in the same order of
-    # operations, so q has the same bits without a call per point
-    g = params.coupling
-    if kind == KIND_COULOMB:
-        gc = g / (2.0 * R)
+    V = potential(kind, params)
 
-        def q(r):
-            r2 = r * r
-            return (8.0 / (1 + r2) ** 2) * (mR2 * (energy - gc * (r - 1.0 / r))
-                                            - a / r2 - b - c * r2)
-    else:
-        w2 = 2.0 * R * R * g * g
-
-        def q(r):
-            r2 = r * r
-            return (8.0 / (1 + r2) ** 2) * (mR2 * (energy - w2 * r * r / (1.0 - r * r) ** 2)
-                                            - a / r2 - b - c * r2)
+    def q(r):
+        r2 = r * r
+        return (8.0 / (1 + r2) ** 2) * (mR2 * (energy - V(r)) - a / r2 - b - c * r2)
 
     return p, q
 

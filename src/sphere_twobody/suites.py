@@ -116,7 +116,8 @@ def _fold(name, noun, cases, summary):
     """Fold (where, rows) cases into one CheckResult.
 
     `rows` yields (quantity, deviation, tolerance) and is consumed here, so a
-    ConvergenceError or VerificationError it raises fails only its own case.
+    ConvergenceError, ValidationError or VerificationError it raises fails
+    only its own case.
     A pass reads `summary(t)`; t has count, worst and seen (per quantity).
     """
     t = types.SimpleNamespace(count=0, worst=collections.defaultdict(float),
@@ -133,7 +134,7 @@ def _fold(name, noun, cases, summary):
                 pairs.append((float(dev), float(tol)))
                 if miss is None and not dev <= tol:
                     miss = f"{quantity} {dev:.2e}"
-        except (ConvergenceError, VerificationError) as exc:
+        except (ConvergenceError, ValidationError, VerificationError) as exc:
             pairs.append((math.nan, math.nan))
             miss = miss or str(exc)
         if miss is not None:
@@ -419,7 +420,13 @@ def check_heun_reduction(kind):
 
 
 def check_fuchs_sums(kind):
-    """Exponent sums equal (points - 2) for random parameter draws."""
+    """Exponent sums equal (points - 2) for random parameter draws.
+
+    Each pair (center +- root)/2 sums to its centre whatever the root, so
+    this tests only the centres 2 - n, n - 1 and 1: both pole roots shifted
+    by 1e-3 still read 8.88e-16 (Coulomb).  A wrong root shows in the Heun
+    reduction check instead, through its q-ab and accessory identity rows.
+    """
     rng = random.Random(_SEED + (0 if kind == KIND_COULOMB else 1))
     expected = 2.0 if kind == KIND_COULOMB else 4.0
     exponents = coulomb_exponents if kind == KIND_COULOMB else oscillator_exponents

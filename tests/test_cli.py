@@ -288,14 +288,38 @@ def test_fuchs_huge_energy_within_rounding(capsys, kind, energy):
 
 @pytest.mark.parametrize("energy, shift", [("1.3", 1e-6), ("1e32", 1e3)])
 def test_fuchs_relation_violation_exits_2(capsys, monkeypatch, energy, shift):
-    # shift both exponents at r = 0 and at infinity: the sum misses by 4 shift
-    real = fuchsian._endpoint_exponents
-    monkeypatch.setattr(fuchsian, "_endpoint_exponents",
-                        lambda n, a: tuple(e + shift for e in real(n, a)))
+    # shift both exponents of every pair: the four-point sum misses by 8 shift
+    real = fuchsian._pair
+    monkeypatch.setattr(fuchsian, "_pair",
+                        lambda center, root: tuple(e + shift for e in real(center, root)))
     rc, out, err = run_cli(capsys, _fuchs_argv("coulomb", energy))
     assert rc == 2
     assert out == ""
     assert err.startswith("error: exponent sums violate the Fuchs relation"), err
+
+
+def test_verify_counts_a_fuchs_relation_violation_as_failed_cases(capsys, monkeypatch):
+    # one exponent of every pair off by 1e-6: each exponent table the suite
+    # builds raises ValidationError, which fails its own case and no other
+    real = fuchsian._pair
+
+    def shifted(center, root):
+        plus, minus = real(center, root)
+        return plus + 1e-6, minus
+
+    monkeypatch.setattr(fuchsian, "_pair", shifted)
+    rc, out, err = run_cli(capsys, ["verify", "--suite", "coulomb"])
+    assert rc == 3
+    doc = json.loads(out, parse_constant=_reject_constant)
+    checks = {c["name"]: c for c in doc["suites"][0]["checks"]}
+    assert len(checks) == 5
+    broken = {"coulomb Heun reduction": 50, "coulomb exponent sums": 500}
+    for name, count in broken.items():
+        assert (checks[name]["passed"], checks[name]["count"], checks[name]["failed"]) \
+            == (False, count, count), name
+        assert "exponent sums violate the Fuchs relation" in checks[name]["first_failure"]
+    assert all(c["passed"] for name, c in checks.items() if name not in broken)
+    assert "[coulomb] FAIL: coulomb Heun reduction -- 50 of 50 parameter sets failed" in err
 
 
 def test_fuchs_nan_accessory_probe_named(tmp_path):

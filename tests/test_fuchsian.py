@@ -65,8 +65,7 @@ def test_zeta_form_halves_endpoint_exponents():
     for loc in (0.0, INFINITY):
         full = oe.exponents_at(loc)
         half = ze.exponents_at(loc)
-        assert half[0] == pytest.approx(full[0] / 2, abs=1e-14)
-        assert half[1] == pytest.approx(full[1] / 2, abs=1e-14)
+        assert half == (full[0] / 2, full[1] / 2)
     assert ze.exponents_at(1.0) == oe.exponents_at(1.0)
 
 
@@ -198,14 +197,14 @@ def test_heun_reduction_consistency_and_accessory(kind):
 def test_heun_sigma_matches_exponents():
     red = to_heun("coulomb", P_EQ, SYM, energy=1.1)
     eq = red.fuchsian
-    assert red.sigma[0] == pytest.approx(eq.exponents_at(0.0)[0])
-    assert red.sigma[1] == pytest.approx(eq.exponents_at(1j)[0])
-    assert red.sigma[2] == pytest.approx(eq.exponents_at(INFINITY)[0])
+    assert red.sigma[0] == eq.exponents_at(0.0)[0]
+    assert red.sigma[1] == eq.exponents_at(1j)[0]
+    assert red.sigma[2] == eq.exponents_at(INFINITY)[0]
     ored = to_heun("oscillator", P_EQ, SYM, energy=2.3)
     zeq = ored.fuchsian  # zeta form: sigma = peeled (halved at 0, oo) exponents
-    assert ored.sigma[0] == pytest.approx(zeq.exponents_at(0.0)[0])
-    assert ored.sigma[1] == pytest.approx(zeq.exponents_at(1.0)[0])
-    assert ored.sigma[2] == pytest.approx(zeq.exponents_at(INFINITY)[0])
+    assert ored.sigma[0] == zeq.exponents_at(0.0)[0]
+    assert ored.sigma[1] == zeq.exponents_at(1.0)[0]
+    assert ored.sigma[2] == zeq.exponents_at(INFINITY)[0]
 
 
 def test_maier_symmetric_routes_to_case1():

@@ -24,6 +24,12 @@ residual by the equation's own terms: only the `check_hyperfun_ode` entry
 from exact matrix products onto the ladder bands; it covers the structure
 relations, both classification-versus-joint-diagonalization checks and the
 embedding check.
+
+`verify_coulomb.out` and `verify_oscillator.out` were written before the
+Fuchsian exponent tables were built from one pair rule and read by
+position; they pin the pinned levels, the spectrum-versus-shooting
+deviations, the eigenfunction residuals, the Heun reduction and the
+exponent sums of each kind.
 """
 
 from pathlib import Path
@@ -83,6 +89,10 @@ GOLDEN_CASES = {
         ["verify", "--suite", "branching"],
     "verify_ladder":
         ["verify", "--suite", "ladder"],
+    "verify_coulomb":
+        ["verify", "--suite", "coulomb"],
+    "verify_oscillator":
+        ["verify", "--suite", "oscillator"],
 }
 
 

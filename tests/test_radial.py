@@ -335,7 +335,7 @@ def test_spectral_ode_matches_displayed_coefficients():
     (PhysicalParams(2, 0.3, 5.0, 3.1, 0.45), (2, 1, None)),
 ])
 def test_spectral_ode_q_is_bit_identical_to_the_potential_form(kind, params, sector):
-    # q inlines `potential`; it must keep the bits of the form that calls it
+    # q calls `potential`: the same operations in the same order as the form below
     co = radial_coefficients(*sector)
     m, R = params.reduced_mass, params.radius
     a, b, c = float(co.a), float(co.b), float(co.c)
