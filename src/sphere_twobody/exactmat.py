@@ -1,7 +1,7 @@
 """Sparse square matrices over the Gaussian rationals, optionally with radicals.
 
-A GMat stores only its nonzero entries, as positions, real parts and
-imaginary parts in parallel tuples.  Entries are Fractions, or q*sqrt(rad)
+A GMat stores only its nonzero entries, in one dict from position (i, j)
+to (real part, imaginary part).  Entries are Fractions, or q*sqrt(rad)
 carried exactly by Rad: the unitary B1 ladder entries are quarter square
 roots of integers, and the sums the ladder code forms pair equal radicands.
 The ladder module stores its operators as integer bands and checks both
@@ -10,18 +10,16 @@ views it builds for printing (`table`) and float conversion (`to_numpy`).
 """
 
 from fractions import Fraction
-from itertools import repeat
 
 __all__ = ["Rad", "GMat"]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-# Fractions and index pairs are immutable, so matrices share them: the
-# small integers that fill diagonal matrices, and one (i, j) key per
-# position below 32 (the ladder modules reach 17)
+# Fractions are immutable, so the small integers that fill diagonal
+# matrices are shared, with the matrices and with the ladder module's
+# EigenvectorRecords, which keep them
 _SMALL = {i: Fraction(i) for i in range(-64, 65)}
 _SMALL[0], _SMALL[1] = _ZERO, _ONE
-_KEYS = {(i, j): (i, j) for i in range(32) for j in range(32)}
 
 
 def _square_free(n):
@@ -130,29 +128,24 @@ def _scalar(v):
 class GMat:
     """Square matrix with exact (rational or radical) complex entries.
 
-    Only nonzero entries are stored, as parallel tuples of positions (i, j),
-    real parts and imaginary parts (None when all are zero, as in F, D+ and
-    D-); entries() yields them as ((i, j), (re, im)) and nz is the same as
-    a dict.  An entry that cancels to zero is dropped, so the zero matrix
-    has nz == {}.
+    Only nonzero entries are stored, in one dict {(i, j): (re, im)};
+    entries() yields its items and nz is a copy of it.  An entry that
+    cancels to zero is dropped, so the zero matrix has nz == {}.
     """
 
-    __slots__ = ("n", "_keys", "_res", "_ims")
+    __slots__ = ("n", "_nz")
 
     def __init__(self, n, nz=None):
         self.n = n
-        kept = {k: v for k, v in nz.items() if v[0] or v[1]} if nz else {}
-        self._keys = tuple(map(_KEYS.get, kept, kept))
-        self._res, ims = zip(*kept.values()) if kept else ((), ())
-        self._ims = ims if any(y is not _ZERO and y for y in ims) else None
+        self._nz = {k: v for k, v in nz.items() if v[0] or v[1]} if nz else {}
 
     def entries(self):
         """((i, j), (re, im)) for every stored entry."""
-        return zip(self._keys, zip(self._res, self._ims or repeat(_ZERO)))
+        return self._nz.items()
 
     @property
     def nz(self):
-        return dict(self.entries())
+        return dict(self._nz)
 
     re = property(lambda self: self._dense(0), doc="Dense real parts, built on each read.")
     im = property(lambda self: self._dense(1), doc="Dense imaginary parts, built on each read.")
@@ -215,7 +208,7 @@ class GMat:
         return self @ other + other @ self
 
     def is_zero(self):
-        return not self._keys
+        return not self._nz
 
     def max_abs(self):
         """Float bound max |re| + |im| over entries; 0.0 iff exactly zero."""
@@ -247,7 +240,7 @@ class GMat:
     def __eq__(self, other):
         if not isinstance(other, GMat) or other.n != self.n:
             return NotImplemented
-        return self.nz == other.nz  # canonical entries: equal values compare equal
+        return self._nz == other._nz  # canonical entries: equal values compare equal
 
     def __repr__(self):
         rows = ["[" + ", ".join(row) + "]" for row in self.table()]

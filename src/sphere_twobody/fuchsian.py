@@ -81,11 +81,11 @@ def _sum_tolerance(terms):
     return max(1e-8, 3.0 * sys.float_info.epsilon * sum(abs(complex(t)) for t in terms))
 
 
-def _fmtc(x, nd=6):
+def _fmtc(x):
     x = complex(x)
     if abs(x.imag) <= 1e-12 * max(1.0, abs(x.real)):
-        return f"{x.real:.{nd}g}"
-    return f"{x.real:.{nd}g}{x.imag:+.{nd}g}i"
+        return f"{x.real:.6g}"
+    return f"{x.real:.6g}{x.imag:+.6g}i"
 
 
 class SingularPoint(NamedTuple):

@@ -228,18 +228,18 @@ def gauss_2f1(alpha, beta, gamma, z, method="auto"):
     )
 
 
-def gauss_2f1_deriv(alpha, beta, gamma, z, method="auto"):
+def gauss_2f1_deriv(alpha, beta, gamma, z):
     """d/dz 2F1 via the contiguous relation."""
     pre = complex(alpha) * complex(beta) / complex(gamma)
-    return pre * gauss_2f1(alpha + 1.0, beta + 1.0, gamma + 1.0, z, method=method)
+    return pre * gauss_2f1(alpha + 1.0, beta + 1.0, gamma + 1.0, z)
 
 
-def hypergeom_ode_residual(alpha, beta, gamma, z, method="auto"):
+def hypergeom_ode_residual(alpha, beta, gamma, z):
     """|z(1-z) F'' + (gamma - (alpha+beta+1) z) F' - alpha beta F| over its largest term."""
     alpha, beta, gamma, z = complex(alpha), complex(beta), complex(gamma), complex(z)
-    F = gauss_2f1(alpha, beta, gamma, z, method=method)
-    F1 = gauss_2f1_deriv(alpha, beta, gamma, z, method=method)
-    F2 = alpha * beta / gamma * gauss_2f1_deriv(alpha + 1.0, beta + 1.0, gamma + 1.0, z, method)
+    F = gauss_2f1(alpha, beta, gamma, z)
+    F1 = gauss_2f1_deriv(alpha, beta, gamma, z)
+    F2 = alpha * beta / gamma * gauss_2f1_deriv(alpha + 1.0, beta + 1.0, gamma + 1.0, z)
     return scaled_residual(z * (1.0 - z) * F2, (gamma - (alpha + beta + 1.0) * z) * F1,
                            -alpha * beta * F)
 

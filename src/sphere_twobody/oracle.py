@@ -133,8 +133,9 @@ def solve_ivp(rhs, t0, t1, y0, atol):
     at t1 and the right-hand-side evaluations spent.  The name is kept from
     the solve_ivp this replaced because tracing wrappers patch the march at
     this import site and read `nfev` from its result.  Raises
-    ConvergenceError past _MAX_RHS_EVALS evaluations or when LSODA stops
-    early.
+    ConvergenceError past _MAX_RHS_EVALS evaluations, when LSODA stops
+    early, or when the end state left the float range (LSODA can report
+    success on a state that overflowed to NaN).
     """
     from scipy.integrate import ODEintWarning, odeint
 
@@ -163,6 +164,11 @@ def solve_ivp(rhs, t0, t1, y0, atol):
         raise ConvergenceError(
             f"integration from {t0} to {t1} failed after {nfev} "
             f"right-hand-side evaluations: {info['message']}"
+        )
+    if not all(map(math.isfinite, ys[-1])):
+        raise ConvergenceError(
+            f"integration from {t0} to {t1} left the float range after {nfev} "
+            "right-hand-side evaluations"
         )
     return _March(ys[-1], nfev)
 

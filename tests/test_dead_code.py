@@ -1,15 +1,19 @@
-"""No dead imports or unreferenced private functions in the package source.
+"""No dead imports, unreferenced private functions or uncalled options.
 
 A module-level import must be used in its module, unless its statement
 carries `# noqa: F401` (names kept only so the benchmark tracer can patch
 them at an import site, or re-exported through `__all__`).  A private
 module-level function must be referenced from somewhere in the package.
+A parameter with a default must be set by some call in `src/`, `tests/`
+or `perfbench/`; one that no call sets is a constant.
 """
 
 import ast
+from collections import Counter, defaultdict
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sphere_twobody"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sphere_twobody"
 
 
 def _modules():
@@ -82,3 +86,73 @@ def test_the_guard_catches_a_dead_import_and_function():
     tree = ast.parse(source)
     assert _dead_imports(source, tree) == ["line 1: cmath", "line 3: b"]
     assert "_sqrtc" not in _references([tree])
+
+
+def _functions(node, cls=None):
+    """(enclosing class name or None, def) for every function under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield cls, child
+        yield from _functions(child, child.name if isinstance(child, ast.ClassDef) else None)
+
+
+def _defaulted(tree):
+    """(callee name, parameter, position in a call or None) per defaulted parameter.
+
+    A method's position skips self or cls, and __init__ is called by its
+    class name.
+    """
+    found = []
+    for cls, fn in _functions(tree):
+        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        bound = int(cls is not None and not static)
+        name = cls if fn.name == "__init__" else fn.name
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        found += [(name, arg.arg, index - bound)
+                  for index, arg in enumerate(positional[first:], first)]
+        found += [(name, arg.arg, None)
+                  for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                  if default is not None]
+    return found
+
+
+def _dead_defaults(defining, calling):
+    """Defaulted parameters of the `defining` trees that no call in `calling` sets.
+
+    A call sets a parameter by keyword, by position, or through * or **
+    (which set every parameter); a string key of a dict literal sets the
+    parameter of that name, since such dicts are spread into calls.
+    """
+    keywords, positions, spread, keys = defaultdict(set), Counter(), set(), set()
+    for tree in calling:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict):
+                keys.update(k.value for k in node.keys
+                            if isinstance(k, ast.Constant) and isinstance(k.value, str))
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                keywords[name].update(k.arg for k in node.keywords)
+                positions[name] = max(positions[name], len(node.args))
+                if (any(k.arg is None for k in node.keywords)
+                        or any(isinstance(a, ast.Starred) for a in node.args)):
+                    spread.add(name)
+    return [f"{name}.{param}" for tree in defining for name, param, index in _defaulted(tree)
+            if not (name in spread or param in keywords[name] or param in keys
+                    or index is not None and index < positions[name])]
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    defining = [tree for _, tree in _modules().values()]
+    calling = [ast.parse(path.read_text())
+               for folder in ("src", "tests", "perfbench") for path in (ROOT / folder).rglob("*.py")]
+    assert not (dead := _dead_defaults(defining, calling)), dead
+
+
+def test_the_guard_catches_an_option_no_call_sets():
+    tree = ast.parse("class Box:\n    def __init__(self, n, size=1):\n        pass\n\n"
+                     "    def grow(self, by=1, *, twice=False):\n        pass\n\n"
+                     "def f(x, tol=1e-9, *, nd=6, seed=0):\n    pass\n\n"
+                     "def g(y=0, *, z=1):\n    pass\n\n"
+                     "Box(1).grow(2)\nf(*rest, nd=3)\ng(**opts)\nrow = {'seed': 1}\n")
+    assert _dead_defaults([tree], [tree]) == ["Box.size", "grow.twice"]

@@ -114,6 +114,20 @@ def test_shooting_failure_at_huge_energies_escapes_no_warning(kind, bracket):
             shooting_eigenvalue(kind, UNIT3, co, *bracket)
 
 
+def test_shooting_march_that_overflows_raises():
+    # the Coulomb k = 1 level E = -1800 (n = 2, case 1): the march leaves the
+    # float range while LSODA still reports success, so the mismatch would
+    # read NaN and the bracket would seem to hold no level
+    p = PhysicalParams(2, 2.0, 2.0, 10.0, 30.0)
+    co = radial_coefficients(2, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="float range"):
+            shooting_mismatch("coulomb", p, co, -1800.0)
+        with pytest.raises(ConvergenceError, match="float range"):
+            shooting_eigenvalue("coulomb", p, co, -1800.7, -1799.3)
+
+
 def test_shooting_march_past_lsoda_default_step_limit(monkeypatch):
     # a march of this level takes more LSODA steps than the 500 an
     # integrator with its default step limit allows; the spy on the
