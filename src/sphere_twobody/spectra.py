@@ -14,10 +14,16 @@ times 2F1(-d, b; c; z) / d!, terminating at degree d = k - 1 (Coulomb) or
 d = k (oscillator).  `RadialEigenfunction` evaluates it by the three-term
 contiguous relation in the first parameter (DLMF §15.5(ii)) with 1/d!
 folded into each step: O(d) per point, on a complex scalar or a numpy
-array of radii.  `jet` returns (f, f', f'') on plain complex scalars: the
-same recurrence also carries the z-derivatives of each G_m, and the
-prefactor enters through its logarithmic derivatives in closed form, with
-f itself bit for bit `fn(r)`.  A level's `branch_check` flag (`verified` in
+array of radii.  `norm_squared` forms |f| = |P| |G| as real arrays and
+squares it only then, so its sum keeps the float range of |f| itself: the
+oscillator's prefactor P is real, Coulomb's has
+|P| = r^rho0 (1 + r^2)^-rho0 exp(Im rho1 (pi - theta)) with
+r = tan(theta/2), and G runs in floats where b is real (every oscillator
+level).
+`jet` returns (f, f', f'') on plain complex scalars: the same recurrence
+also carries the z-derivatives of each G_m, and the prefactor enters
+through its logarithmic derivatives in closed form, with f itself bit for
+bit `fn(r)`.  A level's `branch_check` flag (`verified` in
 the CLI) records that the quantization condition holds on the stated
 square-root branch and that the jet at one radius r0 solves the radial
 ODE: |f'' + p f' + q f| over its largest term, with no floor, is at most
@@ -155,6 +161,22 @@ def _oscillator_data(params, coeffs, k, energy):
                       endpoint_exponent(n, a), wall_exponent(params))
 
 
+def _terminating_2f1(d, b, c, z):
+    """G_d = 2F1(-d, b; c; z) / d! in O(d), on a scalar, numpy array or jet z.
+
+    G_m follows from the contiguous relation
+    (c-a) F(a-1) + (2a - c + (b-a) z) F(a) + a (z-1) F(a+1) = 0 at a = -m:
+    (c+m) (m+1) G_(m+1) = (c + 2m - (b+m) z) G_m + (z-1) G_(m-1), with
+    G_0 = 1 and G_(-1) = 0 (its factor a vanishes), so G_1 = 1 - b z / c.
+    The steps are float arithmetic where b, c and z are real.
+    """
+    w = z - 1.0
+    prev, cur = 0.0, 1.0
+    for m in range(d):
+        prev, cur = cur, ((c + 2 * m - (b + m) * z) * cur + w * prev) / ((c + m) * (m + 1))
+    return cur
+
+
 def branch_residuals(kind, params, coeffs, k, energy=None):
     """Quantization residual |a + d| on the stated branch, plus |Im E|: both 0 on a level."""
     return radial_eigenfunction(kind, params, coeffs, k, energy).branch_residuals()
@@ -176,28 +198,29 @@ class RadialEigenfunction(NamedTuple):
     data: _LevelData
 
     def _prefactor(self, r):
-        """The elementary factor multiplying the terminating 2F1 sum."""
+        """The elementary factor multiplying the terminating 2F1 sum.
+
+        At a complex scalar r (or a jet of one); `_modulus` also passes the
+        oscillator's real quadrature nodes, on which the factor is real.
+        """
         rho0, rho1 = self.data.rho0, self.data.rho1
         if self.kind == KIND_COULOMB:
             # |(r - i)/(r + i)| = 1 for real r, but the power's modulus is
             # exp(Im rho1 (pi - arg)), and Im rho1 grows like the radius R;
-            # float `**` raises OverflowError there, and numpy is made to raise
+            # float `**` raises OverflowError there
             phase = (r - 1j) / (r + 1j)
             try:
-                if hasattr(phase, "dtype"):
-                    import numpy as np
-
-                    with np.errstate(over="raise", invalid="raise"):
-                        power = phase ** rho1
-                else:
-                    power = phase ** rho1
-            except (OverflowError, FloatingPointError):
-                raise ConvergenceError(
-                    f"{self.kind} level k={self.k}: the eigenfunction prefactor "
-                    f"((r - i)/(r + i)) ** rho1 overflows, rho1 = {rho1}"
-                ) from None
+                power = phase ** rho1
+            except OverflowError:
+                raise self._prefactor_overflow() from None
             return r ** rho0 * power * (r + 1j) ** (-2.0 * rho0)
         return r ** rho0 * (1.0 - r * r) ** rho1 * (r * r + 1.0) ** (-(rho0 + rho1))
+
+    def _prefactor_overflow(self):
+        """The error for a Coulomb prefactor whose modulus leaves the float range."""
+        return ConvergenceError(
+            f"{self.kind} level k={self.k}: the eigenfunction prefactor "
+            f"((r - i)/(r + i)) ** rho1 overflows, rho1 = {self.data.rho1}")
 
     def _hypergeometric(self, r):
         """(d, b, c, z) with f(r) = prefactor(r) 2F1(-d, b; c; z) / d!."""
@@ -206,21 +229,12 @@ class RadialEigenfunction(NamedTuple):
         return self.data.d, self.data.b, self.data.c, z
 
     def _evaluate(self, r):
-        """f at a complex scalar or a numpy array of r, in O(d).
+        """f at a complex scalar r, in O(d).
 
-        Duck-typed: the tests also run it on a jet of r as `jet`'s reference.
-
-        G_m = 2F1(-m, b; c; z) / m! follows from the contiguous relation
-        (c-a) F(a-1) + (2a - c + (b-a) z) F(a) + a (z-1) F(a+1) = 0 at a = -m:
-        (c+m) (m+1) G_(m+1) = (c + 2m - (b+m) z) G_m + (z-1) G_(m-1), with
-        G_0 = 1 and G_(-1) = 0 (its factor a vanishes), so G_1 = 1 - b z / c.
+        Duck-typed: the tests also run it on a numpy array of r and on a jet
+        of r as `jet`'s reference.
         """
-        d, b, c, z = self._hypergeometric(r)
-        prev, cur = 0.0, 1.0
-        for m in range(d):
-            prev, cur = cur, ((c + 2 * m - (b + m) * z) * cur + (z - 1.0) * prev) / (
-                (c + m) * (m + 1))
-        return self._prefactor(r) * cur
+        return self._prefactor(r) * _terminating_2f1(*self._hypergeometric(r))
 
     def __call__(self, r):
         return self._evaluate(complex(r))
@@ -241,7 +255,7 @@ class RadialEigenfunction(NamedTuple):
         x = complex(r)
         d, b, c, z = self._hypergeometric(x)
         w = z - 1.0
-        prev, cur = 0.0, 1.0  # G_(m-1), G_m: `_evaluate`'s recurrence
+        prev, cur = 0.0, 1.0  # G_(m-1), G_m: `_terminating_2f1`'s recurrence
         dprev, dcur, d2prev, d2cur = 0.0, 0.0, 0.0, 0.0  # their z-derivatives
         for m in range(d):
             bm = b + m
@@ -292,11 +306,39 @@ class RadialEigenfunction(NamedTuple):
         p, q = spectral_ode(self.kind, self.params, self.coeffs, self.energy)
         return ode_residual(p, q, self.jet, [r])
 
+    def _modulus(self, r, theta):
+        """|f| on a numpy array of real r, as a real array.
+
+        |f| = |P| |G_d|, with the product formed before any squaring.  The
+        oscillator's P is real on real r.  For Coulomb, with r = tan(theta/2),
+        (r - i)/(r + i) = exp(i (theta - pi)), so
+        |P| = r^rho0 (1 + r^2)^-rho0 exp(Im rho1 (pi - theta)) on the caller's
+        own theta (unread for the oscillator); its overflow raises
+        ConvergenceError, as the scalar path does.  G_d runs in float
+        arithmetic wherever b is real, as on every oscillator level.
+        """
+        import numpy as np
+
+        if self.kind == KIND_COULOMB:
+            rho0, rho1 = self.data.rho0, self.data.rho1
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    pre = (r ** rho0 * (1.0 + r * r) ** -rho0
+                           * np.exp(rho1.imag * (math.pi - theta)))
+            except FloatingPointError:
+                raise self._prefactor_overflow() from None
+        else:
+            pre = self._prefactor(r)
+        d, b, c, z = self._hypergeometric(r)
+        return pre * np.abs(_terminating_2f1(d, b.real if b.imag == 0.0 else b, c, z))
+
     def norm_squared(self, nodes=240):
         """integral of |f|^2 against the volume weight r^(n-1)/(1+r^2)^n.
 
         Gauss-Legendre after mapping the domain: the half-angle substitution
-        r = tan(theta/2) for Coulomb, affine for the oscillator.  Raises
+        r = tan(theta/2) for Coulomb, affine for the oscillator.  |f| comes
+        from `_modulus` in real arithmetic and is squared only then, so the
+        sum reaches as far through the float range as |f| itself.  Raises
         ConvergenceError unless the sum is a finite normal float: a subnormal
         sum has lost its relative precision to underflow.
         """
@@ -309,10 +351,11 @@ class RadialEigenfunction(NamedTuple):
             r = np.tan(theta / 2.0)
             jac = (math.pi / 2.0) * (1.0 + r * r) / 2.0
         else:
+            theta = None
             r = (x + 1.0) / 2.0
             jac = 0.5
-        f = self._evaluate(r)
-        total = float(np.sum(w * jac * np.abs(f) ** 2 * r ** (n - 1) / (1.0 + r * r) ** n))
+        f = self._modulus(r, theta)
+        total = float(np.sum(w * jac * f ** 2 * r ** (n - 1) / (1.0 + r * r) ** n))
         if not sys.float_info.min <= total < math.inf:
             raise ConvergenceError(
                 f"{self.kind} k={self.k}: norm quadrature over {nodes} nodes gave {total!r}")

@@ -3,12 +3,13 @@
 import contextlib
 import io
 import math
+import sys
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphere_twobody import (
@@ -28,6 +29,7 @@ from sphere_twobody import (
 )
 from sphere_twobody import spectra
 from sphere_twobody.cli import main
+from sphere_twobody.oracle import gauss_legendre
 from sphere_twobody.radial import sample_radii
 
 UNIT = {n: PhysicalParams(n, 2.0, 2.0, 1.0, 1.0) for n in (2, 3, 4, 5)}
@@ -533,8 +535,8 @@ def test_norm_squared_underflow_raises(kind):
 
 @pytest.mark.parametrize("radius", [1000.0, 1500.0, 1e6])
 def test_coulomb_norm_squared_prefactor_overflow_raises_without_warning(radius):
-    # on the quadrature's numpy nodes the complex power overflows to inf/NaN
-    # where float `**` raises; the scalar path's error comes out, no warning
+    # on the quadrature's nodes the prefactor's modulus exp(Im rho1 (pi - theta))
+    # overflows where float `**` raises; the scalar path's error comes out, no warning
     params = PhysicalParams(3, 1.0, 1.0, radius, 1.0)
     fn = radial_eigenfunction("coulomb", params, radial_coefficients(3, 1, 1), 1)
     with warnings.catch_warnings():
@@ -542,6 +544,145 @@ def test_coulomb_norm_squared_prefactor_overflow_raises_without_warning(radius):
         with pytest.raises(ConvergenceError,
                            match="coulomb level k=1: the eigenfunction prefactor"):
             fn.norm_squared()
+
+
+# ------------------------------------------- the norm against independent values
+
+def _jacobi_norm(params, coeffs, d):
+    """The oscillator's norm in closed form, through the Jacobi integral (DLMF §18.3).
+
+    2^-(2 rho0 + n + 1) G(alpha+1)^2 G(d+beta+1)
+        / [(2d + alpha + beta + 1) G(d+alpha+beta+1) G(d+alpha+1) d!]
+    with alpha = A/2, beta = W/2, rho0 = (2 - n + A)/2, summed in lgamma form.
+    """
+    n, m, R, g = params.n, params.reduced_mass, params.radius, params.coupling
+    A = math.sqrt((n - 2) ** 2 + 32 * float(coeffs.a))
+    W = math.sqrt(1 + 4 * m * R ** 4 * g * g)
+    alpha, beta, rho0 = A / 2, W / 2, (2 - n + A) / 2
+    return math.exp(-(2 * rho0 + n + 1) * math.log(2.0) + 2 * math.lgamma(alpha + 1)
+                    + math.lgamma(d + beta + 1) - math.log(2 * d + alpha + beta + 1)
+                    - math.lgamma(d + alpha + beta + 1) - math.lgamma(d + alpha + 1)
+                    - math.lgamma(d + 1))
+
+
+JACOBI_SETS = ((2.0, 2.0, 1.0, 1.0), (0.7, 1.9, 0.6, 1.9), (2.3, 1.2, 1.8, 0.3))  # m1, m2, R, g
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("masses_radius_coupling", JACOBI_SETS)
+def test_oscillator_norm_matches_jacobi_closed_form(n, masses_radius_coupling):
+    params = PhysicalParams(n, *masses_radius_coupling)
+    co = radial_coefficients(n, 1, None if n == 2 else n - 2)
+    for d in range(0, 41, 5):
+        fn = radial_eigenfunction("oscillator", params, co, d)
+        want = _jacobi_norm(params, co, d)
+        for nodes in (240, 480):
+            got = fn.norm_squared(nodes)
+            assert abs(got - want) <= 1e-12 * want, (d, nodes, got, want)
+
+
+@pytest.mark.parametrize("kind,n,k", list(_kernel_cases()))
+def test_modulus_matches_mpmath(kind, n, k):
+    """The norm's real |f| path against mpmath's |f|, to 1e-12 of the local amplitude."""
+    co = radial_coefficients(n, 1, KERNEL_SECTORS[n])
+    fn = radial_eigenfunction(kind, UNIT[n], co, k)
+    rs = np.array(KERNEL_RADII[kind])
+    got = fn._modulus(rs, 2.0 * np.arctan(rs) if kind == "coulomb" else None)
+    assert got.dtype == np.float64
+    with mpmath.workdps(REF_DIGITS):
+        ref = _reference(kind, UNIT[n], co, k, fn.energy)
+        for r, v in zip(rs, got):
+            want = complex(ref(mpmath.mpf(r)))
+            amp = max(abs(want), abs(complex(mpmath.diff(ref, mpmath.mpf(r)))) / (k + 1))
+            assert abs(v - abs(want)) <= 1e-12 * amp, (r, v, want)
+
+
+def _complex_norm_squared(fn, nodes):
+    """`norm_squared` as complex arithmetic: f = P G_d as complex numpy arrays, then |f|^2.
+
+    The reference for the real-arithmetic norm, with the same nodes, the same
+    2F1 data and the same errors.
+    """
+    n, kind = fn.params.n, fn.kind
+    x, w = gauss_legendre(-1.0, 1.0, nodes)
+    if kind == "coulomb":
+        r = np.tan((x + 1.0) * (math.pi / 2.0) / 2.0)
+        jac = (math.pi / 2.0) * (1.0 + r * r) / 2.0
+    else:
+        r = (x + 1.0) / 2.0
+        jac = 0.5
+    d, b, c, z = fn._hypergeometric(r)
+    prev, cur = 0.0, 1.0
+    for m in range(d):
+        prev, cur = cur, ((c + 2 * m - (b + m) * z) * cur + (z - 1.0) * prev) / (
+            (c + m) * (m + 1))
+    rho0, rho1 = fn.data.rho0, fn.data.rho1
+    if kind == "coulomb":
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                power = ((r - 1j) / (r + 1j)) ** rho1
+        except FloatingPointError:
+            raise ConvergenceError(
+                f"{kind} level k={fn.k}: the eigenfunction prefactor "
+                f"((r - i)/(r + i)) ** rho1 overflows, rho1 = {rho1}") from None
+        pre = r ** rho0 * power * (r + 1j) ** (-2.0 * rho0)
+    else:
+        pre = r ** rho0 * (1.0 - r * r) ** rho1 * (r * r + 1.0) ** (-(rho0 + rho1))
+    f = pre * cur
+    total = float(np.sum(w * jac * np.abs(f) ** 2 * r ** (n - 1) / (1.0 + r * r) ** n))
+    if not sys.float_info.min <= total < math.inf:
+        raise ConvergenceError(
+            f"{kind} k={fn.k}: norm quadrature over {nodes} nodes gave {total!r}")
+    return total
+
+
+def _norm_outcome(norm, fn, nodes):
+    """(value, None) or (None, the exception), with numpy's overflow warnings muted."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            return norm(fn, nodes), None
+        except ConvergenceError as exc:
+            return None, exc
+
+
+# Coulomb's prefactor overflows only where m R g / k is large, which random draws
+# rarely reach: pin one case raising there and one whose |f|^2 sums to inf
+@example(kind="coulomb", n=2, case=0, mk=0, m1=2.5, m2=2.5, log_radius=2.0, coupling=2.0,
+         k=1, nodes=240)
+@example(kind="coulomb", n=2, case=0, mk=0, m1=2.5, m2=2.5, log_radius=1.5, coupling=2.0,
+         k=1, nodes=480)
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(2, 5), case=st.integers(0, 3),
+       mk=st.integers(0, 4),
+       m1=st.floats(0.5, 2.5), m2=st.floats(0.5, 2.5), log_radius=st.floats(-3.0, 2.0),
+       coupling=st.floats(0.2, 2.0), k=st.integers(0, 60), nodes=st.sampled_from((240, 480)))
+def test_norm_matches_complex_arithmetic(kind, n, case, mk, m1, m2, log_radius, coupling,
+                                         k, nodes):
+    """The real-arithmetic norm against `_complex_norm_squared` on the a = c sectors.
+
+    Where both return, they agree to 1e-13 relative; where the reference
+    returns, so does the norm; where the norm raises, the reference raised
+    the same error, up to the value a subnormal or infinite sum quotes.
+    """
+    if n == 2:
+        case, mk = (1, 2, 5, 8)[case], None
+    else:
+        case = (1, 4)[case % 2]
+        mk = mk if case == 1 else max(mk, 2)
+    if case != 1 and (n, case) not in ((2, 1), (2, 2)):
+        m2 = m1  # these sectors need equal masses
+    k = max(k, spectra.K_MIN[kind])
+    params = PhysicalParams(n, m1, m2, 10.0 ** log_radius, coupling)
+    fn = radial_eigenfunction(kind, params, radial_coefficients(n, case, mk), k)
+    want, want_exc = _norm_outcome(_complex_norm_squared, fn, nodes)
+    got, got_exc = _norm_outcome(spectra.RadialEigenfunction.norm_squared, fn, nodes)
+    if want is not None:
+        assert got is not None, got_exc
+        assert abs(got - want) <= 1e-13 * want, (got, want)
+    if got_exc is not None:
+        assert want_exc is not None, want
+        assert str(got_exc).split(" gave ")[0] == str(want_exc).split(" gave ")[0]
 
 
 @settings(max_examples=40, deadline=None)
