@@ -179,7 +179,8 @@ def cmd_spectrum(args):
                              "true" if lv.branch_check else "false"])
         return 0
 
-    levels = report.to_dict()["levels"]
+    levels = [{"k": lv.k, "E": lv.energy, "multiplicity": lv.multiplicity,
+               "verified": lv.branch_check} for lv in report.levels]
     if args.samples:
         rs = sample_radii(args.kind, args.samples)
         for entry in levels:

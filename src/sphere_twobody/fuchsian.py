@@ -543,19 +543,21 @@ def reduce_case1(hp):
     return HypergeomParams(hp.alpha / 2.0, hp.beta / 2.0, hp.gamma)
 
 
-def case1_pullback_residual(hp, ts=(0.3, 0.85, 1.4 + 0.2j, 0.6 - 0.3j)):
+# where case1_pullback_residual compares the two equations: away from the
+# pullback's singular points, min(|z|, |1 - z|, |2(1 - t)|) = 0.0225 over them
+_PULLBACK_POINTS = (0.3 + 0j, 0.85 + 0j, 1.4 + 0.2j, 0.6 - 0.3j)
+
+
+def case1_pullback_residual(hp):
     """Max deviation between the Heun coefficients and the pullback of the
     hypergeometric equation under z = t(2 - t); zero in exact arithmetic."""
     hyp = reduce_case1(hp)
     al, be, ga = hyp.alpha, hyp.beta, hyp.gamma
     pH, qH = hp.coefficient_closures()
     worst = 0.0
-    for t in ts:
-        t = complex(t)
+    for t in _PULLBACK_POINTS:
         z = HypergeomParams.z_of_t(t)
         dphi = 2.0 * (1.0 - t)
-        if min(abs(z), abs(1.0 - z), abs(dphi)) < 1e-6:
-            raise ValidationError(f"sample point t={t} sits on a pullback singularity")
         p_pb = 2.0 / dphi + dphi * (ga - (al + be + 1.0) * z) / (z * (1.0 - z))
         q_pb = -al * be * dphi * dphi / (z * (1.0 - z))
         worst = max(worst, abs(p_pb - pH(t)), abs(q_pb - qH(t)))

@@ -195,9 +195,12 @@ def gauss_2f1(alpha, beta, gamma, z, method="auto"):
     """2F1(alpha, beta; gamma; z) on the principal branch.
 
     method: "auto" picks by region; "series" / "connection" force one route
-    (used to cross-validate them on the overlap ring).
+    (used to cross-validate them on the overlap ring).  ValidationError on a
+    non-finite parameter or z.
     """
     z = complex(z)
+    if not all(map(cmath.isfinite, (complex(alpha), complex(beta), complex(gamma), z))):
+        raise ValidationError(f"2F1 needs finite parameters, got {alpha}, {beta}; {gamma}; {z}")
     ga = _as_nonpositive_int(gamma)
     na, nb = _as_nonpositive_int(alpha), _as_nonpositive_int(beta)
     if na is not None or nb is not None:

@@ -27,12 +27,12 @@ radial.endpoint_exponent / wall_exponent: the equation and its exponents,
 no closed-form level.  Both halves start at the offset _OFFSET, halved
 until both series meet _SERIES_TOL within _TERMS terms, so the start is
 exact to rounding and LSODA marches only the regular part.  Where a series
-never converges (energies near 1e300) the halving stops at _EPS, and the
-series' leading terms start the march there.  A march may
-spend at most _MAX_RHS_EVALS right-hand-side evaluations, and LSODA's step
-limit is set to the same number so the evaluation count is the only work
-bound; a march that passes it or that LSODA stops early raises
-ConvergenceError.
+has not converged by _EPS (from m R^2 |E| ~ 3e9 for the oscillator and
+~ 1.2e10 for Coulomb at n = 3, case 1, m_k = 1) ConvergenceError is raised
+before any march.  A march may spend at most _MAX_RHS_EVALS right-hand-side
+evaluations, and LSODA's step limit is set to the same number so the
+evaluation count is the only work bound; a march that passes it or that
+LSODA stops early raises ConvergenceError.
 
 joint_diagonalize finds the common eigenvectors of a family of matrices by
 intersecting eigenspace candidates with stacked SVDs, walking the eigenvalue
@@ -80,7 +80,7 @@ __all__ = [
 
 
 _OFFSET = 0.05       # first offset of a march's start from the singular endpoints
-_EPS = 1e-5          # last offset, where a series that never converges is cut
+_EPS = 1e-5          # last offset: a series not converged there raises
 _TERMS = 22          # Frobenius series terms at most
 _SERIES_TOL = 1e-18  # the last two terms, relative to the series' sum
 _RTOL = 1e-10
@@ -88,9 +88,8 @@ _ATOL_SCALE = 1e-12  # atol = _ATOL_SCALE * |start vector|
 _SCAN_POINTS = 8     # bracket subdivisions when hunting a sign change
 _XTOL = 1e-11        # brentq tolerance, times the energy scale
 # Right-hand-side evaluations allowed per (stacked) march, and so also LSODA's
-# step limit.  A march on the criteria grids needs at most 390 (993 from a
-# two-term start at _EPS);
-# at very large energies LSODA can otherwise spin inside a single step forever.
+# step limit.  A march on the criteria grids needs at most 390; at very large
+# energies LSODA can otherwise spin inside a single step forever.
 _MAX_RHS_EVALS = 100_000
 # the shooting_eigenvalue call in progress: its endpoint series, built once,
 # and the right-hand-side evaluations its marches spent, summed by _march
@@ -290,12 +289,11 @@ def _frobenius(end, energy):
     return c, d
 
 
-def _series_state(c, d, x, last):
+def _series_state(c, d, x):
     """(f, df/dx) / x^rho at x from _frobenius's sums.
 
     None unless the last two terms of both sums lie within _SERIES_TOL of
-    the larger sum; at the last offset the leading terms c_0 + c_1 x stand
-    in then.
+    the larger sum.
     """
     sf = sd = 0.0
     for cj, dj in zip(reversed(c), reversed(d)):
@@ -304,8 +302,6 @@ def _series_state(c, d, x, last):
     tail = (max(abs(c[-2]), abs(d[-2])) + max(abs(c[-1]), abs(d[-1])) * x) * x ** (_TERMS - 1)
     if math.isfinite(sf) and math.isfinite(sd) and tail <= _SERIES_TOL * max(abs(sf), abs(sd)):
         return sf, sd / x
-    if last:
-        return 1.0 + c[1] * x, (d[0] + d[1] * x) / x
     return None
 
 
@@ -313,18 +309,22 @@ def _start(ends, energy):
     """Offset t0 and both halves' start states (f, df/dt) / x^rho at t0.
 
     t0 is _OFFSET, halved down to _EPS until both Frobenius series converge
-    there.  Dividing a half by x^rho > 0 changes neither the mismatch nor
-    the march, whose tolerance scales with the start vector, and keeps
-    x^rho from underflowing.  The outer half's derivative is d/dtheta or
-    d/dr, the negative of d/dt.
+    there; ConvergenceError if they have not by _EPS.  Dividing a half by
+    x^rho > 0 changes neither the mismatch nor the march, whose tolerance
+    scales with the start vector, and keeps x^rho from underflowing.  The
+    outer half's derivative is d/dtheta or d/dr, the negative of d/dt.
     """
     series = [_frobenius(end, energy) for end in ends[:2]]
     t = _OFFSET
     while True:
         x = math.tan(t / 2.0) if ends.angle else t
-        states = [_series_state(c, d, x, t == _EPS) for c, d in series]
+        states = [_series_state(c, d, x) for c, d in series]
         if None not in states:
             break
+        if t == _EPS:
+            raise ConvergenceError(
+                f"the Frobenius start series at E = {energy} have not converged "
+                f"by the last start offset {_EPS}")
         t = max(t / 2.0, _EPS)
     dxdt = (1.0 + x * x) / 2.0 if ends.angle else 1.0
     (f_in, d_in), (f_out, d_out) = states
@@ -406,8 +406,8 @@ def shooting_mismatch(kind, params, coeffs, energy):
     Zero exactly at eigenvalues; smooth and sign-changing across them.
     Each half's end state is normalized by a power of two first: the ratio
     does not change, and half-states near 1e200 (Coulomb at R ~ 1e3) no
-    longer overflow the products.  Raises ValidationError on a non-finite
-    energy.
+    longer overflow the products.  Raises ValidationError on a non-real or
+    non-finite energy.
     """
     _check_kind(kind)
     _check_compatible(params, coeffs)
@@ -431,13 +431,13 @@ def shooting_eigenvalue(kind, params, coeffs, e_lo, e_hi):
     yields the lowest.  Each energy is marched once per call, and the
     endpoint Taylor series of P, Q0 and Q1 are built once per call, so an
     energy costs only the Frobenius recurrence before its march.  Raises
-    ValidationError on a non-finite or empty bracket and ConvergenceError
-    when the bracket contains no sign change.
+    ValidationError on a non-real, non-finite or empty bracket and
+    ConvergenceError when the bracket contains no sign change.
     """
     import numpy as np
 
-    if not (math.isfinite(e_lo) and math.isfinite(e_hi)):
-        raise ValidationError(f"non-finite energy bracket [{e_lo}, {e_hi}]")
+    _check_energy(e_lo)
+    _check_energy(e_hi)
     if not e_lo < e_hi:
         raise ValidationError(f"empty energy bracket [{e_lo}, {e_hi}]")
     memo = {}
@@ -538,7 +538,8 @@ def joint_diagonalize(mats, require_commuting=True, tol=JOINT_TOL):
     records, bit for bit, as a full SVD of every eigenvalue combination's
     stack, with the combinations that provably have none pruned early.  With
     require_commuting (the default) a noncommuting family raises
-    VerificationError, reporting the worst commutator norm.
+    VerificationError, reporting the worst commutator norm; a non-finite
+    entry raises ValidationError.
     """
     import numpy as np
 
@@ -550,11 +551,14 @@ def joint_diagonalize(mats, require_commuting=True, tol=JOINT_TOL):
         if M.shape != (d, d):
             raise ValidationError("matrices must be square and of equal size")
 
+    peaks = [np.abs(M).max() for M in mats]
+    if not all(map(math.isfinite, peaks)):
+        raise ValidationError("matrix entries must be finite")
     worst_comm = 0.0
     for Mi, Mj in itertools.combinations(mats, 2):
         nrm = np.abs(Mi @ Mj - Mj @ Mi).max()
         worst_comm = max(worst_comm, nrm)
-    scale = max(1.0, *(np.abs(M).max() for M in mats))
+    scale = max(1.0, *peaks)
     if require_commuting and worst_comm > tol * scale * scale:
         raise VerificationError(
             f"family does not commute (worst commutator entry {worst_comm:.3e}); "

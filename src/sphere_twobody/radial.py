@@ -26,6 +26,7 @@ equal masses).
 
 import cmath
 import math
+import numbers
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -255,6 +256,8 @@ def _check_compatible(params, coeffs):
 
 
 def _check_energy(energy):
+    if not isinstance(energy, numbers.Real):
+        raise ValidationError(f"non-real energy {energy!r}")
     if not math.isfinite(energy):
         raise ValidationError(f"non-finite energy {energy}")
 
@@ -263,6 +266,7 @@ def spectral_ode(kind, params, coeffs, energy):
     """Coefficient closures (p, q) of f'' + p f' + q f = 0 at fixed energy."""
     _check_kind(kind)
     _check_compatible(params, coeffs)
+    _check_energy(energy)
     n = params.n
     m, R = params.reduced_mass, params.radius
     a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)

@@ -28,9 +28,8 @@ the CLI) records that the quantization condition holds on the stated
 square-root branch and that the jet at one radius r0 solves the radial
 ODE: |f'' + p f' + q f| over its largest term, with no floor, is at most
 RESIDUAL_TOLERANCE, however small f is.  An eigenfunction that underflows
-to zero reads unverified.  `spectrum` passes the closed-form E, a real
-float, so the |Im E| half of `branch_residuals()` is 0.0 there; it only
-bites for a caller that builds an eigenfunction at a complex energy.
+to zero reads unverified.  Every energy is a finite real float:
+`radial_eigenfunction` raises ValidationError on any other.
 
 Asymmetric triples (a != c) admit no such closed form; `spectrum` then
 returns an empty, `numeric_only` report and the shooting oracle is the way
@@ -178,7 +177,7 @@ def _terminating_2f1(d, b, c, z):
 
 
 def branch_residuals(kind, params, coeffs, k, energy=None):
-    """Quantization residual |a + d| on the stated branch, plus |Im E|: both 0 on a level."""
+    """Quantization residual |a + d| on the stated branch: 0 on a level."""
     return radial_eigenfunction(kind, params, coeffs, k, energy).branch_residuals()
 
 
@@ -297,9 +296,8 @@ class RadialEigenfunction(NamedTuple):
         return self._prefactor(r) * gauss_2f1(a, b, c, z) * math.exp(-math.lgamma(d + 1))
 
     def branch_residuals(self):
-        """|a + d|, which vanishes on the stated branch of a level, and |Im E|."""
-        return {"stated_branch": abs(self.data.a + self.data.d),
-                "imag_energy": abs(complex(self.energy).imag)}
+        """|a + d|, which vanishes on the stated branch of a level."""
+        return {"stated_branch": abs(self.data.a + self.data.d)}
 
     def ode_residual(self, r):
         """|f'' + p f' + q f| at real r over the largest of its three terms."""
@@ -369,6 +367,7 @@ def radial_eigenfunction(kind, params, coeffs, k, energy=None):
     _check_k(kind, k)
     if energy is None:
         energy = closed_form_energy(kind, params, coeffs, k)
+    _check_energy(energy)
     data = (_coulomb_data if kind == KIND_COULOMB else _oscillator_data)(params, coeffs, k, energy)
     return RadialEigenfunction(kind, params, coeffs, k, energy, data)
 
@@ -386,34 +385,6 @@ class SpectrumReport(NamedTuple):
     coeffs: object
     levels: tuple
     numeric_only: bool
-
-    def to_dict(self):
-        """JSON-ready dict with stable field order."""
-        co = self.coeffs
-        return {
-            "kind": self.kind,
-            "n": self.params.n,
-            "case": co.case_id,
-            "mk": co.carrier.coeffs[-1],
-            "m1": self.params.m1,
-            "m2": self.params.m2,
-            "radius": self.params.radius,
-            "coupling": self.params.coupling,
-            "a": str(co.a),
-            "b": str(co.b),
-            "c": str(co.c),
-            "mass_mode": co.mass_mode,
-            "numeric_only": self.numeric_only,
-            "levels": [
-                {
-                    "k": lv.k,
-                    "E": lv.energy,
-                    "multiplicity": lv.multiplicity,
-                    "verified": lv.branch_check,
-                }
-                for lv in self.levels
-            ],
-        }
 
 
 def spectrum(kind, params, coeffs, k_min, k_max):
@@ -436,7 +407,7 @@ def spectrum(kind, params, coeffs, k_min, k_max):
     for k in range(k_min, k_max + 1):
         E = closed_form_energy(kind, params, coeffs, k)
         fn = radial_eigenfunction(kind, params, coeffs, k, E)
-        ok = (max(fn.branch_residuals().values()) <= BRANCH_TOLERANCE
+        ok = (fn.branch_residuals()["stated_branch"] <= BRANCH_TOLERANCE
               and fn.ode_residual(_R0[kind]) <= RESIDUAL_TOLERANCE)
         levels.append(EnergyLevel(k, E, mult, ok))
     return SpectrumReport(kind, params, coeffs, tuple(levels), False)

@@ -118,6 +118,12 @@ def test_rejections():
         gauss_2f1(0.5, 0.5, 1.5, -4.0)  # outside both regions
     with pytest.raises(ValidationError):
         gauss_2f1(0.5, 0.5, 1.5, 0.3, method="nonsense")
+    # non-finite input, before the integer snapping that would round a NaN
+    for bad in (math.nan, math.inf, complex(0.5, math.nan)):
+        for args in ((bad, 0.5, 1.5, 0.3), (0.5, bad, 1.5, 0.3), (0.5, 0.5, bad, 0.3),
+                     (0.5, 0.5, 1.5, bad)):
+            with pytest.raises(ValidationError, match="finite"):
+                gauss_2f1(*args)
 
 
 def test_dual_path_overlap():

@@ -84,23 +84,35 @@ def test_shooting_rejects_non_finite_bracket():
     for lo, hi in ((0.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)):
         with pytest.raises(ValidationError, match="non-finite"):
             shooting_eigenvalue("coulomb", UNIT3, co, lo, hi)
+    for lo, hi in ((0.0, 1j), (1j, 2.0)):
+        with pytest.raises(ValidationError, match="non-real"):
+            shooting_eigenvalue("coulomb", UNIT3, co, lo, hi)
 
 
 @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
-@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf, 1j])
 def test_shooting_mismatch_rejects_non_finite_energy(kind, energy):
-    # raised before any march: no silent NaN, no slow ConvergenceError
+    # raised before any march: no silent NaN, no slow ConvergenceError; the
+    # eigenfunction and the ODE coefficients check their energy the same way
     co = radial_coefficients(3, 1, 0)
-    with pytest.raises(ValidationError, match="non-finite energy"):
+    match = "non-real energy" if isinstance(energy, complex) else "non-finite energy"
+    with pytest.raises(ValidationError, match=match):
         shooting_mismatch(kind, UNIT3, co, energy)
+    with pytest.raises(ValidationError, match=match):
+        radial_eigenfunction(kind, UNIT3, co, K_MIN[kind], energy)
+    with pytest.raises(ValidationError, match=match):
+        spectral_ode(kind, UNIT3, co, energy)
 
 
 @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
 @pytest.mark.parametrize("bracket", [(1e9 - 1.0, 1e9 + 1.0), (0.0, 1e300)])
 def test_shooting_work_bound_at_huge_energies(kind, bracket):
-    # the march runs out of right-hand-side evaluations instead of spinning
+    # near 1e9 the march runs out of right-hand-side evaluations instead of
+    # spinning; by 1e299 the start series never converge, and no march begins
     co = radial_coefficients(3, 1, 0)
-    with pytest.raises(ConvergenceError, match="right-hand-side evaluations"):
+    match = ("right-hand-side evaluations" if bracket[1] < 1e10
+             else "start series .* have not converged")
+    with pytest.raises(ConvergenceError, match=match):
         shooting_eigenvalue(kind, UNIT3, co, *bracket)
 
 
@@ -426,19 +438,18 @@ def test_series_start_matches_mpmath(kind, params, sector, energy, shrinks):
 @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
 @pytest.mark.parametrize("energy", [1e300, -1e300, 1e9, -1e9])
 def test_series_start_at_extreme_energies_stays_finite(kind, energy):
-    # past the float range the series is cut to its leading terms at _EPS,
-    # the two-term start, silently: no OverflowError, no RuntimeWarning
+    # past the float range the series never converge, and the start raises
+    # by _EPS: no OverflowError, no RuntimeWarning, no inexact start
     ends = oracle._series_ends(kind, UNIT3, radial_coefficients(3, 1, 0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        if abs(energy) == 1e300:
+            with pytest.raises(ConvergenceError, match=f"by the last start offset {oracle._EPS}"):
+                oracle._start(ends, energy)
+            return
         t0, y_in, y_out = oracle._start(ends, energy)
     assert oracle._EPS <= t0 < oracle._OFFSET
     assert all(math.isfinite(v) for v in y_in + y_out)
-    if abs(energy) == 1e300:
-        assert t0 == oracle._EPS
-        x = math.tan(t0 / 2.0) if kind == "coulomb" else t0
-        c1 = oracle._frobenius(ends.inner, energy)[0][1]
-        assert y_in[0] == 1.0 + c1 * x
 
 
 @pytest.mark.parametrize("radius", [1000.0, 1200.0])
@@ -622,6 +633,13 @@ def test_joint_diagonalize_input_validation():
         joint_diagonalize([])
     with pytest.raises(ValidationError):
         joint_diagonalize([np.eye(2), np.eye(3)])
+    # a non-finite entry, before the eigenvalue solver's untyped LinAlgError
+    for bad in (math.nan, math.inf):
+        M = np.eye(3)
+        M[1, 2] = bad
+        for require_commuting in (True, False):
+            with pytest.raises(ValidationError, match="finite"):
+                joint_diagonalize([np.eye(3), M], require_commuting=require_commuting)
 
 
 def test_joint_diagonalize_ladder_family_with_d3():
