@@ -16,7 +16,10 @@ table (or reports that none applies).
 """
 
 import cmath
+import functools
+import itertools
 import math
+import operator
 import sys
 from typing import NamedTuple
 
@@ -89,6 +92,8 @@ def _fmtc(x):
 
 
 class SingularPoint(NamedTuple):
+    """One regular singular point and its two indicial exponents."""
+
     location: object  # complex or INFINITY
     exponents: tuple  # (rho_plus, rho_minus)
 
@@ -129,26 +134,21 @@ class FuchsianEq(_Validated, _FuchsianEqFields):
 
     def exponents_at(self, location):
         for p in self.points:
-            if p.location is INFINITY and location is INFINITY:
+            if (p.location is INFINITY if location is INFINITY else p.location is not INFINITY
+                    and abs(complex(p.location) - complex(location)) < 1e-12):
                 return p.exponents
-            if p.location is not INFINITY and location is not INFINITY:
-                if abs(complex(p.location) - complex(location)) < 1e-12:
-                    return p.exponents
         raise ValidationError(f"no singular point at {location}")
 
 
 def psymbol(eq):
     """Riemann-style exponent table, one column per singular point."""
-    locs = [repr(p.location) if p.location is INFINITY else _fmtc(p.location)
-            for p in eq.points]
-    top = [_fmtc(p.exponents[0]) for p in eq.points]
-    bot = [_fmtc(p.exponents[1]) for p in eq.points]
-    width = [max(len(a), len(b), len(c)) for a, b, c in zip(locs, top, bot)]
-    rows = [
-        "  ".join(s.rjust(w) for s, w in zip(locs, width)),
-        "  ".join(s.rjust(w) for s, w in zip(top, width)),
-        "  ".join(s.rjust(w) for s, w in zip(bot, width)),
-    ]
+    table = (
+        [repr(p.location) if p.location is INFINITY else _fmtc(p.location) for p in eq.points],
+        [_fmtc(p.exponents[0]) for p in eq.points],
+        [_fmtc(p.exponents[1]) for p in eq.points],
+    )
+    width = [max(map(len, column)) for column in zip(*table)]
+    rows = ["  ".join(s.rjust(w) for s, w in zip(row, width)) for row in table]
     return "P {\n  " + "\n  ".join(rows) + "\n}"
 
 
@@ -215,23 +215,15 @@ def oscillator_zeta_exponents(params, coeffs, energy):
 
 
 def cross_ratio(z1, z2, z3, z4):
-    """(z1-z3)(z2-z4) / ((z1-z4)(z2-z3)), with INFINITY handled by limits."""
-    zs = [z1, z2, z3, z4]
-    inf_at = [i for i, z in enumerate(zs) if z is INFINITY]
-    if len(inf_at) > 1:
+    """(z1-z3)(z2-z4) / ((z1-z4)(z2-z3)); at INFINITY the two factors holding it cancel."""
+    if sum(z is INFINITY for z in (z1, z2, z3, z4)) > 1:
         raise ValidationError("cross ratio needs distinct points")
-    if not inf_at:
-        z1, z2, z3, z4 = (complex(z) for z in zs)
-        return (z1 - z3) * (z2 - z4) / ((z1 - z4) * (z2 - z3))
-    i = inf_at[0]
-    f = [None if j == i else complex(zs[j]) for j in range(4)]
-    if i == 0:
-        return (f[1] - f[3]) / (f[1] - f[2])
-    if i == 1:
-        return (f[0] - f[2]) / (f[0] - f[3])
-    if i == 2:
-        return (f[1] - f[3]) / (f[0] - f[3])
-    return (f[0] - f[2]) / (f[1] - f[2])
+
+    def product(pairs):
+        return functools.reduce(operator.mul, [complex(a) - complex(b) for a, b in pairs
+                                              if a is not INFINITY and b is not INFINITY])
+
+    return product(((z1, z3), (z2, z4))) / product(((z1, z4), (z2, z3)))
 
 
 def cross_ratio_orbit(s):
@@ -283,18 +275,6 @@ class HeunParams(_Validated, _HeunParamsFields):
 
     def consistency_residual(self):
         return (self.alpha + self.beta + 1.0) - (self.gamma + self.delta + self.epsilon)
-
-    def coefficient_closures(self):
-        """(p, q) closures of the Heun equation itself."""
-        d = self.d
-
-        def p(t):
-            return self.gamma / t + self.delta / (t - 1.0) + self.epsilon / (t - d)
-
-        def q(t):
-            return (self.alpha * self.beta * t - self.q) / (t * (t - 1.0) * (t - d))
-
-        return p, q
 
 
 class HeunReduction(NamedTuple):
@@ -468,21 +448,15 @@ class MaierMatch(NamedTuple):
 
 def _affine_variants(hp):
     """All relabelings u = a t + b of {0, 1, d} keeping oo fixed."""
-    d = complex(hp.d)
-    # (P_alpha, P_beta, P_other) with attached exponent parameters.
-    pts = ((0.0 + 0j, hp.gamma), (1.0 + 0j, hp.delta), (d, hp.epsilon))
+    # (Pa, Pb, Pc) move to (0, 1, d_new); maier_classify takes the first match, so order counts
+    pts = ((0.0 + 0j, hp.gamma), (1.0 + 0j, hp.delta), (complex(hp.d), hp.epsilon))
     out = []
-    for ia in range(3):
-        for ib in range(3):
-            if ib == ia:
-                continue
-            ic = 3 - ia - ib
-            (Pa, ga), (Pb, gb), (Pc, gc) = pts[ia], pts[ib], pts[ic]
-            a = 1.0 / (Pb - Pa)
-            bshift = -Pa / (Pb - Pa)
-            d_new = (Pc - Pa) / (Pb - Pa)
-            q_new = a * hp.q + bshift * hp.alpha * hp.beta
-            out.append(((a, bshift), d_new, ga, gb, gc, q_new))
+    for (Pa, ga), (Pb, gb), (Pc, gc) in itertools.permutations(pts):
+        a = 1.0 / (Pb - Pa)
+        bshift = -Pa / (Pb - Pa)
+        d_new = (Pc - Pa) / (Pb - Pa)
+        q_new = a * hp.q + bshift * hp.alpha * hp.beta
+        out.append(((a, bshift), d_new, ga, gb, gc, q_new))
     return out
 
 
@@ -500,8 +474,9 @@ def maier_classify(hp):
             "degenerate Heun equation: q and alpha*beta both vanish, "
             "reduction table does not apply"
         )
+    variants = _affine_variants(hp)
     for case_id, d0, ratio, constraints in _MAIER_TABLE:
-        for (aa, bb), d_new, ga, gb, gc, q_new in _affine_variants(hp):
+        for (aa, bb), d_new, ga, gb, gc, q_new in variants:
             if abs(d_new - d0) > _TOL:
                 continue
             cand = HeunParams(d0, hp.alpha, hp.beta, ga, gb, gc, q_new)
@@ -553,12 +528,13 @@ def case1_pullback_residual(hp):
     hypergeometric equation under z = t(2 - t); zero in exact arithmetic."""
     hyp = reduce_case1(hp)
     al, be, ga = hyp.alpha, hyp.beta, hyp.gamma
-    pH, qH = hp.coefficient_closures()
     worst = 0.0
     for t in _PULLBACK_POINTS:
         z = HypergeomParams.z_of_t(t)
         dphi = 2.0 * (1.0 - t)
         p_pb = 2.0 / dphi + dphi * (ga - (al + be + 1.0) * z) / (z * (1.0 - z))
         q_pb = -al * be * dphi * dphi / (z * (1.0 - z))
-        worst = max(worst, abs(p_pb - pH(t)), abs(q_pb - qH(t)))
+        p_heun = hp.gamma / t + hp.delta / (t - 1.0) + hp.epsilon / (t - hp.d)
+        q_heun = (hp.alpha * hp.beta * t - hp.q) / (t * (t - 1.0) * (t - hp.d))
+        worst = max(worst, abs(p_pb - p_heun), abs(q_pb - q_heun))
     return worst

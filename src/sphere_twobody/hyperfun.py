@@ -38,6 +38,7 @@ _MAX_TERMS = 1500
 # scipy.special is imported on first call: the polynomial 2F1 that every
 # quantized eigenfunction uses needs no gamma function.
 def gamma_complex(z):
+    """Gamma on the complex plane."""
     from scipy.special import gamma
 
     return complex(gamma(complex(z)))
@@ -51,6 +52,7 @@ def rgamma_complex(z):
 
 
 def digamma_complex(z):
+    """Digamma (Gamma'/Gamma) on the complex plane."""
     from scipy.special import digamma
 
     return complex(digamma(complex(z)))
@@ -112,22 +114,17 @@ def _series_2f1(alpha, beta, gamma, z):
     )
 
 
+def _gamma_ratio(a, b, c, d):
+    """Gamma(a) Gamma(b) / (Gamma(c) Gamma(d)), the connection coefficients of DLMF 15.8."""
+    return gamma_complex(a) * gamma_complex(b) * rgamma_complex(c) * rgamma_complex(d)
+
+
 def _connection_generic(alpha, beta, gamma, z):
     # Valid when gamma - alpha - beta is not an integer.
     w = 1.0 - z
     gab = gamma - alpha - beta
-    c1 = (
-        gamma_complex(gamma)
-        * gamma_complex(gab)
-        * rgamma_complex(gamma - alpha)
-        * rgamma_complex(gamma - beta)
-    )
-    c2 = (
-        gamma_complex(gamma)
-        * gamma_complex(-gab)
-        * rgamma_complex(alpha)
-        * rgamma_complex(beta)
-    )
+    c1 = _gamma_ratio(gamma, gab, gamma - alpha, gamma - beta)
+    c2 = _gamma_ratio(gamma, -gab, alpha, beta)
     f1 = _series_2f1(alpha, beta, alpha + beta - gamma + 1.0, w)
     f2 = _series_2f1(gamma - alpha, gamma - beta, gab + 1.0, w)
     return c1 * f1 + c2 * w ** gab * f2
@@ -257,9 +254,4 @@ def limit_near_one(alpha, beta, gamma):
         raise ValidationError(
             f"singular limit needs Re(gamma-alpha-beta) < 0, got {gab.real}"
         )
-    return (
-        gamma_complex(gamma)
-        * gamma_complex(-gab)
-        * rgamma_complex(alpha)
-        * rgamma_complex(beta)
-    )
+    return _gamma_ratio(gamma, -gab, alpha, beta)

@@ -431,11 +431,10 @@ def shooting_eigenvalue(kind, params, coeffs, e_lo, e_hi):
     yields the lowest.  Each energy is marched once per call, and the
     endpoint Taylor series of P, Q0 and Q1 are built once per call, so an
     energy costs only the Frobenius recurrence before its march.  Raises
-    ValidationError on a non-real, non-finite or empty bracket and
-    ConvergenceError when the bracket contains no sign change.
+    ValidationError on a non-real, non-finite or empty bracket, or one
+    whose width is not finite, and ConvergenceError when the bracket
+    contains no sign change.
     """
-    import numpy as np
-
     _check_energy(e_lo)
     _check_energy(e_hi)
     if not e_lo < e_hi:
@@ -447,7 +446,11 @@ def shooting_eigenvalue(kind, params, coeffs, e_lo, e_hi):
             memo[E] = shooting_mismatch(kind, params, coeffs, E)
         return memo[E]
 
-    grid = np.linspace(e_lo, e_hi, _SCAN_POINTS + 1).tolist()
+    lo, hi = float(e_lo), float(e_hi)
+    step = (hi - lo) / _SCAN_POINTS
+    if not math.isfinite(step):
+        raise ValidationError(f"energy bracket [{e_lo}, {e_hi}] has a non-finite width")
+    grid = [lo + i * step for i in range(_SCAN_POINTS)] + [hi]
     _check_kind(kind)
     _check_compatible(params, coeffs)
     call = types.SimpleNamespace(ends=_series_ends(kind, params, coeffs), rhs_spent=0)
@@ -513,6 +516,8 @@ def gauss_legendre(a, b, nodes):
 
 
 class JointEigenspace(NamedTuple):
+    """One eigenvalue per matrix of a family, and an orthonormal basis of the joint eigenvectors."""
+
     eigenvalues: tuple  # one per input matrix
     basis: "np.ndarray"  # columns span the joint eigenspace
 
@@ -548,22 +553,22 @@ def joint_diagonalize(mats, require_commuting=True, tol=JOINT_TOL):
         raise ValidationError("need at least one matrix")
     d = mats[0].shape[0]
     for M in mats:
-        if M.shape != (d, d):
-            raise ValidationError("matrices must be square and of equal size")
+        if d < 1 or M.shape != (d, d):
+            raise ValidationError("matrices must be square, of equal size and at least 1 x 1")
 
     peaks = [np.abs(M).max() for M in mats]
     if not all(map(math.isfinite, peaks)):
         raise ValidationError("matrix entries must be finite")
-    worst_comm = 0.0
-    for Mi, Mj in itertools.combinations(mats, 2):
-        nrm = np.abs(Mi @ Mj - Mj @ Mi).max()
-        worst_comm = max(worst_comm, nrm)
     scale = max(1.0, *peaks)
-    if require_commuting and worst_comm > tol * scale * scale:
-        raise VerificationError(
-            f"family does not commute (worst commutator entry {worst_comm:.3e}); "
-            "pass require_commuting=False to search for partial joint eigenspaces"
-        )
+    if require_commuting:
+        worst_comm = 0.0
+        for Mi, Mj in itertools.combinations(mats, 2):
+            worst_comm = max(worst_comm, np.abs(Mi @ Mj - Mj @ Mi).max())
+        if worst_comm > tol * scale * scale:
+            raise VerificationError(
+                f"family does not commute (worst commutator entry {worst_comm:.3e}); "
+                "pass require_commuting=False to search for partial joint eigenspaces"
+            )
 
     ctol = max(tol, 1e-8) * scale
     clusters = [_eigenvalue_clusters(M, ctol) for M in mats]
@@ -588,7 +593,7 @@ def joint_diagonalize(mats, require_commuting=True, tol=JOINT_TOL):
         depth = len(combo)
         if depth == len(mats):
             _, sv, vh = np.linalg.svd(stack)
-            null_dim = int(np.sum(sv <= tol * max(1.0, sv[0] if len(sv) else 1.0)))
+            null_dim = int(np.sum(sv <= tol * max(1.0, sv[0])))
             if null_dim:
                 out.append(JointEigenspace(combo, vh[d - null_dim:].T.conj()))
             continue

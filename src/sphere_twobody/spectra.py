@@ -361,6 +361,7 @@ class RadialEigenfunction(NamedTuple):
 
 
 def radial_eigenfunction(kind, params, coeffs, k, energy=None):
+    """The k-th eigenfunction of an a = c sector, at its closed-form energy unless one is given."""
     _check_kind(kind)
     _check_compatible(params, coeffs)
     _require_symmetric(coeffs)
@@ -373,6 +374,8 @@ def radial_eigenfunction(kind, params, coeffs, k, energy=None):
 
 
 class EnergyLevel(NamedTuple):
+    """One level: index k, energy, multiplicity and whether its residual checks passed."""
+
     k: int
     energy: float
     multiplicity: int
@@ -380,6 +383,8 @@ class EnergyLevel(NamedTuple):
 
 
 class SpectrumReport(NamedTuple):
+    """The levels of one sector; numeric_only (and no levels) when a != c has no closed form."""
+
     kind: str
     params: object
     coeffs: object

@@ -103,6 +103,8 @@ class CheckResult(NamedTuple):
 
 
 class SuiteReport(NamedTuple):
+    """The checks one suite ran and its seconds; ok when every check passed."""
+
     name: str
     checks: tuple
     seconds: float

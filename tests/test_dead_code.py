@@ -5,7 +5,8 @@ carries `# noqa: F401` (names kept only so the benchmark tracer can patch
 them at an import site, or re-exported through `__all__`).  A private
 module-level function must be referenced from somewhere in the package.
 A parameter with a default must be set by some call in `src/`, `tests/`
-or `perfbench/`; one that no call sets is a constant.
+or `perfbench/`; one that no call sets is a constant.  A module-level
+function or class a module exports through `__all__` has a docstring.
 """
 
 import ast
@@ -86,6 +87,23 @@ def test_the_guard_catches_a_dead_import_and_function():
     tree = ast.parse(source)
     assert _dead_imports(source, tree) == ["line 1: cmath", "line 3: b"]
     assert "_sqrtc" not in _references([tree])
+
+
+def _undocumented(tree):
+    """Module-level functions and classes in `__all__` without a docstring."""
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name in _exported(tree) and ast.get_docstring(node) is None]
+
+
+def test_every_exported_function_and_class_has_a_docstring():
+    tree = ast.parse('__all__ = ["f", "g", "C"]\n\ndef f():\n    pass\n\n'
+                     'def g():\n    """Doc."""\n\nclass C:\n    x: int\n\n'
+                     'def h():\n    pass\n')
+    assert _undocumented(tree) == ["f", "C"]
+    missing = {name: found for name, (_, tree) in _modules().items()
+               if (found := _undocumented(tree))}
+    assert not missing, missing
 
 
 def _functions(node, cls=None):

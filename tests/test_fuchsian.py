@@ -132,6 +132,14 @@ def test_cross_ratio_values_and_infinity():
         assert cross_ratio(*pts) == pytest.approx(
             cross_ratio(*finite_limit), rel=1e-6
         )
+    # the two factors holding INFINITY cancel, leaving exactly the reduced quotient
+    z1, z2, z3, z4 = 0.4 + 0.2j, 1.3 + 0j, -0.7 + 0j, 2.2 - 0.5j
+    reduced = ((z2 - z4) / (z2 - z3), (z1 - z3) / (z1 - z4),
+               (z2 - z4) / (z1 - z4), (z1 - z3) / (z2 - z3))
+    for slot, want in enumerate(reduced):
+        pts = [z1, z2, z3, z4]
+        pts[slot] = INFINITY
+        assert cross_ratio(*pts) == want
     with pytest.raises(ValidationError):
         cross_ratio(INFINITY, 1.0, 2.0, INFINITY)
 

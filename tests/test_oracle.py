@@ -81,7 +81,8 @@ def test_shooting_bracket_errors():
 
 def test_shooting_rejects_non_finite_bracket():
     co = radial_coefficients(3, 1, 0)
-    for lo, hi in ((0.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)):
+    # the last bracket has finite ends, but its width overflows
+    for lo, hi in ((0.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0), (-1e308, 1e308)):
         with pytest.raises(ValidationError, match="non-finite"):
             shooting_eigenvalue("coulomb", UNIT3, co, lo, hi)
     for lo, hi in ((0.0, 1j), (1j, 2.0)):
@@ -633,6 +634,9 @@ def test_joint_diagonalize_input_validation():
         joint_diagonalize([])
     with pytest.raises(ValidationError):
         joint_diagonalize([np.eye(2), np.eye(3)])
+    for require_commuting in (True, False):
+        with pytest.raises(ValidationError, match="at least 1 x 1"):
+            joint_diagonalize([np.zeros((0, 0))], require_commuting=require_commuting)
     # a non-finite entry, before the eigenvalue solver's untyped LinAlgError
     for bad in (math.nan, math.inf):
         M = np.eye(3)
