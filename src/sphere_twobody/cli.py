@@ -88,20 +88,18 @@ def _load_config(path, known):
 
 
 def _apply_config(parser, args, argv):
-    """Fill in flags from the config file, converted and checked like the flags; explicit
-    flags win and keys of other subcommands are ignored."""
+    """argv parsed again with the config file's values, converted and checked like the
+    flags, as the chosen subcommand's defaults, so explicit flags win by argparse's own
+    rule; keys of other subcommands are ignored."""
     if not args.config:
-        return
-    explicit = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            explicit.add(tok[2:].split("=", 1)[0].replace("-", "_"))
+        return args
     subcommands = next(a for a in parser._actions if a.dest == "command").choices
     flags = {name: {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
              for name, sub in subcommands.items()}
+    defaults = {}
     for key, raw in _load_config(args.config, set().union(*flags.values())).items():
         action = flags[args.command].get(key)
-        if key in explicit or action is None:
+        if action is None:
             continue
         conv = action.type or str
         try:
@@ -114,7 +112,9 @@ def _apply_config(parser, args, argv):
             raise ValidationError(
                 f"config key {key!r}: {raw!r} is not one of {', '.join(action.choices)}"
             )
-        setattr(args, key, value)
+        defaults[key] = value
+    subcommands[args.command].set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _require(args, *names):
@@ -452,7 +452,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(parser, args, argv)
+        args = _apply_config(parser, args, argv)
         return args.func(args)
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")

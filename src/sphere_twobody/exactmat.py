@@ -128,9 +128,9 @@ def _scalar(v):
 class GMat:
     """Square matrix with exact (rational or radical) complex entries.
 
-    Only nonzero entries are stored, in one dict {(i, j): (re, im)};
-    entries() yields its items and nz is a copy of it.  An entry that
-    cancels to zero is dropped, so the zero matrix has nz == {}.
+    Only nonzero entries are stored, in one dict {(i, j): (re, im)}, whose
+    items entries() yields.  An entry that cancels to zero is dropped, so
+    GMat(n) is the zero matrix and has no entries.
     """
 
     __slots__ = ("n", "_nz")
@@ -143,10 +143,6 @@ class GMat:
         """((i, j), (re, im)) for every stored entry."""
         return self._nz.items()
 
-    @property
-    def nz(self):
-        return dict(self._nz)
-
     re = property(lambda self: self._dense(0), doc="Dense real parts, built on each read.")
     im = property(lambda self: self._dense(1), doc="Dense imaginary parts, built on each read.")
 
@@ -155,10 +151,6 @@ class GMat:
         for (i, j), v in self.entries():
             grid[i][j] = v[part]
         return grid
-
-    @classmethod
-    def zeros(cls, n):
-        return cls(n)
 
     @classmethod
     def eye(cls, n, scale=1):

@@ -266,6 +266,10 @@ class HeunParams(_Validated, _HeunParamsFields):
     __slots__ = ()
 
     def _validate(self):
+        d = complex(self.d)
+        if not (cmath.isfinite(d) and min(abs(d), abs(d - 1.0)) >= 1e-12):
+            raise ValidationError(f"singular point d = {self.d} must be finite and apart "
+                                  "from 0 and 1")
         res = self.consistency_residual()
         terms = (self.alpha, self.beta, 1.0, self.gamma, self.delta, self.epsilon)
         if abs(res) > _sum_tolerance(terms):

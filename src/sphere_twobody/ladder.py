@@ -285,7 +285,7 @@ class EigenvectorRecord(NamedTuple):
     @property
     def d3_image(self):
         """D3 v as floats keyed by j, built on each read; empty for a D3 eigenvector."""
-        img = next(row[-1] for row in _rows(self.carrier) if row[0] == self.case_id)
+        img = next(image for rec, image in _rows(self.carrier) if rec.case_id == self.case_id)
         return {j: complex(float(x), float(y)) for j, (x, y) in img.items()}
 
 
@@ -348,10 +348,14 @@ def _rows_rank1(m):
 
 
 def _rows(w):
-    """Raw record rows: B1's from _rows_rank1, else the four series for so(2k+1)
-    (n=2k) and so(2k) (n=2k-1)."""
-    if w.algebra.rank == 1:
-        return _rows_rank1(w.coeffs[0])
+    """(EigenvectorRecord, exact D3 image) pairs of the weight w, in case order."""
+    rows = _rows_rank1(w.coeffs[0]) if w.algebra.rank == 1 else _rows_series(w)
+    return [(EigenvectorRecord(*row[:3], *map(_scalar, row[3:6]), *row[6:8], w), row[8])
+            for row in rows]
+
+
+def _rows_series(w):
+    """Raw record rows of the four series for so(2k+1) (n=2k) and so(2k) (n=2k-1)."""
     k, mk, mk1 = w.algebra.rank, w.coeffs[-1], abs(w.coeffs[-2])
     if w.algebra.series == "B":
         poly = mk * (mk + 2 * k - 2)
@@ -384,14 +388,10 @@ def classify_common_eigenvectors(rep, n):
     if n != rep.algebra.sphere_dim:
         raise ValidationError(f"n={n} inconsistent with {rep.algebra} "
                               f"(expects n={rep.algebra.sphere_dim})")
-    rows = _rows(rep.weight)
-    if not rows:
-        return []
-    records = [EigenvectorRecord(*row[:3], *map(_scalar, row[3:6]), *row[6:8], rep.weight)
-               for row in rows]
-    for rec, row in zip(records, rows):
-        _verify_record(rep, rec, row[-1])
-    return records
+    pairs = _rows(rep.weight)
+    for rec, image in pairs:
+        _verify_record(rep, rec, image)
+    return [rec for rec, _ in pairs]
 
 
 class EmbeddingReport(NamedTuple):

@@ -551,7 +551,7 @@ def joint_diagonalize(mats, require_commuting=True, tol=JOINT_TOL):
     mats = [np.asarray(M, dtype=complex) for M in mats]
     if not mats:
         raise ValidationError("need at least one matrix")
-    d = mats[0].shape[0]
+    d = mats[0].shape[0] if mats[0].ndim == 2 else 0
     for M in mats:
         if d < 1 or M.shape != (d, d):
             raise ValidationError("matrices must be square, of equal size and at least 1 x 1")

@@ -10,9 +10,9 @@ rho the geodesic distance:
 
 with m the reduced mass and (a, b, c) rational constants fixed by the
 classification case: a = -delta2/8, b = -(delta0 + delta1 + delta2)/8 and
-c = -delta1/8, from the case's invariant-operator eigenvalues.  Those are
-read from the classification rows in `ladder`, which
-`classify_common_eigenvectors` checks exactly on the ladder bands.
+c = -delta1/8 (`coefficients_from_record`), from the eigenvalues of the
+case's record in `ladder._rows`, which `classify_common_eigenvectors`
+checks exactly on the ladder bands.
 
 The equation's indicial roots are computed here and only here:
 `endpoint_root` at r = 0 and oo, `wall_root` at the oscillator's wall r = 1,
@@ -129,21 +129,14 @@ def valid_cases(n):
     return (1, 2, 3, 4)
 
 
-def _from_deltas(delta0, delta1, delta2):
-    """(a, b, c) = (-delta2/8, -(delta0 + delta1 + delta2)/8, -delta1/8)."""
-    return (Fraction(-delta2, 8), Fraction(-(delta0 + delta1 + delta2), 8),
-            Fraction(-delta1, 8))
-
-
 def radial_coefficients(n, case_id, mk=None):
     """The (a, b, c) triple of a classification case in dimension n.
 
-    The triple is the case's classified eigenvalue row (`ladder._rows`)
-    under the same delta map as `coefficients_from_record`, on the carrier
-    weight (m,) for n = 2 and (0, ..., 0, mk - drop, mk) for n >= 3, with
-    drop = 0, 1, 1, 2 for cases 1-4.  For n = 2 the case determines m, so mk
-    is optional (checked if supplied).  For n >= 3, mk is required and must
-    be at least the case's drop.
+    The triple is `coefficients_from_record` of the case's record in
+    `ladder._rows` on the carrier weight (m,) for n = 2 and (0, ..., 0,
+    mk - drop, mk) for n >= 3, with drop = 0, 1, 1, 2 for cases 1-4.  For
+    n = 2 the case determines m, so mk is optional (checked if supplied).
+    For n >= 3, mk is required and must be at least the case's drop.
     """
     if not (isinstance(n, int) and n >= 2):
         raise ValidationError(f"sphere dimension must be an integer >= 2, got {n}")
@@ -163,20 +156,17 @@ def radial_coefficients(n, case_id, mk=None):
         if not (isinstance(mk, int) and mk >= drop):
             raise ValidationError(f"case {case_id} needs integer mk >= {drop}, got {mk}")
         carrier = HighestWeight(alg, (0,) * (alg.rank - 2) + (mk - drop, mk))
-    # a row is (case, description, coeffs, delta0, delta1, delta2, delta3, mass mode, D3 image)
-    row = next(row for row in _rows(carrier) if row[0] == case_id)
-    return RadialCoefficients(n, case_id, *_from_deltas(*row[3:6]), row[7], carrier)
+    record = next(rec for rec, _ in _rows(carrier) if rec.case_id == case_id)
+    return coefficients_from_record(record)
 
 
 def coefficients_from_record(record):
-    """Map a classified eigenvector record to its (a, b, c) triple (see `_from_deltas`)."""
-    return RadialCoefficients(
-        record.carrier.algebra.sphere_dim,
-        record.case_id,
-        *_from_deltas(record.delta0, record.delta1, record.delta2),
-        record.mass_mode,
-        record.carrier,
-    )
+    """Map a classified eigenvector record to its (a, b, c) triple:
+    (-delta2/8, -(delta0 + delta1 + delta2)/8, -delta1/8)."""
+    d0, d1, d2 = record.delta0, record.delta1, record.delta2
+    return RadialCoefficients(record.carrier.algebra.sphere_dim, record.case_id,
+                              Fraction(-d2, 8), Fraction(-(d0 + d1 + d2), 8), Fraction(-d1, 8),
+                              record.mass_mode, record.carrier)
 
 
 def endpoint_root(n, coeff):

@@ -1,6 +1,8 @@
 """Command-line interface: output shape, determinism, config, exit codes."""
 
+import contextlib
 import importlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 try:
     import tomllib
@@ -20,6 +24,7 @@ import sphere_twobody
 from sphere_twobody import fuchsian, spectra, suites
 from sphere_twobody.cli import main
 from sphere_twobody.errors import VerificationError
+from sphere_twobody.radial import valid_cases
 from sphere_twobody.suites import CheckResult, SuiteReport
 
 SPEC_ARGS = [
@@ -229,6 +234,21 @@ def test_config_value_outside_choices_rejected(capsys, tmp_path, fmt):
     assert "format" in err
 
 
+def test_config_loses_to_explicit_flags_abbreviated_or_not(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("radius = 5\nseries = Q\n")  # series: a ladder key, ignored here
+    base = ["--config", str(cfg), "spectrum", "--kind", "coulomb", "--n", "3", "--case", "1",
+            "--mk", "1", "--k-max", "1"]
+    for flags, radius in (([], 5.0), (["--rad", "2"], 2.0), (["--radius=2"], 2.0)):
+        rc, out, _ = run_cli(capsys, base + flags)
+        assert rc == 0 and json.loads(out)["metadata"]["radius"] == radius, flags
+    # a key of the chosen subcommand is checked even when a flag overrides it
+    cfg.write_text("n = x\n")
+    rc, out, err = run_cli(capsys, base)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: config key 'n'"), err
+
+
 def test_validation_exit_codes(capsys):
     cases = [
         ["spectrum", "--kind", "coulomb", "--n", "3", "--case", "1", "--mk",
@@ -258,6 +278,58 @@ def test_validation_exit_codes(capsys):
         rc, _, err = run_cli(capsys, argv)
         assert rc == 2, argv
         assert err.startswith("error:"), argv
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _numeric_argv(draw):
+    """spectrum or fuchs argv over the CLI's numeric domain."""
+    command = draw(st.sampled_from(["spectrum", "fuchs"]))
+    n = draw(st.integers(2, 7))
+    case = draw(st.sampled_from(valid_cases(n)))
+    drop = (case + 1) // 3 if n == 2 else case // 2  # n = 2: the m the case carries
+    sign = draw(st.sampled_from([-1.0, 0.0, 1.0]))
+    argv = [command, "--kind", draw(st.sampled_from(["coulomb", "oscillator"])),
+            "--n", str(n), "--case", str(case), "--mk", str(draw(st.integers(drop, drop + 6))),
+            "--m1", repr(draw(_log_uniform(-3, 3))), "--m2", repr(draw(_log_uniform(-3, 3))),
+            "--radius", repr(draw(_log_uniform(-3, 3))),
+            "--coupling", repr(sign * draw(_log_uniform(-3, 3)))]
+    if command == "spectrum":
+        k_min = draw(st.integers(1, 40))
+        argv += ["--k-min", str(k_min), "--k-max", str(draw(st.integers(k_min, k_min + 4)))]
+        argv += draw(st.one_of(st.integers(0, 5).map(lambda s: ["--samples", str(s)]),
+                               st.just(["--format", "csv"])))
+    elif draw(st.booleans()):
+        argv += ["--k", str(draw(st.integers(1, 40)))]
+    else:
+        energy = draw(st.sampled_from([-1.0, 1.0])) * draw(_log_uniform(-3, 6))
+        argv += ["--energy", repr(energy)]
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_numeric_argv())
+def test_numeric_domain_gives_strict_output_or_a_typed_exit(argv):
+    # run in-process with redirected streams: capsys is function-scoped
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 3), argv
+    if rc == 0:
+        if "--format" in argv:
+            assert out.getvalue().startswith("k,E,multiplicity,verified\n"), argv
+        else:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert out.getvalue() == "", argv
+        assert "Traceback" not in err.getvalue(), argv
 
 
 @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])

@@ -86,7 +86,7 @@ def test_gmat_to_numpy_and_apply():
 
 
 def test_gmat_max_abs_is_zero_iff_zero():
-    Z = GMat.zeros(3)
+    Z = GMat(3)
     assert Z.is_zero() and Z.max_abs() == 0.0
 
 
@@ -135,16 +135,16 @@ def _ref_matmul(A, B):
 def _assert_equals_dense(G, ref):
     assert G.re == [[re for re, _ in row] for row in ref]
     assert G.im == [[im for _, im in row] for row in ref]
-    assert all(x or y for x, y in G.nz.values())  # no stored zeros
-    assert G.nz == dict(G.entries())
+    assert all(x or y for _, (x, y) in G.entries())  # no stored zeros
 
 
 def test_matrices_share_small_integers():
     # a stored entry costs no small-integer Fraction of its own
     A, B = GMat.diag([1, 2, -3]), GMat.build(3, {(1, 1): Fraction(2), (0, 0): 5})
+    a = dict(A.entries())
     for key, (re, im) in B.entries():
-        assert re is A.nz[(1, 1)][0] if key == (1, 1) else re == 5
-        assert im is A.nz[(0, 0)][1]
+        assert re is a[(1, 1)][0] if key == (1, 1) else re == 5
+        assert im is a[(0, 0)][1]
 
 
 @settings(max_examples=80, deadline=None)
@@ -174,8 +174,8 @@ def test_gmat_cancellation_is_exact_zero(pair):
     GA, GB = _gmat(A), _gmat(B)
     for Z in (GA - GA, GA + (-GA), GA.scale(0), GA.commutator(GA),
               GA @ GB - GA @ GB, (GA + GB) - GB - GA):
-        assert Z.is_zero() and Z.max_abs() == 0.0 and Z.nz == {}
-        assert Z == GMat.zeros(len(A))
+        assert Z.is_zero() and Z.max_abs() == 0.0 and not Z.entries()
+        assert Z == GMat(len(A))
     assert GA.is_zero() == all(not (x or y) for row in A for x, y in row)
 
 
@@ -199,5 +199,5 @@ def test_gmat_paired_surd_bands_multiply_to_rationals(bands):
         ref[i + 1][i + 1] = {(False, False): (value, _F0), (True, True): (-value, _F0)}.get(
             (ai, bi), (_F0, value))
     _assert_equals_dense(P, ref)
-    for x, y in P.nz.values():
+    for _, (x, y) in P.entries():
         assert all(not isinstance(s, Rad) or s.rad == 1 for s in (x, y))

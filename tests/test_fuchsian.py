@@ -173,6 +173,16 @@ def test_heun_params_consistency_enforced():
         hp._replace(epsilon=1.3)
 
 
+@pytest.mark.parametrize("args", [(1.0, 1.0, 2.0, 1.5, 1.0, 1.5, 3.0),
+                                  (0.0, 1.0, 2.0, 1.5, 1.0, 1.5, 3.0),
+                                  (math.nan, 1, 1, 1, 1, 1, 1)])
+def test_heun_params_reject_a_bad_singular_point(args):
+    # d on 0 or 1 would divide by zero in maier_classify's relabelings, and
+    # no table row skips a NaN d
+    with pytest.raises(ValidationError, match="singular point d"):
+        HeunParams(*args)
+
+
 @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
 def test_raw_ode_matches_mobius_transform(kind):
     # A(t), B(t) must be the p, q of the radial ODE carried through t(r)

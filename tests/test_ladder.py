@@ -105,7 +105,7 @@ def _reference_accepts(rep):
         ]
     except ArithmeticError:  # unlike surds: a residual that cannot cancel
         return False
-    dp, dm = Dp.nz, Dm.nz
+    dp, dm = dict(Dp.entries()), dict(Dm.entries())
     mu, nu = rep.mu, rep.nu
     for eta in rep.basis:
         want = Fraction((eta - mu) * (eta - nu) * (eta + mu + 2) * (eta + nu + 2), 16)
@@ -160,8 +160,8 @@ def _reference_classify(rep):
     """
     ops, F2 = operator_matrices(rep), GMat.diag([j * j for j in rep.basis])
     records = []
-    for row in ladder._rows(rep.weight):
-        case_id, text, coeffs, d0, d1, d2, d3, mode, image = row
+    for row, image in ladder._rows(rep.weight):
+        case_id, text, coeffs, d0, d1, d2, d3, mode, _ = row
         vec = [(Fraction(coeffs.get(j, 0)), Fraction(0)) for j in rep.basis]
         try:
             for mat, val in ((F2, -d0), (ops.D1, d1), (ops.D2, d2)):
@@ -226,7 +226,7 @@ def test_band_and_reference_checks_agree_on_every_plus_one_mutation():
 def test_record_check_rejects_a_wrong_classified_value(wrong):
     rep = build_ladder_rep(AlgebraLabel("B", 1), (2,))
     rec = classify_common_eigenvectors(rep, 2)[0]  # case 5, chi_2 - chi_-2: surd D3 image
-    image = wrong.pop("image", ladder._rows(rep.weight)[0][-1])
+    image = wrong.pop("image", ladder._rows(rep.weight)[0][1])
     with pytest.raises(VerificationError):
         ladder._verify_record(rep, rec._replace(**wrong), image)
 

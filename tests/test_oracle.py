@@ -637,6 +637,9 @@ def test_joint_diagonalize_input_validation():
     for require_commuting in (True, False):
         with pytest.raises(ValidationError, match="at least 1 x 1"):
             joint_diagonalize([np.zeros((0, 0))], require_commuting=require_commuting)
+        for scalar in ([5.0], [np.float64(2.0)]):  # 0-d: no shape[0] to read
+            with pytest.raises(ValidationError, match="at least 1 x 1"):
+                joint_diagonalize(scalar, require_commuting=require_commuting)
     # a non-finite entry, before the eigenvalue solver's untyped LinAlgError
     for bad in (math.nan, math.inf):
         M = np.eye(3)
