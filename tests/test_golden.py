@@ -32,6 +32,11 @@ deviations, the eigenfunction residuals, the Heun reduction and the
 exponent sums of each kind.  `verify_coulomb.out` was regenerated once,
 when `norm_squared` moved to real arithmetic: only the eigenfunction
 check's worst norm drift moved, from 1.86e-14 to 1.84e-14.
+
+The two `*_high_k_json_samples` files pin eigenfunction samples at k = 30..40,
+where the other sample files stop at k <= 4.  They were written before the
+oscillator's 2F1 recurrence moved from complex to float arithmetic, so they
+hold that move to the same bytes.
 """
 
 from pathlib import Path
@@ -50,6 +55,12 @@ GOLDEN_CASES = {
         ["spectrum"] + _OSC2 + ["--k-min", "0", "--k-max", "3", "--samples", "4"],
     "spectrum_coulomb_json_samples":
         ["spectrum"] + _COUL3 + ["--k-max", "4", "--samples", "5"],
+    "spectrum_oscillator_high_k_json_samples":
+        ["spectrum", "--kind", "oscillator", "--n", "4", "--case", "4", "--mk", "3",
+         "--k-min", "30", "--k-max", "40", "--samples", "4"],
+    "spectrum_coulomb_high_k_json_samples":
+        ["spectrum", "--kind", "coulomb", "--n", "5", "--case", "1", "--mk", "2",
+         "--k-min", "30", "--k-max", "40", "--samples", "5"],
     "spectrum_coulomb_n4_json":
         ["spectrum", "--kind", "coulomb", "--n", "4", "--case", "4", "--mk", "2",
          "--radius", "1.3", "--coupling", "0.7", "--k-max", "6"],
