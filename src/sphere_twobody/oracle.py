@@ -506,10 +506,19 @@ def _legendre_rule(nodes):
     return x, w
 
 
-def gauss_legendre(a, b, nodes):
-    """Nodes and weights on (a, b); ValidationError unless nodes is a positive int."""
+def _check_node_count(nodes):
+    """ValidationError unless nodes is a positive int.
+
+    A cache keyed on nodes calls this before its lookup, since 240.0 and
+    True hash like 240 and 1.
+    """
     if isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 1:
         raise ValidationError(f"quadrature needs a positive integer node count, got {nodes!r}")
+
+
+def gauss_legendre(a, b, nodes):
+    """Nodes and weights on (a, b); ValidationError unless nodes is a positive int."""
+    _check_node_count(nodes)
     x, w = _legendre_rule(nodes)
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     return mid + half * x, half * w

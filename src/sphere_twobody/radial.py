@@ -25,6 +25,7 @@ equal masses).
 """
 
 import cmath
+import functools
 import math
 import numbers
 import sys
@@ -136,7 +137,9 @@ def radial_coefficients(n, case_id, mk=None):
     `ladder._rows` on the carrier weight (m,) for n = 2 and (0, ..., 0,
     mk - drop, mk) for n >= 3, with drop = 0, 1, 1, 2 for cases 1-4.  For
     n = 2 the case determines m, so mk is optional (checked if supplied).
-    For n >= 3, mk is required and must be at least the case's drop.
+    For n >= 3, mk is required and must be at least the case's drop.  The
+    triple is built once per (carrier, case) after these checks and shared,
+    as the record is immutable.
     """
     if not (isinstance(n, int) and n >= 2):
         raise ValidationError(f"sphere dimension must be an integer >= 2, got {n}")
@@ -156,6 +159,12 @@ def radial_coefficients(n, case_id, mk=None):
         if not (isinstance(mk, int) and mk >= drop):
             raise ValidationError(f"case {case_id} needs integer mk >= {drop}, got {mk}")
         carrier = HighestWeight(alg, (0,) * (alg.rank - 2) + (mk - drop, mk))
+    return _sector_coefficients(carrier, case_id)
+
+
+@functools.lru_cache(maxsize=256)
+def _sector_coefficients(carrier, case_id):
+    """The classified record's triple, built once per validated (carrier, case)."""
     record = next(rec for rec, _ in _rows(carrier) if rec.case_id == case_id)
     return coefficients_from_record(record)
 

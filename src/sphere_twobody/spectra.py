@@ -14,22 +14,27 @@ times 2F1(-d, b; c; z) / d!, terminating at degree d = k - 1 (Coulomb) or
 d = k (oscillator).  `RadialEigenfunction` evaluates it by the three-term
 contiguous relation in the first parameter (DLMF §15.5(ii)) with 1/d!
 folded into each step: O(d) per point, on a complex scalar or a numpy
-array of radii.  `norm_squared` forms |f| = |P| |G| as real arrays and
-squares it only then, so its sum keeps the float range of |f| itself: the
-oscillator's prefactor P is real, Coulomb's has
+array of radii.  The recurrence runs in float arithmetic wherever b and z
+are real, which is every oscillator level at a real radius, and in complex
+arithmetic otherwise (Coulomb, and an oscillator b with an imaginary
+part); `_hypergeometric` is that rule's one home, and the prefactor stays
+complex, so values keep the bits of all-complex arithmetic.
+`norm_squared` forms |f| = |P| |G| as real arrays and squares it only
+then, so its sum keeps the float range of |f| itself: the oscillator's
+prefactor P is real, Coulomb's has
 |P| = r^rho0 (1 + r^2)^-rho0 exp(Im rho1 (pi - theta)) with
-r = tan(theta/2), and G runs in floats where b is real (every oscillator
-level).
-`jet` returns (f, f', f'') on plain complex scalars: the same recurrence
-also carries the z-derivatives of each G_m, and the prefactor enters
-through its logarithmic derivatives in closed form, with f itself bit for
-bit `fn(r)`.  A level's `branch_check` flag (`verified` in
-the CLI) records that the quantization condition holds on the stated
-square-root branch and that the jet at one radius r0 solves the radial
-ODE: |f'' + p f' + q f| over its largest term, with no floor, is at most
-RESIDUAL_TOLERANCE, however small f is.  An eigenfunction that underflows
-to zero reads unverified.  Every energy is a finite real float:
-`radial_eigenfunction` raises ValidationError on any other.
+r = tan(theta/2); its nodes, radii and weights are built once per kind and
+node count.  `jet` returns (f, f', f'') on plain scalars: the same
+recurrence, in floats or complex numbers by the same rule, also carries the
+z-derivatives of each G_m, and the prefactor enters through its
+logarithmic derivatives in closed form, with f itself bit for bit `fn(r)`.
+A level's `branch_check` flag (`verified` in the CLI) records that the
+quantization condition holds on the stated square-root branch and that the
+jet at one radius r0 solves the radial ODE: |f'' + p f' + q f| over its
+largest term, with no floor, is at most RESIDUAL_TOLERANCE, however small
+f is.  An eigenfunction that underflows to zero reads unverified.  Every
+energy is a finite real float: `radial_eigenfunction` raises
+ValidationError on any other.
 
 Asymmetric triples (a != c) admit no such closed form; `spectrum` then
 returns an empty, `numeric_only` report and the shooting oracle is the way
@@ -37,6 +42,7 @@ to get numbers.
 """
 
 import collections
+import functools
 import math
 import sys
 from typing import NamedTuple
@@ -45,7 +51,7 @@ from .errors import ConvergenceError, ValidationError
 # pochhammer is unused here; the tracer in perfbench/tracing.py wraps both names
 from .hyperfun import gauss_2f1, pochhammer  # noqa: F401
 from .liealg import weyl_dim
-from .oracle import RESIDUAL_TOLERANCE, gauss_legendre, ode_residual
+from .oracle import RESIDUAL_TOLERANCE, _check_node_count, gauss_legendre, ode_residual
 from .radial import (
     KIND_COULOMB,
     KIND_OSCILLATOR,
@@ -89,9 +95,14 @@ def _require_symmetric(coeffs):
         )
 
 
+def _is_index(k):
+    """An int that is not a bool: True and False are no level index."""
+    return isinstance(k, int) and not isinstance(k, bool)
+
+
 def _check_k(kind, k):
     kmin = K_MIN[kind]
-    if not (isinstance(k, int) and k >= kmin):
+    if not (_is_index(k) and k >= kmin):
         raise ValidationError(f"{kind} levels are indexed by integer k >= {kmin}, got {k}")
 
 
@@ -222,10 +233,26 @@ class RadialEigenfunction(NamedTuple):
             f"((r - i)/(r + i)) ** rho1 overflows, rho1 = {self.data.rho1}")
 
     def _hypergeometric(self, r):
-        """(d, b, c, z) with f(r) = prefactor(r) 2F1(-d, b; c; z) / d!."""
-        z = (4j * r / (r + 1j) ** 2 if self.kind == KIND_COULOMB
-             else 4.0 * r * r / (r * r + 1.0) ** 2)
-        return self.data.d, self.data.b, self.data.c, z
+        """(d, b, c, z) with f(r) = prefactor(r) 2F1(-d, b; c; z) / d!.
+
+        The one rule for real levels: on the oscillator, where b is real
+        (every level at its closed-form energy) and r lies on the real axis
+        (a float, a float array, or a complex scalar with zero imaginary
+        part), b and z come back as floats, so the recurrence runs in float
+        arithmetic.  Its values are the complex recurrence's real parts bit
+        for bit, whose imaginary parts are all zero there.  Coulomb, and an
+        oscillator b with an imaginary part (an explicit energy below the
+        pole's threshold), keep complex arithmetic.
+        """
+        d, b, c = self.data.d, self.data.b, self.data.c
+        if self.kind == KIND_COULOMB:
+            return d, b, c, 4j * r / (r + 1j) ** 2
+        if b.imag == 0.0:
+            b = b.real
+            if type(r) is complex and r.imag == 0.0:
+                r = r.real
+        u = r * r + 1.0
+        return d, b, c, 4.0 * r * r / (u * u)
 
     def _evaluate(self, r):
         """f at a complex scalar r, in O(d).
@@ -242,9 +269,10 @@ class RadialEigenfunction(NamedTuple):
         """(f, f', f'') at real r > 0.
 
         f is `fn(r)` bit for bit: the same recurrence and prefactor, in the
-        same order.  The recurrence also carries dG_m/dz and d2G_m/dz2, from
-        differentiating it in z (never from the 2F1 equation, which would
-        make the ODE residual check circular):
+        same order, in floats wherever `_hypergeometric` returns a real b and
+        z (every oscillator level).  The recurrence also carries dG_m/dz and
+        d2G_m/dz2, from differentiating it in z (never from the 2F1
+        equation, which would make the ODE residual check circular):
         (c+m) (m+1) G'_(m+1) = s G'_m - (b+m) G_m + (z-1) G'_(m-1) + G_(m-1),
         (c+m) (m+1) G''_(m+1) = s G''_m - 2 (b+m) G'_m + (z-1) G''_(m-1) + 2 G'_(m-1),
         with s = c + 2m - (b+m) z.  z', z'' and the prefactor's log-derivatives
@@ -313,7 +341,7 @@ class RadialEigenfunction(NamedTuple):
         |P| = r^rho0 (1 + r^2)^-rho0 exp(Im rho1 (pi - theta)) on the caller's
         own theta (unread for the oscillator); its overflow raises
         ConvergenceError, as the scalar path does.  G_d runs in float
-        arithmetic wherever b is real, as on every oscillator level.
+        arithmetic by `_hypergeometric`'s rule, as on every oscillator level.
         """
         import numpy as np
 
@@ -327,8 +355,7 @@ class RadialEigenfunction(NamedTuple):
                 raise self._prefactor_overflow() from None
         else:
             pre = self._prefactor(r)
-        d, b, c, z = self._hypergeometric(r)
-        return pre * np.abs(_terminating_2f1(d, b.real if b.imag == 0.0 else b, c, z))
+        return pre * np.abs(_terminating_2f1(*self._hypergeometric(r)))
 
     def norm_squared(self, nodes=240):
         """integral of |f|^2 against the volume weight r^(n-1)/(1+r^2)^n.
@@ -343,21 +370,39 @@ class RadialEigenfunction(NamedTuple):
         import numpy as np
 
         n = self.params.n
-        x, w = gauss_legendre(-1.0, 1.0, nodes)
-        if self.kind == KIND_COULOMB:
-            theta = (x + 1.0) * (math.pi / 2.0)
-            r = np.tan(theta / 2.0)
-            jac = (math.pi / 2.0) * (1.0 + r * r) / 2.0
-        else:
-            theta = None
-            r = (x + 1.0) / 2.0
-            jac = 0.5
+        _check_node_count(nodes)
+        theta, r, wj = _quadrature_grid(self.kind, nodes)
         f = self._modulus(r, theta)
-        total = float(np.sum(w * jac * f ** 2 * r ** (n - 1) / (1.0 + r * r) ** n))
+        total = float(np.sum(wj * f ** 2 * r ** (n - 1) / (1.0 + r * r) ** n))
         if not sys.float_info.min <= total < math.inf:
             raise ConvergenceError(
                 f"{self.kind} k={self.k}: norm quadrature over {nodes} nodes gave {total!r}")
         return total
+
+
+@functools.lru_cache(maxsize=16)
+def _quadrature_grid(kind, nodes):
+    """`norm_squared`'s read-only (theta, r, w jac), built once per (kind, nodes).
+
+    Gauss-Legendre on (-1, 1), mapped by r = tan(theta/2) with
+    theta = (x + 1) pi/2 for Coulomb (jac = dr/dx) and affinely onto (0, 1)
+    for the oscillator, whose theta is None.  nodes must already be checked.
+    """
+    import numpy as np
+
+    x, w = gauss_legendre(-1.0, 1.0, nodes)
+    if kind == KIND_COULOMB:
+        theta = (x + 1.0) * (math.pi / 2.0)
+        r = np.tan(theta / 2.0)
+        jac = (math.pi / 2.0) * (1.0 + r * r) / 2.0
+        theta.flags.writeable = False
+    else:
+        theta = None
+        r = (x + 1.0) / 2.0
+        jac = 0.5
+    wj = w * jac
+    r.flags.writeable = wj.flags.writeable = False
+    return theta, r, wj
 
 
 def radial_eigenfunction(kind, params, coeffs, k, energy=None):
@@ -402,7 +447,7 @@ def spectrum(kind, params, coeffs, k_min, k_max):
     """
     _check_kind(kind)
     _check_compatible(params, coeffs)
-    if not (isinstance(k_min, int) and isinstance(k_max, int) and k_min <= k_max):
+    if not (_is_index(k_min) and _is_index(k_max) and k_min <= k_max):
         raise ValidationError(f"need integer k_min <= k_max, got {k_min}..{k_max}")
     _check_k(kind, k_min)
     if not coeffs.symmetric:

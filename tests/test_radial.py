@@ -25,6 +25,7 @@ from sphere_twobody import (
     spectral_ode,
     valid_cases,
 )
+from sphere_twobody import radial
 from sphere_twobody.radial import _pole_root, endpoint_root, wall_root
 from sphere_twobody.spectra import closed_form_energy
 from sphere_twobody.suites import _N_VALUES, _level_cases
@@ -75,6 +76,39 @@ def test_case_table_validation():
         radial_coefficients(4, 4, 1)  # case 4 needs mk >= 2
     with pytest.raises(ValidationError):
         radial_coefficients(2, 5, 1)  # n=2 case 5 carries m=2
+
+
+# inputs radial_coefficients rejects, with the text it gave before its triples were cached
+_BAD_COEFFICIENT_INPUTS = [
+    ((1, 1, 1), "sphere dimension must be an integer >= 2, got 1"),
+    ((True, 1, 1), "sphere dimension must be an integer >= 2, got True"),
+    ((3, 5, 1), "case 5 does not exist for n=3"),
+    ((3, 1, None), "mk is required for n >= 3"),
+    ((3, 4, 1), "case 4 needs integer mk >= 2, got 1"),
+    ((3, 4, 2.0), "case 4 needs integer mk >= 2, got 2.0"),
+    ((3, 1, True),
+     "weight entries must be integers (spinor weights are out of scope), got True"),
+    ((2, 2, 0), "n=2 case 2 carries m=1, got mk=0"),
+]
+
+
+def test_coefficient_errors_unchanged_by_the_cache():
+    def messages():
+        out = []
+        for args, _ in _BAD_COEFFICIENT_INPUTS:
+            with pytest.raises(ValidationError) as info:
+                radial_coefficients(*args)
+            out.append(str(info.value))
+        return out
+
+    radial._sector_coefficients.cache_clear()
+    before = messages()
+    # cache the sectors the bad inputs sit next to: 2.0 and True hash like 2 and 1
+    first = [radial_coefficients(*args) for args in ((3, 4, 2), (3, 1, 1), (2, 2, None))]
+    hits = radial._sector_coefficients.cache_info().hits
+    assert radial_coefficients(3, 4, 2) is first[0]
+    assert radial._sector_coefficients.cache_info().hits == hits + 1
+    assert messages() == before == [text for _, text in _BAD_COEFFICIENT_INPUTS]
 
 
 def test_symmetry_flags():

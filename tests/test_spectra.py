@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import random
 import sys
 import warnings
 
@@ -213,6 +214,22 @@ def test_level_index_validation():
     for energy in (coulomb_energy, oscillator_energy):
         with pytest.raises(ValidationError, match="non-finite energy"):
             energy(strong, radial_coefficients(3, 1, 1), 1)
+
+
+def test_bool_is_not_a_level_index():
+    # bool subclasses int, but False and True are no more a level than 0.0 is
+    co = radial_coefficients(3, 1, 1)
+    for kind in ("coulomb", "oscillator"):
+        for flag in (False, True):
+            with pytest.raises(ValidationError, match="indexed by integer k"):
+                closed_form_energy(kind, UNIT[3], co, flag)
+            with pytest.raises(ValidationError, match="indexed by integer k"):
+                radial_eigenfunction(kind, UNIT[3], co, flag)
+        for k_min, k_max in ((True, True), (1, True), (True, 2)):
+            with pytest.raises(ValidationError, match="need integer k_min <= k_max"):
+                spectrum(kind, UNIT[3], co, k_min, k_max)
+    assert closed_form_energy("oscillator", UNIT[3], co, 0) == spectrum(
+        "oscillator", UNIT[3], co, 0, 0).levels[0].energy
 
 
 def test_closed_form_requires_symmetric_coefficients():
@@ -703,3 +720,135 @@ def test_verified_levels_match_mpmath(kind, n, mk, m1, m2, radius, coupling, k):
         argv += ["--mk", str(mk)]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 2, 3)
+
+
+# ------------------------------------------------ float recurrence, bit for bit
+
+
+def _complex_value_and_jet(fn, r):
+    """`fn(r)` and `fn.jet(r)` with the 2F1 recurrence in complex arithmetic throughout.
+
+    The reference for the float recurrence on real levels: the recurrence,
+    z and the derivative closed forms as they stood before b and z became
+    floats there, on the same prefactor.
+    """
+    x = complex(r)
+    d, b, c = fn.data.d, fn.data.b, fn.data.c
+    if fn.kind == "coulomb":
+        z = 4j * x / (x + 1j) ** 2
+    else:
+        z = 4.0 * x * x / (x * x + 1.0) ** 2
+    w = z - 1.0
+    prev, cur = 0.0, 1.0
+    dprev, dcur, d2prev, d2cur = 0.0, 0.0, 0.0, 0.0
+    for m in range(d):
+        bm = b + m
+        s = c + 2 * m - bm * z
+        den = (c + m) * (m + 1)
+        prev, cur, dprev, dcur, d2prev, d2cur = (
+            cur, (s * cur + w * prev) / den,
+            dcur, (s * dcur - bm * cur + w * dprev + prev) / den,
+            d2cur, (s * d2cur - 2.0 * bm * dcur + w * d2prev + 2.0 * dprev) / den)
+    rho0, rho1 = fn.data.rho0, fn.data.rho1
+    if fn.kind == "coulomb":
+        ri = r + 1j
+        u = r * r + 1.0
+        dz = -4j * (r - 1j) / ri ** 3
+        d2z = 8j * (r - 2j) / ri ** 4
+        dL = rho0 / r + 2j * rho1 / u - 2.0 * rho0 / ri
+        d2L = -rho0 / (r * r) - 4j * rho1 * r / (u * u) + 2.0 * rho0 / (ri * ri)
+    else:
+        u, v = r * r + 1.0, 1.0 - r * r
+        dz = 8.0 * r * v / u ** 3
+        d2z = 8.0 * ((3.0 * r * r - 8.0) * r * r + 1.0) / u ** 4
+        dL = rho0 / r - 2.0 * rho1 * r / v - 2.0 * (rho0 + rho1) * r / u
+        d2L = (-rho0 / (r * r) - 2.0 * rho1 * u / (v * v)
+               - 2.0 * (rho0 + rho1) * v / (u * u))
+    pre = fn._prefactor(x)
+    jet = (pre * cur,
+           pre * (dcur * dz + dL * cur),
+           pre * (d2cur * dz * dz + dcur * d2z + 2.0 * dL * dcur * dz
+                  + (d2L + dL * dL) * cur))
+    return pre * cur, jet
+
+
+def _outcome(f, *args):
+    """repr of f's result, or the type and text of the error it raises."""
+    try:
+        return repr(f(*args))
+    except (ConvergenceError, OverflowError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _bit_pin_levels(kind, n):
+    """Seeded levels of one kind and dimension: sectors, masses, R in [1e-2, 1e2], k <= 40."""
+    rng = random.Random(f"bit-pin:{kind}:{n}")
+    for _ in range(8):
+        if n == 2:
+            case, mk = rng.choice((1, 2, 5, 8)), None
+        else:
+            case = rng.choice((1, 4))
+            mk = rng.randint(case // 2, 4)
+        m1, m2 = rng.uniform(0.5, 2.5), rng.uniform(0.5, 2.5)
+        if case != 1 and (n, case) != (2, 2):
+            m2 = m1  # equal-mass sectors
+        params = PhysicalParams(n, m1, m2, 10.0 ** rng.uniform(-2.0, 2.0), rng.uniform(0.2, 2.0))
+        k = rng.randint(spectra.K_MIN[kind], 40)
+        if kind == "coulomb":
+            rs = [10.0 ** rng.uniform(-2.0, 2.0) for _ in range(4)]
+        else:
+            rs = [rng.uniform(0.01, 0.99) for _ in range(4)]
+        yield radial_eigenfunction(kind, params, radial_coefficients(n, case, mk), k), rs
+
+
+def _assert_bits_match_complex_reference(fn, rs):
+    for r in rs:
+        want_value, want_jet = _complex_value_and_jet(fn, r)
+        assert _outcome(fn, r) == repr(want_value), (fn.k, r)
+        assert _outcome(fn.jet, r) == repr(want_jet), (fn.k, r)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", KINDS)
+def test_values_and_jets_match_complex_arithmetic_bit_for_bit(kind, n):
+    """`fn(r)` and `jet(r)` repr for repr against `_complex_value_and_jet`.
+
+    Every oscillator level at its closed-form energy has a real b, so its
+    recurrence runs in floats; Coulomb's stays complex.
+    """
+    for fn, rs in _bit_pin_levels(kind, n):
+        real = kind == "oscillator"
+        assert (fn.data.b.imag == 0.0) == real
+        assert isinstance(fn._hypergeometric(complex(rs[0]))[3], float) == real
+        _assert_bits_match_complex_reference(fn, rs)
+
+
+def test_complex_oscillator_b_keeps_complex_arithmetic():
+    # an energy below the pole threshold makes s, so b, complex: b = 1.683 + 3.102i
+    params = PhysicalParams(3, 1.0, 1.0, 1.0, 1.0)
+    fn = radial_eigenfunction("oscillator", params, radial_coefficients(3, 1, 1), 0,
+                              energy=-40.0)
+    assert fn.data.b == pytest.approx(1.683 + 3.102j, abs=1e-3)
+    for k in (0, 7, 40):
+        fn = radial_eigenfunction("oscillator", params, radial_coefficients(3, 1, 1), k,
+                                  energy=-40.0)
+        assert isinstance(fn._hypergeometric(0.3 + 0j)[3], complex)
+        _assert_bits_match_complex_reference(fn, (0.05, 0.3, 0.45, 0.9))
+
+
+def test_quadrature_grid_cached_read_only():
+    for kind in KINDS:
+        theta, r, wj = spectra._quadrature_grid(kind, 240)
+        assert spectra._quadrature_grid(kind, 240)[1] is r
+        assert (theta is None) == (kind == "oscillator")
+        for arr in (r, wj) if theta is None else (theta, r, wj):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    # 240.0 and True hash like 240 and 1, whose grids are now cached
+    fn = radial_eigenfunction("oscillator", UNIT[3], radial_coefficients(3, 1, 1), 1)
+    fn.norm_squared(240)
+    fn.norm_squared(1)
+    for nodes in (240.0, True, "240", 1.0):
+        with pytest.raises(ValidationError, match="node count"):
+            fn.norm_squared(nodes)
