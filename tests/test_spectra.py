@@ -772,14 +772,6 @@ def _complex_value_and_jet(fn, r):
     return pre * cur, jet
 
 
-def _outcome(f, *args):
-    """repr of f's result, or the type and text of the error it raises."""
-    try:
-        return repr(f(*args))
-    except (ConvergenceError, OverflowError, ZeroDivisionError) as exc:
-        return type(exc).__name__, str(exc)
-
-
 def _bit_pin_levels(kind, n):
     """Seeded levels of one kind and dimension: sectors, masses, R in [1e-2, 1e2], k <= 40."""
     rng = random.Random(f"bit-pin:{kind}:{n}")
@@ -804,8 +796,8 @@ def _bit_pin_levels(kind, n):
 def _assert_bits_match_complex_reference(fn, rs):
     for r in rs:
         want_value, want_jet = _complex_value_and_jet(fn, r)
-        assert _outcome(fn, r) == repr(want_value), (fn.k, r)
-        assert _outcome(fn.jet, r) == repr(want_jet), (fn.k, r)
+        assert repr(fn(r)) == repr(want_value), (fn.k, r)
+        assert repr(fn.jet(r)) == repr(want_jet), (fn.k, r)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -816,8 +808,8 @@ def test_values_and_jets_match_complex_arithmetic_bit_for_bit(kind, n):
     Every oscillator level at its closed-form energy has a real b, so its
     recurrence runs in floats; Coulomb's stays complex.
     """
+    real = kind == "oscillator"
     for fn, rs in _bit_pin_levels(kind, n):
-        real = kind == "oscillator"
         assert (fn.data.b.imag == 0.0) == real
         assert isinstance(fn._hypergeometric(complex(rs[0]))[3], float) == real
         _assert_bits_match_complex_reference(fn, rs)
@@ -825,13 +817,10 @@ def test_values_and_jets_match_complex_arithmetic_bit_for_bit(kind, n):
 
 def test_complex_oscillator_b_keeps_complex_arithmetic():
     # an energy below the pole threshold makes s, so b, complex: b = 1.683 + 3.102i
-    params = PhysicalParams(3, 1.0, 1.0, 1.0, 1.0)
-    fn = radial_eigenfunction("oscillator", params, radial_coefficients(3, 1, 1), 0,
-                              energy=-40.0)
-    assert fn.data.b == pytest.approx(1.683 + 3.102j, abs=1e-3)
+    params, co = PhysicalParams(3, 1.0, 1.0, 1.0, 1.0), radial_coefficients(3, 1, 1)
     for k in (0, 7, 40):
-        fn = radial_eigenfunction("oscillator", params, radial_coefficients(3, 1, 1), k,
-                                  energy=-40.0)
+        fn = radial_eigenfunction("oscillator", params, co, k, energy=-40.0)
+        assert fn.data.b == pytest.approx(1.683 + 3.102j, abs=1e-3)
         assert isinstance(fn._hypergeometric(0.3 + 0j)[3], complex)
         _assert_bits_match_complex_reference(fn, (0.05, 0.3, 0.45, 0.9))
 
