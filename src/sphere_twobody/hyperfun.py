@@ -3,10 +3,11 @@
 2F1 is computed by two independent routes -- the defining series near 0 and
 the z -> 1-z connection formulas near 1 -- each valid on an explicit disk,
 with the overlap ring used to cross-check one route against the other.
-Polynomial cases (nonpositive integer numerator parameter) short-circuit to
-the finite term-by-term sum, which loses accuracy at high degree (the
-eigenfunctions use their own recurrence); the analytic routes are
-exercised by generic parameters.
+Polynomial cases (a nonpositive integer numerator parameter -d) run the
+three-term contiguous relation in that parameter (DLMF §15.5(ii)) from
+F_0 = 1 up to F_d, which stays accurate at degrees where the alternating
+term-by-term sum cancels to noise; the analytic routes are exercised by
+generic parameters.
 
 Nonpositive-integer detection snaps within 1e-9.  Points on the branch cut
 [1, oo) are rejected rather than silently picking a side.
@@ -84,15 +85,19 @@ def _as_int(x):
     return None
 
 
-def _polynomial_2f1(alpha, beta, gamma, z, degree):
-    s = complex(0.0)
-    term = complex(1.0)
-    alpha, beta, gamma, z = complex(alpha), complex(beta), complex(gamma), complex(z)
-    for j in range(degree + 1):
-        s += term
-        if j < degree:  # avoid touching (gamma + j) poles past the last term
-            term *= (alpha + j) * (beta + j) / ((gamma + j) * (j + 1)) * z
-    return s
+def _terminating_2f1(degree, beta, gamma, z):
+    """F_d = 2F1(-d, beta; gamma; z) by the contiguous relation in the first parameter.
+
+    (gamma + m) F_(m+1) = (gamma + 2m - (beta + m) z) F_m + m (z - 1) F_(m-1)
+    from F_0 = 1 (the factor m drops F_(-1)); it divides by gamma + m only
+    for m < d, the poles the caller has ruled out.
+    """
+    beta, gamma, z = complex(beta), complex(gamma), complex(z)
+    w = z - 1.0
+    prev, cur = 0.0, complex(1.0)
+    for m in range(degree):
+        prev, cur = cur, ((gamma + 2 * m - (beta + m) * z) * cur + m * w * prev) / (gamma + m)
+    return cur
 
 
 def _series_2f1(alpha, beta, gamma, z):
@@ -192,8 +197,11 @@ def gauss_2f1(alpha, beta, gamma, z, method="auto"):
     """2F1(alpha, beta; gamma; z) on the principal branch.
 
     method: "auto" picks by region; "series" / "connection" force one route
-    (used to cross-validate them on the overlap ring).  ValidationError on a
-    non-finite parameter or z.
+    (used to cross-validate them on the overlap ring).  A numerator within
+    1e-9 of a nonpositive integer -d makes 2F1 a polynomial of degree d, run
+    at any z by `_terminating_2f1` in whichever numerator terminates first;
+    ValidationError if gamma's pole comes before that term.  ValidationError
+    on a non-finite parameter or z.
     """
     z = complex(z)
     if not all(map(cmath.isfinite, (complex(alpha), complex(beta), complex(gamma), z))):
@@ -206,7 +214,9 @@ def gauss_2f1(alpha, beta, gamma, z, method="auto"):
             raise ValidationError(
                 f"2F1 undefined: gamma={gamma} hits a pole before the series terminates"
             )
-        return _polynomial_2f1(alpha, beta, gamma, z, -degree)
+        if na != degree:  # beta terminates first: 2F1 is symmetric in its numerators
+            alpha, beta = beta, alpha
+        return _terminating_2f1(-degree, beta, gamma, z)
     if ga is not None:
         raise ValidationError(f"2F1 undefined at nonpositive integer gamma={gamma}")
     if z.imag == 0.0 and z.real >= 1.0:

@@ -136,7 +136,8 @@ def radial_coefficients(n, case_id, mk=None):
     The triple is `coefficients_from_record` of the case's record in
     `ladder._rows` on the carrier weight (m,) for n = 2 and (0, ..., 0,
     mk - drop, mk) for n >= 3, with drop = 0, 1, 1, 2 for cases 1-4.  For
-    n = 2 the case determines m, so mk is optional (checked if supplied).
+    n = 2 the case determines m, so mk is optional (an int equal to m if
+    supplied: a float or bool is refused even where it equals m).
     For n >= 3, mk is required and must be at least the case's drop.  The
     triple is built once per (carrier, case) after these checks and shared,
     as the record is immutable.
@@ -149,6 +150,9 @@ def radial_coefficients(n, case_id, mk=None):
 
     if n == 2:
         m = (case_id + 1) // 3  # cases 1 | 2-4 | 5-7 | 8 carry m = 0 | 1 | 2 | 3
+        # before the cache, where 1.0 and True would hash like 1
+        if mk is not None and (isinstance(mk, bool) or not isinstance(mk, int)):
+            raise ValidationError(f"n=2 case {case_id} needs integer mk, got {mk}")
         if mk is not None and mk != m:
             raise ValidationError(f"n=2 case {case_id} carries m={m}, got mk={mk}")
         carrier = HighestWeight(alg, (m,))

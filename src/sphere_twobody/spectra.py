@@ -14,20 +14,25 @@ times 2F1(-d, b; c; z) / d!, terminating at degree d = k - 1 (Coulomb) or
 d = k (oscillator).  `RadialEigenfunction` evaluates it by the three-term
 contiguous relation in the first parameter (DLMF §15.5(ii)) with 1/d!
 folded into each step: O(d) per point, on a complex scalar or a numpy
-array of radii.  The recurrence runs in float arithmetic wherever b and z
-are real, which is every oscillator level at a real radius, and in complex
-arithmetic otherwise (Coulomb, and an oscillator b with an imaginary
-part); `_hypergeometric` is that rule's one home, and the prefactor stays
-complex, so values keep the bits of all-complex arithmetic.
+array of radii.  The step constants c + 2m, b + m and (c + m)(m + 1)
+depend only on the level, so each level builds them once, as three flat
+lists that every value, jet and norm of it shares.  The recurrence runs in
+float arithmetic wherever b and z are real, which is every oscillator level
+at a real radius, and in complex arithmetic otherwise (Coulomb, and an
+oscillator b with an imaginary part): the oscillator's data hold a real b
+as a float, `RadialEigenfunction._z` is that rule's one home, and the
+prefactor stays complex, so values keep the bits of all-complex arithmetic.
 `norm_squared` forms |f| = |P| |G| as real arrays and squares it only
 then, so its sum keeps the float range of |f| itself: the oscillator's
 prefactor P is real, Coulomb's has
 |P| = r^rho0 (1 + r^2)^-rho0 exp(Im rho1 (pi - theta)) with
-r = tan(theta/2); its nodes, radii and weights are built once per kind and
-node count.  `jet` returns (f, f', f'') on plain scalars: the same
-recurrence, in floats or complex numbers by the same rule, also carries the
-z-derivatives of each G_m, and the prefactor enters through its
-logarithmic derivatives in closed form, with f itself bit for bit `fn(r)`.
+r = tan(theta/2).  Its level-free arrays (nodes, radii, weights, z, z - 1
+and the volume weight's factors r^(n-1) and (1 + r^2)^n) are built once
+per kind, node count and n, read-only.  `jet` returns (f, f', f'') on plain
+scalars: the same recurrence, in floats or complex numbers by the same
+rule, also carries the z-derivatives of each G_m, and the prefactor enters
+through its logarithmic derivatives in closed form, with f itself bit for
+bit `fn(r)`.
 A level's `branch_check` flag (`verified` in the CLI) records that the
 quantization condition holds on the stated square-root branch and that the
 jet at one radius r0 solves the radial ODE: |f'' + p f' + q f| over its
@@ -148,8 +153,20 @@ def closed_form_energy(kind, params, coeffs, k):
 
 # One level's 2F1 data: f(r) = prefactor(r) 2F1(a, b; c; z(r)) / d!, with a the
 # parameter the quantization condition sets to -d, and rho0, rho1 the prefactor
-# exponents at r = 0 and at r = i (Coulomb) or r = 1 (oscillator).
-_LevelData = collections.namedtuple("_LevelData", "d a b c rho0 rho1")
+# exponents at r = 0 and at r = i (Coulomb) or r = 1 (oscillator).  b is a
+# float wherever it is real, and steps holds the recurrence's level constants.
+_LevelData = collections.namedtuple("_LevelData", "d a b c rho0 rho1 steps")
+
+
+def _level_data(d, a, b, c, rho0, rho1):
+    """The level's data, with `_terminating_2f1`'s step constants built once.
+
+    steps is three flat lists over m = 0..d-1: c + 2m, b + m and
+    (c + m)(m + 1), each computed as the recurrence would per point.
+    """
+    ms = range(d)
+    steps = ([c + 2 * m for m in ms], [b + m for m in ms], [(c + m) * (m + 1) for m in ms])
+    return _LevelData(d, a, b, c, rho0, rho1, steps)
 
 
 def _coulomb_data(params, coeffs, k, energy):
@@ -158,32 +175,43 @@ def _coulomb_data(params, coeffs, k, energy):
     u = _pole_root(KIND_COULOMB, params, coeffs, energy, -1)  # the root at r = -i
     # a = 1 - k on the quantized branch; the principal branch carries c - a instead
     half = (1.0 + A) / 2.0
-    return _LevelData(k - 1, half - u.real / 2.0, half + 0.5j * u.imag, 1.0 + A,
-                      endpoint_exponent(n, a), ((n - 1) - u.conjugate()) / 2.0)
+    return _level_data(k - 1, half - u.real / 2.0, half + 0.5j * u.imag, 1.0 + A,
+                       endpoint_exponent(n, a), ((n - 1) - u.conjugate()) / 2.0)
 
 
 def _oscillator_data(params, coeffs, k, energy):
+    """The oscillator's data; b is a float wherever it is real (`RadialEigenfunction._z`)."""
     n, a = params.n, float(coeffs.a)
     A = endpoint_root(n, a)
     W = wall_root(params)
     s = _pole_root(KIND_OSCILLATOR, params, coeffs, energy)
-    return _LevelData(k, (2.0 + A + W - s) / 4.0, (2.0 + A + W + s) / 4.0, 1.0 + A / 2.0,
-                      endpoint_exponent(n, a), wall_exponent(params))
+    b = (2.0 + A + W + s) / 4.0
+    return _level_data(k, (2.0 + A + W - s) / 4.0, b.real if b.imag == 0.0 else b,
+                       1.0 + A / 2.0, endpoint_exponent(n, a), wall_exponent(params))
 
 
-def _terminating_2f1(d, b, c, z):
-    """G_d = 2F1(-d, b; c; z) / d! in O(d), on a scalar, numpy array or jet z.
+def _z(kind, r):
+    """The 2F1 argument: 4i r/(r + i)^2 for Coulomb, 4r^2/(u u) with u = r^2 + 1 else."""
+    if kind == KIND_COULOMB:
+        return 4j * r / (r + 1j) ** 2
+    u = r * r + 1.0
+    return 4.0 * r * r / (u * u)
+
+
+def _terminating_2f1(steps, z, w):
+    """G_d = 2F1(-d, b; c; z) / d! in O(d), on a scalar, numpy array or jet z, with w = z - 1.
 
     G_m follows from the contiguous relation
     (c-a) F(a-1) + (2a - c + (b-a) z) F(a) + a (z-1) F(a+1) = 0 at a = -m:
     (c+m) (m+1) G_(m+1) = (c + 2m - (b+m) z) G_m + (z-1) G_(m-1), with
     G_0 = 1 and G_(-1) = 0 (its factor a vanishes), so G_1 = 1 - b z / c.
-    The steps are float arithmetic where b, c and z are real.
+    steps is the level's (c + 2m, b + m, (c+m) (m+1)) lists (`_level_data`),
+    so only z varies from point to point.  The steps are float arithmetic
+    where b and z are real.
     """
-    w = z - 1.0
     prev, cur = 0.0, 1.0
-    for m in range(d):
-        prev, cur = cur, ((c + 2 * m - (b + m) * z) * cur + w * prev) / ((c + m) * (m + 1))
+    for s0, bm, den in zip(*steps):
+        prev, cur = cur, ((s0 - bm * z) * cur + w * prev) / den
     return cur
 
 
@@ -232,27 +260,21 @@ class RadialEigenfunction(NamedTuple):
             f"{self.kind} level k={self.k}: the eigenfunction prefactor "
             f"((r - i)/(r + i)) ** rho1 overflows, rho1 = {self.data.rho1}")
 
-    def _hypergeometric(self, r):
-        """(d, b, c, z) with f(r) = prefactor(r) 2F1(-d, b; c; z) / d!.
+    def _z(self, r):
+        """z(r) with f(r) = prefactor(r) 2F1(-d, b; c; z) / d!.
 
         The one rule for real levels: on the oscillator, where b is real
-        (every level at its closed-form energy) and r lies on the real axis
-        (a float, a float array, or a complex scalar with zero imaginary
-        part), b and z come back as floats, so the recurrence runs in float
-        arithmetic.  Its values are the complex recurrence's real parts bit
-        for bit, whose imaginary parts are all zero there.  Coulomb, and an
-        oscillator b with an imaginary part (an explicit energy below the
-        pole's threshold), keep complex arithmetic.
+        (every level at its closed-form energy, stored as a float) and r
+        lies on the real axis (a float, a float array, or a complex scalar
+        with zero imaginary part), z comes back as a float, so the
+        recurrence runs in float arithmetic.  Its values are the complex
+        recurrence's real parts bit for bit, whose imaginary parts are all
+        zero there.  Coulomb, and an oscillator b with an imaginary part (an
+        explicit energy below the pole's threshold), keep complex arithmetic.
         """
-        d, b, c = self.data.d, self.data.b, self.data.c
-        if self.kind == KIND_COULOMB:
-            return d, b, c, 4j * r / (r + 1j) ** 2
-        if b.imag == 0.0:
-            b = b.real
-            if type(r) is complex and r.imag == 0.0:
-                r = r.real
-        u = r * r + 1.0
-        return d, b, c, 4.0 * r * r / (u * u)
+        if type(r) is complex and type(self.data.b) is float and r.imag == 0.0:
+            r = r.real
+        return _z(self.kind, r)
 
     def _evaluate(self, r):
         """f at a complex scalar r, in O(d).
@@ -260,7 +282,8 @@ class RadialEigenfunction(NamedTuple):
         Duck-typed: the tests also run it on a numpy array of r and on a jet
         of r as `jet`'s reference.
         """
-        return self._prefactor(r) * _terminating_2f1(*self._hypergeometric(r))
+        z = self._z(r)
+        return self._prefactor(r) * _terminating_2f1(self.data.steps, z, z - 1.0)
 
     def __call__(self, r):
         return self._evaluate(complex(r))
@@ -268,11 +291,12 @@ class RadialEigenfunction(NamedTuple):
     def jet(self, r):
         """(f, f', f'') at real r > 0.
 
-        f is `fn(r)` bit for bit: the same recurrence and prefactor, in the
-        same order, in floats wherever `_hypergeometric` returns a real b and
-        z (every oscillator level).  The recurrence also carries dG_m/dz and
-        d2G_m/dz2, from differentiating it in z (never from the 2F1
-        equation, which would make the ODE residual check circular):
+        f is `fn(r)` bit for bit: the same recurrence on the level's shared
+        step constants and the same prefactor, in the same order, in floats
+        wherever b and `_z` are real (every oscillator level).  The
+        recurrence also carries dG_m/dz and d2G_m/dz2, from differentiating
+        it in z (never from the 2F1 equation, which would make the ODE
+        residual check circular):
         (c+m) (m+1) G'_(m+1) = s G'_m - (b+m) G_m + (z-1) G'_(m-1) + G_(m-1),
         (c+m) (m+1) G''_(m+1) = s G''_m - 2 (b+m) G'_m + (z-1) G''_(m-1) + 2 G'_(m-1),
         with s = c + 2m - (b+m) z.  z', z'' and the prefactor's log-derivatives
@@ -280,14 +304,12 @@ class RadialEigenfunction(NamedTuple):
         and f'' = P (G'' z'^2 + G' z'' + 2 L' G' z' + (L'' + L'^2) G).
         """
         x = complex(r)
-        d, b, c, z = self._hypergeometric(x)
+        z = self._z(x)
         w = z - 1.0
         prev, cur = 0.0, 1.0  # G_(m-1), G_m: `_terminating_2f1`'s recurrence
         dprev, dcur, d2prev, d2cur = 0.0, 0.0, 0.0, 0.0  # their z-derivatives
-        for m in range(d):
-            bm = b + m
-            s = c + 2 * m - bm * z
-            den = (c + m) * (m + 1)
+        for s0, bm, den in zip(*self.data.steps):
+            s = s0 - bm * z
             prev, cur, dprev, dcur, d2prev, d2cur = (
                 cur, (s * cur + w * prev) / den,
                 dcur, (s * dcur - bm * cur + w * dprev + prev) / den,
@@ -318,10 +340,14 @@ class RadialEigenfunction(NamedTuple):
 
     # no caller in the package; the tracer in perfbench/tracing.py wraps this name
     def hypergeometric_value(self, r):
-        """f(r) through gauss_2f1's term-by-term sum, which loses accuracy from k ~ 11."""
-        d, b, c, z = self._hypergeometric(r)
-        a = self.data.a  # ~ -d: gauss_2f1 detects the termination itself
-        return self._prefactor(r) * gauss_2f1(a, b, c, z) * math.exp(-math.lgamma(d + 1))
+        """f(r) through `gauss_2f1`, a second route to `fn(r)`.
+
+        gauss_2f1 snaps a ~ -d and runs its own contiguous relation on F,
+        where `_terminating_2f1` runs it on F / d!; their bits differ.
+        """
+        data = self.data  # a ~ -d: gauss_2f1 detects the termination itself
+        return (self._prefactor(r) * gauss_2f1(data.a, data.b, data.c, self._z(r))
+                * math.exp(-math.lgamma(data.d + 1)))
 
     def branch_residuals(self):
         """|a + d|, which vanishes on the stated branch of a level."""
@@ -332,7 +358,7 @@ class RadialEigenfunction(NamedTuple):
         p, q = spectral_ode(self.kind, self.params, self.coeffs, self.energy)
         return ode_residual(p, q, self.jet, [r])
 
-    def _modulus(self, r, theta):
+    def _modulus(self, r, theta, z=None, w=None):
         """|f| on a numpy array of real r, as a real array.
 
         |f| = |P| |G_d|, with the product formed before any squaring.  The
@@ -341,7 +367,9 @@ class RadialEigenfunction(NamedTuple):
         |P| = r^rho0 (1 + r^2)^-rho0 exp(Im rho1 (pi - theta)) on the caller's
         own theta (unread for the oscillator); its overflow raises
         ConvergenceError, as the scalar path does.  G_d runs in float
-        arithmetic by `_hypergeometric`'s rule, as on every oscillator level.
+        arithmetic by `_z`'s rule, as on every oscillator level; z and
+        w = z - 1 are `_z(r)` and its shift unless the caller passes both
+        (`norm_squared` passes its grid's).
         """
         import numpy as np
 
@@ -355,7 +383,10 @@ class RadialEigenfunction(NamedTuple):
                 raise self._prefactor_overflow() from None
         else:
             pre = self._prefactor(r)
-        return pre * np.abs(_terminating_2f1(*self._hypergeometric(r)))
+        if z is None:
+            z = self._z(r)
+            w = z - 1.0
+        return pre * np.abs(_terminating_2f1(self.data.steps, z, w))
 
     def norm_squared(self, nodes=240):
         """integral of |f|^2 against the volume weight r^(n-1)/(1+r^2)^n.
@@ -363,7 +394,9 @@ class RadialEigenfunction(NamedTuple):
         Gauss-Legendre after mapping the domain: the half-angle substitution
         r = tan(theta/2) for Coulomb, affine for the oscillator.  |f| comes
         from `_modulus` in real arithmetic and is squared only then, so the
-        sum reaches as far through the float range as |f| itself.  Raises
+        sum reaches as far through the float range as |f| itself.  The
+        nodes, z and the volume weight's two factors come from
+        `_quadrature_grid` and `_volume_weight`, built once per grid.  Raises
         ConvergenceError unless the sum is a finite normal float: a subnormal
         sum has lost its relative precision to underflow.
         """
@@ -371,18 +404,29 @@ class RadialEigenfunction(NamedTuple):
 
         n = self.params.n
         _check_node_count(nodes)
-        theta, r, wj = _quadrature_grid(self.kind, nodes)
-        f = self._modulus(r, theta)
-        total = float(np.sum(wj * f ** 2 * r ** (n - 1) / (1.0 + r * r) ** n))
+        grid = _quadrature_grid(self.kind, nodes)
+        r1, un = _volume_weight(self.kind, nodes, n)
+        f = self._modulus(grid.r, grid.theta, grid.z, grid.w)
+        total = float(np.sum(grid.wj * f ** 2 * r1 / un))
         if not sys.float_info.min <= total < math.inf:
             raise ConvergenceError(
                 f"{self.kind} k={self.k}: norm quadrature over {nodes} nodes gave {total!r}")
         return total
 
 
+class _Grid(NamedTuple):
+    """`norm_squared`'s level-free arrays on one (kind, nodes) grid, all read-only."""
+
+    theta: object  # Coulomb's half-angle nodes; None for the oscillator
+    r: object
+    wj: object  # Gauss-Legendre weights times the map's Jacobian
+    z: object  # `_z(kind, r)`
+    w: object  # z - 1
+
+
 @functools.lru_cache(maxsize=16)
 def _quadrature_grid(kind, nodes):
-    """`norm_squared`'s read-only (theta, r, w jac), built once per (kind, nodes).
+    """`norm_squared`'s `_Grid`, built once per (kind, nodes).
 
     Gauss-Legendre on (-1, 1), mapped by r = tan(theta/2) with
     theta = (x + 1) pi/2 for Coulomb (jac = dr/dx) and affinely onto (0, 1)
@@ -400,9 +444,20 @@ def _quadrature_grid(kind, nodes):
         theta = None
         r = (x + 1.0) / 2.0
         jac = 0.5
-    wj = w * jac
-    r.flags.writeable = wj.flags.writeable = False
-    return theta, r, wj
+    z = _z(kind, r)
+    grid = _Grid(theta, r, w * jac, z, z - 1.0)
+    for arr in grid[1:]:
+        arr.flags.writeable = False
+    return grid
+
+
+@functools.lru_cache(maxsize=32)
+def _volume_weight(kind, nodes, n):
+    """The volume weight's read-only factors r^(n-1) and (1 + r^2)^n on a `_quadrature_grid`."""
+    r = _quadrature_grid(kind, nodes).r
+    r1, un = r ** (n - 1), (1.0 + r * r) ** n
+    r1.flags.writeable = un.flags.writeable = False
+    return r1, un
 
 
 def radial_eigenfunction(kind, params, coeffs, k, energy=None):

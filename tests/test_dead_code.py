@@ -7,6 +7,9 @@ module-level function must be referenced from somewhere in the package.
 A parameter with a default must be set by some call in `src/`, `tests/`
 or `perfbench/`; one that no call sets is a constant.  A module-level
 function or class a module exports through `__all__` has a docstring.
+Every `lru_cache` in the package has a literal, finite maxsize, and none is
+a `functools.cache`: an unbounded cache grows with the inputs a run sees,
+and the benchmark bounds peak memory.
 """
 
 import ast
@@ -174,3 +177,40 @@ def test_the_guard_catches_an_option_no_call_sets():
                      "def g(y=0, *, z=1):\n    pass\n\n"
                      "Box(1).grow(2)\nf(*rest, nd=3)\ng(**opts)\nrow = {'seed': 1}\n")
     assert _dead_defaults([tree], [tree]) == ["Box.size", "grow.twice"]
+
+
+def _unbounded_caches(tree):
+    """Each `functools.cache`, and each `lru_cache` without a literal positive int maxsize."""
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, "cache") for alias in node.names if alias.name == "cache"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "cache"
+              and getattr(node.value, "id", None) == "functools"):
+            found.append((node.lineno, "cache"))
+        elif getattr(node, "id", getattr(node, "attr", None)) == "lru_cache":
+            call = calls.get(id(node))
+            sizes = [] if call is None else call.args[:1] + [
+                k.value for k in call.keywords if k.arg == "maxsize"]
+            size = sizes[0].value if sizes and isinstance(sizes[0], ast.Constant) else None
+            if not (type(size) is int and size > 0):
+                found.append((node.lineno, "lru_cache"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_every_cache_has_a_literal_finite_size():
+    source = ("import functools\nfrom functools import cache, lru_cache\n\n"
+              "@functools.lru_cache(maxsize=16)\ndef a(x):\n    pass\n\n"
+              "@lru_cache(8)\ndef b(x):\n    pass\n\n"
+              "@functools.lru_cache(maxsize=None)\ndef c(x):\n    pass\n\n"
+              "@lru_cache\ndef d(x):\n    pass\n\n"
+              "@functools.cache\ndef e(x):\n    pass\n\n"
+              "@lru_cache(maxsize=SIZE)\ndef f(x):\n    pass\n\n"
+              "g = functools.lru_cache(True)(len)\n")
+    assert _unbounded_caches(ast.parse(source)) == [
+        "line 2: cache", "line 12: lru_cache", "line 16: lru_cache", "line 20: cache",
+        "line 24: lru_cache", "line 28: lru_cache"]
+    found = {name: bad for name, (_, tree) in _modules().items()
+             if (bad := _unbounded_caches(tree))}
+    assert not found, found

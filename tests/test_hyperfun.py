@@ -109,6 +109,40 @@ def test_polynomial_with_terminating_gamma():
         gauss_2f1(-2.0, 1.3, -1.0, 0.3)  # pole lands inside the sum
 
 
+# (alpha, beta, gamma, z) where the term-by-term sum was wrong: it gave 1425
+# and -7.8e34 on the first two, whose values are 0.104 and 0.0659
+_TERMINATING = [(-80, 0.5, 1.5, 0.9), (-200, 0.5, 1.5, 0.9), (-150, -3.3, 1.5, -0.8),
+                (0.5, -200, 1.5, 0.9), (-120, -200, 2.5, 0.45 + 0.3j)]
+
+
+def _eigenfunction_parameters():
+    """The eigenfunctions' own (-d, b; c; z) at r = 0.2, 0.45, 0.7, 0.9, d up to 200.
+
+    n = 3, case 1, m_k = 1 with unit masses, radius and coupling; a is -d
+    only to rounding, which gauss_2f1 snaps.
+    """
+    from sphere_twobody import PhysicalParams, radial_coefficients, radial_eigenfunction
+
+    params, co = PhysicalParams(3, 1.0, 1.0, 1.0, 1.0), radial_coefficients(3, 1, 1)
+    for kind, ds, k0 in (("coulomb", (10, 19, 39, 79, 150, 200), 1),
+                         ("oscillator", (11, 20, 40, 80, 150, 200), 0)):
+        for d in ds:
+            fn = radial_eigenfunction(kind, params, co, d + k0)
+            for r in (0.2, 0.45, 0.7, 0.9):
+                yield fn.data.a, -d, fn.data.b, fn.data.c, fn._z(complex(r))
+
+
+def test_terminating_input_matches_oracle_to_degree_200():
+    for alpha, beta, gamma, z in _TERMINATING:
+        want = _oracle(alpha, beta, gamma, z)
+        assert abs(gauss_2f1(alpha, beta, gamma, z) - want) <= 1e-12 * abs(want)
+    for a, degree, b, c, z in _eigenfunction_parameters():
+        want = _oracle(degree, b, c, z)
+        assert abs(gauss_2f1(a, b, c, z) - want) <= 1e-12 * abs(want), (degree, z)
+    with pytest.raises(ValidationError, match="pole"):
+        gauss_2f1(-200, 0.5, -150.0, 0.9)  # gamma's pole at term 150 precedes term 200
+
+
 def test_rejections():
     with pytest.raises(ValidationError):
         gauss_2f1(0.5, 0.5, -3.0, 0.2)  # nonpositive-integer gamma

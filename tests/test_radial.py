@@ -111,6 +111,20 @@ def test_coefficient_errors_unchanged_by_the_cache():
     assert messages() == before == [text for _, text in _BAD_COEFFICIENT_INPUTS]
 
 
+def test_n2_mk_must_be_an_int_before_and_after_a_cache_hit():
+    # 1.0 and True equal case 2's m = 1 and hash like it, so the check must
+    # come before the triple's cache
+    radial._sector_coefficients.cache_clear()
+    for cached in (False, True):
+        for bad in (1.0, True):
+            with pytest.raises(ValidationError, match=f"n=2 case 2 needs integer mk, got {bad}"):
+                radial_coefficients(2, 2, bad)
+        assert radial_coefficients(2, 2, 1) is radial_coefficients(2, 2)
+        assert radial._sector_coefficients.cache_info().currsize == 1, cached
+    with pytest.raises(ValidationError, match="n=2 case 1 needs integer mk, got 0.0"):
+        radial_coefficients(2, 1, 0.0)
+
+
 def test_symmetry_flags():
     assert radial_coefficients(4, 1, 2).symmetric
     assert radial_coefficients(4, 4, 3).symmetric

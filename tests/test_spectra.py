@@ -477,8 +477,8 @@ def test_coulomb_high_k_norm_finite(k):
 def test_coulomb_high_k_verified_only_when_accurate():
     """k = 34..40 at r0 = 0.7, where |f| is about 1e-48, far below an
     absolute floor such as 1e-30 that would make the residual test absolute.
-    `verified` vouches for the recurrence value, not for the term-by-term
-    sum of `hypergeometric_value`, which is 29 % off at k = 34."""
+    `verified` vouches for the recurrence value itself, checked here against
+    mpmath."""
     params = PhysicalParams(3, 1.0, 1.0, 1.0, 1.0)
     co = radial_coefficients(3, 1, 1)
     for level in spectrum("coulomb", params, co, 34, 40).levels:
@@ -620,7 +620,7 @@ def _complex_norm_squared(fn, nodes):
     else:
         r = (x + 1.0) / 2.0
         jac = 0.5
-    d, b, c, z = fn._hypergeometric(r)
+    d, b, c, z = fn.data.d, fn.data.b, fn.data.c, fn._z(r)
     prev, cur = 0.0, 1.0
     for m in range(d):
         prev, cur = cur, ((c + 2 * m - (b + m) * z) * cur + (z - 1.0) * prev) / (
@@ -733,7 +733,7 @@ def _complex_value_and_jet(fn, r):
     floats there, on the same prefactor.
     """
     x = complex(r)
-    d, b, c = fn.data.d, fn.data.b, fn.data.c
+    d, b, c = fn.data.d, complex(fn.data.b), fn.data.c
     if fn.kind == "coulomb":
         z = 4j * x / (x + 1j) ** 2
     else:
@@ -810,8 +810,8 @@ def test_values_and_jets_match_complex_arithmetic_bit_for_bit(kind, n):
     """
     real = kind == "oscillator"
     for fn, rs in _bit_pin_levels(kind, n):
-        assert (fn.data.b.imag == 0.0) == real
-        assert isinstance(fn._hypergeometric(complex(rs[0]))[3], float) == real
+        assert isinstance(fn.data.b, float) == real
+        assert isinstance(fn._z(complex(rs[0])), float) == real
         _assert_bits_match_complex_reference(fn, rs)
 
 
@@ -821,16 +821,83 @@ def test_complex_oscillator_b_keeps_complex_arithmetic():
     for k in (0, 7, 40):
         fn = radial_eigenfunction("oscillator", params, co, k, energy=-40.0)
         assert fn.data.b == pytest.approx(1.683 + 3.102j, abs=1e-3)
-        assert isinstance(fn._hypergeometric(0.3 + 0j)[3], complex)
+        assert isinstance(fn._z(0.3 + 0j), complex)
         _assert_bits_match_complex_reference(fn, (0.05, 0.3, 0.45, 0.9))
+        _assert_norms_match_inline_reference(fn)
+
+
+def _inline_norm_squared(fn, nodes):
+    """`norm_squared` with every step constant and grid array computed inline.
+
+    The reference for the level's shared step lists and the grid's cached
+    z, z - 1, r^(n-1) and (1 + r^2)^n: the recurrence, z, |P| and the volume
+    weight as they stood before either was built once, on the same
+    Gauss-Legendre rule, with the same errors.
+    """
+    n, kind = fn.params.n, fn.kind
+    x, w = gauss_legendre(-1.0, 1.0, nodes)
+    if kind == "coulomb":
+        theta = (x + 1.0) * (math.pi / 2.0)
+        r = np.tan(theta / 2.0)
+        jac = (math.pi / 2.0) * (1.0 + r * r) / 2.0
+        z = 4j * r / (r + 1j) ** 2
+    else:
+        r = (x + 1.0) / 2.0
+        jac = 0.5
+        u = r * r + 1.0
+        z = 4.0 * r * r / (u * u)
+    d, b, c = fn.data.d, fn.data.b, fn.data.c
+    wz = z - 1.0
+    prev, cur = 0.0, 1.0
+    for m in range(d):
+        prev, cur = cur, ((c + 2 * m - (b + m) * z) * cur + wz * prev) / ((c + m) * (m + 1))
+    rho0, rho1 = fn.data.rho0, fn.data.rho1
+    if kind == "coulomb":
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                pre = r ** rho0 * (1.0 + r * r) ** -rho0 * np.exp(rho1.imag * (math.pi - theta))
+        except FloatingPointError:
+            raise fn._prefactor_overflow() from None
+    else:
+        pre = r ** rho0 * (1.0 - r * r) ** rho1 * (r * r + 1.0) ** (-(rho0 + rho1))
+    f = pre * np.abs(cur)
+    total = float(np.sum(w * jac * f ** 2 * r ** (n - 1) / (1.0 + r * r) ** n))
+    if not sys.float_info.min <= total < math.inf:
+        raise ConvergenceError(
+            f"{kind} k={fn.k}: norm quadrature over {nodes} nodes gave {total!r}")
+    return total
+
+
+def _assert_norms_match_inline_reference(fn):
+    for nodes in (240, 480):
+        want = _norm_outcome(_inline_norm_squared, fn, nodes)
+        got = _norm_outcome(spectra.RadialEigenfunction.norm_squared, fn, nodes)
+        assert repr(got) == repr(want), (fn.kind, fn.k, nodes)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", KINDS)
+def test_norms_match_inline_reference_bit_for_bit(kind, n):
+    """`norm_squared` at 240 and 480 nodes repr for repr against `_inline_norm_squared`.
+
+    The same seeded levels as the value and jet pin: the shared step lists
+    and the cached grid arrays must not move a bit of any norm or error.
+    """
+    for fn, _ in _bit_pin_levels(kind, n):
+        assert [len(steps) for steps in fn.data.steps] == [fn.data.d] * 3
+        _assert_norms_match_inline_reference(fn)
 
 
 def test_quadrature_grid_cached_read_only():
     for kind in KINDS:
-        theta, r, wj = spectra._quadrature_grid(kind, 240)
+        theta, r, wj, z, w = spectra._quadrature_grid(kind, 240)
         assert spectra._quadrature_grid(kind, 240)[1] is r
         assert (theta is None) == (kind == "oscillator")
-        for arr in (r, wj) if theta is None else (theta, r, wj):
+        assert z.dtype == (np.complex128 if kind == "coulomb" else np.float64)
+        r1, un = spectra._volume_weight(kind, 240, 3)
+        assert spectra._volume_weight(kind, 240, 3)[0] is r1
+        arrays = (r, wj, z, w, r1, un) + (() if theta is None else (theta,))
+        for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
