@@ -20,19 +20,24 @@ out of it, and the two Coulomb halves share one tan(phi/2).
 
 Each half starts from the full Frobenius series x^rho sum c_j x^j of the
 regular solution at its singular end (DLMF 2.7(i)), in the end's own
-variable x (r and 1/r for Coulomb, r and 1 - r for the oscillator).  The
-series comes from the indicial form x^2 f'' + x P f' + (Q0 + E Q1) f = 0,
-with P, Q0 and Q1 as Taylor series of ratios of polynomials and rho from
-radial.endpoint_exponent / wall_exponent: the equation and its exponents,
-no closed-form level.  Both halves start at the offset _OFFSET, halved
-until both series meet _SERIES_TOL within _TERMS terms, so the start is
-exact to rounding and LSODA marches only the regular part.  Where a series
-has not converged by _EPS (from m R^2 |E| ~ 3e9 for the oscillator and
-~ 1.2e10 for Coulomb at n = 3, case 1, m_k = 1) ConvergenceError is raised
-before any march.  A march may spend at most _MAX_RHS_EVALS right-hand-side
-evaluations, and LSODA's step limit is set to the same number so the
-evaluation count is the only work bound; a march that passes it or that
-LSODA stops early raises ConvergenceError.
+variable x (r and 1/r for Coulomb, r and 1 - r for the oscillator).  Each
+end is held in polynomial form A x^2 f'' + B x f' + (C0 + E C1) f = 0: the
+indicial form x^2 f'' + x P f' + Q f = 0 multiplied through by the
+denominators of P and Q, with rho from radial.endpoint_exponent /
+wall_exponent -- the equation and its exponents, no closed-form level.
+The energy-free part of the Frobenius recurrence is built once per
+shooting_eigenvalue call, so each energy runs a recurrence no wider than
+the polynomials (at most 8 terms) instead of a convolution over Taylor
+series.  Both halves start at the offset _OFFSET, halved until both series
+meet _SERIES_TOL within _TERMS terms, so the start is exact to rounding
+and LSODA marches only the regular part.  Where a series has not
+converged by _EPS (from m R^2 |E| ~ 3e9 for the oscillator and ~ 1.2e10
+for Coulomb at n = 3, case 1, m_k = 1) ConvergenceError is raised before
+any march.  A march may spend at most _MAX_RHS_EVALS right-hand-side
+evaluations: each right-hand side counts its own calls and raises
+ConvergenceError on the first one past the bound.  LSODA's step limit is
+set to the same number, so the evaluation count is the only work bound; a
+march that LSODA stops early also raises ConvergenceError.
 
 joint_diagonalize finds the common eigenvectors of a family of matrices by
 intersecting eigenspace candidates with stacked SVDs, walking the eigenvalue
@@ -87,11 +92,12 @@ _RTOL = 1e-10
 _ATOL_SCALE = 1e-12  # atol = _ATOL_SCALE * |start vector|
 _SCAN_POINTS = 8     # bracket subdivisions when hunting a sign change
 _XTOL = 1e-11        # brentq tolerance, times the energy scale
-# Right-hand-side evaluations allowed per (stacked) march, and so also LSODA's
-# step limit.  A march on the criteria grids needs at most 390; at very large
-# energies LSODA can otherwise spin inside a single step forever.
+# Right-hand-side evaluations allowed per (stacked) march, counted by the
+# right-hand side itself, and so also LSODA's step limit.  A march on the
+# criteria grids needs at most 390; at very large energies LSODA can
+# otherwise spin inside a single step forever.
 _MAX_RHS_EVALS = 100_000
-# the shooting_eigenvalue call in progress: its endpoint series, built once,
+# the shooting_eigenvalue call in progress: its two ends, built once,
 # and the right-hand-side evaluations its marches spent, summed by _march
 # without changing what shooting_mismatch returns
 _CALL = contextvars.ContextVar("shooting_call")
@@ -122,6 +128,13 @@ class ShootingResult(NamedTuple):
 _March = collections.namedtuple("_March", "y nfev")
 
 
+def _too_many_evaluations(t0, t1):
+    """The ConvergenceError of a march past _MAX_RHS_EVALS evaluations."""
+    return ConvergenceError(
+        f"integration from {t0} to {t1} exceeded {_MAX_RHS_EVALS} right-hand-side evaluations"
+    )
+
+
 def solve_ivp(rhs, t0, t1, y0, atol):
     """One LSODA march from t0 to t1 as a single scipy.integrate.odeint call.
 
@@ -129,26 +142,17 @@ def solve_ivp(rhs, t0, t1, y0, atol):
     ODEPACK code and Python is entered only for rhs(t, y).  t0 is the start
     offset that _start chose, where the Frobenius series is already exact,
     so the march never creeps away from a singular end.  Returns the state
-    at t1 and the right-hand-side evaluations spent.  The name is kept from
-    the solve_ivp this replaced because tracing wrappers patch the march at
-    this import site and read `nfev` from its result.  Raises
-    ConvergenceError past _MAX_RHS_EVALS evaluations, when LSODA stops
+    at t1 and the right-hand-side evaluations spent, as ODEPACK counts
+    them.  The name is kept from the solve_ivp this replaced because
+    tracing wrappers patch the march at this import site and read `nfev`
+    from its result.  The oracle's right-hand sides count their own calls
+    and raise ConvergenceError past _MAX_RHS_EVALS, so no wrapper frame
+    sits around each call; LSODA's step limit is the same number.  Raises
+    ConvergenceError when the count passed that bound, when LSODA stops
     early, or when the end state left the float range (LSODA can report
     success on a state that overflowed to NaN).
     """
     from scipy.integrate import ODEintWarning, odeint
-
-    nfev = 0
-
-    def bounded(t, y):
-        nonlocal nfev
-        nfev += 1
-        if nfev > _MAX_RHS_EVALS:
-            raise ConvergenceError(
-                f"integration from {t0} to {t1} exceeded {_MAX_RHS_EVALS} "
-                "right-hand-side evaluations"
-            )
-        return rhs(t, y)
 
     # the step limit is the evaluation bound, so the evaluation count stays
     # the only work bound; odeint warns even with full_output, and a failed
@@ -156,9 +160,12 @@ def solve_ivp(rhs, t0, t1, y0, atol):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ODEintWarning)
         ys, info = odeint(
-            bounded, y0, (t0, t1), rtol=_RTOL, atol=atol, mxstep=_MAX_RHS_EVALS,
+            rhs, y0, (t0, t1), rtol=_RTOL, atol=atol, mxstep=_MAX_RHS_EVALS,
             full_output=True, tfirst=True,
         )
+    nfev = int(info["nfe"][-1])
+    if nfev > _MAX_RHS_EVALS:
+        raise _too_many_evaluations(t0, t1)
     if info["message"] != "Integration successful.":
         raise ConvergenceError(
             f"integration from {t0} to {t1} failed after {nfev} "
@@ -172,14 +179,13 @@ def solve_ivp(rhs, t0, t1, y0, atol):
     return _March(ys[-1], nfev)
 
 
-def _march(rhs, t1, ends, energy):
+def _march(rhs, t0, t1, y_in, y_out):
     """March both halves as one stacked state (f_in, f_in', f_out, f_out').
 
-    Both start at _start's offset t0 from their endpoints.  Each half keeps
-    its own absolute tolerance, scaled by its start vector.  Returns the two
-    half-states at t1.
+    Both start at _start's offset t0 from their endpoints, with the start
+    states y_in and y_out.  Each half keeps its own absolute tolerance,
+    scaled by its start vector.  Returns the two half-states at t1.
     """
-    t0, y_in, y_out = _start(ends, energy)
     atol_in = _ATOL_SCALE * max(abs(y_in[0]), abs(y_in[1]))
     atol_out = _ATOL_SCALE * max(abs(y_out[0]), abs(y_out[1]))
     sol = solve_ivp(rhs, t0, t1, (*y_in, *y_out), (atol_in, atol_in, atol_out, atol_out))
@@ -191,16 +197,22 @@ def _march(rhs, t1, ends, energy):
 
 
 class _End(NamedTuple):
-    """One singular end of x^2 f'' + x P(x) f' + (Q0(x) + E Q1(x)) f = 0.
+    """One singular end of A x^2 f'' + B x f' + (C0 + E C1) f = 0.
 
-    P, Q0 and Q1 are Taylor coefficient lists in the end's own variable x,
-    and rho is the regular indicial exponent there.
+    A, B, C0 and C1 are polynomials in the end's own variable x, ascending
+    coefficient lists, and rho is the regular indicial exponent there.
+    `steps` is the Frobenius recurrence with its energy-free part built:
+    for j = 1.._TERMS, (lo, h, u, v) with c_j = h sum_i c_i (u_i + E v_i)
+    over c_lo .. c_{j-1}.  `shifts` holds rho + j for j <= _TERMS.
     """
 
-    P: list
-    Q0: list
-    Q1: list
+    A: list
+    B: list
+    C0: list
+    C1: list
     rho: float
+    steps: tuple
+    shifts: tuple
 
 
 class _Ends(NamedTuple):
@@ -209,62 +221,114 @@ class _Ends(NamedTuple):
     angle: bool  # x = tan(t/2) and d/dtheta (Coulomb), else x = t and d/dr
 
 
-def _taylor(*fractions):
-    """Taylor coefficients 0.._TERMS at x = 0 of a sum of fractions.
-
-    Each fraction is (num, den_1, den_2, ...), polynomials as ascending
-    coefficient lists, for num(x) / (den_1(x) den_2(x) ...).
-    """
-    out = [0.0] * (_TERMS + 1)
-    for num, *dens in fractions:
-        series = num + [0.0] * (_TERMS + 1 - len(num))
-        for den in dens:
-            quotient, head, tail = [], den[0], den[1:]
-            for j in range(_TERMS + 1):
-                # quotient[j-1], quotient[j-2], ... against den[1], den[2], ...
-                rest = sum(map(operator.mul, tail, quotient[:-len(den):-1]))
-                quotient.append((series[j] - rest) / head)
-            series = quotient
-        out = [u + v for u, v in zip(out, series)]
+def _add(*polys):
+    """Sum of polynomials, ascending coefficient lists."""
+    out = [0.0] * max(map(len, polys))
+    for poly in polys:
+        for i, u in enumerate(poly):
+            out[i] += u
     return out
 
 
-def _series_ends(kind, params, coeffs):
-    """Both ends of the radial equation in indicial form, as Taylor series.
+def _mul(*polys):
+    """Product of polynomials, ascending coefficient lists."""
+    out = [1.0]
+    for poly in polys:
+        prod = [0.0] * (len(out) + len(poly) - 1)
+        for i, u in enumerate(out):
+            for k, v in enumerate(poly):
+                prod[i + k] += u * v
+        out = prod
+    return out
 
-    Coulomb in r = tan(theta/2): P = (n-1 + (3-n) x^2)/(1 + x^2) and
-    Q = 8 [(m R^2 E - b) x^2 + (m R g/2)(x - x^3) - a - c x^4]/(1 + x^2)^2 at
-    x = r; at x = 1/r the same with a <-> c and g -> -g.  The oscillator at
-    x = r has the same P and Q = 8 [(m R^2 E - b) x^2 - a - c x^4]/(1 + x^2)^2
-    - 8 w x^4/((1 + x^2)(1 - x^2))^2 with w = 2 m R^4 g^2, and at x = 1 - r
-    P = -x p(r), Q = x^2 q(r) for the p, q of _oscillator_halves.
+
+def _scaled(factor, poly):
+    return [factor * u for u in poly]
+
+
+def _end(A, B, C0, C1, rho):
+    """The _End of A x^2 f'' + B x f' + (C0 + E C1) f = 0 with exponent rho.
+
+    Putting f = sum_j c_j x^(rho + j) in the equation gives, at x^(rho + j)
+    with s = rho + j, sum_i c_{j-i} [A_i (s-i)(s-i-1) + B_i (s-i) + C0_i
+    + E C1_i] = 0.  C1_0 is 0 at every end (rho does not depend on E), and
+    the i = 0 factor is j (A_0 (2 rho + j - 1) + B_0), since rho solves the
+    indicial equation A_0 rho (rho - 1) + B_0 rho + C0_0 = 0.
+    """
+    width = max(map(len, (A, B, C0, C1)))
+    A, B, C0, C1 = (poly + [0.0] * (width - len(poly)) for poly in (A, B, C0, C1))
+    steps = []
+    for j in range(1, _TERMS + 1):
+        lo = max(0, j - width + 1)
+        span = range(j - lo, 0, -1)  # i for c_lo .. c_{j-1}
+        steps.append((
+            lo,
+            -1.0 / (j * (A[0] * (2.0 * rho + j - 1.0) + B[0])),
+            [(A[i] * (rho + j - i - 1.0) + B[i]) * (rho + j - i) + C0[i] for i in span],
+            C1[j - lo:0:-1],
+        ))
+    return _End(A, B, C0, C1, rho, tuple(steps), tuple(rho + j for j in range(_TERMS + 1)))
+
+
+# The parameter-free factors of the polynomial forms, in each end's x.  At
+# x = r: 1 + x^2 and 1 - x^2; at the oscillator's x = 1 - r: r = 1 - x,
+# 1 + r^2 = 2 - 2x + x^2 and 2 - x, with 1 - r^2 = x (2 - x).
+_ONE, _WALL = [1.0, 0.0, 1.0], [1.0, 0.0, -1.0]
+_R, _ONE_R, _TWO = [1.0, -1.0], [2.0, -2.0, 1.0], [2.0, -1.0]
+_R2, _TWO2 = _mul(_R, _R), _mul(_TWO, _TWO)
+_R4 = _mul(_R2, _R2)
+_ONE2 = _mul(_ONE, _ONE)                           # (1 + x^2)^2, Coulomb's A
+_WALL2 = _mul(_WALL, _WALL)
+_QUARTIC2 = _mul(_ONE2, _WALL2)                    # (1 - x^4)^2
+_ONE_WALL2 = _mul(_ONE, _WALL2)
+_OUTER = _mul(_ONE_R, _ONE_R, _R2, _TWO2)          # (1 + r^2)^2 r^2 (2 - x)^2
+_OUTER_B = _mul(_ONE_R, _R, _TWO2)                 # (1 + r^2) r (2 - x)^2
+_X2_TWO2 = _mul([0.0, 0.0, 1.0], _TWO2)            # x^2 (2 - x)^2
+
+
+def _series_ends(kind, params, coeffs):
+    """Both ends of the radial equation in polynomial form A x^2 f'' + B x f' + C f = 0.
+
+    The indicial form x^2 f'' + x P f' + Q f = 0 of each end, with Q =
+    Q0 + E Q1, is multiplied through by the denominators of P and Q, so C
+    = C0 + E C1.  Coulomb at x = r, where P = (n-1 + (3-n) x^2)/(1 + x^2)
+    and Q = 8 [(m R^2 E - b) x^2 + (m R g/2)(x - x^3) - a - c x^4]/(1 + x^2)^2,
+    is multiplied by (1 + x^2)^2; at x = 1/r it is the same with a <-> c
+    and g -> -g.  The oscillator at x = r has the same P and Q =
+    8 [(m R^2 E - b) x^2 - a - c x^4]/(1 + x^2)^2 - 8 w x^4/(1 - x^4)^2
+    with w = 2 m R^4 g^2, multiplied by (1 - x^4)^2.  At x = 1 - r, P =
+    -x p(r) and Q = x^2 q(r) for the p, q of _oscillator_halves, and
+    1 - r^2 = x (2 - x), so the multiplier is (1 + r^2)^2 r^2 (2 - x)^2.
     """
     n, m, R, g = params.n, params.reduced_mass, params.radius, params.coupling
     a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
     mR2 = m * R * R
-    one = [1.0, 0.0, 1.0]  # 1 + x^2
-    P = _taylor(([n - 1.0, 0.0, 3.0 - n], one))
-    Q1 = _taylor(([0.0, 0.0, 8.0 * mR2], one, one))
+    bend = [n - 1.0, 0.0, 3.0 - n]  # (1 + r^2) r p(r)
     if kind == KIND_COULOMB:
+        B = [n - 1.0, 0.0, 2.0, 0.0, 3.0 - n]  # bend (1 + x^2)
+        C1 = [0.0, 0.0, 8.0 * mR2]
+
         def end(a, c, h):
-            return _End(P, _taylor(([-8.0 * a, h, -8.0 * b, -h, -8.0 * c], one, one)), Q1,
+            return _end(_ONE2, B, [-8.0 * a, h, -8.0 * b, -h, -8.0 * c], C1,
                         endpoint_exponent(n, a))
 
         h = 4.0 * m * R * g
         return _Ends(end(a, c, h), end(c, a, -h), True)
     w8 = 16.0 * mR2 * R * R * g * g  # 8 w
-    wall = [1.0, 0.0, -1.0]  # 1 - x^2
-    inner = _End(P, _taylor(([-8.0 * a, 0.0, -8.0 * b, 0.0, -8.0 * c], one, one),
-                            ([0.0, 0.0, 0.0, 0.0, -w8], one, one, wall, wall)),
-                 Q1, endpoint_exponent(n, a))
-    # r = 1 - x, so 1 + r^2 = 2 - 2x + x^2 and 1 - r^2 = x (2 - x)
-    r, one_r, two = [1.0, -1.0], [2.0, -2.0, 1.0], [2.0, -1.0]
-    outer = _End(
-        _taylor(([0.0, -2.0, 2.0 * (3.0 - n), n - 3.0], one_r, r)),
-        _taylor(([0.0, 0.0, -8.0 * (b + c), 16.0 * c, -8.0 * c], one_r, one_r),
-                ([0.0, 0.0, -8.0 * a], r, r, one_r, one_r),
-                ([-w8, 2.0 * w8, -w8], two, two, one_r, one_r)),
-        _taylor(([0.0, 0.0, 8.0 * mR2], one_r, one_r)),
+    inner = _end(
+        _QUARTIC2,
+        _mul(bend, _ONE_WALL2),
+        _add(_mul([-8.0 * a, 0.0, -8.0 * b, 0.0, -8.0 * c], _WALL2), [0.0] * 4 + [-w8]),
+        _scaled(8.0 * mR2, [0.0, 0.0] + _WALL2),
+        endpoint_exponent(n, a),
+    )
+    # -x bend at r = 1 - x is -x (2 + 2 (n-3) x + (3-n) x^2)
+    outer = _end(
+        _OUTER,
+        _mul([0.0, -2.0, 2.0 * (3.0 - n), n - 3.0], _OUTER_B),
+        _add(_mul(_X2_TWO2, _add([-8.0 * a], _scaled(-8.0 * b, _R2), _scaled(-8.0 * c, _R4))),
+             _scaled(-w8, _R4)),
+        _scaled(8.0 * mR2, _mul(_X2_TWO2, _R2)),
         wall_exponent(params),
     )
     return _Ends(inner, outer, False)
@@ -273,20 +337,15 @@ def _series_ends(kind, params, coeffs):
 def _frobenius(end, energy):
     """Coefficients c_j and (rho + j) c_j, j <= _TERMS, of f = x^rho sum c_j x^j.
 
-    The recurrence is c_j F(rho + j) = -sum_i c_{j-i} [P_i (rho + j - i) + Q_i]
-    with c_0 = 1, and F(rho + j) = j (j + 2 rho - 1 + P_0) since F(rho) = 0.
-    Plain floats: past the float range a coefficient turns inf or NaN
-    silently, and _series_state rejects it.
+    c_0 = 1, and each further c_j runs _End.steps' recurrence, at most as
+    wide as the end's polynomials.  Plain floats: past the float range a
+    coefficient turns inf or NaN silently, and _series_state rejects it.
     """
-    P, rho = end.P, end.rho
-    Q = [u + energy * v for u, v in zip(end.Q0, end.Q1)]
-    gap = 2.0 * rho - 1.0 + P[0]
-    c, d = [1.0], [rho]
-    for j in range(1, _TERMS + 1):
-        s = sum(map(operator.mul, d, P[j:0:-1])) + sum(map(operator.mul, c, Q[j:0:-1]))
-        c.append(-s / (j * (j + gap)))
-        d.append((rho + j) * c[j])
-    return c, d
+    c = [1.0]
+    for lo, h, u, v in end.steps:
+        tail = c[lo:]
+        c.append(h * (sum(map(operator.mul, tail, u)) + energy * sum(map(operator.mul, tail, v))))
+    return c, list(map(operator.mul, c, end.shifts))
 
 
 def _series_state(c, d, x):
@@ -345,8 +404,15 @@ def _coulomb_halves(params, coeffs, energy, ends):
     e = m * R * R * energy - float(coeffs.b)
     h = m * R * g
     n1 = n - 1.0
+    t0, y_in, y_out = _start(ends, energy)
+    t1 = math.pi / 2.0
+    calls = 0
 
     def rhs(phi, y):
+        nonlocal calls
+        calls += 1
+        if calls > _MAX_RHS_EVALS:
+            raise _too_many_evaluations(t0, t1)
         f_in, d_in, f_out, d_out = y.tolist()  # plain floats: numpy scalars are slower
         t = math.tan(phi / 2.0)
         u = 1.0 / t
@@ -357,7 +423,7 @@ def _coulomb_halves(params, coeffs, energy, ends):
         Q_out = 2.0 * (e - h * cot - a * t2 - c * u2)
         return (d_in, -P * d_in - Q_in * f_in, -d_out, -P * d_out + Q_out * f_out)
 
-    return _march(rhs, math.pi / 2.0, ends, energy)
+    return _march(rhs, t0, t1, y_in, y_out)
 
 
 def _oscillator_halves(params, coeffs, energy, ends):
@@ -375,8 +441,15 @@ def _oscillator_halves(params, coeffs, energy, ends):
     e = mR2 * energy - float(coeffs.b)
     w = mR2 * (2.0 * R * R * g * g)
     n1, n3 = params.n - 1.0, 3.0 - params.n
+    t0, y_in, y_out = _start(ends, energy)
+    t1 = 0.5
+    calls = 0
 
     def rhs(s, y):
+        nonlocal calls
+        calls += 1
+        if calls > _MAX_RHS_EVALS:
+            raise _too_many_evaluations(t0, t1)
         f_in, d_in, f_out, d_out = y.tolist()
         r = 1.0 - s
         s2, r2 = s * s, r * r
@@ -388,7 +461,7 @@ def _oscillator_halves(params, coeffs, energy, ends):
         q_out = 8.0 * (e - a / r2 - c * r2 - w * r2 / (wall_r * wall_r)) / (one_r * one_r)
         return (d_in, -p_in * d_in - q_in * f_in, -d_out, p_out * d_out + q_out * f_out)
 
-    return _march(rhs, 0.5, ends, energy)
+    return _march(rhs, t0, t1, y_in, y_out)
 
 
 def _binary_normalized(f, df):
@@ -428,8 +501,8 @@ def shooting_eigenvalue(kind, params, coeffs, e_lo, e_hi):
 
     Walks 8 subintervals left to right, stops at the first sign
     change and polishes it with brentq, so a bracket holding several levels
-    yields the lowest.  Each energy is marched once per call, and the
-    endpoint Taylor series of P, Q0 and Q1 are built once per call, so an
+    yields the lowest.  Each energy is marched once per call, and both
+    ends' polynomial forms and recurrences are built once per call, so an
     energy costs only the Frobenius recurrence before its march.  Raises
     ValidationError on a non-real, non-finite or empty bracket, or one
     whose width is not finite, and ConvergenceError when the bracket

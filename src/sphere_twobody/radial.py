@@ -138,9 +138,9 @@ def radial_coefficients(n, case_id, mk=None):
     mk - drop, mk) for n >= 3, with drop = 0, 1, 1, 2 for cases 1-4.  For
     n = 2 the case determines m, so mk is optional (an int equal to m if
     supplied: a float or bool is refused even where it equals m).
-    For n >= 3, mk is required and must be at least the case's drop.  The
-    triple is built once per (carrier, case) after these checks and shared,
-    as the record is immutable.
+    For n >= 3, mk is required and must be an int, not a bool, of at least
+    the case's drop.  The triple is built once per (carrier, case) after
+    these checks and shared, as the record is immutable.
     """
     if not (isinstance(n, int) and n >= 2):
         raise ValidationError(f"sphere dimension must be an integer >= 2, got {n}")
@@ -160,7 +160,7 @@ def radial_coefficients(n, case_id, mk=None):
         if mk is None:
             raise ValidationError("mk is required for n >= 3")
         drop = case_id // 2
-        if not (isinstance(mk, int) and mk >= drop):
+        if isinstance(mk, bool) or not (isinstance(mk, int) and mk >= drop):
             raise ValidationError(f"case {case_id} needs integer mk >= {drop}, got {mk}")
         carrier = HighestWeight(alg, (0,) * (alg.rank - 2) + (mk - drop, mk))
     return _sector_coefficients(carrier, case_id)

@@ -32,6 +32,10 @@ deviations, the eigenfunction residuals, the Heun reduction and the
 exponent sums of each kind.  `verify_coulomb.out` was regenerated once,
 when `norm_squared` moved to real arithmetic: only the eigenfunction
 check's worst norm drift moved, from 1.86e-14 to 1.84e-14.
+`verify_oscillator.out` was regenerated once, when the shooting oracle's
+Frobenius starts moved from Taylor convolutions to each end's polynomial
+form: only the "spectrum vs shooting" solver total `rhs_evaluations`
+moved, from 71203 to 71207.
 
 The two `*_high_k_json_samples` files pin eigenfunction samples at k = 30..40,
 where the other sample files stop at k <= 4.  They were written before the

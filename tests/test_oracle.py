@@ -30,7 +30,7 @@ from sphere_twobody import (
     spectral_ode,
 )
 from sphere_twobody import oracle
-from sphere_twobody.radial import MASS_EQUAL
+from sphere_twobody.radial import MASS_EQUAL, valid_cases
 from sphere_twobody.spectra import K_MIN
 
 UNIT3 = PhysicalParams(3, 2.0, 2.0, 1.0, 1.0)
@@ -189,22 +189,70 @@ def test_shooting_result_statistics():
     assert got.mismatch == abs(shooting_mismatch("coulomb", UNIT3, co, got.energy))
 
 
-def test_shooting_result_counts_rhs_evaluations(monkeypatch):
-    seen = []
+def _spy_marches(monkeypatch):
+    """Patch solve_ivp to count the right-hand-side calls of each march.
+
+    Returns (calls, nfevs): per march, the calls its right-hand side saw
+    (kept when the march raises) and the nfev it returned.
+    """
+    calls, nfevs = [], []
     march = oracle.solve_ivp
 
-    def spy(*args, **kwargs):
-        sol = march(*args, **kwargs)
-        seen.append(sol.nfev)
+    def spy(rhs, *args):
+        calls.append(0)
+
+        def counted(t, y):
+            calls[-1] += 1
+            return rhs(t, y)
+
+        sol = march(counted, *args)
+        nfevs.append(sol.nfev)
         return sol
 
     monkeypatch.setattr(oracle, "solve_ivp", spy)
+    return calls, nfevs
+
+
+def test_shooting_result_counts_rhs_evaluations(monkeypatch):
+    # solve_ivp's nfev is ODEPACK's own count; it must equal the calls the
+    # right-hand side saw, and the result sums it over every march
+    calls, nfevs = _spy_marches(monkeypatch)
     co = radial_coefficients(3, 1, 1)
-    E = closed_form_energy("oscillator", UNIT3, co, 1)
-    got = shooting_eigenvalue("oscillator", UNIT3, co, E - 0.4, E + 0.4)
-    assert got.rhs_evaluations > 0
-    assert len(seen) == got.evaluations  # one stacked march per energy
-    assert got.rhs_evaluations == sum(seen)
+    for kind in ("coulomb", "oscillator"):
+        calls.clear()
+        nfevs.clear()
+        E = closed_form_energy(kind, UNIT3, co, K_MIN[kind] + 1)
+        got = shooting_eigenvalue(kind, UNIT3, co, E - 0.4, E + 0.4)
+        assert got.rhs_evaluations > 0
+        assert len(nfevs) == got.evaluations  # one stacked march per energy
+        assert got.rhs_evaluations == sum(nfevs)
+        assert nfevs == calls
+
+
+@pytest.mark.parametrize("kind, t1", [("coulomb", math.pi / 2.0), ("oscillator", 0.5)])
+def test_march_evaluation_bound(monkeypatch, kind, t1):
+    # each kind's right-hand side counts its own calls and raises on the
+    # first one past the bound, before LSODA's step limit (the same number)
+    monkeypatch.setattr(oracle, "_MAX_RHS_EVALS", 40)
+    calls, _ = _spy_marches(monkeypatch)
+    co = radial_coefficients(3, 1, 1)
+    E = closed_form_energy(kind, UNIT3, co, K_MIN[kind])
+    t0 = oracle._start(oracle._series_ends(kind, UNIT3, co), E)[0]
+    text = f"integration from {t0} to {t1} exceeded 40 right-hand-side evaluations"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError) as info:
+            shooting_mismatch(kind, UNIT3, co, E)
+        assert str(info.value) == text
+        assert calls == [41]  # the march stopped inside the right-hand side
+        with pytest.raises(ConvergenceError, match="exceeded 40 right-hand-side"):
+            shooting_eigenvalue(kind, UNIT3, co, E - 0.4, E + 0.4)
+    # a right-hand side that does not count its calls meets the same bound
+    # in solve_ivp, from ODEPACK's count
+    monkeypatch.setattr(oracle, "_MAX_RHS_EVALS", 3)
+    with pytest.raises(ConvergenceError,
+                       match="integration from 0.0 to 50.0 exceeded 3 right-hand-side"):
+        oracle.solve_ivp(lambda t, y: (y[1], -y[0]), 0.0, 50.0, (1.0, 0.0), 1e-12)
 
 
 def _two_march_mismatch(kind, params, coeffs, energy):
@@ -329,6 +377,60 @@ def test_reduced_rhs_matches_spectral_ode(monkeypatch, kind, params, sector, ene
                 + _reference_coefficients(kind, params, co, energy, r_out))
         for value, (ref, scale) in zip(got, zip(want[::2], want[1::2])):
             assert abs(value - ref) <= 1e-13 * scale, (t, value, ref, scale)
+
+
+def _poly(coeffs, x):
+    return sum(u * x ** i for i, u in enumerate(coeffs))
+
+
+def _record_sectors(n):
+    """Every valid case of dimension n, n >= 3 at each m_k = drop..2."""
+    if n == 2:
+        return [(2, case_id, None) for case_id in valid_cases(2)]
+    return [(n, case_id, mk) for case_id in valid_cases(n) for mk in range(case_id // 2, 3)]
+
+
+@pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_end_record_is_the_equation(monkeypatch, kind, n):
+    # each end's (A, B, C0, C1, rho) against the equation itself: rho solves
+    # the indicial equation A0 rho (rho - 1) + B0 rho + C0(0) = 0, and B/(A x)
+    # and (C0 + E C1)/(A x^2), taken to the march coordinate, are the inline
+    # right-hand side's P and Q of that end at random points
+    rng = np.random.default_rng(1000 * n + len(kind))
+    for sector in _record_sectors(n):
+        co = radial_coefficients(*sector)
+        draws = [PhysicalParams(n, 2.0, 2.0, 1.0, 1.0)]  # the verify grid's parameters
+        for _ in range(2):
+            m1, m2 = rng.uniform(0.5, 2.5, 2)
+            g = rng.uniform(0.3, 2.0) * rng.choice([-1.0, 1.0])
+            draws.append(PhysicalParams(n, m1, m1 if co.mass_mode == MASS_EQUAL else m2,
+                                        rng.uniform(0.5, 2.0), g))
+        for params in draws:
+            energy = rng.uniform(-5.0, 20.0)
+            ends = oracle._series_ends(kind, params, co)
+            for end in ends[:2]:
+                assert end.C1[0] == 0.0  # rho does not depend on the energy
+                A0, B0, C00, rho = end.A[0], end.B[0], end.C0[0], end.rho
+                terms = (A0 * rho * (rho - 1.0), B0 * rho, C00)
+                assert abs(sum(terms)) <= 1e-12 * sum(map(abs, terms)), (sector, params, terms)
+            rhs, t0, t1 = _captured_rhs(monkeypatch, kind, params, co, energy)
+            for t in rng.uniform(t0, t1, 5).tolist():
+                x = math.tan(t / 2.0) if kind == "coulomb" else t
+                got = _half_coefficients(rhs, t)
+                for sign, end, P, Q in ((1.0, ends.inner, *got[:2]), (-1.0, ends.outer, *got[2:])):
+                    A, B = _poly(end.A, x), _poly(end.B, x)
+                    p = B / (A * x)
+                    q = (_poly(end.C0, x) + energy * _poly(end.C1, x)) / (A * x * x)
+                    # the scale of each coefficient: its polynomials summed in |.|
+                    p_scale = _poly(list(map(abs, end.B)), x) / (A * x)
+                    q_scale = (_poly(list(map(abs, end.C0)), x)
+                               + abs(energy) * _poly(list(map(abs, end.C1)), x)) / (A * x * x)
+                    if kind == "coulomb":  # x = tan(phi/2): d/dphi = (1 + x^2)/2 d/dx
+                        p, p_scale = p * (1.0 + x * x) / 2.0 - x, p_scale * (1.0 + x * x) / 2.0 + x
+                        q, q_scale = (v * (1.0 + x * x) ** 2 / 4.0 for v in (q, q_scale))
+                    assert abs(P - sign * p) <= 1e-13 * p_scale, (sector, t, P, sign * p)
+                    assert abs(Q - q) <= 1e-13 * q_scale, (sector, t, Q, q)
 
 
 @pytest.mark.parametrize("radius", [1000.0, 1200.0])

@@ -86,8 +86,8 @@ _BAD_COEFFICIENT_INPUTS = [
     ((3, 1, None), "mk is required for n >= 3"),
     ((3, 4, 1), "case 4 needs integer mk >= 2, got 1"),
     ((3, 4, 2.0), "case 4 needs integer mk >= 2, got 2.0"),
-    ((3, 1, True),
-     "weight entries must be integers (spinor weights are out of scope), got True"),
+    ((3, 1, True), "case 1 needs integer mk >= 0, got True"),
+    ((4, 2, True), "case 2 needs integer mk >= 1, got True"),
     ((2, 2, 0), "n=2 case 2 carries m=1, got mk=0"),
 ]
 
