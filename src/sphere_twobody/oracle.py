@@ -21,10 +21,9 @@ out of it, and the two Coulomb halves share one tan(phi/2).
 Each half starts from the full Frobenius series x^rho sum c_j x^j of the
 regular solution at its singular end (DLMF 2.7(i)), in the end's own
 variable x (r and 1/r for Coulomb, r and 1 - r for the oscillator).  Each
-end is held in polynomial form A x^2 f'' + B x f' + (C0 + E C1) f = 0: the
-indicial form x^2 f'' + x P f' + Q f = 0 multiplied through by the
-denominators of P and Q, with rho from radial.endpoint_exponent /
-wall_exponent -- the equation and its exponents, no closed-form level.
+end's polynomial form A x^2 f'' + B x f' + (C0 + E C1) f = 0 and exponent
+rho are radial.reduced_equation's, mapped from r to that x -- the equation
+and its exponents, no closed-form level.
 The energy-free part of the Frobenius recurrence is built once per
 shooting_eigenvalue call, so each energy runs a recurrence no wider than
 the polynomials (at most 8 terms) instead of a convolution over Taylor
@@ -67,9 +66,8 @@ from .radial import (
     _check_compatible,
     _check_energy,
     _check_kind,
-    endpoint_exponent,
+    reduced_equation,
     spectral_ode,  # noqa: F401 -- not called; the benchmark tracer wraps oracle.spectral_ode
-    wall_exponent,
 )
 
 __all__ = [
@@ -221,31 +219,6 @@ class _Ends(NamedTuple):
     angle: bool  # x = tan(t/2) and d/dtheta (Coulomb), else x = t and d/dr
 
 
-def _add(*polys):
-    """Sum of polynomials, ascending coefficient lists."""
-    out = [0.0] * max(map(len, polys))
-    for poly in polys:
-        for i, u in enumerate(poly):
-            out[i] += u
-    return out
-
-
-def _mul(*polys):
-    """Product of polynomials, ascending coefficient lists."""
-    out = [1.0]
-    for poly in polys:
-        prod = [0.0] * (len(out) + len(poly) - 1)
-        for i, u in enumerate(out):
-            for k, v in enumerate(poly):
-                prod[i + k] += u * v
-        out = prod
-    return out
-
-
-def _scaled(factor, poly):
-    return [factor * u for u in poly]
-
-
 def _end(A, B, C0, C1, rho):
     """The _End of A x^2 f'' + B x f' + (C0 + E C1) f = 0 with exponent rho.
 
@@ -270,68 +243,10 @@ def _end(A, B, C0, C1, rho):
     return _End(A, B, C0, C1, rho, tuple(steps), tuple(rho + j for j in range(_TERMS + 1)))
 
 
-# The parameter-free factors of the polynomial forms, in each end's x.  At
-# x = r: 1 + x^2 and 1 - x^2; at the oscillator's x = 1 - r: r = 1 - x,
-# 1 + r^2 = 2 - 2x + x^2 and 2 - x, with 1 - r^2 = x (2 - x).
-_ONE, _WALL = [1.0, 0.0, 1.0], [1.0, 0.0, -1.0]
-_R, _ONE_R, _TWO = [1.0, -1.0], [2.0, -2.0, 1.0], [2.0, -1.0]
-_R2, _TWO2 = _mul(_R, _R), _mul(_TWO, _TWO)
-_R4 = _mul(_R2, _R2)
-_ONE2 = _mul(_ONE, _ONE)                           # (1 + x^2)^2, Coulomb's A
-_WALL2 = _mul(_WALL, _WALL)
-_QUARTIC2 = _mul(_ONE2, _WALL2)                    # (1 - x^4)^2
-_ONE_WALL2 = _mul(_ONE, _WALL2)
-_OUTER = _mul(_ONE_R, _ONE_R, _R2, _TWO2)          # (1 + r^2)^2 r^2 (2 - x)^2
-_OUTER_B = _mul(_ONE_R, _R, _TWO2)                 # (1 + r^2) r (2 - x)^2
-_X2_TWO2 = _mul([0.0, 0.0, 1.0], _TWO2)            # x^2 (2 - x)^2
-
-
 def _series_ends(kind, params, coeffs):
-    """Both ends of the radial equation in polynomial form A x^2 f'' + B x f' + C f = 0.
-
-    The indicial form x^2 f'' + x P f' + Q f = 0 of each end, with Q =
-    Q0 + E Q1, is multiplied through by the denominators of P and Q, so C
-    = C0 + E C1.  Coulomb at x = r, where P = (n-1 + (3-n) x^2)/(1 + x^2)
-    and Q = 8 [(m R^2 E - b) x^2 + (m R g/2)(x - x^3) - a - c x^4]/(1 + x^2)^2,
-    is multiplied by (1 + x^2)^2; at x = 1/r it is the same with a <-> c
-    and g -> -g.  The oscillator at x = r has the same P and Q =
-    8 [(m R^2 E - b) x^2 - a - c x^4]/(1 + x^2)^2 - 8 w x^4/(1 - x^4)^2
-    with w = 2 m R^4 g^2, multiplied by (1 - x^4)^2.  At x = 1 - r, P =
-    -x p(r) and Q = x^2 q(r) for the p, q of _oscillator_halves, and
-    1 - r^2 = x (2 - x), so the multiplier is (1 + r^2)^2 r^2 (2 - x)^2.
-    """
-    n, m, R, g = params.n, params.reduced_mass, params.radius, params.coupling
-    a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
-    mR2 = m * R * R
-    bend = [n - 1.0, 0.0, 3.0 - n]  # (1 + r^2) r p(r)
-    if kind == KIND_COULOMB:
-        B = [n - 1.0, 0.0, 2.0, 0.0, 3.0 - n]  # bend (1 + x^2)
-        C1 = [0.0, 0.0, 8.0 * mR2]
-
-        def end(a, c, h):
-            return _end(_ONE2, B, [-8.0 * a, h, -8.0 * b, -h, -8.0 * c], C1,
-                        endpoint_exponent(n, a))
-
-        h = 4.0 * m * R * g
-        return _Ends(end(a, c, h), end(c, a, -h), True)
-    w8 = 16.0 * mR2 * R * R * g * g  # 8 w
-    inner = _end(
-        _QUARTIC2,
-        _mul(bend, _ONE_WALL2),
-        _add(_mul([-8.0 * a, 0.0, -8.0 * b, 0.0, -8.0 * c], _WALL2), [0.0] * 4 + [-w8]),
-        _scaled(8.0 * mR2, [0.0, 0.0] + _WALL2),
-        endpoint_exponent(n, a),
-    )
-    # -x bend at r = 1 - x is -x (2 + 2 (n-3) x + (3-n) x^2)
-    outer = _end(
-        _OUTER,
-        _mul([0.0, -2.0, 2.0 * (3.0 - n), n - 3.0], _OUTER_B),
-        _add(_mul(_X2_TWO2, _add([-8.0 * a], _scaled(-8.0 * b, _R2), _scaled(-8.0 * c, _R4))),
-             _scaled(-w8, _R4)),
-        _scaled(8.0 * mR2, _mul(_X2_TWO2, _R2)),
-        wall_exponent(params),
-    )
-    return _Ends(inner, outer, False)
+    """Both ends' _End, from radial.reduced_equation's polynomial form at each end."""
+    inner, outer = reduced_equation(kind, params, coeffs).ends()
+    return _Ends(_end(*inner), _end(*outer), kind == KIND_COULOMB)
 
 
 def _frobenius(end, energy):
@@ -497,11 +412,11 @@ def shooting_mismatch(kind, params, coeffs, energy):
 
 
 def shooting_eigenvalue(kind, params, coeffs, e_lo, e_hi):
-    """Locate one eigenvalue inside [e_lo, e_hi] by bisection of the mismatch.
+    """Locate one eigenvalue inside [e_lo, e_hi] by a scan and Brent's method.
 
-    Walks 8 subintervals left to right, stops at the first sign
-    change and polishes it with brentq, so a bracket holding several levels
-    yields the lowest.  Each energy is marched once per call, and both
+    Walks 8 subintervals left to right, stops at the first sign change of
+    the mismatch and polishes it with brentq, so a bracket holding several
+    levels yields the lowest.  Each energy is marched once per call, and both
     ends' polynomial forms and recurrences are built once per call, so an
     energy costs only the Frobenius recurrence before its march.  Raises
     ValidationError on a non-real, non-finite or empty bracket, or one

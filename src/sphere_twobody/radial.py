@@ -17,7 +17,9 @@ checks exactly on the ladder bands.
 The equation's indicial roots are computed here and only here:
 `endpoint_root` at r = 0 and oo, `wall_root` at the oscillator's wall r = 1,
 and `_pole_root` at the complex poles r = +-i, which both the closed forms
-(`spectra`) and the Fuchsian data (`fuchsian`) read.
+(`spectra`) and the Fuchsian data (`fuchsian`) read.  The equation's
+polynomial form is written only in `reduced_equation`, whose record maps it
+to each shooting end.
 
 Also provides the interaction potentials and the kinetic coefficient
 functions A, B, C of the two-body Hamiltonian (B vanishes identically for
@@ -28,6 +30,7 @@ import cmath
 import functools
 import math
 import numbers
+import operator
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -51,6 +54,8 @@ __all__ = [
     "sample_radii",
     "potential",
     "spectral_ode",
+    "ReducedEquation",
+    "reduced_equation",
     "hamiltonian_ABC",
 ]
 
@@ -259,7 +264,7 @@ def _check_compatible(params, coeffs):
 
 
 def _check_energy(energy):
-    if not isinstance(energy, numbers.Real):
+    if isinstance(energy, bool) or not isinstance(energy, numbers.Real):
         raise ValidationError(f"non-real energy {energy!r}")
     if not math.isfinite(energy):
         raise ValidationError(f"non-finite energy {energy}")
@@ -285,6 +290,84 @@ def spectral_ode(kind, params, coeffs, energy):
         return (8.0 / (1 + r2) ** 2) * (mR2 * (energy - V(r)) - a / r2 - b - c * r2)
 
     return p, q
+
+
+def _mul(p, q):
+    """Product of two polynomials, ascending coefficient lists."""
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, u in enumerate(p):
+        for k, v in enumerate(q):
+            out[i + k] += u * v
+    return out
+
+
+# column j of r^k = (1 - x)^k: (-1)^j C(k, j) for k = j..10
+_SHIFT = [[(-1.0) ** j * math.comb(k, j) for k in range(j, 11)] for j in range(11)]
+
+
+def _shift(poly):
+    """poly(1 - x) from poly(r), ascending lists; exact on integer coefficients."""
+    return [sum(map(operator.mul, poly[j:], col)) for j, col in enumerate(_SHIFT[:len(poly)])]
+
+
+class ReducedEquation(NamedTuple):
+    """The radial equation A r^2 f'' + B r f' + (C0 + w W + E s S) f = 0.
+
+    It is spectral_ode's equation times r^2 (1 + r^2)^2, and (1 - r^2)^2
+    for the oscillator, in ascending lists in r.  Every coefficient but
+    Coulomb's g terms in C0 is an integer (8a, 8b and 8c are), and the float
+    scales s = 8 m R^2 and w = -16 m R^4 g^2 stay outside the lists, so both
+    end maps act exactly.  `rho` holds the regular exponents at r = 0 and at
+    the far end, r = oo or the wall r = 1.
+    """
+
+    kind: str
+    A: list
+    B: list
+    C0: list
+    W: list
+    S: list
+    w: float
+    s: float
+    rho: tuple
+
+    def ends(self):
+        """(A, B, C0 + w W, s S, rho) at r = 0 in x = r and at the far end in its own x.
+
+        Coulomb's far end is x = 1/r: r f' = -x f_x and r^2 f'' = x^2 f_xx
+        + 2 x f_x turn B into 2A - B, and times x^4 every list reverses.
+        The oscillator's is x = 1 - r, a Taylor shift: A r^2 and -B r carry
+        the wall's x^2 and x, divided out.
+        """
+        near = (self.A, self.B, self.C0, self.W, self.S)
+        if self.kind == KIND_COULOMB:
+            far = [poly[::-1] for poly in
+                   (self.A, [2.0 * u - v for u, v in zip(self.A, self.B)], *near[2:])]
+        else:
+            far = [_shift([0.0, 0.0] + self.A)[2:], [-u for u in _shift([0.0] + self.B)[1:]],
+                   *map(_shift, near[2:])]
+        return tuple((A, B, [u + self.w * v for u, v in zip(C0, W)], [self.s * v for v in S], rho)
+                     for (A, B, C0, W, S), rho in zip((near, far), self.rho))
+
+
+def reduced_equation(kind, params, coeffs):
+    """The sector's ReducedEquation: the equation and its regular exponents, no level."""
+    _check_kind(kind)
+    _check_compatible(params, coeffs)
+    n, m, R, g = params.n, params.reduced_mass, params.radius, params.coupling
+    a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
+    mR2 = m * R * R
+    h = 4.0 * m * R * g if kind == KIND_COULOMB else 0.0
+    A = [1.0, 0.0, 2.0, 0.0, 1.0]  # (1 + r^2)^2
+    B = [n - 1.0, 0.0, 2.0, 0.0, 3.0 - n]  # (1 + r^2)(n - 1 + (3 - n) r^2)
+    C0, S = [-8.0 * a, h, -8.0 * b, -h, -8.0 * c], [0.0, 0.0, 1.0, 0.0, 0.0]
+    if kind == KIND_COULOMB:  # no wall term
+        return ReducedEquation(kind, A, B, C0, [0.0] * 5, S, 0.0, 8.0 * mR2,
+                               (endpoint_exponent(n, a), endpoint_exponent(n, c)))
+    A, B, C0, S = (_mul(poly, [1.0, 0.0, -2.0, 0.0, 1.0]) for poly in (A, B, C0, S))  # (1 - r^2)^2
+    return ReducedEquation(kind, A, B, C0, [0.0] * 4 + [1.0] + [0.0] * 4, S,
+                           -16.0 * mR2 * R * R * g * g, 8.0 * mR2,
+                           (endpoint_exponent(n, a), wall_exponent(params)))
 
 
 def hamiltonian_ABC(params, alpha=None):

@@ -3,7 +3,8 @@
 A module-level import must be used in its module, unless its statement
 carries `# noqa: F401` (names kept only so the benchmark tracer can patch
 them at an import site, or re-exported through `__all__`).  A private
-module-level function must be referenced from somewhere in the package.
+module-level function must be referenced from somewhere in the package,
+and a private module-level constant must be read somewhere in it.
 A parameter with a default must be set by some call in `src/`, `tests/`
 or `perfbench/`; one that no call sets is a constant.  A module-level
 function or class a module exports through `__all__` has a docstring.
@@ -51,13 +52,16 @@ def _dead_imports(source, tree):
 
 
 def _references(trees):
-    """Every name a module reads, imports by name, or reaches as an attribute."""
+    """Every name a module reads, imports by name, or reads as an attribute.
+
+    A name only assigned to is not read.
+    """
     refs = set()
     for tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 refs.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 refs.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 refs.update(alias.name for alias in node.names)
@@ -90,6 +94,39 @@ def test_the_guard_catches_a_dead_import_and_function():
     tree = ast.parse(source)
     assert _dead_imports(source, tree) == ["line 1: cmath", "line 3: b"]
     assert "_sqrtc" not in _references([tree])
+
+
+def _private_constants(tree):
+    """Private names a module binds by a module-level assignment."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        names += [name.id for target in targets for name in ast.walk(target)
+                  if isinstance(name, ast.Name)
+                  and name.id.startswith("_") and not name.id.startswith("__")]
+    return names
+
+
+def test_every_private_constant_is_read():
+    modules = _modules()
+    refs = _references(tree for _, tree in modules.values())
+    unread = [f"{name}: {constant}" for name, (_, tree) in modules.items()
+              for constant in _private_constants(tree) if constant not in refs]
+    assert not unread, unread
+
+
+def test_the_guard_catches_an_unread_constant():
+    source = ("_USED, _UNREAD = 1, 2\n_DEAD = 3\n_TYPED: int = 4\n__all__ = []\nPUBLIC = 5\n\n"
+              "def f():\n    _LOCAL = 6\n    _DEAD = 7\n    return _USED + _LOCAL\n")
+    tree = ast.parse(source)
+    refs = _references([tree])
+    assert [name for name in _private_constants(tree) if name not in refs] == [
+        "_UNREAD", "_DEAD", "_TYPED"]
 
 
 def _undocumented(tree):

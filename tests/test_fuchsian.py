@@ -97,9 +97,10 @@ def test_validation_coincident_points_and_fuchs_violation():
         eq._replace(points=eq.points + eq.points[:1])
 
 
-@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf, 1j])
+@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf, 1j, True])
 def test_non_finite_energy_rejected(energy):
-    match = "non-real energy" if isinstance(energy, complex) else "non-finite energy"
+    match = ("non-real energy" if isinstance(energy, (complex, bool))
+             else "non-finite energy")
     for fn in (coulomb_exponents, oscillator_exponents, oscillator_zeta_exponents):
         with pytest.raises(ValidationError, match=match):
             fn(P_EQ, SYM, energy)

@@ -30,7 +30,13 @@ from sphere_twobody import (
     spectral_ode,
 )
 from sphere_twobody import oracle
-from sphere_twobody.radial import MASS_EQUAL, valid_cases
+from sphere_twobody.radial import (
+    MASS_EQUAL,
+    endpoint_exponent,
+    reduced_equation,
+    valid_cases,
+    wall_exponent,
+)
 from sphere_twobody.spectra import K_MIN
 
 UNIT3 = PhysicalParams(3, 2.0, 2.0, 1.0, 1.0)
@@ -91,12 +97,14 @@ def test_shooting_rejects_non_finite_bracket():
 
 
 @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
-@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf, 1j])
+@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf, 1j, True])
 def test_shooting_mismatch_rejects_non_finite_energy(kind, energy):
     # raised before any march: no silent NaN, no slow ConvergenceError; the
-    # eigenfunction and the ODE coefficients check their energy the same way
+    # eigenfunction and the ODE coefficients check their energy the same way.
+    # A bool is refused as non-real, as a bool k or m_k is refused
     co = radial_coefficients(3, 1, 0)
-    match = "non-real energy" if isinstance(energy, complex) else "non-finite energy"
+    match = ("non-real energy" if isinstance(energy, (complex, bool))
+             else "non-finite energy")
     with pytest.raises(ValidationError, match=match):
         shooting_mismatch(kind, UNIT3, co, energy)
     with pytest.raises(ValidationError, match=match):
@@ -383,11 +391,32 @@ def _poly(coeffs, x):
     return sum(u * x ** i for i, u in enumerate(coeffs))
 
 
-def _record_sectors(n):
-    """Every valid case of dimension n, n >= 3 at each m_k = drop..2."""
+def _record_sectors(n, top):
+    """Every valid case of dimension n, n >= 3 at each m_k = drop..top."""
     if n == 2:
         return [(2, case_id, None) for case_id in valid_cases(2)]
-    return [(n, case_id, mk) for case_id in valid_cases(n) for mk in range(case_id // 2, 3)]
+    return [(n, case_id, mk) for case_id in valid_cases(n) for mk in range(case_id // 2, top + 1)]
+
+
+def _assert_record_is_spectral_ode(kind, params, coeffs, energy, rng):
+    """The record's B/(r A) and (C0 + w W + E s S)/(r^2 A) are spectral_ode's p and q.
+
+    Each within 1e-13 of its terms' scale, its polynomials summed in |.|,
+    at random r in (0.05, 0.9), and for Coulomb also at their 1/r.
+    """
+    eq = reduced_equation(kind, params, coeffs)
+    p, q = spectral_ode(kind, params, coeffs, energy)
+    rs = rng.uniform(0.05, 0.9, 4).tolist()
+    if kind == "coulomb":
+        rs += [1.0 / r for r in rs]
+    for r in rs:
+        rA, r2A = r * _poly(eq.A, r), r * r * _poly(eq.A, r)
+        C = _poly(eq.C0, r) + eq.w * _poly(eq.W, r) + energy * eq.s * _poly(eq.S, r)
+        B_scale = _poly(list(map(abs, eq.B)), r)
+        C_scale = sum(abs(f) * _poly(list(map(abs, poly)), r)
+                      for f, poly in ((1.0, eq.C0), (eq.w, eq.W), (energy * eq.s, eq.S)))
+        assert abs(_poly(eq.B, r) / rA - p(r)) <= 1e-13 * B_scale / rA, (kind, coeffs, r)
+        assert abs(C / r2A - q(r)) <= 1e-13 * C_scale / r2A, (kind, coeffs, r)
 
 
 @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
@@ -396,9 +425,10 @@ def test_end_record_is_the_equation(monkeypatch, kind, n):
     # each end's (A, B, C0, C1, rho) against the equation itself: rho solves
     # the indicial equation A0 rho (rho - 1) + B0 rho + C0(0) = 0, and B/(A x)
     # and (C0 + E C1)/(A x^2), taken to the march coordinate, are the inline
-    # right-hand side's P and Q of that end at random points
+    # right-hand side's P and Q of that end at random points; the record the
+    # ends are mapped from is spectral_ode's p and q at random r
     rng = np.random.default_rng(1000 * n + len(kind))
-    for sector in _record_sectors(n):
+    for sector in _record_sectors(n, 2):
         co = radial_coefficients(*sector)
         draws = [PhysicalParams(n, 2.0, 2.0, 1.0, 1.0)]  # the verify grid's parameters
         for _ in range(2):
@@ -408,6 +438,7 @@ def test_end_record_is_the_equation(monkeypatch, kind, n):
                                         rng.uniform(0.5, 2.0), g))
         for params in draws:
             energy = rng.uniform(-5.0, 20.0)
+            _assert_record_is_spectral_ode(kind, params, co, energy, rng)
             ends = oracle._series_ends(kind, params, co)
             for end in ends[:2]:
                 assert end.C1[0] == 0.0  # rho does not depend on the energy
@@ -431,6 +462,128 @@ def test_end_record_is_the_equation(monkeypatch, kind, n):
                         q, q_scale = (v * (1.0 + x * x) ** 2 / 4.0 for v in (q, q_scale))
                     assert abs(P - sign * p) <= 1e-13 * p_scale, (sector, t, P, sign * p)
                     assert abs(Q - q) <= 1e-13 * q_scale, (sector, t, Q, q)
+
+
+def _hand_series_ends(kind, params, coeffs):
+    """`oracle._series_ends` as it stood with each end derived by hand.
+
+    The reference for radial.reduced_equation and its two end maps: each
+    end's indicial form multiplied through by its own denominators, built
+    from parameter-free factors in the end's x.  Coulomb's outer end is the
+    inner one with a <-> c and g -> -g; the oscillator's is multiplied by
+    (1 + r^2)^2 r^2 (2 - x)^2 at x = 1 - r, where 1 - r^2 = x (2 - x).
+    """
+    def add(*polys):
+        out = [0.0] * max(map(len, polys))
+        for poly in polys:
+            for i, u in enumerate(poly):
+                out[i] += u
+        return out
+
+    def mul(*polys):
+        out = [1.0]
+        for poly in polys:
+            prod = [0.0] * (len(out) + len(poly) - 1)
+            for i, u in enumerate(out):
+                for k, v in enumerate(poly):
+                    prod[i + k] += u * v
+            out = prod
+        return out
+
+    def scaled(factor, poly):
+        return [factor * u for u in poly]
+
+    one, wall = [1.0, 0.0, 1.0], [1.0, 0.0, -1.0]
+    r1, one_r, two = [1.0, -1.0], [2.0, -2.0, 1.0], [2.0, -1.0]
+    r2, two2 = mul(r1, r1), mul(two, two)
+    r4, one2, wall2 = mul(r2, r2), mul(one, one), mul(wall, wall)
+    x2_two2 = mul([0.0, 0.0, 1.0], two2)
+    n, m, R, g = params.n, params.reduced_mass, params.radius, params.coupling
+    a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
+    mR2 = m * R * R
+    bend = [n - 1.0, 0.0, 3.0 - n]  # (1 + r^2) r p(r)
+    if kind == "coulomb":
+        B = [n - 1.0, 0.0, 2.0, 0.0, 3.0 - n]
+        C1 = [0.0, 0.0, 8.0 * mR2]
+
+        def end(a, c, h):
+            return oracle._end(one2, B, [-8.0 * a, h, -8.0 * b, -h, -8.0 * c], C1,
+                               endpoint_exponent(n, a))
+
+        h = 4.0 * m * R * g
+        return oracle._Ends(end(a, c, h), end(c, a, -h), True)
+    w8 = 16.0 * mR2 * R * R * g * g
+    inner = oracle._end(
+        mul(one2, wall2),
+        mul(bend, mul(one, wall2)),
+        add(mul([-8.0 * a, 0.0, -8.0 * b, 0.0, -8.0 * c], wall2), [0.0] * 4 + [-w8]),
+        scaled(8.0 * mR2, [0.0, 0.0] + wall2),
+        endpoint_exponent(n, a),
+    )
+    # -x bend at r = 1 - x is -x (2 + 2 (n-3) x + (3-n) x^2)
+    outer = oracle._end(
+        mul(one_r, one_r, r2, two2),
+        mul([0.0, -2.0, 2.0 * (3.0 - n), n - 3.0], mul(one_r, r1, two2)),
+        add(mul(x2_two2, add([-8.0 * a], scaled(-8.0 * b, r2), scaled(-8.0 * c, r4))),
+            scaled(-w8, r4)),
+        scaled(8.0 * mR2, mul(x2_two2, r2)),
+        wall_exponent(params),
+    )
+    return oracle._Ends(inner, outer, False)
+
+
+@pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_record_ends_match_the_hand_derived_ends(kind, n):
+    # every _End field (A, B, C0, C1, rho, steps, shifts) built from
+    # radial.reduced_equation equals the hand-derived end, over every case
+    # with m_k <= 5 and 15 seeded draws of (m1, m2, R, g): both maps act
+    # exactly, so not a start bit moves
+    rng = np.random.default_rng(100 * n + len(kind))
+    for sector in _record_sectors(n, 5):
+        co = radial_coefficients(*sector)
+        for _ in range(15):
+            m1, m2, R = rng.uniform(0.3, 3.0, 3)
+            g = rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])
+            params = PhysicalParams(n, m1, m1 if co.mass_mode == MASS_EQUAL else m2, R, g)
+            got, want = oracle._series_ends(kind, params, co), _hand_series_ends(kind, params, co)
+            assert got == want, (sector, params)
+
+
+# Coulomb sectors whose (a, b, c) are each other's (c, b, a)
+_ANTIPODAL_PAIRS = [(2, 3, 4, None), (2, 6, 7, None)] + [
+    (n, 2, 3, mk) for n in range(3, 8) for mk in (1, 2, 3)]
+
+
+def test_coulomb_outer_end_is_the_swapped_case_inner_end():
+    # r -> 1/r swaps a and c and flips g: the outer end at g is the swapped
+    # case's inner end at -g, bit for bit, and the other way round
+    rng = np.random.default_rng(14)
+    for n, case_id, swapped, mk in _ANTIPODAL_PAIRS:
+        co, co_swapped = radial_coefficients(n, case_id, mk), radial_coefficients(n, swapped, mk)
+        assert (co.a, co.b, co.c) == (co_swapped.c, co_swapped.b, co_swapped.a)
+        for _ in range(5):
+            m, R = rng.uniform(0.3, 3.0, 2)
+            g = rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])
+            ends = oracle._series_ends("coulomb", PhysicalParams(n, m, m, R, g), co)
+            mirror = oracle._series_ends("coulomb", PhysicalParams(n, m, m, R, -g), co_swapped)
+            assert repr(ends.outer) == repr(mirror.inner), (n, case_id, mk, m, R, g)
+            assert repr(ends.inner) == repr(mirror.outer), (n, case_id, mk, m, R, g)
+
+
+@pytest.mark.parametrize("n, mk, coupling, bracket", [
+    (3, 1, 1.0, (0.3, 1.6)),
+    (3, 2, 0.7, (2.4, 3.4)),
+    (4, 1, 2.0, (0.7, 1.6)),
+])
+def test_antipodal_cases_share_their_shooting_levels(n, mk, coupling, bracket):
+    # case 2 at g and case 3 at -g are one equation under r -> 1/r
+    got = shooting_eigenvalue("coulomb", PhysicalParams(n, 2.0, 2.0, 1.0, coupling),
+                              radial_coefficients(n, 2, mk), *bracket)
+    mirror = shooting_eigenvalue("coulomb", PhysicalParams(n, 2.0, 2.0, 1.0, -coupling),
+                                 radial_coefficients(n, 3, mk), *bracket)
+    assert mirror.energy == pytest.approx(got.energy, rel=1e-9)
+    assert mirror.bracket == got.bracket
 
 
 @pytest.mark.parametrize("radius", [1000.0, 1200.0])
