@@ -1,42 +1,29 @@
 """Numerical oracles, independent of every closed form in the package.
 
-Shooting integrates the radial equation with LSODA from Frobenius starts at
-both endpoints and roots the Wronskian mismatch at a midpoint -- no
-quantization condition, no hypergeometric function enters.  The Coulomb
-problem is marched in the polar angle theta = 2 arctan r, so that both
-endpoints are at finite coordinate and the equation reads f'' + P f' + Q f = 0
-with
+Shooting continues the regular solution of the radial equation from both
+singular ends to a matching point and roots the scaled Wronskian there -- no
+quantization condition, no hypergeometric function enters.  The only
+equation it evaluates is radial.reduced_equation's polynomial form, mapped
+to each end's own variable x (r and 1/r for Coulomb, both marched to x = 1;
+r and 1 - r for the oscillator, both marched to x = 1/2):
 
-    P = (n-1) cot(theta),
-    Q = 2 [m R^2 E - b + m R g cot(theta) - a cot^2(theta/2) - c tan^2(theta/2)];
+    A x^2 f'' + B x f' + (C0 + E C1) f = 0.
 
-the oscillator is marched in r on (0, 1) directly.  Measured from its own
-endpoint, each half covers the same interval, so both are marched together:
-one energy is one compiled scipy.integrate.odeint call on the stacked state
-(f_in, f_in', f_out, f_out'), each half with its own absolute tolerance, and
-Python runs only the right-hand side.  That right-hand side evaluates each
-equation in reduced closed form, with every energy-dependent constant taken
-out of it, and the two Coulomb halves share one tan(phi/2).
-
-Each half starts from the full Frobenius series x^rho sum c_j x^j of the
-regular solution at its singular end (DLMF 2.7(i)), in the end's own
-variable x (r and 1/r for Coulomb, r and 1 - r for the oscillator).  Each
-end's polynomial form A x^2 f'' + B x f' + (C0 + E C1) f = 0 and exponent
-rho are radial.reduced_equation's, mapped from r to that x -- the equation
-and its exponents, no closed-form level.
-The energy-free part of the Frobenius recurrence is built once per
-shooting_eigenvalue call, so each energy runs a recurrence no wider than
-the polynomials (at most 8 terms) instead of a convolution over Taylor
-series.  Both halves start at the offset _OFFSET, halved until both series
-meet _SERIES_TOL within _TERMS terms, so the start is exact to rounding
-and LSODA marches only the regular part.  Where a series has not
-converged by _EPS (from m R^2 |E| ~ 3e9 for the oscillator and ~ 1.2e10
-for Coulomb at n = 3, case 1, m_k = 1) ConvergenceError is raised before
-any march.  A march may spend at most _MAX_RHS_EVALS right-hand-side
-evaluations: each right-hand side counts its own calls and raises
-ConvergenceError on the first one past the bound.  LSODA's step limit is
-set to the same number, so the evaluation count is the only work bound; a
-march that LSODA stops early also raises ConvergenceError.
+Each half starts from the Frobenius series x^rho sum c_j x^j of the regular
+solution at its end (DLMF 2.7(i)), summed at x = _OFFSET, and continues by
+Taylor steps at regular centres c with h = min(c/2, x_end - c): on both
+intervals the nearest singularity is the half's own end, at distance c.
+Both kinds of series come from one short linear recurrence (van der Hoeven,
+"Fast evaluation of holonomic functions", Theor. Comput. Sci. 210 (1999)
+199): see _recurrence.  A series is summed until its last two terms fall
+below _SERIES_TOL of the sums.  Where it has not converged within _TERMS
+terms, or its largest term exceeds the sums by more than _GROWTH, the step
+is halved (the start offset down to _EPS) and the same coefficients are
+summed again.  Each state is normalized by a power of two.  The energy-free
+parts of every recurrence are built once per shooting_eigenvalue call, and
+the march of both halves at one energy may sum at most _MAX_TERMS series
+terms.  The root is polished by Brent's method in plain Python, so shooting
+imports nothing beyond the standard library.
 
 joint_diagonalize finds the common eigenvectors of a family of matrices by
 intersecting eigenspace candidates with stacked SVDs, walking the eigenvalue
@@ -56,7 +43,6 @@ import itertools
 import math
 import operator
 import types
-import warnings
 from typing import NamedTuple
 
 from .errors import ConvergenceError, ValidationError, VerificationError
@@ -66,6 +52,7 @@ from .radial import (
     _check_compatible,
     _check_energy,
     _check_kind,
+    _shift,
     reduced_equation,
     spectral_ode,  # noqa: F401 -- not called; the benchmark tracer wraps oracle.spectral_ode
 )
@@ -82,22 +69,17 @@ __all__ = [
 ]
 
 
-_OFFSET = 0.05       # first offset of a march's start from the singular endpoints
-_EPS = 1e-5          # last offset: a series not converged there raises
-_TERMS = 22          # Frobenius series terms at most
-_SERIES_TOL = 1e-18  # the last two terms, relative to the series' sum
-_RTOL = 1e-10
-_ATOL_SCALE = 1e-12  # atol = _ATOL_SCALE * |start vector|
+_OFFSET = 0.3        # first start offset from each singular end
+_EPS = 1e-5          # last start offset: a start series not converged there raises
+_TERMS = 256         # terms of one series before its step is halved
+_SERIES_TOL = 1e-17  # the last two terms, relative to the sums
+_GROWTH = 2.0 ** 10  # the largest term, relative to the sums
+_MAX_TERMS = 100_000 # series terms one march of both halves may sum
 _SCAN_POINTS = 8     # bracket subdivisions when hunting a sign change
-_XTOL = 1e-11        # brentq tolerance, times the energy scale
-# Right-hand-side evaluations allowed per (stacked) march, counted by the
-# right-hand side itself, and so also LSODA's step limit.  A march on the
-# criteria grids needs at most 390; at very large energies LSODA can
-# otherwise spin inside a single step forever.
-_MAX_RHS_EVALS = 100_000
-# the shooting_eigenvalue call in progress: its two ends, built once,
-# and the right-hand-side evaluations its marches spent, summed by _march
-# without changing what shooting_mismatch returns
+_XTOL = 1e-14        # Brent's tolerance, times the energy scale
+_MAX_ITER = 100      # Brent iterations
+# the shooting_eigenvalue call in progress: its two ends and recurrences,
+# built once, and the series terms its marches summed
 _CALL = contextvars.ContextVar("shooting_call")
 JOINT_TOL = 1e-10    # joint_diagonalize's default null-space tolerance
 RESIDUAL_TOLERANCE = 1e-9  # every scaled ODE residual: `verified`, criteria 6 and 8
@@ -109,99 +91,29 @@ class ShootingResult(NamedTuple):
     `mismatch` is |shooting_mismatch| at the returned energy, at most 1.
     It does not measure the root's quality where the scaled Wronskian turns
     steeply: for Coulomb at R = 1000 and 1200 (n = 3, case 1, m_k = 1, unit
-    masses and coupling) it jumps from -1 to +1 within Brent's xtol, so the
-    k = 1 level, 9.1e-11 off, reads mismatch 1.0.  There `bracket`, inside
-    which the mismatch changes sign, and the closed form judge a root.
+    masses and coupling) it jumps from -1 to +1 within Brent's xtol.  There
+    `bracket`, inside which the mismatch changes sign, and the closed form
+    judge a root.
     """
 
     energy: float
     mismatch: float
     bracket: tuple
-    evaluations: int  # distinct mismatch evaluations, scan and Brent together
-    iterations: int   # Brent iterations; 0 when a scan energy was an exact zero
-    rhs_evaluations: int = 0  # right-hand-side evaluations of every march, summed
+    evaluations: int   # distinct mismatch evaluations, scan and Brent together
+    iterations: int    # Brent iterations; 0 when a scan energy was an exact zero
+    series_terms: int  # series terms summed by every march
 
 
-# the end state of one march and the right-hand-side evaluations it spent
+# the end state of one march and the series terms it summed
 _March = collections.namedtuple("_March", "y nfev")
-
-
-def _too_many_evaluations(t0, t1):
-    """The ConvergenceError of a march past _MAX_RHS_EVALS evaluations."""
-    return ConvergenceError(
-        f"integration from {t0} to {t1} exceeded {_MAX_RHS_EVALS} right-hand-side evaluations"
-    )
-
-
-def solve_ivp(rhs, t0, t1, y0, atol):
-    """One LSODA march from t0 to t1 as a single scipy.integrate.odeint call.
-
-    scipy is imported on first call.  The whole march runs in compiled
-    ODEPACK code and Python is entered only for rhs(t, y).  t0 is the start
-    offset that _start chose, where the Frobenius series is already exact,
-    so the march never creeps away from a singular end.  Returns the state
-    at t1 and the right-hand-side evaluations spent, as ODEPACK counts
-    them.  The name is kept from the solve_ivp this replaced because
-    tracing wrappers patch the march at this import site and read `nfev`
-    from its result.  The oracle's right-hand sides count their own calls
-    and raise ConvergenceError past _MAX_RHS_EVALS, so no wrapper frame
-    sits around each call; LSODA's step limit is the same number.  Raises
-    ConvergenceError when the count passed that bound, when LSODA stops
-    early, or when the end state left the float range (LSODA can report
-    success on a state that overflowed to NaN).
-    """
-    from scipy.integrate import ODEintWarning, odeint
-
-    # the step limit is the evaluation bound, so the evaluation count stays
-    # the only work bound; odeint warns even with full_output, and a failed
-    # march raises below instead
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ODEintWarning)
-        ys, info = odeint(
-            rhs, y0, (t0, t1), rtol=_RTOL, atol=atol, mxstep=_MAX_RHS_EVALS,
-            full_output=True, tfirst=True,
-        )
-    nfev = int(info["nfe"][-1])
-    if nfev > _MAX_RHS_EVALS:
-        raise _too_many_evaluations(t0, t1)
-    if info["message"] != "Integration successful.":
-        raise ConvergenceError(
-            f"integration from {t0} to {t1} failed after {nfev} "
-            f"right-hand-side evaluations: {info['message']}"
-        )
-    if not all(map(math.isfinite, ys[-1])):
-        raise ConvergenceError(
-            f"integration from {t0} to {t1} left the float range after {nfev} "
-            "right-hand-side evaluations"
-        )
-    return _March(ys[-1], nfev)
-
-
-def _march(rhs, t0, t1, y_in, y_out):
-    """March both halves as one stacked state (f_in, f_in', f_out, f_out').
-
-    Both start at _start's offset t0 from their endpoints, with the start
-    states y_in and y_out.  Each half keeps its own absolute tolerance,
-    scaled by its start vector.  Returns the two half-states at t1.
-    """
-    atol_in = _ATOL_SCALE * max(abs(y_in[0]), abs(y_in[1]))
-    atol_out = _ATOL_SCALE * max(abs(y_out[0]), abs(y_out[1]))
-    sol = solve_ivp(rhs, t0, t1, (*y_in, *y_out), (atol_in, atol_in, atol_out, atol_out))
-    call = _CALL.get(None)
-    if call is not None:
-        call.rhs_spent += sol.nfev
-    y = sol.y
-    return (y[0], y[1]), (y[2], y[3])
 
 
 class _End(NamedTuple):
     """One singular end of A x^2 f'' + B x f' + (C0 + E C1) f = 0.
 
     A, B, C0 and C1 are polynomials in the end's own variable x, ascending
-    coefficient lists, and rho is the regular indicial exponent there.
-    `steps` is the Frobenius recurrence with its energy-free part built:
-    for j = 1.._TERMS, (lo, h, u, v) with c_j = h sum_i c_i (u_i + E v_i)
-    over c_lo .. c_{j-1}.  `shifts` holds rho + j for j <= _TERMS.
+    coefficient lists of one length, and rho is the regular indicial
+    exponent there.
     """
 
     A: list
@@ -209,174 +121,165 @@ class _End(NamedTuple):
     C0: list
     C1: list
     rho: float
-    steps: tuple
-    shifts: tuple
 
 
 class _Ends(NamedTuple):
     inner: _End
     outer: _End
-    angle: bool  # x = tan(t/2) and d/dtheta (Coulomb), else x = t and d/dr
+    match: float  # the matching point in both ends' x
 
 
 def _end(A, B, C0, C1, rho):
-    """The _End of A x^2 f'' + B x f' + (C0 + E C1) f = 0 with exponent rho.
-
-    Putting f = sum_j c_j x^(rho + j) in the equation gives, at x^(rho + j)
-    with s = rho + j, sum_i c_{j-i} [A_i (s-i)(s-i-1) + B_i (s-i) + C0_i
-    + E C1_i] = 0.  C1_0 is 0 at every end (rho does not depend on E), and
-    the i = 0 factor is j (A_0 (2 rho + j - 1) + B_0), since rho solves the
-    indicial equation A_0 rho (rho - 1) + B_0 rho + C0_0 = 0.
-    """
+    """The _End of A x^2 f'' + B x f' + (C0 + E C1) f = 0, its lists padded to one length."""
     width = max(map(len, (A, B, C0, C1)))
-    A, B, C0, C1 = (poly + [0.0] * (width - len(poly)) for poly in (A, B, C0, C1))
-    steps = []
-    for j in range(1, _TERMS + 1):
-        lo = max(0, j - width + 1)
-        span = range(j - lo, 0, -1)  # i for c_lo .. c_{j-1}
-        steps.append((
-            lo,
-            -1.0 / (j * (A[0] * (2.0 * rho + j - 1.0) + B[0])),
-            [(A[i] * (rho + j - i - 1.0) + B[i]) * (rho + j - i) + C0[i] for i in span],
-            C1[j - lo:0:-1],
-        ))
-    return _End(A, B, C0, C1, rho, tuple(steps), tuple(rho + j for j in range(_TERMS + 1)))
+    return _End(*(poly + [0.0] * (width - len(poly)) for poly in (A, B, C0, C1)), rho)
 
 
 def _series_ends(kind, params, coeffs):
     """Both ends' _End, from radial.reduced_equation's polynomial form at each end."""
     inner, outer = reduced_equation(kind, params, coeffs).ends()
-    return _Ends(_end(*inner), _end(*outer), kind == KIND_COULOMB)
+    return _Ends(_end(*inner), _end(*outer), 1.0 if kind == KIND_COULOMB else 0.5)
 
 
-def _frobenius(end, energy):
-    """Coefficients c_j and (rho + j) c_j, j <= _TERMS, of f = x^rho sum c_j x^j.
+def _weights(s, beta):
+    """1/(m (2 s + m - 1 + beta)), m + s and (m + s)(m + s - 1) for m < _TERMS.
 
-    c_0 = 1, and each further c_j runs _End.steps' recurrence, at most as
-    wide as the end's polynomials.  Plain floats: past the float range a
-    coefficient turns inf or NaN silently, and _series_state rejects it.
+    The first is 0.0 where it is never read: at m = 0, and at m = 1 about a
+    regular point.
     """
-    c = [1.0]
-    for lo, h, u, v in end.steps:
-        tail = c[lo:]
-        c.append(h * (sum(map(operator.mul, tail, u)) + energy * sum(map(operator.mul, tail, v))))
-    return c, list(map(operator.mul, c, end.shifts))
+    leads = [m * (2.0 * s + m - 1.0 + beta) for m in range(_TERMS)]
+    d1 = [m + s for m in range(_TERMS)]
+    return [1.0 / u if u else 0.0 for u in leads], d1, [d * (d - 1.0) for d in d1]
 
 
-def _series_state(c, d, x):
-    """(f, df/dx) / x^rho at x from _frobenius's sums.
+_REGULAR = _weights(0.0, 0.0)  # about every regular point
 
-    None unless the last two terms of both sums lie within _SERIES_TOL of
-    the larger sum.
+
+def _recurrence(end, c):
+    """The energy-free parts of the series of `end`'s equation about x = c.
+
+    The equation is taken in Frobenius form a t^2 f'' + b t f' + (c0 + E c1) f
+    = 0 in t = x - c: at c = 0 it is the end's own, with exponent s = rho;
+    at a regular c it is the equation times t^2, with x^2 A, x B, C0 and C1
+    shifted to c, and s = 0, so that f(c) and f'(c) are free.  With f = t^s
+    sum y_m t^m, D1_m = (m + s) y_m and D2_m = (m + s - 1) D1_m, the terms at
+    t^(m + s) give, since s solves the indicial equation,
+
+        m (a_0 (2 s + m - 1) + b_0) y_m
+            = -sum_{i >= 1} [a_i D2_{m-i} + b_i D1_{m-i} + (c0_i + E c1_i) y_{m-i}].
+
+    Returns (c0_i, b_i, a_i) and (c1_i, 0, 0) times -1/a_0, interleaved for
+    i from the width down to 1, and the _weights.
     """
-    sf = sd = 0.0
-    for cj, dj in zip(reversed(c), reversed(d)):
-        sf = sf * x + cj
-        sd = sd * x + dj
-    tail = (max(abs(c[-2]), abs(d[-2])) + max(abs(c[-1]), abs(d[-1])) * x) * x ** (_TERMS - 1)
-    if math.isfinite(sf) and math.isfinite(sd) and tail <= _SERIES_TOL * max(abs(sf), abs(sd)):
-        return sf, sd / x
-    return None
+    a, b, c0, c1, s = end
+    if c:
+        a, b, c0, c1 = (_shift([0.0, 0.0] + a, c), [0.0] + _shift([0.0] + b, c),
+                        [0.0, 0.0] + _shift(c0, c), [0.0, 0.0] + _shift(c1, c))
+    scale = -1.0 / a[0]
+    k0, k1 = [], []
+    for i in range(len(a) - 1, 0, -1):
+        k0 += (scale * c0[i], scale * b[i], scale * a[i])
+        k1 += (scale * c1[i], 0.0, 0.0)
+    return (k0, k1, *(_REGULAR if c else _weights(s, b[0] / a[0])))
 
 
-def _start(ends, energy):
-    """Offset t0 and both halves' start states (f, df/dt) / x^rho at t0.
+def _series(call, half, c):
+    """The _recurrence of one half about c, built once per call."""
+    rec = call.series.get((half, c))
+    if rec is None:
+        rec = call.series[half, c] = _recurrence(call.ends[half], c)
+    return rec
 
-    t0 is _OFFSET, halved down to _EPS until both Frobenius series converge
-    there; ConvergenceError if they have not by _EPS.  Dividing a half by
-    x^rho > 0 changes neither the mismatch nor the march, whose tolerance
-    scales with the start vector, and keeps x^rho from underflowing.  The
-    outer half's derivative is d/dtheta or d/dr, the negative of d/dt.
+
+def _sum(rec, start, energy, x, x_min, budget):
+    """Sum one series of `rec` at distance x from its centre.
+
+    `start` holds the free coefficients.  Each coefficient is kept as its
+    term at x, z_m = y_m x^m, with D1 and D2 scaled alike; halving x scales
+    them by 2^-m, exactly, so a halving sums the same coefficients again.
+    Returns (x, sum z_m, sum D1_m x^m, budget) at the first of x, x/2, ...
+    where the sums converge and pass the growth rule.  A coefficient past
+    the float range is dropped with all after it.  ConvergenceError when x
+    falls below x_min (the start's last offset), or when the terms summed
+    exceed the march's budget.
     """
-    series = [_frobenius(end, energy) for end in ends[:2]]
-    t = _OFFSET
+    k0, k1, lead, d1, d2 = rec
+    n = len(k0)
+    K = [(u + energy * v) * x ** (n // 3 - j // 3) for j, (u, v) in enumerate(zip(k0, k1))]
+    Z = [0.0] * n  # n zeros, then (z, D1, D2) per coefficient
+    for m, y in enumerate(start):
+        y *= x ** m
+        Z += (y, d1[m] * y, d2[m] * y)
+    top = _TERMS
     while True:
-        x = math.tan(t / 2.0) if ends.angle else t
-        states = [_series_state(c, d, x) for c, d in series]
-        if None not in states:
-            break
-        if t == _EPS:
+        f = g = big = last = 0.0
+        for m in range(top):
+            if n + 3 * m == len(Z):
+                z = sum(map(operator.mul, Z[-n:], K)) * lead[m]
+                dz = d1[m] * z
+                Z += (z, dz, d2[m] * z)
+            else:
+                z, dz = Z[n + 3 * m], Z[n + 3 * m + 1]
+            f += z
+            g += dz
+            size = abs(z) + abs(dz)
+            if size > big:
+                big = size
+            if size + last < _SERIES_TOL * (abs(f) + abs(g)):
+                passed = big <= _GROWTH * (abs(f) + abs(g))
+                break
+            last = size
+        else:
+            passed = False
+        budget -= m + 1
+        if budget < 0:
+            raise ConvergenceError(
+                f"the march at E = {energy} summed more than its budget of "
+                f"{_MAX_TERMS} series terms")
+        if passed:
+            return x, f, g, budget
+        x /= 2.0
+        if x < x_min:
             raise ConvergenceError(
                 f"the Frobenius start series at E = {energy} have not converged "
                 f"by the last start offset {_EPS}")
-        t = max(t / 2.0, _EPS)
-    dxdt = (1.0 + x * x) / 2.0 if ends.angle else 1.0
-    (f_in, d_in), (f_out, d_out) = states
-    return t, (f_in, d_in * dxdt), (f_out, -d_out * dxdt)
+        if not math.isfinite(sum(Z[-3:])):
+            top = next(j for j in range(n, len(Z), 3) if not math.isfinite(sum(Z[j:j + 3])))
+            del Z[top:]
+            top = (top - n) // 3
+        Z[n:] = [v * 0.5 ** (j // 3) for j, v in enumerate(Z[n:])]
+        K = [v * 0.5 ** (n // 3 - j // 3) for j, v in enumerate(K)]
 
 
-def _coulomb_halves(params, coeffs, energy, ends):
-    """Both halves in phi from t0 to pi/2: theta = phi inside, pi - phi outside.
+def _start(call, half, energy, budget):
+    """(x0, f, df/dx) / x0^rho of one half's Frobenius start, and the budget left."""
+    x, f, g, budget = _sum(_series(call, half, 0.0), [1.0], energy, _OFFSET, _EPS, budget)
+    return x, f, g / x, budget
 
-    The equation is the module docstring's f'' + P f' + Q f = 0 in theta.
-    Every derivative is d/dtheta, so the outer half's right-hand side is the
-    inner one's with the sign flipped at theta = pi - phi, where cot theta =
-    -cot phi and the half-angle tangent and cotangent trade places: both
-    halves share t = tan(phi/2), 1/t and cot phi = (1/t - t)/2.
+
+def solve_ivp(call, energy):
+    """Both halves at one energy, continued from their starts to the matching point.
+
+    Returns _March(y, nfev): y holds (f, df/dx) of the inner and of the outer
+    half, each in its own x and normalized by a power of two, and nfev the
+    series terms summed.  Each Taylor step sums at its centre c the series
+    of _recurrence, from f(c) and f'(c), at h = min(c/2, x_end - c), or less
+    where _sum halves it.  The name is kept from the integrator this
+    replaced: the benchmark's tracer patches it at this import site and reads
+    `nfev` from its result.
     """
-    n, m, R, g = params.n, params.reduced_mass, params.radius, params.coupling
-    a, c = float(coeffs.a), float(coeffs.c)
-    e = m * R * R * energy - float(coeffs.b)
-    h = m * R * g
-    n1 = n - 1.0
-    t0, y_in, y_out = _start(ends, energy)
-    t1 = math.pi / 2.0
-    calls = 0
-
-    def rhs(phi, y):
-        nonlocal calls
-        calls += 1
-        if calls > _MAX_RHS_EVALS:
-            raise _too_many_evaluations(t0, t1)
-        f_in, d_in, f_out, d_out = y.tolist()  # plain floats: numpy scalars are slower
-        t = math.tan(phi / 2.0)
-        u = 1.0 / t
-        t2, u2 = t * t, u * u
-        cot = (u - t) / 2.0
-        P = n1 * cot
-        Q_in = 2.0 * (e + h * cot - a * u2 - c * t2)
-        Q_out = 2.0 * (e - h * cot - a * t2 - c * u2)
-        return (d_in, -P * d_in - Q_in * f_in, -d_out, -P * d_out + Q_out * f_out)
-
-    return _march(rhs, t0, t1, y_in, y_out)
-
-
-def _oscillator_halves(params, coeffs, energy, ends):
-    """Both halves in s from t0 to 1/2: r = s inside, 1 - s outside.
-
-    In r the equation is f'' + p f' + q f = 0 with
-    p = (n - 1 + (3 - n) r^2) / ((1 + r^2) r) and
-    q = 8 [m R^2 E - b - a/r^2 - c r^2 - 2 m R^4 g^2 r^2/(1 - r^2)^2] / (1 + r^2)^2.
-    Every derivative is d/dr, so the outer half's right-hand side is the
-    inner one's with the sign flipped, at r = 1 - s.
-    """
-    m, R, g = params.reduced_mass, params.radius, params.coupling
-    a, c = float(coeffs.a), float(coeffs.c)
-    mR2 = m * R * R
-    e = mR2 * energy - float(coeffs.b)
-    w = mR2 * (2.0 * R * R * g * g)
-    n1, n3 = params.n - 1.0, 3.0 - params.n
-    t0, y_in, y_out = _start(ends, energy)
-    t1 = 0.5
-    calls = 0
-
-    def rhs(s, y):
-        nonlocal calls
-        calls += 1
-        if calls > _MAX_RHS_EVALS:
-            raise _too_many_evaluations(t0, t1)
-        f_in, d_in, f_out, d_out = y.tolist()
-        r = 1.0 - s
-        s2, r2 = s * s, r * r
-        one_s, one_r = 1.0 + s2, 1.0 + r2
-        wall_s, wall_r = 1.0 - s2, 1.0 - r2
-        p_in = (n1 + n3 * s2) / (one_s * s)
-        q_in = 8.0 * (e - a / s2 - c * s2 - w * s2 / (wall_s * wall_s)) / (one_s * one_s)
-        p_out = (n1 + n3 * r2) / (one_r * r)
-        q_out = 8.0 * (e - a / r2 - c * r2 - w * r2 / (wall_r * wall_r)) / (one_r * one_r)
-        return (d_in, -p_in * d_in - q_in * f_in, -d_out, p_out * d_out + q_out * f_out)
-
-    return _march(rhs, t0, t1, y_in, y_out)
+    budget = _MAX_TERMS
+    y = []
+    for half in (0, 1):
+        x, f, df, budget = _start(call, half, energy, budget)
+        f, df = _binary_normalized(f, df)
+        while x < call.ends.match:
+            h, f, g, budget = _sum(_series(call, half, x), [f, df], energy,
+                                   min(x / 2.0, call.ends.match - x), 0.0, budget)
+            x += h
+            f, df = _binary_normalized(f, g / h)
+        y += (f, df)
+    return _March(y, _MAX_TERMS - budget)
 
 
 def _binary_normalized(f, df):
@@ -388,37 +291,77 @@ def _binary_normalized(f, df):
     return math.ldexp(f, -exp), math.ldexp(df, -exp)
 
 
+def _new_call(kind, params, coeffs):
+    """A call record: both ends, their recurrences by centre, the terms summed."""
+    return types.SimpleNamespace(ends=_series_ends(kind, params, coeffs), series={}, terms=0)
+
+
 def shooting_mismatch(kind, params, coeffs, energy):
     """Scaled Wronskian of the two half-solutions at the matching point.
 
-    Zero exactly at eigenvalues; smooth and sign-changing across them.
-    Each half's end state is normalized by a power of two first: the ratio
-    does not change, and half-states near 1e200 (Coulomb at R ~ 1e3) no
-    longer overflow the products.  Raises ValidationError on a non-real or
-    non-finite energy.
+    Zero exactly at eigenvalues; smooth and sign-changing across them.  The
+    outer half's x runs against r, so its derivative changes sign.  Raises
+    ValidationError on a non-real or non-finite energy.
     """
     _check_kind(kind)
     _check_compatible(params, coeffs)
     _check_energy(energy)
-    call = _CALL.get(None)
-    ends = _series_ends(kind, params, coeffs) if call is None else call.ends
-    halves = _coulomb_halves if kind == KIND_COULOMB else _oscillator_halves
-    y_in, y_out = halves(params, coeffs, energy, ends)
-    fi, fpi = _binary_normalized(*y_in)
-    fo, fpo = _binary_normalized(*y_out)
-    wron = fi * fpo - fpi * fo
+    call = _CALL.get(None) or _new_call(kind, params, coeffs)
+    march = solve_ivp(call, float(energy))
+    call.terms += march.nfev
+    fi, fpi, fo, fpo = march.y
+    wron = -fi * fpo - fpi * fo
     scale = abs(fi * fpo) + abs(fpi * fo) + 1e-300
     return wron / scale
+
+
+def _brent(f, xpre, xcur, xtol):
+    """A root of f between xpre and xcur, where f changes sign, and the iterations.
+
+    Brent's method (Algorithms for Minimization without Derivatives, 1973,
+    ch. 4) step for step as the usual brentq routine runs it: the same
+    bracket updates and iteration count, with rtol 1e-15 and at most
+    _MAX_ITER iterations.
+    """
+    fpre, fcur = f(xpre), f(xcur)
+    xblk = fblk = spre = scur = 0.0
+    for iterations in range(1, _MAX_ITER + 1):
+        if fpre and fcur and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + 1e-15 * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, iterations
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    raise ConvergenceError(f"Brent's method did not converge in {_MAX_ITER} iterations")
 
 
 def shooting_eigenvalue(kind, params, coeffs, e_lo, e_hi):
     """Locate one eigenvalue inside [e_lo, e_hi] by a scan and Brent's method.
 
     Walks 8 subintervals left to right, stops at the first sign change of
-    the mismatch and polishes it with brentq, so a bracket holding several
+    the mismatch and polishes it with _brent, so a bracket holding several
     levels yields the lowest.  Each energy is marched once per call, and both
-    ends' polynomial forms and recurrences are built once per call, so an
-    energy costs only the Frobenius recurrence before its march.  Raises
+    ends and their recurrences are built once per call.  Raises
     ValidationError on a non-real, non-finite or empty bracket, or one
     whose width is not finite, and ConvergenceError when the bracket
     contains no sign change.
@@ -441,25 +384,18 @@ def shooting_eigenvalue(kind, params, coeffs, e_lo, e_hi):
     grid = [lo + i * step for i in range(_SCAN_POINTS)] + [hi]
     _check_kind(kind)
     _check_compatible(params, coeffs)
-    call = types.SimpleNamespace(ends=_series_ends(kind, params, coeffs), rhs_spent=0)
+    call = _new_call(kind, params, coeffs)
     token = _CALL.set(call)
     try:
         for Ea, Eb in zip(grid, grid[1:]):
             wa = w(Ea)
             if wa == 0.0:
-                return ShootingResult(Ea, 0.0, (Ea, Eb), len(memo), 0, call.rhs_spent)
+                return ShootingResult(Ea, 0.0, (Ea, Eb), len(memo), 0, call.terms)
             if wa * w(Eb) < 0.0:
-                from scipy.optimize import brentq
-
                 scale = max(1.0, abs(e_lo), abs(e_hi))
-                root, info = brentq(
-                    w, Ea, Eb, xtol=_XTOL * scale, rtol=1e-15, full_output=True
-                )
-                mismatch = float(abs(w(root)))
-                return ShootingResult(
-                    float(root), mismatch, (Ea, Eb), len(memo), info.iterations,
-                    call.rhs_spent,
-                )
+                root, iterations = _brent(w, Ea, Eb, _XTOL * scale)
+                return ShootingResult(root, abs(w(root)), (Ea, Eb), len(memo), iterations,
+                                      call.terms)
     finally:
         _CALL.reset(token)
     raise ConvergenceError(

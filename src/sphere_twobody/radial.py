@@ -30,7 +30,6 @@ import cmath
 import functools
 import math
 import numbers
-import operator
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -301,13 +300,22 @@ def _mul(p, q):
     return out
 
 
-# column j of r^k = (1 - x)^k: (-1)^j C(k, j) for k = j..10
-_SHIFT = [[(-1.0) ** j * math.comb(k, j) for k in range(j, 11)] for j in range(11)]
+def _shift(poly, c):
+    """poly(x + c) from poly(x), ascending lists, by repeated synthetic division.
+
+    Every operation is an exact add of c times an entry when the entries and
+    c are small integers, as for the record's lists at c = 1.
+    """
+    out = list(poly)
+    for i in range(len(out) - 1):
+        for k in range(len(out) - 2, i - 1, -1):
+            out[k] += c * out[k + 1]
+    return out
 
 
-def _shift(poly):
-    """poly(1 - x) from poly(r), ascending lists; exact on integer coefficients."""
-    return [sum(map(operator.mul, poly[j:], col)) for j, col in enumerate(_SHIFT[:len(poly)])]
+def _reflect(poly):
+    """poly(1 - x) from poly(r): the shift to r = 1, then x -> -x."""
+    return [-u if i % 2 else u for i, u in enumerate(_shift(poly, 1.0))]
 
 
 class ReducedEquation(NamedTuple):
@@ -344,8 +352,8 @@ class ReducedEquation(NamedTuple):
             far = [poly[::-1] for poly in
                    (self.A, [2.0 * u - v for u, v in zip(self.A, self.B)], *near[2:])]
         else:
-            far = [_shift([0.0, 0.0] + self.A)[2:], [-u for u in _shift([0.0] + self.B)[1:]],
-                   *map(_shift, near[2:])]
+            far = [_reflect([0.0, 0.0] + self.A)[2:], [-u for u in _reflect([0.0] + self.B)[1:]],
+                   *map(_reflect, near[2:])]
         return tuple((A, B, [u + self.w * v for u, v in zip(C0, W)], [self.s * v for v in S], rho)
                      for (A, B, C0, W, S), rho in zip((near, far), self.rho))
 

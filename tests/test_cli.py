@@ -615,8 +615,9 @@ def test_console_script_on_path(capsys):
 
 def test_commands_import_no_scipy(tmp_path):
     """Importing the package and the closed-form commands load no numpy or
-    scipy module; the functions that use them import them on first call.
-    Records are NamedTuples, so dataclasses and its inspect import never load."""
+    scipy module; the functions that use them import them on first call, and
+    the shooting oracle loads neither.  Records are NamedTuples, so
+    dataclasses and its inspect import never load."""
     script = """
 import contextlib, io, math, sys
 import sphere_twobody
@@ -650,6 +651,10 @@ for argv in (
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == 0, argv
     assert stray() == [], (argv, stray())
+found = shooting_eigenvalue("coulomb", PhysicalParams(3, 2.0, 2.0, 1.0, 1.0),
+                            radial_coefficients(3, 1, 0), 3.5, 4.5)
+assert abs(found.energy - (4.0 - 1.0 / 18.0)) < 1e-8, found  # (k^2 - 1)/2 - 1/(2k^2), k = 3
+assert stray() == [], stray()
 unit = PhysicalParams(3, 1.0, 1.0, 1.0, 1.0)
 fn = radial_eigenfunction("coulomb", unit, radial_coefficients(3, 1, 1), 2)
 assert math.isclose(fn.norm_squared(), 0.01051245607404121, rel_tol=1e-10)
@@ -659,10 +664,6 @@ A, B, C = hamiltonian_ABC(unit)
 assert math.isclose(A(0.5) + C(0.5), (1 + 0.25) ** 2 / (4 * 0.5 * 0.25), rel_tol=1e-13)
 assert abs(B(0.5)) <= 1e-14
 assert loaded("scipy") == [], loaded("scipy")
-found = shooting_eigenvalue("coulomb", PhysicalParams(3, 2.0, 2.0, 1.0, 1.0),
-                            radial_coefficients(3, 1, 0), 3.5, 4.5)
-assert abs(found.energy - (4.0 - 1.0 / 18.0)) < 1e-8, found  # (k^2 - 1)/2 - 1/(2k^2), k = 3
-assert "scipy.integrate" in loaded("scipy")
 """
     env = dict(os.environ)
     src = str(Path(sphere_twobody.__file__).resolve().parents[1])

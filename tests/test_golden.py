@@ -35,7 +35,14 @@ check's worst norm drift moved, from 1.86e-14 to 1.84e-14.
 `verify_oscillator.out` was regenerated once, when the shooting oracle's
 Frobenius starts moved from Taylor convolutions to each end's polynomial
 form: only the "spectrum vs shooting" solver total `rhs_evaluations`
-moved, from 71203 to 71207.
+moved, from 71203 to 71207.  Both were regenerated once more when the
+shooting oracle moved from an LSODA march to Taylor continuation of the
+radial equation's polynomial record, and the check's brackets moved
+off-centre, to E - 0.33 gap .. E + 0.37 gap, so that the closed form is
+no scan energy.  Only the two "spectrum vs shooting" records changed:
+their worst deviations (1.17e-10 to 2.94e-15 for Coulomb, 7.90e-11 to
+2.47e-15 for the oscillator) and their solver totals, whose
+`rhs_evaluations` became `series_terms`.
 
 The two `*_high_k_json_samples` files pin eigenfunction samples at k = 30..40,
 where the other sample files stop at k <= 4.  They were written before the

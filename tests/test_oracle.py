@@ -2,6 +2,7 @@
 
 import ast
 import math
+import time
 import warnings
 from pathlib import Path
 
@@ -116,10 +117,10 @@ def test_shooting_mismatch_rejects_non_finite_energy(kind, energy):
 @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
 @pytest.mark.parametrize("bracket", [(1e9 - 1.0, 1e9 + 1.0), (0.0, 1e300)])
 def test_shooting_work_bound_at_huge_energies(kind, bracket):
-    # near 1e9 the march runs out of right-hand-side evaluations instead of
+    # near 1e9 the march runs out of its series-term budget instead of
     # spinning; by 1e299 the start series never converge, and no march begins
     co = radial_coefficients(3, 1, 0)
-    match = ("right-hand-side evaluations" if bracket[1] < 1e10
+    match = ("budget of 100000 series terms" if bracket[1] < 1e10
              else "start series .* have not converged")
     with pytest.raises(ConvergenceError, match=match):
         shooting_eigenvalue(kind, UNIT3, co, *bracket)
@@ -135,41 +136,57 @@ def test_shooting_failure_at_huge_energies_escapes_no_warning(kind, bracket):
             shooting_eigenvalue(kind, UNIT3, co, *bracket)
 
 
-def test_shooting_march_that_overflows_raises():
-    # the Coulomb k = 1 level E = -1800 (n = 2, case 1): the march leaves the
-    # float range while LSODA still reports success, so the mismatch would
-    # read NaN and the bracket would seem to hold no level
-    p = PhysicalParams(2, 2.0, 2.0, 10.0, 30.0)
-    co = radial_coefficients(2, 1)
+@pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
+@pytest.mark.parametrize("center", [1e6, 1e9])
+def test_shooting_budget_ends_large_energy_brackets_quickly(kind, center):
+    # one march at 1e6 would sum 3e5 (oscillator) to 8e5 (Coulomb) series
+    # terms; the budget ends the first march of the scan, typed and with no
+    # warning, in well under half a second of CPU time
+    co = radial_coefficients(3, 1, 0)
+    start = time.process_time()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConvergenceError, match="float range"):
-            shooting_mismatch("coulomb", p, co, -1800.0)
-        with pytest.raises(ConvergenceError, match="float range"):
-            shooting_eigenvalue("coulomb", p, co, -1800.7, -1799.3)
+        with pytest.raises(ConvergenceError, match=f"budget of {oracle._MAX_TERMS} series terms"):
+            shooting_eigenvalue(kind, UNIT3, co, center - 1.0, center + 1.0)
+    assert time.process_time() - start < 0.5
 
 
-def test_shooting_march_past_lsoda_default_step_limit(monkeypatch):
-    # a march of this level takes more LSODA steps than the 500 an
-    # integrator with its default step limit allows; the spy on the
-    # integrator call inside solve_ivp reads LSODA's own step count
-    import scipy.integrate
+def _level_with_closed_form(kind, params, coeffs, k):
+    """The level k found in E +- 0.35 gap, its closed form E, with no warning."""
+    E = closed_form_energy(kind, params, coeffs, k)
+    gap = abs(closed_form_energy(kind, params, coeffs, k + 1) - E)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = shooting_eigenvalue(kind, params, coeffs, E - 0.35 * gap, E + 0.35 * gap)
+    return got.energy, E
 
-    odeint = scipy.integrate.odeint
-    steps = []
 
-    def spy(*args, **kwargs):
-        ys, info = odeint(*args, **kwargs)
-        steps.append(int(info["nst"][-1]))
-        return ys, info
+def test_shooting_finds_the_deep_coulomb_level():
+    # the Coulomb k = 1 level E = -1800 (n = 2, case 1, R = 10, g = 30):
+    # each half grows far past the float range before the matching point, so
+    # every step's state is normalized by a power of two
+    got, E = _level_with_closed_form(
+        "coulomb", PhysicalParams(2, 2.0, 2.0, 10.0, 30.0), radial_coefficients(2, 1), 1)
+    assert abs(got - E) <= 1e-9 * max(1.0, abs(E))
 
-    monkeypatch.setattr(scipy.integrate, "odeint", spy)
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_shooting_oscillator_levels_at_radius_20(k):
+    # the outer half starts as x^283 (the wall exponent (1 + W)/2 at R = 20)
+    # and its steps are halved by the growth rule many times
+    got, E = _level_with_closed_form(
+        "oscillator", PhysicalParams(3, 1.0, 1.0, 20.0, 1.0), radial_coefficients(3, 1, 1), k)
+    assert abs(got - E) <= 1e-12 * max(1.0, abs(E))
+
+
+def test_shooting_oscillator_level_at_strong_coupling():
+    # n = 4, R = 5, g = 2, k = 2: a march whose Taylor steps the growth rule
+    # shortens
     p = PhysicalParams(4, 1.0, 1.0, 5.0, 2.0)
     co = radial_coefficients(4, 1, 0)
     E = closed_form_energy("oscillator", p, co, 2)
     got = shooting_eigenvalue("oscillator", p, co, E - 0.5, E + 0.5)
-    assert max(steps) > 500
-    assert got.energy == pytest.approx(E, rel=1e-8)
+    assert abs(got.energy - E) <= 1e-12 * max(1.0, abs(E))
 
 
 def test_shooting_returns_lowest_level_of_a_wide_bracket():
@@ -198,193 +215,111 @@ def test_shooting_result_statistics():
 
 
 def _spy_marches(monkeypatch):
-    """Patch solve_ivp to count the right-hand-side calls of each march.
-
-    Returns (calls, nfevs): per march, the calls its right-hand side saw
-    (kept when the march raises) and the nfev it returned.
-    """
-    calls, nfevs = [], []
+    """Patch solve_ivp to record the nfev of each march it returns."""
+    nfevs = []
     march = oracle.solve_ivp
 
-    def spy(rhs, *args):
-        calls.append(0)
-
-        def counted(t, y):
-            calls[-1] += 1
-            return rhs(t, y)
-
-        sol = march(counted, *args)
+    def spy(*args):
+        sol = march(*args)
         nfevs.append(sol.nfev)
         return sol
 
     monkeypatch.setattr(oracle, "solve_ivp", spy)
-    return calls, nfevs
+    return nfevs
 
 
-def test_shooting_result_counts_rhs_evaluations(monkeypatch):
-    # solve_ivp's nfev is ODEPACK's own count; it must equal the calls the
-    # right-hand side saw, and the result sums it over every march
-    calls, nfevs = _spy_marches(monkeypatch)
+def test_shooting_result_counts_series_terms(monkeypatch):
+    # one march per distinct energy, through the name the benchmark tracer
+    # patches, and the result sums the series terms of every march
+    nfevs = _spy_marches(monkeypatch)
     co = radial_coefficients(3, 1, 1)
     for kind in ("coulomb", "oscillator"):
-        calls.clear()
         nfevs.clear()
         E = closed_form_energy(kind, UNIT3, co, K_MIN[kind] + 1)
         got = shooting_eigenvalue(kind, UNIT3, co, E - 0.4, E + 0.4)
-        assert got.rhs_evaluations > 0
-        assert len(nfevs) == got.evaluations  # one stacked march per energy
-        assert got.rhs_evaluations == sum(nfevs)
-        assert nfevs == calls
+        assert got.series_terms > 0
+        assert len(nfevs) == got.evaluations
+        assert got.series_terms == sum(nfevs)
 
 
-@pytest.mark.parametrize("kind, t1", [("coulomb", math.pi / 2.0), ("oscillator", 0.5)])
-def test_march_evaluation_bound(monkeypatch, kind, t1):
-    # each kind's right-hand side counts its own calls and raises on the
-    # first one past the bound, before LSODA's step limit (the same number)
-    monkeypatch.setattr(oracle, "_MAX_RHS_EVALS", 40)
-    calls, _ = _spy_marches(monkeypatch)
+@pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
+def test_march_term_budget(monkeypatch, kind):
+    # a march may sum exactly _MAX_TERMS series terms; one fewer allowed stops
+    # it in its last series, typed, naming the budget, with no warning
     co = radial_coefficients(3, 1, 1)
     E = closed_form_energy(kind, UNIT3, co, K_MIN[kind])
-    t0 = oracle._start(oracle._series_ends(kind, UNIT3, co), E)[0]
-    text = f"integration from {t0} to {t1} exceeded 40 right-hand-side evaluations"
+    need = oracle.solve_ivp(oracle._new_call(kind, UNIT3, co), E).nfev
+    monkeypatch.setattr(oracle, "_MAX_TERMS", need - 1)
+    text = f"the march at E = {E} summed more than its budget of {need - 1} series terms"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError) as info:
             shooting_mismatch(kind, UNIT3, co, E)
         assert str(info.value) == text
-        assert calls == [41]  # the march stopped inside the right-hand side
-        with pytest.raises(ConvergenceError, match="exceeded 40 right-hand-side"):
+        with pytest.raises(ConvergenceError, match=f"budget of {need - 1} series terms"):
             shooting_eigenvalue(kind, UNIT3, co, E - 0.4, E + 0.4)
-    # a right-hand side that does not count its calls meets the same bound
-    # in solve_ivp, from ODEPACK's count
-    monkeypatch.setattr(oracle, "_MAX_RHS_EVALS", 3)
-    with pytest.raises(ConvergenceError,
-                       match="integration from 0.0 to 50.0 exceeded 3 right-hand-side"):
-        oracle.solve_ivp(lambda t, y: (y[1], -y[0]), 0.0, 50.0, (1.0, 0.0), 1e-12)
+    monkeypatch.setattr(oracle, "_MAX_TERMS", need)
+    assert oracle.solve_ivp(oracle._new_call(kind, UNIT3, co), E).nfev == need
 
 
-def _two_march_mismatch(kind, params, coeffs, energy):
-    """Reference: each half marched on its own, from the oracle's start
-    states to the matching point, with its own absolute tolerance."""
-    p, q = spectral_ode(kind, params, coeffs, energy)
+def _mpmath_halves(kind, params, coeffs, energy):
+    """(P, Q) of f'' + P f' + Q f = 0 for each half, in its own x, in mpmath.
 
-    def march(rhs, t0, t1, y0):
-        atol = oracle._ATOL_SCALE * max(abs(y0[0]), abs(y0[1]))
-        return oracle.solve_ivp(rhs, t0, t1, y0, atol).y
+    Written here from the radial equation in r, not from the oracle's
+    record: x = r inside; x = 1/r (Coulomb) or 1 - r (oscillator) outside.
+    """
+    n = params.n
+    m, R, g = (mpmath.mpf(v) for v in (params.reduced_mass, params.radius, params.coupling))
+    a, b, c = (mpmath.mpf(float(v)) for v in (coeffs.a, coeffs.b, coeffs.c))
+    E = mpmath.mpf(energy)
 
-    t0, y_in, y_out = oracle._start(oracle._series_ends(kind, params, coeffs), energy)
+    def p(r):
+        return (n - 1 + (3 - n) * r * r) / ((1 + r * r) * r)
+
+    def q(r):
+        if kind == "coulomb":
+            v = g / (2 * R) * (r - 1 / r)
+        else:
+            v = 2 * R * R * g * g * r * r / (1 - r * r) ** 2
+        return 8 / (1 + r * r) ** 2 * (m * R * R * (E - v) - a / r ** 2 - b - c * r * r)
+
     if kind == "coulomb":
-        def rhs(theta, y):
-            r = math.tan(theta / 2.0)
-            one = 1.0 + r * r
-            return (y[1], -(p(r) * one / 2.0 - r) * y[1] - q(r) * one * one / 4.0 * y[0])
-
-        fi, fpi = march(rhs, t0, math.pi / 2.0, y_in)
-        fo, fpo = march(rhs, math.pi - t0, math.pi / 2.0, y_out)
-    else:
-        def rhs(r, y):
-            return (y[1], -p(r) * y[1] - q(r) * y[0])
-
-        fi, fpi = march(rhs, t0, 0.5, y_in)
-        fo, fpo = march(rhs, 1.0 - t0, 0.5, y_out)
-    return (fi * fpo - fpi * fo) / (abs(fi * fpo) + abs(fpi * fo) + 1e-300)
+        # f_xx + (2/x - p(1/x)/x^2) f_x + q(1/x)/x^4 f = 0 at x = 1/r
+        return (p, q), (lambda x: 2 / x - p(1 / x) / x ** 2, lambda x: q(1 / x) / x ** 4)
+    return (p, q), (lambda x: -p(1 - x), lambda x: q(1 - x))
 
 
 @pytest.mark.parametrize("kind, params, sector, energies", [
-    ("coulomb", UNIT3, (3, 1, 1), np.linspace(-1.0, 3.0, 12)),
-    ("coulomb", UNIT3, (3, 2, 1), np.linspace(0.5, 1.6, 12)),       # a != c
-    ("coulomb", PhysicalParams(4, 1.5, 1.5, 0.8, 1.3), (4, 3, 2), np.linspace(5.0, 12.0, 12)),
-    ("oscillator", UNIT3, (3, 2, 1), np.linspace(3.0, 20.0, 12)),   # a != c
-    ("oscillator", PhysicalParams(2, 1.0, 3.0, 1.0, 1.0), (2, 1, None), (3.0, 9.0, 20.0)),
-    ("oscillator", PhysicalParams(4, 1.0, 1.0, 1.3, 0.7), (4, 3, 2), (3.0, 9.0, 20.0)),
+    ("coulomb", UNIT3, (3, 1, 1), np.linspace(-1.0, 3.0, 4)),
+    ("coulomb", UNIT3, (3, 2, 1), np.linspace(0.5, 1.6, 4)),       # a != c
+    ("coulomb", PhysicalParams(4, 1.5, 1.5, 0.8, 1.3), (4, 3, 2), np.linspace(5.0, 12.0, 4)),
+    ("oscillator", UNIT3, (3, 2, 1), np.linspace(3.0, 20.0, 4)),   # a != c
+    ("oscillator", PhysicalParams(2, 1.0, 3.0, 1.0, 1.0), (2, 1, None), (3.0, 9.0, 20.0, 60.0)),
+    ("oscillator", PhysicalParams(4, 1.0, 1.0, 1.3, 0.7), (4, 3, 2), (3.0, 9.0, 20.0, 60.0)),
 ])
 def test_stacked_march_matches_two_half_marches(kind, params, sector, energies):
-    # the scaled Wronskian lies in [-1, 1] and crosses 0 at each level, where
-    # 1e-9 of its full scale stands in for the relative 1e-8
+    # one solve_ivp call marches both halves to the matching point; each
+    # half's state there, as a unit vector (the mismatch reads nothing else),
+    # against its own mpmath.odefun march at 30 digits (tolerance 1e-20),
+    # started from the oracle's Frobenius series at half the matching point
     co = radial_coefficients(*sector)
-    unsaturated = 0
-    for E in energies:
-        E = float(E)
-        ref = _two_march_mismatch(kind, params, co, E)
-        assert shooting_mismatch(kind, params, co, E) == pytest.approx(ref, rel=1e-8, abs=1e-9)
-        unsaturated += abs(ref) < 0.99
-    assert unsaturated  # the scaled Wronskian is not +-1 at every energy tried
-
-
-def _captured_rhs(monkeypatch, kind, params, coeffs, energy):
-    """The stacked right-hand side of one mismatch evaluation, unmarched."""
-    seen = []
-
-    def capture(rhs, t0, t1, y0, atol):
-        seen.append((rhs, t0, t1))
-        return oracle._March(np.ones(4), 0)
-
-    monkeypatch.setattr(oracle, "solve_ivp", capture)
-    shooting_mismatch(kind, params, coeffs, energy)
-    ((rhs, t0, t1),) = seen
-    return rhs, t0, t1
-
-
-def _half_coefficients(rhs, t):
-    """(P_in, Q_in, P_out, Q_out) of y'' + P y' + Q y = 0, read off the unit states.
-
-    The outer half runs backwards in its own coordinate, so its rows carry
-    the opposite sign; every coupling between the halves must be zero.
-    """
-    cols = [list(rhs(t, e)) for e in np.eye(4)]
-    assert [c[0] for c in cols] == [0.0, 1.0, 0.0, 0.0]
-    assert [c[2] for c in cols] == [0.0, 0.0, 0.0, -1.0]
-    assert cols[2][1] == cols[3][1] == cols[0][3] == cols[1][3] == 0.0
-    return -cols[1][1], -cols[0][1], cols[3][3], cols[2][3]
-
-
-def _reference_coefficients(kind, params, coeffs, energy, r):
-    """P, Q from spectral_ode at r, and the largest term each is made of."""
-    p, q = spectral_ode(kind, params, coeffs, energy)
-    m, R, g = params.reduced_mass, params.radius, params.coupling
-    a, b, c = float(coeffs.a), float(coeffs.b), float(coeffs.c)
-    one = 1.0 + r * r
-    bracket = [m * R * R * abs(energy), a / (r * r), b, c * r * r]
-    if kind == "coulomb":
-        # in theta = 2 arctan r: P = p (1 + r^2)/2 - r and Q = q (1 + r^2)^2/4
-        bracket.append(m * R * g * (r + 1.0 / r) / 2.0)
-        return (p(r) * one / 2.0 - r, max(abs(p(r)) * one / 2.0, r),
-                q(r) * one * one / 4.0, 2.0 * max(bracket))
-    n = params.n
-    bracket.append(m * R ** 4 * 2.0 * g * g * r * r / (1.0 - r * r) ** 2)
-    return (p(r), max(n - 1.0, abs(3.0 - n) * r * r) / (one * r),
-            q(r), 8.0 / (one * one) * max(bracket))
-
-
-@pytest.mark.parametrize("kind, params, sector, energy", [
-    ("coulomb", UNIT3, (3, 1, 1), 1.3),
-    ("coulomb", UNIT3, (3, 2, 1), 0.9),                                # a != c
-    ("coulomb", PhysicalParams(4, 1.5, 1.5, 0.8, 1.3), (4, 3, 2), -7.0),  # a != c
-    ("coulomb", PhysicalParams(2, 1.0, 3.0, 1.7, 0.4), (2, 1, None), -2.5),
-    ("oscillator", UNIT3, (3, 2, 1), 9.0),                             # a != c
-    ("oscillator", PhysicalParams(2, 1.0, 3.0, 1.0, 1.0), (2, 1, None), 20.0),
-    ("oscillator", PhysicalParams(4, 1.0, 1.0, 1.3, 0.7), (4, 3, 2), 3.0),   # a != c
-    ("oscillator", PhysicalParams(6, 0.6, 2.2, 1.9, 1.8), (6, 1, 4), -4.0),
-])
-def test_reduced_rhs_matches_spectral_ode(monkeypatch, kind, params, sector, energy):
-    # each half's P and Q against radial.spectral_ode's p and q at 50 points,
-    # within 1e-13 of the largest term of the coefficient
-    co = radial_coefficients(*sector)
-    rhs, t0, t1 = _captured_rhs(monkeypatch, kind, params, co, energy)
-    start = oracle._start(oracle._series_ends(kind, params, co), energy)[0]
-    assert (t0, t1) == (start, math.pi / 2.0 if kind == "coulomb" else 0.5)
-    assert oracle._EPS <= t0 <= oracle._OFFSET
-    for t in np.linspace(t0, t1, 50).tolist():
-        if kind == "coulomb":
-            r_in = math.tan(t / 2.0)
-            r_out = 1.0 / r_in
-        else:
-            r_in, r_out = t, 1.0 - t
-        got = _half_coefficients(rhs, t)
-        want = (_reference_coefficients(kind, params, co, energy, r_in)
-                + _reference_coefficients(kind, params, co, energy, r_out))
-        for value, (ref, scale) in zip(got, zip(want[::2], want[1::2])):
-            assert abs(value - ref) <= 1e-13 * scale, (t, value, ref, scale)
+    for E in map(float, energies):
+        call = oracle._new_call(kind, params, co)
+        y = oracle.solve_ivp(call, E).y
+        x0, x1 = call.ends.match / 2.0, call.ends.match
+        with mpmath.workdps(30):
+            for half, (P, Q) in enumerate(_mpmath_halves(kind, params, co, E)):
+                _, f, g, _ = oracle._sum(oracle._series(call, half, 0.0), [1.0], E, x0, x0,
+                                         oracle._MAX_TERMS)
+                sol = mpmath.odefun(lambda x, v: [v[1], -P(x) * v[1] - Q(x) * v[0]],
+                                    x0, [mpmath.mpf(f), mpmath.mpf(g) / x0],
+                                    tol=mpmath.mpf(1e-20), degree=20)
+                ref = sol(x1)
+                ref_norm = mpmath.sqrt(ref[0] ** 2 + ref[1] ** 2)
+                got = y[2 * half:2 * half + 2]
+                for value, want in zip(got, ref):
+                    assert abs(value / math.hypot(*got) - float(want / ref_norm)) <= 1e-13, (
+                        E, half, got, ref)
 
 
 def _poly(coeffs, x):
@@ -421,12 +356,11 @@ def _assert_record_is_spectral_ode(kind, params, coeffs, energy, rng):
 
 @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_end_record_is_the_equation(monkeypatch, kind, n):
+def test_end_record_is_the_equation(kind, n):
     # each end's (A, B, C0, C1, rho) against the equation itself: rho solves
-    # the indicial equation A0 rho (rho - 1) + B0 rho + C0(0) = 0, and B/(A x)
-    # and (C0 + E C1)/(A x^2), taken to the march coordinate, are the inline
-    # right-hand side's P and Q of that end at random points; the record the
-    # ends are mapped from is spectral_ode's p and q at random r
+    # the indicial equation A0 rho (rho - 1) + B0 rho + C0(0) = 0, C1 has no
+    # constant term, and the record the ends are mapped from is spectral_ode's
+    # p and q at random r
     rng = np.random.default_rng(1000 * n + len(kind))
     for sector in _record_sectors(n, 2):
         co = radial_coefficients(*sector)
@@ -445,23 +379,6 @@ def test_end_record_is_the_equation(monkeypatch, kind, n):
                 A0, B0, C00, rho = end.A[0], end.B[0], end.C0[0], end.rho
                 terms = (A0 * rho * (rho - 1.0), B0 * rho, C00)
                 assert abs(sum(terms)) <= 1e-12 * sum(map(abs, terms)), (sector, params, terms)
-            rhs, t0, t1 = _captured_rhs(monkeypatch, kind, params, co, energy)
-            for t in rng.uniform(t0, t1, 5).tolist():
-                x = math.tan(t / 2.0) if kind == "coulomb" else t
-                got = _half_coefficients(rhs, t)
-                for sign, end, P, Q in ((1.0, ends.inner, *got[:2]), (-1.0, ends.outer, *got[2:])):
-                    A, B = _poly(end.A, x), _poly(end.B, x)
-                    p = B / (A * x)
-                    q = (_poly(end.C0, x) + energy * _poly(end.C1, x)) / (A * x * x)
-                    # the scale of each coefficient: its polynomials summed in |.|
-                    p_scale = _poly(list(map(abs, end.B)), x) / (A * x)
-                    q_scale = (_poly(list(map(abs, end.C0)), x)
-                               + abs(energy) * _poly(list(map(abs, end.C1)), x)) / (A * x * x)
-                    if kind == "coulomb":  # x = tan(phi/2): d/dphi = (1 + x^2)/2 d/dx
-                        p, p_scale = p * (1.0 + x * x) / 2.0 - x, p_scale * (1.0 + x * x) / 2.0 + x
-                        q, q_scale = (v * (1.0 + x * x) ** 2 / 4.0 for v in (q, q_scale))
-                    assert abs(P - sign * p) <= 1e-13 * p_scale, (sector, t, P, sign * p)
-                    assert abs(Q - q) <= 1e-13 * q_scale, (sector, t, Q, q)
 
 
 def _hand_series_ends(kind, params, coeffs):
@@ -511,7 +428,7 @@ def _hand_series_ends(kind, params, coeffs):
                                endpoint_exponent(n, a))
 
         h = 4.0 * m * R * g
-        return oracle._Ends(end(a, c, h), end(c, a, -h), True)
+        return oracle._Ends(end(a, c, h), end(c, a, -h), 1.0)
     w8 = 16.0 * mR2 * R * R * g * g
     inner = oracle._end(
         mul(one2, wall2),
@@ -529,7 +446,7 @@ def _hand_series_ends(kind, params, coeffs):
         scaled(8.0 * mR2, mul(x2_two2, r2)),
         wall_exponent(params),
     )
-    return oracle._Ends(inner, outer, False)
+    return oracle._Ends(inner, outer, 0.5)
 
 
 @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
@@ -608,52 +525,30 @@ def test_binary_normalization_keeps_the_mantissas():
         assert math.frexp(ndf)[0] == math.frexp(df)[0]
         if f or df:
             assert max(abs(nf), abs(ndf)) >= 0.5
-    # the mismatch is the same number wherever the plain products stay finite
+    # each half leaves its march normalized, and the mismatch is the plain
+    # scaled Wronskian of those states, the outer derivative turned to d/dr
     co = radial_coefficients(3, 2, 1)
     for kind, E in (("coulomb", 0.7), ("oscillator", 6.0)):
-        halves = oracle._coulomb_halves if kind == "coulomb" else oracle._oscillator_halves
-        (fi, fpi), (fo, fpo) = halves(UNIT3, co, E, oracle._series_ends(kind, UNIT3, co))
-        plain = (fi * fpo - fpi * fo) / (abs(fi * fpo) + abs(fpi * fo) + 1e-300)
+        fi, fpi, fo, fpo = y = oracle.solve_ivp(oracle._new_call(kind, UNIT3, co), E).y
+        assert all(0.5 <= max(abs(f), abs(df)) < 1.0 for f, df in (y[:2], y[2:]))
+        plain = (fi * -fpo - fpi * fo) / (abs(fi * fpo) + abs(fpi * fo) + 1e-300)
         assert shooting_mismatch(kind, UNIT3, co, E) == plain
 
 
-def _mpmath_start(kind, params, coeffs, energy, t, terms=40, points=80):
-    """Both halves' (f, df/dt) / x^rho at offset t, from an mpmath Frobenius series.
+def _mpmath_start(kind, params, coeffs, energy, x):
+    """Both halves' (f, df/dx) / x^rho at x, from 60-term mpmath Frobenius series.
 
-    P and Q come from the radial equation in r written here in mpmath, taken
-    to each end's variable x (r, 1/r, 1 - r); their Taylor coefficients are
-    trapezoidal contour integrals on |x| = 1/3, and rho is the larger root
-    of the indicial equation they give.
+    P and Q are _mpmath_halves', each half in its own x; their Taylor
+    coefficients are trapezoidal contour integrals at 100 points on
+    |x| = 1/3, and rho is the larger root of the indicial equation they give.
     """
+    terms, points = 60, 100
     with mpmath.workdps(60):
-        n = params.n
-        m, R, g = (mpmath.mpf(v) for v in (params.reduced_mass, params.radius, params.coupling))
-        a, b, c = (mpmath.mpf(float(v)) for v in (coeffs.a, coeffs.b, coeffs.c))
-        E = mpmath.mpf(energy)
-
-        def p(r):
-            return (n - 1 + (3 - n) * r * r) / ((1 + r * r) * r)
-
-        def q(r):
-            if kind == "coulomb":
-                v = g / (2 * R) * (r - 1 / r)
-            else:
-                v = 2 * R * R * g * g * r * r / (1 - r * r) ** 2
-            return 8 / (1 + r * r) ** 2 * (m * R * R * (E - v) - a / r ** 2 - b - c * r * r)
-
-        inner = (lambda x: x * p(x), lambda x: x * x * q(x))
-        if kind == "coulomb":
-            # f_xx + (2/x - p(1/x)/x^2) f_x + q(1/x)/x^4 f = 0 at x = 1/r
-            outer = (lambda x: 2 - p(1 / x) / x, lambda x: q(1 / x) / x ** 2)
-            x = mpmath.tan(mpmath.mpf(t) / 2)
-            dxdt = (1 + x * x) / 2  # r = tan(theta/2)
-        else:
-            outer = (lambda x: -x * p(1 - x), lambda x: x * x * q(1 - x))
-            x, dxdt = mpmath.mpf(t), 1
         zs = [mpmath.expjpi(2 * mpmath.mpf(k) / points) / 3 for k in range(points)]
+        x = mpmath.mpf(x)
         states = []
-        for sign, (P, Q) in zip((1, -1), (inner, outer)):
-            Pv, Qv, powers = [P(z) for z in zs], [Q(z) for z in zs], [1] * points
+        for P, Q in _mpmath_halves(kind, params, coeffs, energy):
+            Pv, Qv, powers = [z * P(z) for z in zs], [z * z * Q(z) for z in zs], [1] * points
             Pc, Qc = [], []
             for _ in range(terms + 1):
                 Pc.append(mpmath.re(mpmath.fsum(u * w for u, w in zip(Pv, powers))) / points)
@@ -662,18 +557,19 @@ def _mpmath_start(kind, params, coeffs, energy, t, terms=40, points=80):
             rho = (1 - Pc[0] + mpmath.sqrt(max(0, (1 - Pc[0]) ** 2 - 4 * Qc[0]))) / 2
             cs = [mpmath.mpf(1)]
             for j in range(1, terms + 1):
-                s = mpmath.fsum(cs[j - i] * (Pc[i] * (rho + j - i) + Qc[i]) for i in range(1, j + 1))
+                s = mpmath.fsum(cs[j - i] * (Pc[i] * (rho + j - i) + Qc[i])
+                                for i in range(1, j + 1))
                 cs.append(-s / ((rho + j) * (rho + j - 1) + Pc[0] * (rho + j) + Qc[0]))
             assert abs(cs[-1]) * x ** terms < mpmath.mpf(10) ** -30  # the reference converged
             f = mpmath.fsum(cj * x ** j for j, cj in enumerate(cs))
             fx = mpmath.fsum((rho + j) * cj * x ** (j - 1) for j, cj in enumerate(cs))
-            states.append((f, sign * fx * dxdt))
+            states.append((f, fx))
         return states
 
 
 @pytest.mark.parametrize("kind, params, sector, energy, shrinks", [
-    ("coulomb", PhysicalParams(2, 2.5, 2.5, 2.0, 2.0), (2, 1, None), -10.0, False),  # double root
-    ("oscillator", PhysicalParams(2, 2.5, 2.5, 2.0, 2.0), (2, 1, None), 10.0, True),   # double root
+    ("coulomb", PhysicalParams(2, 2.5, 2.5, 2.0, 2.0), (2, 1, None), -10.0, True),    # double root
+    ("oscillator", PhysicalParams(2, 2.5, 2.5, 2.0, 2.0), (2, 1, None), 10.0, False),  # double root
     ("coulomb", PhysicalParams(4, 1.5, 1.5, 0.8, 1.3), (4, 3, 2), 7.0, False),        # a != c
     ("oscillator", PhysicalParams(4, 1.0, 1.0, 1.3, 0.7), (4, 3, 2), 9.0, False),     # a != c
     ("coulomb", PhysicalParams(5, 0.7, 1.9, 1.6, 0.45), (5, 1, 3), 2.5, False),
@@ -682,13 +578,22 @@ def _mpmath_start(kind, params, coeffs, energy, t, terms=40, points=80):
     ("oscillator", UNIT3, (3, 1, 1), 2000.0, True),
 ])
 def test_series_start_matches_mpmath(kind, params, sector, energy, shrinks):
+    # `shrinks`: a half's series failed the growth rule or did not converge
+    # at the first offset, which was halved.  Both halves' start series are
+    # then summed at x = min(0.05, both offsets), where 60 reference terms
+    # converge, and compared term for term with mpmath's
     co = radial_coefficients(*sector)
-    t0, *halves = oracle._start(oracle._series_ends(kind, params, co), energy)
-    assert (t0 < oracle._OFFSET) == shrinks
-    assert t0 > oracle._EPS
-    for got, want in zip(halves, _mpmath_start(kind, params, co, energy, t0)):
-        for value, ref in zip(got, want):
-            assert abs(value - ref) <= 1e-13 * abs(ref), (value, ref)
+    call = oracle._new_call(kind, params, co)
+    offsets = [oracle._start(call, half, energy, oracle._MAX_TERMS)[0] for half in (0, 1)]
+    assert (min(offsets) < oracle._OFFSET) == shrinks
+    assert min(offsets) > oracle._EPS
+    x = min(0.05, *offsets)
+    want = _mpmath_start(kind, params, co, energy, x)
+    for half, ref in enumerate(want):
+        _, f, g, _ = oracle._sum(oracle._series(call, half, 0.0), [1.0], energy, x, x,
+                                 oracle._MAX_TERMS)
+        for value, r in zip((f, g / x), ref):
+            assert abs(value - r) <= 1e-13 * abs(r), (half, value, r)
 
 
 @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
@@ -696,16 +601,17 @@ def test_series_start_matches_mpmath(kind, params, sector, energy, shrinks):
 def test_series_start_at_extreme_energies_stays_finite(kind, energy):
     # past the float range the series never converge, and the start raises
     # by _EPS: no OverflowError, no RuntimeWarning, no inexact start
-    ends = oracle._series_ends(kind, UNIT3, radial_coefficients(3, 1, 0))
+    call = oracle._new_call(kind, UNIT3, radial_coefficients(3, 1, 0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if abs(energy) == 1e300:
             with pytest.raises(ConvergenceError, match=f"by the last start offset {oracle._EPS}"):
-                oracle._start(ends, energy)
+                oracle._start(call, 0, energy, oracle._MAX_TERMS)
             return
-        t0, y_in, y_out = oracle._start(ends, energy)
-    assert oracle._EPS <= t0 < oracle._OFFSET
-    assert all(math.isfinite(v) for v in y_in + y_out)
+        starts = [oracle._start(call, half, energy, oracle._MAX_TERMS) for half in (0, 1)]
+    for x0, f, df, _ in starts:
+        assert oracle._EPS <= x0 < oracle._OFFSET
+        assert math.isfinite(f) and math.isfinite(df)
 
 
 @pytest.mark.parametrize("radius", [1000.0, 1200.0])
@@ -713,11 +619,13 @@ def test_series_start_at_large_coulomb_radius(radius):
     params = PhysicalParams(3, 1.0, 1.0, radius, 1.0)
     co = radial_coefficients(3, 1, 1)
     E = closed_form_energy("coulomb", params, co, 1)
+    call = oracle._new_call("coulomb", params, co)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        t0, y_in, y_out = oracle._start(oracle._series_ends("coulomb", params, co), E)
-    assert oracle._EPS < t0 < oracle._OFFSET  # converged after some halvings
-    assert all(math.isfinite(v) for v in y_in + y_out)
+        starts = [oracle._start(call, half, E, oracle._MAX_TERMS) for half in (0, 1)]
+    assert oracle._EPS < starts[0][0] < oracle._OFFSET  # converged after some halvings
+    for x0, f, df, _ in starts:
+        assert math.isfinite(f) and math.isfinite(df)
 
 
 @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
@@ -762,6 +670,32 @@ def test_shooting_agrees_with_the_closed_form(level):
     # on the energy scale of Brent's xtol, in every sector, the double
     # indicial root at r = 0 (n = 2, case 1) included
     assert abs(got.energy - E) <= 1e-8 * max(1.0, abs(E))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_symmetric_levels(), st.sampled_from((0, 1)), st.sampled_from((0, 1)), st.booleans())
+def test_last_bit_of_a_start_state_moves_no_energy(level, half, slot, up):
+    # one start value of one half moved to its neighbouring float, at every
+    # energy of the search: the located level moves by at most 1e-13 of its scale
+    kind, params, co, k = level
+    E = closed_form_energy(kind, params, co, k)
+    gap = min(abs(closed_form_energy(kind, params, co, k + 1) - E), 2.0)
+    bracket = (E - 0.35 * gap, E + 0.35 * gap)
+    base = shooting_eigenvalue(kind, params, co, *bracket).energy
+    start = oracle._start
+
+    def nudged(call, which, energy, budget):
+        x0, *state, budget = start(call, which, energy, budget)
+        if which == half:
+            state[slot] = math.nextafter(state[slot], math.inf if up else -math.inf)
+        return x0, *state, budget
+
+    oracle._start = nudged
+    try:
+        moved = shooting_eigenvalue(kind, params, co, *bracket).energy
+    finally:
+        oracle._start = start
+    assert abs(moved - base) <= 1e-13 * max(1.0, abs(base))
 
 
 def test_oracle_imports_no_closed_form_module():

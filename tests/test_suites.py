@@ -20,12 +20,12 @@ def test_spectrum_vs_shooting_reports_the_whole_grid(monkeypatch):
 
     def fake_shooting(kind, params, coeffs, lo, hi):
         calls.append((params.n, lo, hi))
-        E = (lo + hi) / 2.0  # the bracket is centred on the closed-form level
+        E = lo + (hi - lo) * 0.33 / 0.7  # the bracket is E - 0.33 gap .. E + 0.37 gap
         if len(calls) == 3:
             raise ConvergenceError("synthetic miss")
         if len(calls) in (5, 9):
             E += 1e-3 * len(calls) * max(1.0, abs(E))
-        return ShootingResult(E, 0.0, (lo, hi), 1, 0)
+        return ShootingResult(E, 0.0, (lo, hi), 1, 0, 0)
 
     monkeypatch.setattr(suites, "shooting_eigenvalue", fake_shooting)
     chk = suites.check_spectrum_vs_shooting("coulomb")
@@ -43,7 +43,8 @@ def test_spectrum_vs_shooting_reports_solver_totals(monkeypatch, capsys):
         calls.append(kind)
         if len(calls) == 4:
             raise ConvergenceError("synthetic miss")  # counts nothing
-        return ShootingResult((lo + hi) / 2.0, 0.0, (lo, hi), 9, 4, 1000 + len(calls))
+        return ShootingResult(lo + (hi - lo) * 0.33 / 0.7, 0.0, (lo, hi), 9, 4,
+                              1000 + len(calls))
 
     monkeypatch.setattr(suites, "shooting_eigenvalue", fake_shooting)
     for other, _ in suites._SUITES["oscillator"]:
@@ -55,7 +56,7 @@ def test_spectrum_vs_shooting_reports_solver_totals(monkeypatch, capsys):
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["oscillator spectrum vs shooting"]["solver"] == {
         "evaluations": 9 * 44, "iterations": 4 * 44,
-        "rhs_evaluations": sum(1000 + i for i in located)}
+        "series_terms": sum(1000 + i for i in located)}
     assert by_name["oscillator spectrum vs shooting"]["detail"].startswith("1 of 45 levels failed")
     # checks without an oracle carry no solver entry, so their JSON is unchanged
     assert "solver" not in by_name["stub"]
@@ -228,7 +229,7 @@ def _returns_nan(real):
 NAN_CASES = [
     ("check_spectrum_vs_shooting", {"kind": "coulomb"}, "shooting_eigenvalue",
      lambda real: lambda kind, params, coeffs, lo, hi: ShootingResult(math.nan, 0.0, (lo, hi),
-                                                                      1, 0)),
+                                                                      1, 0, 0)),
     ("check_hyperfun_dual_path", {}, "gauss_2f1", _nan_connection),
     ("check_hyperfun_limit", {}, "limit_near_one", _returns_nan),
     ("check_hyperfun_ode", {}, "hypergeom_ode_residual", _returns_nan),
