@@ -10,5 +10,5 @@ def scaled_residual(*terms):
     res = abs(sum(terms))
     if math.isnan(res):  # max() over the terms alone can drop a NaN
         return res
-    scale = max(abs(t) for t in terms)
+    scale = max(map(abs, terms))
     return res / scale if scale > 0.0 else math.inf

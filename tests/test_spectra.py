@@ -34,6 +34,7 @@ from sphere_twobody.oracle import gauss_legendre
 from sphere_twobody.radial import sample_radii
 
 UNIT = {n: PhysicalParams(n, 2.0, 2.0, 1.0, 1.0) for n in (2, 3, 4, 5)}
+KINDS = ("coulomb", "oscillator")
 
 
 def test_coulomb_free_series_n3():
@@ -230,6 +231,26 @@ def test_bool_is_not_a_level_index():
                 spectrum(kind, UNIT[3], co, k_min, k_max)
     assert closed_form_energy("oscillator", UNIT[3], co, 0) == spectrum(
         "oscillator", UNIT[3], co, 0, 0).levels[0].energy
+
+
+_ENTRIES = ("__call__", "jet", "ode_residual")
+_BAD_RADII = (
+    [(kind, entry, r, ValidationError, "eigenfunctions live on")
+     for kind in KINDS for entry in _ENTRIES for r in (0.0, math.inf, math.nan)]
+    + [("oscillator", entry, r, ValidationError, "eigenfunctions live on")
+       for entry in _ENTRIES for r in (1.0, 1.5)]
+    + [(kind, entry, r, ValidationError, "non-real radius")
+       for kind in KINDS for entry in _ENTRIES for r in (True, 0.5 + 0j)]
+    # inside the domain, but L'' divides by r**2, which is 0.0 here
+    + [(kind, entry, 1e-170, ConvergenceError, "underflows")
+       for kind in KINDS for entry in ("jet", "ode_residual")])
+
+
+@pytest.mark.parametrize("kind,entry,r,error,text", _BAD_RADII)
+def test_scalar_entry_points_reject_radii_outside_the_domain(kind, entry, r, error, text):
+    fn = radial_eigenfunction(kind, UNIT[3], radial_coefficients(3, 1, 1), 3)
+    with pytest.raises(error, match=text):
+        getattr(fn, entry)(r)
 
 
 def test_closed_form_requires_symmetric_coefficients():
@@ -449,6 +470,42 @@ def test_jet_equals_generic_jet_path(kind, n, k, params):
             assert abs(d2f - out.d2f) <= tol2, (r, d2f, out.d2f)
 
 
+# z -> 0 at r -> 0 (and at r -> oo for Coulomb), where `jet` divides by z for
+# G''.  The m_k = 0 sector has rho0 = 0 (n = 2's case 1 already does), so f'
+# stays finite at r = 0 and nothing else hides the loss.  k <= 20 is the range
+# `jet`'s docstring states.
+EDGE_SECTORS = {2: None, 3: 0, 5: 0}  # n -> mk, case 1
+EDGE_KS = {kind: tuple(k for k in ks if k <= 20) for kind, ks in KERNEL_KS.items()}
+EDGE_RADII = {"coulomb": (1e-3, 1e3), "oscillator": (1e-3,)}
+
+
+@pytest.mark.parametrize("kind,n,k", [(kind, n, k) for kind, ks in EDGE_KS.items()
+                                      for n in EDGE_SECTORS for k in ks])
+def test_jet_matches_mpmath_near_the_ends_at_mk0(kind, n, k):
+    """test_kernel_matches_mpmath's bounds at the m_k = 0 sector's EDGE_RADII."""
+    co = radial_coefficients(n, 1, EDGE_SECTORS[n])
+    fn = radial_eigenfunction(kind, UNIT[n], co, k)
+    with mpmath.workdps(REF_DIGITS):
+        ref = _reference(kind, UNIT[n], co, k, fn.energy)
+        for r in EDGE_RADII[kind]:
+            x = mpmath.mpf(r)
+            want, dwant, d2want = (complex(mpmath.diff(ref, x, i)) for i in range(3))
+            amp = max(abs(want), abs(dwant) / (k + 1))
+            f, df, d2f = fn.jet(r)
+            assert abs(f - want) <= 1e-12 * amp, (r, f, want)
+            assert abs(df - dwant) <= 1e-12 * (k + 1) * amp, (r, df, dwant)
+            assert abs(d2f - d2want) <= 1e-12 * (k + 1) ** 2 * amp, (r, d2f, d2want)
+
+
+@pytest.mark.parametrize("kind,n,mk,k", [(kind, n, mk, k) for kind, ks in EDGE_KS.items()
+                                         for n, mk in (*KERNEL_SECTORS.items(), (3, 0), (5, 0))
+                                         for k in ks])
+def test_scaled_residual_near_the_ends(kind, n, mk, k):
+    fn = radial_eigenfunction(kind, UNIT[n], radial_coefficients(n, 1, mk), k)
+    for r in (1e-6, 1e6) if kind == "coulomb" else (1e-6, 0.9999):
+        assert fn.ode_residual(r) <= 1e-12, r
+
+
 @pytest.mark.parametrize("kind,n,k", [c for c in _kernel_cases() if c[2] <= 40])
 def test_kernel_norm_quadrature_stable(kind, n, k):
     fn = radial_eigenfunction(kind, UNIT[n], radial_coefficients(n, 1, KERNEL_SECTORS[n]), k)
@@ -494,7 +551,6 @@ def test_coulomb_high_k_verified_only_when_accurate():
 # ------------------------------------------------ the verified flag at high k
 
 UNIT_MASSES = PhysicalParams(3, 1.0, 1.0, 1.0, 1.0)  # masses, radius and coupling all 1
-KINDS = ("coulomb", "oscillator")
 
 
 def _mpmath_value(kind, params, coeffs, k, energy, r):
@@ -730,7 +786,8 @@ def _complex_value_and_jet(fn, r):
 
     The reference for the float recurrence on real levels: the recurrence,
     z and the derivative closed forms as they stood before b and z became
-    floats there, on the same prefactor.
+    floats there, on the same prefactor, with G'' from the contiguous
+    relation z G''_d = (d-1) G'_d - G'_(d-1) after the loop.
     """
     x = complex(r)
     d, b, c = fn.data.d, complex(fn.data.b), fn.data.c
@@ -740,15 +797,14 @@ def _complex_value_and_jet(fn, r):
         z = 4.0 * x * x / (x * x + 1.0) ** 2
     w = z - 1.0
     prev, cur = 0.0, 1.0
-    dprev, dcur, d2prev, d2cur = 0.0, 0.0, 0.0, 0.0
+    dprev, dcur = 0.0, 0.0
     for m in range(d):
         bm = b + m
         s = c + 2 * m - bm * z
         den = (c + m) * (m + 1)
-        prev, cur, dprev, dcur, d2prev, d2cur = (
-            cur, (s * cur + w * prev) / den,
-            dcur, (s * dcur - bm * cur + w * dprev + prev) / den,
-            d2cur, (s * d2cur - 2.0 * bm * dcur + w * d2prev + 2.0 * dprev) / den)
+        prev, cur, dprev, dcur = (cur, (s * cur + w * prev) / den,
+                                  dcur, (s * dcur - bm * cur + w * dprev + prev) / den)
+    d2cur = ((d - 1) * dcur - dprev) / z
     rho0, rho1 = fn.data.rho0, fn.data.rho1
     if fn.kind == "coulomb":
         ri = r + 1j
