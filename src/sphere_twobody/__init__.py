@@ -6,9 +6,10 @@ by the so(n+1) ladder machinery that produces them and by independent
 numerical oracles (shooting, joint diagonalization, equation residuals)
 that verify every closed form.
 
-numpy and scipy are imported inside the functions that use them, never at
-module level: the exact algebra, the closed-form levels and the Fuchsian
-data run on the standard library, so importing the package loads neither.
+numpy is imported inside the functions that use it, never at module
+level: the exact algebra, the closed-form levels, the Fuchsian data, the
+shooting oracle and the 2F1 kernel run on the standard library, so
+importing the package does not load it.  Nothing imports scipy.
 """
 
 from .errors import ConvergenceError, ValidationError, VerificationError

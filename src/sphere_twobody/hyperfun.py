@@ -7,7 +7,8 @@ Polynomial cases (a nonpositive integer numerator parameter -d) run the
 three-term contiguous relation in that parameter (DLMF §15.5(ii)) from
 F_0 = 1 up to F_d, which stays accurate at degrees where the alternating
 term-by-term sum cancels to noise; the analytic routes are exercised by
-generic parameters.
+generic parameters.  The connection route's Gamma, 1/Gamma and psi are
+Stirling's series after the upward recurrence, in plain Python.
 
 Nonpositive-integer detection snaps within 1e-9.  Points on the branch cut
 [1, oo) are rejected rather than silently picking a side.
@@ -36,27 +37,59 @@ _CONNECTION_RADIUS = 0.75
 _MAX_TERMS = 1500
 
 
-# scipy.special is imported on first call: the polynomial 2F1 that every
-# quantized eigenfunction uses needs no gamma function.
-def gamma_complex(z):
-    """Gamma on the complex plane."""
-    from scipy.special import gamma
+# B_2 .. B_26 for Stirling's series (DLMF 5.11.1-2), whose next term is below 1e-16 at
+# |w| >= 6: B_2k / (2k (2k - 1)) for log Gamma and B_2k / 2k for psi, highest k first
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+              43867 / 798, -174611 / 330, 854513 / 138, -236364091 / 2730, 8553103 / 6)
+_STIRLING = [(b / (2 * k * (2 * k - 1)), b / (2 * k)) for k, b in enumerate(_BERNOULLI, 1)][::-1]
 
-    return complex(gamma(complex(z)))
+
+def _log_gamma_and_psi(z):
+    """(log Gamma, psi) at Re z >= 1/2: z -> z + 1 (DLMF 5.5.2) until Re z >= 6, then Stirling."""
+    shift, psi = 1.0, 0.0
+    while z.real < 6.0:
+        shift, psi, z = shift * z, psi - 1.0 / z, z + 1.0
+    log_z, x, lg_sum, psi_sum = cmath.log(z), 1.0 / (z * z), 0.0, 0.0
+    for a, b in _STIRLING:  # Horner in x = 1/z^2
+        lg_sum, psi_sum = lg_sum * x + a, psi_sum * x + b
+    log_gamma = (z - 0.5) * (log_z - 1.0) + (math.log(2.0 * math.pi) - 1.0) / 2 - cmath.log(shift)
+    return log_gamma + lg_sum / z, psi + log_z - 0.5 / z - psi_sum * x
+
+
+def gamma_complex(z):
+    """Gamma, as 1 / `rgamma_complex`; ValidationError where that is 0 (a pole, or overflow)."""
+    r = rgamma_complex(z)
+    if r == 0.0:
+        raise ValidationError(f"Gamma is infinite at z = {z}")
+    return 1.0 / r
 
 
 def rgamma_complex(z):
-    """1/Gamma, finite at the poles."""
-    from scipy.special import rgamma
+    """1/Gamma at a finite z, exactly 0 at the poles; below Re z = 1/2 by reflection (DLMF 5.5.3).
 
-    return complex(rgamma(complex(z)))
+    ConvergenceError where 1/Gamma or sin(pi z) overflows: from Re z of about -171, and left of
+    Re z = 1/2 from |Im z| of about 225.
+    """
+    z = complex(z)
+    try:
+        if z.real >= 0.5:
+            return cmath.exp(-_log_gamma_and_psi(z)[0])
+        n = round(z.real)  # sin(pi z) = (-1)^n sin(pi (z - n)), exactly 0 at the poles
+        return (-1) ** n * cmath.sin(math.pi * (z - n)) / math.pi * cmath.exp(
+            _log_gamma_and_psi(1.0 - z)[0])
+    except OverflowError:
+        raise ConvergenceError(f"1/Gamma overflows at z = {z}") from None
 
 
 def digamma_complex(z):
-    """Digamma (Gamma'/Gamma) on the complex plane."""
-    from scipy.special import digamma
-
-    return complex(digamma(complex(z)))
+    """Digamma (Gamma'/Gamma) at a finite z; below Re z = 1/2 by reflection (DLMF 5.5.4)."""
+    z = complex(z)
+    if z.real >= 0.5:
+        return _log_gamma_and_psi(z)[1]
+    t = math.pi * (z - round(z.real))  # tan(t) = tan(pi z); t is exactly 0 at the poles
+    if t == 0.0:
+        raise ValidationError(f"digamma has a pole at z = {z.real:g}")
+    return _log_gamma_and_psi(1.0 - z)[1] - math.pi / cmath.tan(t)
 
 
 def pochhammer(a, j):
@@ -121,7 +154,7 @@ def _series_2f1(alpha, beta, gamma, z):
 
 def _gamma_ratio(a, b, c, d):
     """Gamma(a) Gamma(b) / (Gamma(c) Gamma(d)), the connection coefficients of DLMF 15.8."""
-    return gamma_complex(a) * gamma_complex(b) * rgamma_complex(c) * rgamma_complex(d)
+    return gamma_complex(a) * gamma_complex(b) * (rgamma_complex(c) * rgamma_complex(d))
 
 
 def _connection_generic(alpha, beta, gamma, z):

@@ -48,6 +48,7 @@ returns an empty, `numeric_only` report and the shooting oracle is the way
 to get numbers.
 """
 
+import cmath
 import collections
 import functools
 import math
@@ -306,12 +307,15 @@ class RadialEigenfunction(NamedTuple):
     def __call__(self, r):
         """f(r) at a real r inside the kind's domain (`_check_radius`)."""
         _check_radius(self.kind, r)
-        return self._evaluate(complex(r))
+        try:
+            return self._evaluate(complex(r))
+        except OverflowError:
+            raise ConvergenceError(f"{self.kind} k={self.k}: f overflows at r = {r!r}") from None
 
     def jet(self, r):
         """(f, f', f'') at a real r inside the kind's domain (`_check_radius`).
 
-        ConvergenceError where r**2 underflows, since L'' divides by it.
+        ConvergenceError where r**2 underflows (L'' divides by it) or a part is not finite.
         f is `fn(r)` bit for bit: the same recurrence on the level's shared
         step constants and the same prefactor, in the same order, in floats
         wherever b and `_z` are real (every oscillator level).  The
@@ -338,39 +342,45 @@ class RadialEigenfunction(NamedTuple):
         _check_radius(self.kind, r)
         if r * r < _TINY:
             raise ConvergenceError(f"{self.kind} k={self.k}: r**2 underflows at r = {r!r}")
-        x = complex(r)
-        z = self._z(x)
-        w = z - 1.0
-        prev, cur = 0.0, 1.0  # G_(m-1), G_m: `_terminating_2f1`'s recurrence
-        dprev, dcur = 0.0, 0.0  # their z-derivatives
-        for s0, bm, den in zip(*self.data.steps):
-            s = s0 - bm * z
-            prev, cur, dprev, dcur = (cur, (s * cur + w * prev) / den,
-                                      dcur, (s * dcur - bm * cur + w * dprev + prev) / den)
-        d2cur = ((self.data.d - 1) * dcur - dprev) / z
-        rho0, rho1 = self.data.rho0, self.data.rho1
-        if self.kind == KIND_COULOMB:
-            # z = 4i r/(r + i)^2; ((r - i)/(r + i))^rho1 contributes
-            # rho1 (1/(r - i) - 1/(r + i)) = 2i rho1/(r^2 + 1) to L'
-            ri = r + 1j
-            u = r * r + 1.0
-            dz = -4j * (r - 1j) / ri ** 3
-            d2z = 8j * (r - 2j) / ri ** 4
-            dL = rho0 / r + 2j * rho1 / u - 2.0 * rho0 / ri
-            d2L = -rho0 / (r * r) - 4j * rho1 * r / (u * u) + 2.0 * rho0 / (ri * ri)
-        else:
-            # z = 4r^2/(r^2 + 1)^2, P = r^rho0 (1 - r^2)^rho1 (1 + r^2)^-(rho0 + rho1)
-            u, v = r * r + 1.0, 1.0 - r * r
-            dz = 8.0 * r * v / u ** 3
-            d2z = 8.0 * ((3.0 * r * r - 8.0) * r * r + 1.0) / u ** 4
-            dL = rho0 / r - 2.0 * rho1 * r / v - 2.0 * (rho0 + rho1) * r / u
-            d2L = (-rho0 / (r * r) - 2.0 * rho1 * u / (v * v)
-                   - 2.0 * (rho0 + rho1) * v / (u * u))
-        pre = self._prefactor(x)
-        return (pre * cur,
-                pre * (dcur * dz + dL * cur),
-                pre * (d2cur * dz * dz + dcur * d2z + 2.0 * dL * dcur * dz
-                       + (d2L + dL * dL) * cur))
+        try:
+            x = complex(r)
+            z = self._z(x)
+            w = z - 1.0
+            prev, cur = 0.0, 1.0  # G_(m-1), G_m: `_terminating_2f1`'s recurrence
+            dprev, dcur = 0.0, 0.0  # their z-derivatives
+            for s0, bm, den in zip(*self.data.steps):
+                s = s0 - bm * z
+                prev, cur, dprev, dcur = (cur, (s * cur + w * prev) / den,
+                                          dcur, (s * dcur - bm * cur + w * dprev + prev) / den)
+            d2cur = ((self.data.d - 1) * dcur - dprev) / z
+            rho0, rho1 = self.data.rho0, self.data.rho1
+            if self.kind == KIND_COULOMB:
+                # z = 4i r/(r + i)^2; ((r - i)/(r + i))^rho1 contributes
+                # rho1 (1/(r - i) - 1/(r + i)) = 2i rho1/(r^2 + 1) to L'
+                ri = r + 1j
+                u = r * r + 1.0
+                dz = -4j * (r - 1j) / ri ** 3
+                d2z = 8j * (r - 2j) / ri ** 4
+                dL = rho0 / r + 2j * rho1 / u - 2.0 * rho0 / ri
+                d2L = -rho0 / (r * r) - 4j * rho1 * r / (u * u) + 2.0 * rho0 / (ri * ri)
+            else:
+                # z = 4r^2/(r^2 + 1)^2, P = r^rho0 (1 - r^2)^rho1 (1 + r^2)^-(rho0 + rho1)
+                u, v = r * r + 1.0, 1.0 - r * r
+                dz = 8.0 * r * v / u ** 3
+                d2z = 8.0 * ((3.0 * r * r - 8.0) * r * r + 1.0) / u ** 4
+                dL = rho0 / r - 2.0 * rho1 * r / v - 2.0 * (rho0 + rho1) * r / u
+                d2L = (-rho0 / (r * r) - 2.0 * rho1 * u / (v * v)
+                       - 2.0 * (rho0 + rho1) * v / (u * u))
+            pre = self._prefactor(x)
+            jet = (pre * cur,
+                   pre * (dcur * dz + dL * cur),
+                   pre * (d2cur * dz * dz + dcur * d2z + 2.0 * dL * dcur * dz
+                          + (d2L + dL * dL) * cur))
+        except OverflowError:
+            jet = None
+        if jet is None or not all(map(cmath.isfinite, jet)):
+            raise ConvergenceError(f"{self.kind} k={self.k}: the jet overflows at r = {r!r}")
+        return jet
 
     # no caller in the package; the tracer in perfbench/tracing.py wraps this name
     def hypergeometric_value(self, r):

@@ -613,16 +613,17 @@ def test_console_script_on_path(capsys):
         assert r.stdout == expected
 
 
-def test_commands_import_no_scipy(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     """Importing the package and the closed-form commands load no numpy or
-    scipy module; the functions that use them import them on first call, and
+    scipy module; the functions that use numpy import it on first call, and
     the shooting oracle loads neither.  Records are NamedTuples, so
-    dataclasses and its inspect import never load."""
+    dataclasses and its inspect import never load.  No command loads scipy,
+    `verify` of every suite included: Gamma and psi are plain Python."""
     script = """
 import contextlib, io, math, sys
 import sphere_twobody
 from sphere_twobody.cli import main
-from sphere_twobody import (PhysicalParams, hamiltonian_ABC, radial_coefficients,
+from sphere_twobody import (SUITE_NAMES, PhysicalParams, hamiltonian_ABC, radial_coefficients,
                             radial_eigenfunction, shooting_eigenvalue, verify_embedding)
 
 
@@ -664,6 +665,10 @@ A, B, C = hamiltonian_ABC(unit)
 assert math.isclose(A(0.5) + C(0.5), (1 + 0.25) ** 2 / (4 * 0.5 * 0.25), rel_tol=1e-13)
 assert abs(B(0.5)) <= 1e-14
 assert loaded("scipy") == [], loaded("scipy")
+for suite in SUITE_NAMES:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["verify", "--suite", suite]) == 0, suite
+    assert loaded("scipy") == [], (suite, loaded("scipy"))
 """
     env = dict(os.environ)
     src = str(Path(sphere_twobody.__file__).resolve().parents[1])

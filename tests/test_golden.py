@@ -18,7 +18,13 @@ residual: only the metadata key `tolerances.hypergeometric_match` (1e-10)
 became `tolerances.ode_residual` (1e-9).  `verify_hyperfun.out` was
 regenerated then too, because the 2F1 equation check now scales its
 residual by the equation's own terms: only the `check_hyperfun_ode` entry
-(worst, margin and detail) moved.
+(worst, margin and detail) moved.  It was regenerated again when the
+connection route's Gamma, 1/Gamma and psi moved from scipy.special to
+Stirling's series in plain Python: only worst, margin and the digits in
+`detail` of the three records moved, every tol stayed.  Dual-path
+agreement went from 9.81e-14 to 8.94e-14, the singular limit's pinned
+pi/2 deviation from 4.66e-15 to 2.44e-15, and the equation residual from
+7.90e-15 to 3.67e-15.
 
 `verify_ladder.out` was written before eigenvector classification moved
 from exact matrix products onto the ladder bands; it covers the structure

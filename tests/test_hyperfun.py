@@ -14,7 +14,7 @@ from sphere_twobody import (
     hypergeom_ode_residual,
     limit_near_one,
 )
-from sphere_twobody.hyperfun import digamma_complex, gamma_complex, pochhammer
+from sphere_twobody.hyperfun import digamma_complex, gamma_complex, pochhammer, rgamma_complex
 
 mpmath.mp.dps = 30
 
@@ -35,6 +35,52 @@ def test_gamma_basics():
         assert digamma_complex(z + 1) - digamma_complex(z) == pytest.approx(
             1.0 / z, rel=1e-11
         )
+
+
+def _gamma_arguments(draws):
+    """The arguments criterion 8's connection route hands to Gamma, 1/Gamma and psi.
+
+    alpha, beta, gamma as `suites._hyperfun_rng_params` draws them, their
+    combinations gamma - alpha, gamma - beta, gamma - alpha - beta and
+    alpha + beta - gamma, real points in [-4, 4], and points 1e-9 from the
+    poles 0, -1 and -5.
+    """
+    rng = random.Random(43)
+    for _ in range(draws):
+        a = complex(rng.uniform(-2.5, 2.5), rng.uniform(-0.8, 0.8))
+        b = complex(rng.uniform(-2.5, 2.5), rng.uniform(-0.8, 0.8))
+        c = complex(rng.uniform(0.4, 3.5), rng.uniform(-0.5, 0.5))
+        yield from (a, b, c, c - a, c - b, c - a - b, a + b - c)
+    for _ in range(40):
+        yield complex(rng.uniform(-4.0, 4.0))
+    for pole in (0.0, -1.0, -5.0):
+        yield from (pole - 1e-9, pole + 1e-9)
+
+
+def test_gamma_rgamma_digamma_match_mpmath():
+    with mpmath.workdps(40):
+        for z in _gamma_arguments(80):
+            g, rg, psi = (complex(f(z)) for f in (mpmath.gamma, mpmath.rgamma, mpmath.digamma))
+            assert abs(gamma_complex(z) - g) <= 2e-14 * abs(g), z
+            assert abs(rgamma_complex(z) - rg) <= 2e-14 * abs(rg), z
+            assert abs(digamma_complex(z) - psi) <= 1e-14 * max(1.0, abs(psi)), z
+
+
+def test_gamma_poles_and_overflow_give_zero_or_typed_errors():
+    for pole in (0, -1, -2, -7.0, complex(-3.0)):
+        assert rgamma_complex(pole) == 0.0 and type(rgamma_complex(pole)) is complex
+        with pytest.raises(ValidationError, match="Gamma is infinite"):
+            gamma_complex(pole)
+        with pytest.raises(ValidationError, match="digamma has a pole"):
+            digamma_complex(pole)
+    with pytest.raises(ValidationError, match="Gamma is infinite"):
+        gamma_complex(200.0)  # past the float range, where 1/Gamma underflows to 0
+    for z in (-180.5, 0.3 + 300j):  # 1/Gamma, or the reflection's sin(pi z), overflows
+        with pytest.raises(ConvergenceError, match="1/Gamma overflows"):
+            rgamma_complex(z)
+    for alpha, beta, gamma in ((1.5, 1.5, -1.0), (1.5, 1.5, 0.0), (2.0, 1.5, -2.0)):
+        with pytest.raises(ValidationError):
+            limit_near_one(alpha, beta, gamma)
 
 
 def test_value_at_origin_and_pochhammer():

@@ -4,6 +4,7 @@ import contextlib
 import io
 import math
 import random
+import re
 import sys
 import warnings
 
@@ -251,6 +252,32 @@ def test_scalar_entry_points_reject_radii_outside_the_domain(kind, entry, r, err
     fn = radial_eigenfunction(kind, UNIT[3], radial_coefficients(3, 1, 1), 3)
     with pytest.raises(error, match=text):
         getattr(fn, entry)(r)
+
+
+@pytest.mark.parametrize("r", [2e77, 1.35e154, 1e300])
+def test_coulomb_eigenfunction_at_huge_radii_raises_convergence_error(r):
+    # ri ** 3 in the jet overflows from r = 2e77, (r + i) ** 2 in z from 1.35e154
+    fn = radial_eigenfunction("coulomb", UNIT_MASSES, radial_coefficients(3, 1, 1), 3)
+    for entry in ("jet", "ode_residual") + (("__call__",) if r > 1e100 else ()):
+        with pytest.raises(ConvergenceError, match=re.escape(f"overflows at r = {r!r}")):
+            getattr(fn, entry)(r)
+    if r < 1e100:
+        assert math.isfinite(abs(fn(r)))
+    assert math.isfinite(abs(fn(1e77))) and all(map(math.isfinite, map(abs, fn.jet(1e77))))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_jet_raises_where_its_second_derivative_is_not_finite(kind):
+    # rho0 = 6: r**2 is normal at 2e-154, but -rho0/r**2 and L'**2 overflow to
+    # infinities of opposite sign; from 1e-150 everything underflows to 0
+    params = PhysicalParams(7, 1.0, 1.0, 1.0, 1.0)
+    fn = radial_eigenfunction(kind, params, radial_coefficients(7, 1, 6), 3)
+    assert fn.data.rho0 == 6.0
+    for entry in ("jet", "ode_residual"):
+        with pytest.raises(ConvergenceError, match="overflows at r = 2e-154"):
+            getattr(fn, entry)(2e-154)
+    assert fn.jet(1e-150) == (0j, 0j, 0j)
+    assert fn.ode_residual(1e-150) == math.inf
 
 
 def test_closed_form_requires_symmetric_coefficients():
