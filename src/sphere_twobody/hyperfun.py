@@ -190,14 +190,19 @@ def _connection_integer(alpha, beta, gamma, z, m):
     if coeff != 0.0:
         term = complex(1.0) / math.factorial(m)
         quiet = 0
+        # psi(j + 1), psi(j + m + 1), psi(alpha + j + m) and psi(beta + j + m), carried
+        # by psi(x + 1) = psi(x) + 1/x (DLMF 5.5.2), the last two evaluated afresh
+        # while Re x < 1/2, so that the recurrence never steps across a pole
+        psi_j, psi_jm = digamma_complex(1.0), digamma_complex(m + 1.0)
+        psi_a = psi_b = None
         for j in range(_MAX_TERMS):
-            bracket = (
-                lw
-                - digamma_complex(j + 1.0)
-                - digamma_complex(j + m + 1.0)
-                + digamma_complex(alpha + j + m)
-                + digamma_complex(beta + j + m)
-            )
+            xa, xb = alpha + j + m, beta + j + m
+            psi_a = digamma_complex(xa) if not j or xa.real < 0.5 else psi_a + 1.0 / (xa - 1.0)
+            psi_b = digamma_complex(xb) if not j or xb.real < 0.5 else psi_b + 1.0 / (xb - 1.0)
+            if j:
+                psi_j += 1.0 / j
+                psi_jm += 1.0 / (j + m)
+            bracket = lw - psi_j - psi_jm + psi_a + psi_b
             piece = term * bracket
             tail += piece
             if abs(piece) <= 1e-17 * max(abs(tail), 1.0):

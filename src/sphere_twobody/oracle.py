@@ -19,11 +19,13 @@ Both kinds of series come from one short linear recurrence (van der Hoeven,
 below _SERIES_TOL of the sums.  Where it has not converged within _TERMS
 terms, or its largest term exceeds the sums by more than _GROWTH, the step
 is halved (the start offset down to _EPS) and the same coefficients are
-summed again.  Each state is normalized by a power of two.  The energy-free
-parts of every recurrence are built once per shooting_eigenvalue call, and
-the march of both halves at one energy may sum at most _MAX_TERMS series
-terms.  The root is polished by Brent's method in plain Python, so shooting
-imports nothing beyond the standard library.
+summed again.  Each state is normalized by a power of two.  A
+shooting_eigenvalue call builds once, and shares among all its energies,
+the energy-free parts of every recurrence, each step's list of powers of
+its step size, and each end's start weights, only as far as its start
+series are summed.  The march of both halves at one energy may sum at most
+_MAX_TERMS series terms.  The root is polished by Brent's method in plain
+Python, so shooting imports nothing beyond the standard library.
 
 joint_diagonalize finds the common eigenvectors of a family of matrices by
 intersecting eigenspace candidates with stacked SVDs, walking the eigenvalue
@@ -141,18 +143,18 @@ def _series_ends(kind, params, coeffs):
     return _Ends(_end(*inner), _end(*outer), 1.0 if kind == KIND_COULOMB else 0.5)
 
 
-def _weights(s, beta):
-    """1/(m (2 s + m - 1 + beta)), m + s and (m + s)(m + s - 1) for m < _TERMS.
+def _weights(s, beta, terms):
+    """1/(m (2 s + m - 1 + beta)), m + s and (m + s)(m + s - 1) for m < terms.
 
     The first is 0.0 where it is never read: at m = 0, and at m = 1 about a
     regular point.
     """
-    leads = [m * (2.0 * s + m - 1.0 + beta) for m in range(_TERMS)]
-    d1 = [m + s for m in range(_TERMS)]
+    leads = [m * (2.0 * s + m - 1.0 + beta) for m in range(terms)]
+    d1 = [m + s for m in range(terms)]
     return [1.0 / u if u else 0.0 for u in leads], d1, [d * (d - 1.0) for d in d1]
 
 
-_REGULAR = _weights(0.0, 0.0)  # about every regular point
+_REGULAR = _weights(0.0, 0.0, _TERMS)  # about every regular point
 
 
 def _recurrence(end, c):
@@ -168,8 +170,12 @@ def _recurrence(end, c):
         m (a_0 (2 s + m - 1) + b_0) y_m
             = -sum_{i >= 1} [a_i D2_{m-i} + b_i D1_{m-i} + (c0_i + E c1_i) y_{m-i}].
 
-    Returns (c0_i, b_i, a_i) and (c1_i, 0, 0) times -1/a_0, interleaved for
-    i from the width down to 1, and the _weights.
+    Returns k0 and k1, (c0_i, b_i, a_i) and (c1_i, 0, 0) times -1/a_0,
+    interleaved for i from the width down to 1; the _weights, about a
+    regular point the shared ones and about the end its own, built to
+    _TERMS // 4 terms and completed by _sum when a series reaches past them;
+    the exponents (s, beta) that build them; and `powers`, each step size's
+    list x^(width - j // 3), filled by _sum.
     """
     a, b, c0, c1, s = end
     if c:
@@ -180,7 +186,9 @@ def _recurrence(end, c):
     for i in range(len(a) - 1, 0, -1):
         k0 += (scale * c0[i], scale * b[i], scale * a[i])
         k1 += (scale * c1[i], 0.0, 0.0)
-    return (k0, k1, *(_REGULAR if c else _weights(s, b[0] / a[0])))
+    exponents = (0.0, 0.0) if c else (s, b[0] / a[0])
+    weights = _REGULAR if c else _weights(*exponents, _TERMS // 4)
+    return types.SimpleNamespace(k0=k0, k1=k1, weights=weights, exponents=exponents, powers={})
 
 
 def _series(call, half, c):
@@ -197,15 +205,21 @@ def _sum(rec, start, energy, x, x_min, budget):
     `start` holds the free coefficients.  Each coefficient is kept as its
     term at x, z_m = y_m x^m, with D1 and D2 scaled alike; halving x scales
     them by 2^-m, exactly, so a halving sums the same coefficients again.
+    One loop sums the coefficients already known; a second computes each
+    further one from the window of the n entries before it, and sums it.
     Returns (x, sum z_m, sum D1_m x^m, budget) at the first of x, x/2, ...
     where the sums converge and pass the growth rule.  A coefficient past
     the float range is dropped with all after it.  ConvergenceError when x
     falls below x_min (the start's last offset), or when the terms summed
     exceed the march's budget.
     """
-    k0, k1, lead, d1, d2 = rec
+    k0, k1 = rec.k0, rec.k1
+    lead, d1, d2 = rec.weights
     n = len(k0)
-    K = [(u + energy * v) * x ** (n // 3 - j // 3) for j, (u, v) in enumerate(zip(k0, k1))]
+    powers = rec.powers.get(x)
+    if powers is None:
+        powers = rec.powers[x] = [x ** (n // 3 - j // 3) for j in range(n)]
+    K = [(u + energy * v) * p for u, v, p in zip(k0, k1, powers)]
     Z = [0.0] * n  # n zeros, then (z, D1, D2) per coefficient
     for m, y in enumerate(start):
         y *= x ** m
@@ -213,13 +227,8 @@ def _sum(rec, start, energy, x, x_min, budget):
     top = _TERMS
     while True:
         f = g = big = last = 0.0
-        for m in range(top):
-            if n + 3 * m == len(Z):
-                z = sum(map(operator.mul, Z[-n:], K)) * lead[m]
-                dz = d1[m] * z
-                Z += (z, dz, d2[m] * z)
-            else:
-                z, dz = Z[n + 3 * m], Z[n + 3 * m + 1]
+        for m in range(len(Z) // 3 - n // 3):  # the coefficients known
+            z, dz = Z[n + 3 * m], Z[n + 3 * m + 1]
             f += z
             g += dz
             size = abs(z) + abs(dz)
@@ -230,7 +239,26 @@ def _sum(rec, start, energy, x, x_min, budget):
                 break
             last = size
         else:
-            passed = False
+            lo = len(Z) - n  # the window of the last n entries
+            for m in range(m + 1, min(top, len(lead))):
+                z = sum(map(operator.mul, Z[lo:], K)) * lead[m]
+                dz = d1[m] * z
+                Z += (z, dz, d2[m] * z)
+                lo += 3
+                f += z
+                g += dz
+                size = abs(z) + abs(dz)
+                if size > big:
+                    big = size
+                if size + last < _SERIES_TOL * (abs(f) + abs(g)):
+                    passed = big <= _GROWTH * (abs(f) + abs(g))
+                    break
+                last = size
+            else:
+                if len(lead) < top:  # the start's weights end here: complete them, sum again
+                    rec.weights = lead, d1, d2 = _weights(*rec.exponents, _TERMS)
+                    continue
+                passed = False
         budget -= m + 1
         if budget < 0:
             raise ConvergenceError(

@@ -137,6 +137,27 @@ def test_integer_gap_log_cases(m):
         assert got == pytest.approx(want, rel=5e-10, abs=5e-10)
 
 
+def test_log_case_left_of_the_digamma_poles_matches_mpmath():
+    # the log series carries psi(alpha + j + m) by psi(x + 1) = psi(x) + 1/x
+    # only from Re x = 1/2 on: draws with Re(alpha + m) < 0 start it left of
+    # the poles, where it must be evaluated afresh until it has passed them
+    rng = random.Random(45)
+    left = 0
+    with mpmath.workdps(40):
+        for _ in range(120):
+            m = rng.randrange(4)
+            a = complex(rng.uniform(-3.5, 1.8), rng.uniform(-0.6, 0.6))
+            b = complex(rng.uniform(0.2, 1.8), rng.uniform(-0.6, 0.6))
+            w = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
+            if abs(w) > 0.7 or (w.imag == 0.0 and w.real <= 0.0):
+                continue
+            left += (a + m).real < 0.0
+            got = gauss_2f1(a, b, a + b + m, 1.0 - w, method="connection")
+            want = complex(mpmath.hyp2f1(a, b, a + b + m, 1.0 - w))
+            assert abs(got - want) <= 2e-13 * abs(want), (a, b, m, w)
+    assert left >= 20
+
+
 def test_polynomial_short_circuit():
     # alpha = -2: three-term polynomial, exact at any z (even far outside)
     a, b, c = -2.0, 1.3, 0.7

@@ -1,8 +1,10 @@
 """Shooting and joint-diagonalization oracles."""
 
 import ast
+import gc
 import math
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -626,6 +628,139 @@ def test_series_start_at_large_coulomb_radius(radius):
     assert oracle._EPS < starts[0][0] < oracle._OFFSET  # converged after some halvings
     for x0, f, df, _ in starts:
         assert math.isfinite(f) and math.isfinite(df)
+
+
+# ShootingResult records, every field bit for bit: (kind, params, sector, the
+# bracket handed in, (energy, mismatch, bracket found, evaluations,
+# iterations, series_terms)), floats as float.hex().  They cover both kinds,
+# the n = 2 double indicial root, a != c sectors, and two levels whose start
+# offsets and Taylor steps halve, so that a halved series is summed again
+# (oscillator R = 20, Coulomb R = 1000).  A change to how a march is summed
+# that keeps its float operations and their order leaves every row as it is.
+_PINNED_LEVELS = [
+    ("coulomb", (3, 2.0, 2.0, 1.0, 1.0), (3, 1, 1),
+     "0x1.599999999999ap-1", "0x1.099999999999ap+1",
+     ("0x1.6000000000000p+0", "0x1.70a3d70a3d70dp-54",
+      ("0x1.3333333333334p+0", "0x1.6000000000000p+0"), 6, 2, 1505)),
+    ("oscillator", (3, 2.0, 2.0, 1.0, 1.0), (3, 1, 1),
+     "0x1.3615df4722c1cp+2", "0x1.8faf78e0bc5b6p+2",
+     ("0x1.62e2ac13ef8e9p+2", "0x1.8cc39b5089fafp-52",
+      ("0x1.62e2ac13ef8e9p+2", "0x1.6e15df4722c1cp+2"), 7, 2, 1322)),
+    ("coulomb", (3, 2.0, 2.0, 1.0, 1.0), (3, 1, 0),
+     "0x1.9f49f49f49f4ap+1", "0x1.293e93e93e93fp+2",
+     ("0x1.f8e38e38e38e4p+1", "0x1.ebb0dca0acaa0p-52",
+      ("0x1.e27d27d27d27ep+1", "0x1.f8e38e38e38e4p+1"), 6, 2, 1665)),
+    ("coulomb", (2, 2.5, 2.5, 2.0, 2.0), (2, 1, None),
+     "-0x1.5666666666666p+3", "-0x1.299999999999ap+3",
+     ("-0x1.4000000000000p+3", "0x1.19d3cb2625b0bp-13",
+      ("-0x1.4000000000000p+3", "-0x1.3a66666666666p+3"), 10, 5, 3393)),
+    ("oscillator", (2, 2.5, 2.5, 2.0, 2.0), (2, 1, None),
+     "0x1.310fcbecd0f19p+0", "0x1.4bbb19299bac0p+1",
+     ("0x1.e442ff200424cp+0", "0x1.a6f55f2bf0bd6p-47",
+      ("0x1.e442ff200424cp+0", "0x1.0887e5f66878dp+1"), 7, 2, 1479)),
+    ("coulomb", (3, 2.0, 2.0, 1.0, 1.0), (3, 2, 1),
+     "0x1.3333333333333p-2", "0x1.999999999999ap+0",
+     ("0x1.d6a07400e121bp-1", "0x1.4871b8eea18c0p-54",
+      ("0x1.9333333333334p-1", "0x1.e666666666666p-1"), 10, 6, 2452)),
+    ("oscillator", (3, 2.0, 2.0, 1.0, 1.0), (3, 2, 1),
+     "0x1.8000000000000p+1", "0x1.0000000000000p+3",
+     ("0x1.57586586431aep+2", "0x1.412e9de20dd2bp-52",
+      ("0x1.3800000000000p+2", "0x1.6000000000000p+2"), 10, 6, 1879)),
+    ("coulomb", (4, 1.5, 1.5, 0.8, 1.3), (4, 3, 2),
+     "0x1.4000000000000p+2", "0x1.8000000000000p+3",
+     ("0x1.baaa203812840p+2", "0x1.338e1c9dda6d9p-52",
+      ("0x1.b000000000000p+2", "0x1.e800000000000p+2"), 10, 7, 2595)),
+    ("coulomb", (5, 0.7, 1.9, 1.6, 0.45), (5, 1, 3),
+     "0x1.70880a2af15edp+3", "0x1.9d54d6f7be2b9p+3",
+     ("0x1.86ee709157c53p+3", "0x1.5a16935160751p-47",
+      ("0x1.8154d6f7be2bap+3", "0x1.86ee709157c53p+3"), 6, 2, 1822)),
+    ("oscillator", (6, 0.6, 2.2, 1.9, 1.8), (6, 1, 4),
+     "0x1.689d2febc3b9ep+5", "0x1.73d0631ef6ed2p+5",
+     ("0x1.6e36c9855d538p+5", "0x1.43c81eea20497p-48",
+      ("0x1.6e36c9855d538p+5", "0x1.6f9d2febc3b9ep+5"), 7, 2, 1512)),
+    ("oscillator", (3, 1.0, 1.0, 20.0, 1.0), (3, 1, 1),
+     "0x1.6cb5841bc628cp+1", "0x1.0ff45ba77cae0p+2",
+     ("0x1.c64f1db55fc80p+1", "0x1.0000000000000p+0",
+      ("0x1.c64f1db55fc26p+1", "0x1.dcb5841bc628cp+1"), 48, 43, 97816)),
+    ("coulomb", (3, 1.0, 1.0, 1000.0, 1.0), (3, 1, 1),
+     "-0x1.31c5cce66e8e3p-4", "-0x1.9c67d0f96a5b1p-5",
+     ("-0x1.fff9b563238a0p-5", "0x1.0000000000000p+0",
+      ("-0x1.fff9b56323bbcp-5", "-0x1.e7153c48b5639p-5"), 45, 40, 136190)),
+]
+
+# one half's _start at E = +-1e9, where the series overflows and _sum drops
+# the coefficients past the float range: (kind, energy, (x0, f, df/dx, budget))
+_PINNED_STARTS = [
+    ("coulomb", 1e9,
+     ("0x1.3333333333333p-14", "0x1.4af65ddc12ff5p-5", "0x1.8a331447a5ffep+13", 98539)),
+    ("coulomb", -1e9,
+     ("0x1.3333333333333p-12", "0x1.10ef329ac4301p+32", "0x1.664820aae5768p+48", 98671)),
+    ("oscillator", 1e9,
+     ("0x1.3333333333333p-14", "0x1.4ae3b3c04d62dp-5", "0x1.8a399afe57280p+13", 98539)),
+    ("oscillator", -1e9,
+     ("0x1.3333333333333p-12", "0x1.10f6414644a23p+32", "0x1.665179892c805p+48", 98671)),
+]
+
+
+def _record(result):
+    return (result.energy.hex(), result.mismatch.hex(),
+            tuple(e.hex() for e in result.bracket), result.evaluations,
+            result.iterations, result.series_terms)
+
+
+def _shoot_pinned(kind, params, sector, lo, hi):
+    return shooting_eigenvalue(kind, PhysicalParams(*params), radial_coefficients(*sector),
+                               float.fromhex(lo), float.fromhex(hi))
+
+
+@pytest.mark.parametrize("kind, params, sector, lo, hi, want", _PINNED_LEVELS)
+def test_shooting_records_are_pinned_bit_for_bit(kind, params, sector, lo, hi, want):
+    assert _record(_shoot_pinned(kind, params, sector, lo, hi)) == want
+
+
+@pytest.mark.parametrize("kind, energy, want", _PINNED_STARTS)
+def test_overflowing_start_is_pinned_bit_for_bit(kind, energy, want):
+    call = oracle._new_call(kind, UNIT3, radial_coefficients(3, 1, 0))
+    x0, f, df, budget = oracle._start(call, 0, energy, oracle._MAX_TERMS)
+    assert (x0.hex(), f.hex(), df.hex(), budget) == want
+
+
+def test_a_shooting_record_does_not_depend_on_the_calls_before_it():
+    # each pinned level shot again right after the level of another sector,
+    # in the reverse order: nothing one call builds reaches the next
+    for before, (kind, params, sector, lo, hi, want) in zip(
+            _PINNED_LEVELS, reversed(_PINNED_LEVELS)):
+        _shoot_pinned(*before[:5])
+        assert _record(_shoot_pinned(kind, params, sector, lo, hi)) == want, (kind, sector)
+
+
+def test_shooting_keeps_no_memory_between_calls():
+    # one level in each of 30 sectors, their coefficients built (and cached by
+    # radial) beforehand: what oracle.py and radial.py still hold afterwards
+    # stays below 64 KiB, so no cache of recurrences or weights outlives a call
+    sectors = ([(2, case_id, None) for case_id in (1, 2, 5, 8)]
+               + [(n, 1, mk) for n in range(3, 7) for mk in range(4)]
+               + [(n, 4, mk) for n in range(3, 7) for mk in range(2, 5)])[:30]
+    levels = []
+    for i, sector in enumerate(sectors):
+        kind = ("coulomb", "oscillator")[i % 2]
+        params, co = PhysicalParams(sector[0], 2.0, 2.0, 1.0, 1.0), radial_coefficients(*sector)
+        E = closed_form_energy(kind, params, co, K_MIN[kind])
+        gap = min(abs(closed_form_energy(kind, params, co, K_MIN[kind] + 1) - E), 2.0)
+        levels.append((kind, params, co, E - 0.35 * gap, E + 0.35 * gap))
+    assert len(set(sectors)) == 30
+    files = [tracemalloc.Filter(True, f"*{name}") for name in ("oracle.py", "radial.py")]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(files)
+        for level in levels:
+            shooting_eigenvalue(*level)
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces(files)
+    finally:
+        tracemalloc.stop()
+    grown = sum(max(stat.size_diff, 0) for stat in after.compare_to(before, "filename"))
+    assert grown < 64 * 1024, grown
 
 
 @pytest.mark.parametrize("kind", ["coulomb", "oscillator"])
