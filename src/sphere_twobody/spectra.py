@@ -18,17 +18,27 @@ array of radii.  The step constants c + 2m, b + m and (c + m)(m + 1)
 depend only on the level, so each level builds them once, as three flat
 lists that every value, jet and norm of it shares.  The recurrence runs in
 float arithmetic wherever b and z are real, which is every oscillator level
-at a real radius, and in complex arithmetic otherwise (Coulomb, and an
-oscillator b with an imaginary part): the oscillator's data hold a real b
-as a float, `RadialEigenfunction._z` is that rule's one home, and the
-prefactor stays complex, so values keep the bits of all-complex arithmetic.
+at a real radius, and in complex arithmetic otherwise (Coulomb values and
+jets, and an oscillator b with an imaginary part): the oscillator's data
+hold a real b as a float, `RadialEigenfunction._z` is that rule's one
+home, and the prefactor stays complex, so values keep the bits of
+all-complex arithmetic.
 `norm_squared` forms |f| = |P| |G| as real arrays and squares it only
 then, so its sum keeps the float range of |f| itself: the oscillator's
 prefactor P is real, Coulomb's has
 |P| = r^rho0 (1 + r^2)^-rho0 exp(Im rho1 (pi - theta)) with
-r = tan(theta/2).  Its level-free arrays (nodes, radii, weights, z, z - 1
-and the volume weight's factors r^(n-1) and (1 + r^2)^n) are built once
-per kind, node count and n, read-only.  `jet` returns (f, f', f'') on plain
+r = tan(theta/2).  Coulomb's |G_d| is real arithmetic too: on the real
+axis z = 1 - e^(2i theta) lies on the circle |z - 1| = 1 and Re b = c/2,
+so Pfaff's transformation (DLMF 15.8.1)
+F(a, b; c; z) = (1 - z)^-a F(a, c - b; c; z/(z - 1)) at a = -d, with
+z/(z - 1) = conj(z) and c - b = conj(b), gives G_d = e^(2i d theta) conj(G_d).
+H_d = e^(-i d theta) G_d is then real (a Romanovski polynomial in theta),
+|G_d| = |H_d|, and `_romanovski` runs its recurrence on cos theta and
+sin theta.  The level-free arrays (nodes, radii, weights, the volume
+weight's factors r^(n-1) and (1 + r^2)^n, and the recurrence's point
+arrays: cos theta and sin theta for Coulomb, z and z - 1 for the
+oscillator) are built once per kind, node count and n, all float64 and
+read-only.  `jet` returns (f, f', f'') on plain
 scalars: the same recurrence, in floats or complex numbers by the same
 rule, also carries dG_m/dz, d2G_d/dz2 follows from the contiguous relation
 z G''_d = (d-1) G'_d - G'_(d-1), and the prefactor enters through its
@@ -165,7 +175,7 @@ _LevelData = collections.namedtuple("_LevelData", "d a b c rho0 rho1 steps")
 
 
 def _level_data(d, a, b, c, rho0, rho1):
-    """The level's data, with `_terminating_2f1`'s step constants built once.
+    """The level's data, with the recurrences' step constants built once.
 
     steps is three flat lists over m = 0..d-1: c + 2m, b + m and
     (c + m)(m + 1), each computed as the recurrence would per point.
@@ -179,7 +189,8 @@ def _coulomb_data(params, coeffs, k, energy):
     n, a = params.n, float(coeffs.a)
     A = endpoint_root(n, a)
     u = _pole_root(KIND_COULOMB, params, coeffs, energy, -1)  # the root at r = -i
-    # a = 1 - k on the quantized branch; the principal branch carries c - a instead
+    # a = 1 - k on the quantized branch; the principal branch carries c - a instead.
+    # Re b is c/2 exactly, at any energy, which `_romanovski` relies on
     half = (1.0 + A) / 2.0
     return _level_data(k - 1, half - u.real / 2.0, half + 0.5j * u.imag, 1.0 + A,
                        endpoint_exponent(n, a), ((n - 1) - u.conjugate()) / 2.0)
@@ -231,6 +242,32 @@ def _terminating_2f1(steps, z, w):
     prev, cur = 0.0, 1.0
     for s0, bm, den in zip(*steps):
         prev, cur = cur, ((s0 - bm * z) * cur + w * prev) / den
+    return cur
+
+
+def _romanovski(steps, b, cos, sin):
+    """H_d = e^(-i d theta) G_d at z = 1 - e^(2i theta), real, on float arrays cos, sin of theta.
+
+    Substituting G_m = e^(i m theta) H_m into `_terminating_2f1`'s relation,
+    with z e^(-i theta) = -2i sin theta, z - 1 = -e^(2i theta) and
+    Re b = c/2 (every Coulomb level's b, at any energy), gives
+    (c+m) (m+1) H_(m+1) = ((c + 2m) cos theta - 2 Im(b) sin theta) H_m - H_(m-1),
+    with H_0 = 1 and H_(-1) = 0.  Exact algebra, no quantization condition.
+    The step coefficients are the rows of one (d, nodes) array, built from
+    steps' c + 2m list (`_level_data`) in two array operations; each step
+    then updates its row in place, by the same operations in the same order
+    as ((c + 2m) cos - 2 Im(b) sin) * H_m - H_(m-1), over (c+m) (m+1).
+    """
+    import numpy as np
+
+    rows = np.multiply.outer(steps[0], cos)
+    rows -= 2.0 * b.imag * sin
+    prev, cur = 0.0, 1.0
+    for row, den in zip(rows, steps[2]):
+        row *= cur
+        row -= prev
+        row /= den
+        prev, cur = cur, row
     return cur
 
 
@@ -403,7 +440,7 @@ class RadialEigenfunction(NamedTuple):
         p, q = spectral_ode(self.kind, self.params, self.coeffs, self.energy)
         return ode_residual(p, q, self.jet, [r])
 
-    def _modulus(self, r, theta, z=None, w=None):
+    def _modulus(self, r, theta, rec=None):
         """|f| on a numpy array of real r, as a real array.
 
         |f| = |P| |G_d|, with the product formed before any squaring.  The
@@ -411,10 +448,11 @@ class RadialEigenfunction(NamedTuple):
         (r - i)/(r + i) = exp(i (theta - pi)), so
         |P| = r^rho0 (1 + r^2)^-rho0 exp(Im rho1 (pi - theta)) on the caller's
         own theta (unread for the oscillator); its overflow raises
-        ConvergenceError, as the scalar path does.  G_d runs in float
-        arithmetic by `_z`'s rule, as on every oscillator level; z and
-        w = z - 1 are `_z(r)` and its shift unless the caller passes both
-        (`norm_squared` passes its grid's).
+        ConvergenceError, as the scalar path does.  Coulomb's |G_d| is
+        |H_d| from `_romanovski`, real at any energy, on rec = (cos theta,
+        sin theta).  The oscillator's G_d runs in float arithmetic by `_z`'s
+        rule, on rec = (z, z - 1) with z = `_z(r)`.  rec comes from r and
+        theta unless the caller passes it (`norm_squared` passes its grid's).
         """
         import numpy as np
 
@@ -426,12 +464,16 @@ class RadialEigenfunction(NamedTuple):
                            * np.exp(rho1.imag * (math.pi - theta)))
             except FloatingPointError:
                 raise self._prefactor_overflow() from None
+            if rec is None:
+                rec = (np.cos(theta), np.sin(theta))
+            g = _romanovski(self.data.steps, self.data.b, *rec)
         else:
             pre = self._prefactor(r)
-        if z is None:
-            z = self._z(r)
-            w = z - 1.0
-        return pre * np.abs(_terminating_2f1(self.data.steps, z, w))
+            if rec is None:
+                z = self._z(r)
+                rec = (z, z - 1.0)
+            g = _terminating_2f1(self.data.steps, *rec)
+        return pre * np.abs(g)
 
     def norm_squared(self, nodes=240):
         """integral of |f|^2 against the volume weight r^(n-1)/(1+r^2)^n.
@@ -440,8 +482,9 @@ class RadialEigenfunction(NamedTuple):
         r = tan(theta/2) for Coulomb, affine for the oscillator.  |f| comes
         from `_modulus` in real arithmetic and is squared only then, so the
         sum reaches as far through the float range as |f| itself.  The
-        nodes, z and the volume weight's two factors come from
-        `_quadrature_grid` and `_volume_weight`, built once per grid.  Raises
+        nodes, the recurrence's point arrays and the volume weight's two
+        factors come from `_quadrature_grid` and `_volume_weight`, built
+        once per grid.  Raises
         ConvergenceError unless the sum is a finite normal float: a subnormal
         sum has lost its relative precision to underflow.
         """
@@ -451,7 +494,7 @@ class RadialEigenfunction(NamedTuple):
         _check_node_count(nodes)
         grid = _quadrature_grid(self.kind, nodes)
         r1, un = _volume_weight(self.kind, nodes, n)
-        f = self._modulus(grid.r, grid.theta, grid.z, grid.w)
+        f = self._modulus(grid.r, grid.theta, grid.rec)
         total = float(np.sum(grid.wj * f ** 2 * r1 / un))
         if not sys.float_info.min <= total < math.inf:
             raise ConvergenceError(
@@ -460,13 +503,17 @@ class RadialEigenfunction(NamedTuple):
 
 
 class _Grid(NamedTuple):
-    """`norm_squared`'s level-free arrays on one (kind, nodes) grid, all read-only."""
+    """`norm_squared`'s level-free arrays on one (kind, nodes) grid, all float64 and read-only.
+
+    rec holds the two arrays `_modulus`'s recurrence reads per node:
+    (cos theta, sin theta) for Coulomb (`_romanovski`), (z, z - 1) with
+    z = `_z(kind, r)` for the oscillator (`_terminating_2f1`).
+    """
 
     theta: object  # Coulomb's half-angle nodes; None for the oscillator
     r: object
     wj: object  # Gauss-Legendre weights times the map's Jacobian
-    z: object  # `_z(kind, r)`
-    w: object  # z - 1
+    rec: tuple
 
 
 @functools.lru_cache(maxsize=16)
@@ -484,14 +531,16 @@ def _quadrature_grid(kind, nodes):
         theta = (x + 1.0) * (math.pi / 2.0)
         r = np.tan(theta / 2.0)
         jac = (math.pi / 2.0) * (1.0 + r * r) / 2.0
+        rec = (np.cos(theta), np.sin(theta))
         theta.flags.writeable = False
     else:
         theta = None
         r = (x + 1.0) / 2.0
         jac = 0.5
-    z = _z(kind, r)
-    grid = _Grid(theta, r, w * jac, z, z - 1.0)
-    for arr in grid[1:]:
+        z = _z(kind, r)
+        rec = (z, z - 1.0)
+    grid = _Grid(theta, r, w * jac, rec)
+    for arr in (grid.r, grid.wj, *rec):
         arr.flags.writeable = False
     return grid
 

@@ -48,7 +48,10 @@ off-centre, to E - 0.33 gap .. E + 0.37 gap, so that the closed form is
 no scan energy.  Only the two "spectrum vs shooting" records changed:
 their worst deviations (1.17e-10 to 2.94e-15 for Coulomb, 7.90e-11 to
 2.47e-15 for the oscillator) and their solver totals, whose
-`rhs_evaluations` became `series_terms`.
+`rhs_evaluations` became `series_terms`.  `verify_coulomb.out` was
+regenerated once more when Coulomb's `norm_squared` moved from the complex
+2F1 recurrence to the real one for e^(-i d theta) G_d: only the
+eigenfunction check's worst norm drift moved, from 1.84e-14 to 1.86e-14.
 
 The two `*_high_k_json_samples` files pin eigenfunction samples at k = 30..40,
 where the other sample files stop at k <= 4.  They were written before the

@@ -673,12 +673,68 @@ def test_oscillator_norm_matches_jacobi_closed_form(n, masses_radius_coupling):
             assert abs(got - want) <= 1e-12 * want, (d, nodes, got, want)
 
 
-@pytest.mark.parametrize("kind,n,k", list(_kernel_cases()))
+def _mpmath_norm(fn):
+    """Coulomb's norm integrated in mpmath from `_reference`'s hyp2f1, to about 20 digits.
+
+    The integrand is |f|^2 r^(n-1)/(1 + r^2)^n dr with r = tan(theta/2) on
+    theta in (0, pi), by tanh-sinh (which takes the endpoint powers in its
+    stride) on one piece per eight or so of f's k - 1 nodes.  It is divided
+    by its value at theta = pi/3 first, since mpmath's quadrature stops at
+    an absolute error and the norms run down to 1e-100.
+    """
+    mp = mpmath
+    with mp.workdps(20):
+        f = _reference("coulomb", fn.params, fn.coeffs, fn.k, fn.energy)
+        n = fn.params.n
+
+        def density(theta):
+            r = mp.tan(theta / 2)
+            return abs(f(r)) ** 2 * (r / (1 + r * r)) ** (n - 1) / 2
+
+        scale = density(mp.pi / 3)
+        value, error = mp.quad(lambda theta: density(theta) / scale,
+                               mp.linspace(0, mp.pi, fn.k // 8 + 2), error=True)
+        assert error <= 1e-16 * value, (fn.k, error, value)
+        return float(value * scale)
+
+
+MPMATH_NORM_LEVELS = (  # n, (m1, m2, R, g), mk, k; case 1
+    (2, (2.0, 2.0, 1.0, 1.0), None, 1),
+    (3, (2.0, 2.0, 1.0, 1.0), 1, 5),
+    (4, (0.7, 1.9, 0.6, 1.9), 2, 12),
+    (5, (2.3, 1.2, 1.8, 0.3), 3, 20),
+    (2, (0.7, 1.9, 0.6, 1.9), None, 30),
+    (3, (2.3, 1.2, 1.8, 0.3), 2, 40),
+)
+
+
+@pytest.mark.parametrize("n,masses_radius_coupling,mk,k", MPMATH_NORM_LEVELS)
+def test_coulomb_norm_matches_mpmath_integral(n, masses_radius_coupling, mk, k):
+    """`norm_squared` against an mpmath integral of mpmath's |f|^2, not another float path."""
+    fn = radial_eigenfunction("coulomb", PhysicalParams(n, *masses_radius_coupling),
+                              radial_coefficients(n, 1, mk), k)
+    want = _mpmath_norm(fn)
+    for nodes in (240, 480):
+        got = fn.norm_squared(nodes)
+        assert abs(got - want) <= 1e-12 * want, (nodes, got, want)
+
+
+MODULUS_END_RADII = (1e-3, 1e3)  # theta near 0 and pi, where Coulomb's sin theta -> 0
+MODULUS_END_KS = (40, 60)
+
+
+@pytest.mark.parametrize("kind,n,k", list(_kernel_cases())
+                         + [("coulomb", n, 60) for n in KERNEL_SECTORS])
 def test_modulus_matches_mpmath(kind, n, k):
-    """The norm's real |f| path against mpmath's |f|, to 1e-12 of the local amplitude."""
+    """The norm's real |f| path against mpmath's |f|, to 1e-12 of the local amplitude.
+
+    Coulomb's real recurrence is also pinned near both ends of the half-angle
+    range at k = 40 and 60.
+    """
     co = radial_coefficients(n, 1, KERNEL_SECTORS[n])
     fn = radial_eigenfunction(kind, UNIT[n], co, k)
-    rs = np.array(KERNEL_RADII[kind])
+    ends = MODULUS_END_RADII if kind == "coulomb" and k in MODULUS_END_KS else ()
+    rs = np.array(KERNEL_RADII[kind] + ends)
     got = fn._modulus(rs, 2.0 * np.arctan(rs) if kind == "coulomb" else None)
     assert got.dtype == np.float64
     with mpmath.workdps(REF_DIGITS):
@@ -913,9 +969,11 @@ def _inline_norm_squared(fn, nodes):
     """`norm_squared` with every step constant and grid array computed inline.
 
     The reference for the level's shared step lists and the grid's cached
-    z, z - 1, r^(n-1) and (1 + r^2)^n: the recurrence, z, |P| and the volume
-    weight as they stood before either was built once, on the same
-    Gauss-Legendre rule, with the same errors.
+    arrays (cos theta and sin theta for Coulomb, z and z - 1 for the
+    oscillator, r^(n-1) and (1 + r^2)^n): the recurrence, |P| and the volume
+    weight written out, on the same Gauss-Legendre rule, with the same
+    errors.  Coulomb's recurrence is the real one for
+    H_d = e^(-i d theta) G_d, whose modulus is |G_d|.
     """
     n, kind = fn.params.n, fn.kind
     x, w = gauss_legendre(-1.0, 1.0, nodes)
@@ -923,17 +981,22 @@ def _inline_norm_squared(fn, nodes):
         theta = (x + 1.0) * (math.pi / 2.0)
         r = np.tan(theta / 2.0)
         jac = (math.pi / 2.0) * (1.0 + r * r) / 2.0
-        z = 4j * r / (r + 1j) ** 2
+        cos, sin = np.cos(theta), np.sin(theta)
     else:
         r = (x + 1.0) / 2.0
         jac = 0.5
         u = r * r + 1.0
         z = 4.0 * r * r / (u * u)
     d, b, c = fn.data.d, fn.data.b, fn.data.c
-    wz = z - 1.0
     prev, cur = 0.0, 1.0
-    for m in range(d):
-        prev, cur = cur, ((c + 2 * m - (b + m) * z) * cur + wz * prev) / ((c + m) * (m + 1))
+    if kind == "coulomb":
+        for m in range(d):
+            prev, cur = cur, (((c + 2 * m) * cos - 2.0 * b.imag * sin) * cur - prev) / (
+                (c + m) * (m + 1))
+    else:
+        wz = z - 1.0
+        for m in range(d):
+            prev, cur = cur, ((c + 2 * m - (b + m) * z) * cur + wz * prev) / ((c + m) * (m + 1))
     rho0, rho1 = fn.data.rho0, fn.data.rho1
     if kind == "coulomb":
         try:
@@ -973,14 +1036,19 @@ def test_norms_match_inline_reference_bit_for_bit(kind, n):
 
 def test_quadrature_grid_cached_read_only():
     for kind in KINDS:
-        theta, r, wj, z, w = spectra._quadrature_grid(kind, 240)
-        assert spectra._quadrature_grid(kind, 240)[1] is r
-        assert (theta is None) == (kind == "oscillator")
-        assert z.dtype == (np.complex128 if kind == "coulomb" else np.float64)
+        grid = spectra._quadrature_grid(kind, 240)
+        assert spectra._quadrature_grid(kind, 240) is grid
+        assert (grid.theta is None) == (kind == "oscillator")
+        assert len(grid.rec) == 2
         r1, un = spectra._volume_weight(kind, 240, 3)
         assert spectra._volume_weight(kind, 240, 3)[0] is r1
-        arrays = (r, wj, z, w, r1, un) + (() if theta is None else (theta,))
+        arrays = (grid.r, grid.wj, *grid.rec, r1, un)
+        if grid.theta is not None:
+            arrays += (grid.theta,)
+            assert np.array_equal(grid.rec[0], np.cos(grid.theta))
+            assert np.array_equal(grid.rec[1], np.sin(grid.theta))
         for arr in arrays:
+            assert arr.dtype == np.float64
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
